@@ -2,15 +2,17 @@
 //!
 //! Times the register-blocked packed GEMM against the retained reference
 //! kernel on the zoo's conv/dense GEMM shapes (single-threaded, so the
-//! numbers isolate the kernel, not the pool), then times `Trainer::fit` with
-//! the batched forward/backward engine against the per-sample loop on
-//! conv/dense and depthwise zoo models. Every comparison is also a bitwise
-//! gate: any f32 divergence between the two paths exits nonzero so CI can
-//! fail on it. Results land in `results/bench_gemm.json`.
+//! numbers isolate the kernel, not the pool), the frozen serve-path GEMMs
+//! against per-call packing, the image-panel conv lowering against the
+//! unfolded one on every conv shape of the GTSRB serving members, then times
+//! `Trainer::fit` with the batched forward/backward engine against the
+//! per-sample loop on conv/dense and depthwise zoo models. Every comparison
+//! is also a bitwise gate: any f32 divergence between the two paths exits
+//! nonzero so CI can fail on it. Results land in `results/bench_gemm.json`.
 
 use rand::{rngs::StdRng, SeedableRng};
 use remix_nn::{zoo, Arch, InputSpec, Layer, Model, Trainer, TrainerConfig};
-use remix_tensor::Tensor;
+use remix_tensor::{im2row_batch_into, row2im_batch, Conv2dGeometry, PackedOperand, Tensor};
 use std::io::Write;
 use std::time::{Duration, Instant};
 
@@ -83,9 +85,11 @@ enum SweepOp {
     DenseFwd,
     /// Dense input gradient `Wᵀ · G` — weight prepacked transposed-read.
     DenseDx,
-    /// Conv forward `W · rowsᵀ` — weight prepacked as the A operand.
-    ConvFwd,
-    /// Conv input gradient `Gᵀ · W` — weight prepacked as the B operand.
+    /// Conv forward `W · patchesᵀ` with the B panels packed from
+    /// `[channels, size, size]` images (3×3, stride 1, pad 1) — weight
+    /// prepacked as the A operand.
+    ConvFwd { channels: usize, size: usize },
+    /// Conv input gradient `Wᵀ · G` — weight prepacked transposed-read.
     ConvDx,
 }
 
@@ -112,14 +116,20 @@ const SWEEP_BATCH: usize = 4;
 const SWEEP_SHAPES: &[SweepShape] = &[
     SweepShape {
         name: "conv1_fwd",
-        op: SweepOp::ConvFwd,
+        op: SweepOp::ConvFwd {
+            channels: 3,
+            size: 16,
+        },
         wm: 8,
         wk: 27,
         n: 1024,
     },
     SweepShape {
         name: "conv2_fwd",
-        op: SweepOp::ConvFwd,
+        op: SweepOp::ConvFwd {
+            channels: 8,
+            size: 8,
+        },
         wm: 16,
         wk: 72,
         n: 256,
@@ -192,6 +202,223 @@ struct XaiSweepResult {
     pack_bytes_unfrozen: u64,
     pack_bytes_frozen: u64,
     prepack_hits: u64,
+}
+
+/// One distinct `Conv2d` geometry of the GTSRB serving members (ConvNet,
+/// MobileNet and ResNet18 at 3×16×16): `filters` outputs over a
+/// `[channels, size, size]` input.
+struct ConvShape {
+    /// Member layers using the shape.
+    name: &'static str,
+    channels: usize,
+    size: usize,
+    filters: usize,
+    kernel: usize,
+    stride: usize,
+    pad: usize,
+}
+
+/// Images per conv-lowering call: one SmoothGrad sweep of a disagreeing
+/// pair (2 members' inputs × 8 noise samples).
+const CONV_BATCH: usize = 16;
+
+/// Every distinct conv shape of the GTSRB serving members, in the order the
+/// members first use them.
+const CONV_SHAPES: &[ConvShape] = &[
+    ConvShape {
+        name: "stem_3x16_k3",
+        channels: 3,
+        size: 16,
+        filters: 8,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+    },
+    ConvShape {
+        name: "convnet_conv2_8x8_k3",
+        channels: 8,
+        size: 8,
+        filters: 16,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+    },
+    ConvShape {
+        name: "convnet_conv3_16x4_k3",
+        channels: 16,
+        size: 4,
+        filters: 16,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+    },
+    ConvShape {
+        name: "mobilenet_pw1_8x16_k1",
+        channels: 8,
+        size: 16,
+        filters: 16,
+        kernel: 1,
+        stride: 1,
+        pad: 0,
+    },
+    ConvShape {
+        name: "mobilenet_pw2_16x8_k1",
+        channels: 16,
+        size: 8,
+        filters: 16,
+        kernel: 1,
+        stride: 1,
+        pad: 0,
+    },
+    ConvShape {
+        name: "mobilenet_pw3_16x8_k1",
+        channels: 16,
+        size: 8,
+        filters: 32,
+        kernel: 1,
+        stride: 1,
+        pad: 0,
+    },
+    ConvShape {
+        name: "mobilenet_pw4_32x4_k1",
+        channels: 32,
+        size: 4,
+        filters: 32,
+        kernel: 1,
+        stride: 1,
+        pad: 0,
+    },
+    ConvShape {
+        name: "resnet18_s1_8x16_k3",
+        channels: 8,
+        size: 16,
+        filters: 8,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+    },
+    ConvShape {
+        name: "resnet18_s2down_8x16_k3s2",
+        channels: 8,
+        size: 16,
+        filters: 16,
+        kernel: 3,
+        stride: 2,
+        pad: 1,
+    },
+    ConvShape {
+        name: "resnet18_s2_16x8_k3",
+        channels: 16,
+        size: 8,
+        filters: 16,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+    },
+    ConvShape {
+        name: "resnet18_s2proj_8x16_k1s2",
+        channels: 8,
+        size: 16,
+        filters: 16,
+        kernel: 1,
+        stride: 2,
+        pad: 0,
+    },
+    ConvShape {
+        name: "resnet18_s3down_16x8_k3s2",
+        channels: 16,
+        size: 8,
+        filters: 32,
+        kernel: 3,
+        stride: 2,
+        pad: 1,
+    },
+    ConvShape {
+        name: "resnet18_s3_32x4_k3",
+        channels: 32,
+        size: 4,
+        filters: 32,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+    },
+    ConvShape {
+        name: "resnet18_s3proj_16x8_k1s2",
+        channels: 16,
+        size: 8,
+        filters: 32,
+        kernel: 1,
+        stride: 2,
+        pad: 0,
+    },
+];
+
+struct ConvResult {
+    name: &'static str,
+    geo: Conv2dGeometry,
+    filters: usize,
+    unfolded_secs: f64,
+    panel_secs: f64,
+    lowering_identical: bool,
+}
+
+/// The unfolded frozen conv lowering, the reference: unfold the batch into
+/// `[B·spatial, patch]` rows for `W ·ᵃᵇᵗ rows`, and fold the input gradient
+/// `gᵀ · W` back with `row2im`.
+struct UnfoldedConv<'a> {
+    geo: Conv2dGeometry,
+    images: &'a [Tensor],
+    grads: &'a Tensor,
+    fwd: PackedOperand,
+    dx: PackedOperand,
+    rows: Vec<f32>,
+    packed: Vec<f32>,
+    out: Vec<f32>,
+    drows: Vec<f32>,
+}
+
+impl UnfoldedConv<'_> {
+    fn run(&mut self) -> Vec<Tensor> {
+        let (n, patch) = (self.grads.shape()[1], self.geo.patch_len());
+        im2row_batch_into(self.images, &self.geo, &mut self.rows).expect("images match");
+        let rows = Tensor::from_vec(std::mem::take(&mut self.rows), &[n, patch]).expect("rows");
+        self.fwd
+            .matmul_a_bt_prepacked_into(&rows, &mut self.out, &mut self.packed)
+            .expect("shapes agree");
+        self.rows = rows.into_vec();
+        self.dx
+            .matmul_at_b_rhs_prepacked_into(self.grads, &mut self.drows)
+            .expect("shapes agree");
+        let drows = Tensor::from_vec(std::mem::take(&mut self.drows), &[n, patch]).expect("drows");
+        let dx = row2im_batch(&drows, &self.geo, self.images.len()).expect("fold geometry");
+        self.drows = drows.into_vec();
+        dx
+    }
+}
+
+/// The frozen conv serve path: B panels packed straight from the images,
+/// and the input gradient `Wᵀ · G` folded onto the images panel by panel,
+/// from the per-sample gradients.
+struct PanelConv<'a> {
+    geo: Conv2dGeometry,
+    images: &'a [Tensor],
+    grads: &'a [Tensor],
+    fwd: PackedOperand,
+    dx: PackedOperand,
+    packed: Vec<f32>,
+    out: Vec<f32>,
+    dx_scratch: Vec<f32>,
+}
+
+impl PanelConv<'_> {
+    fn run(&mut self) -> Vec<Tensor> {
+        self.fwd
+            .conv_gemm_prepacked_into(self.images, &self.geo, &mut self.out, &mut self.packed)
+            .expect("images match");
+        self.dx
+            .conv_input_grads_prepacked(self.grads, &self.geo, &mut self.dx_scratch)
+            .expect("gradients match")
+    }
 }
 
 /// Per-sample `Trainer::fit` wall times measured at the commit preceding
@@ -312,6 +539,33 @@ fn main() {
         }
     );
 
+    println!(
+        "\nConv lowering — image panels + fused fold vs unfolded rows + row2im \
+         (frozen, forward + input gradient, batch {CONV_BATCH})\n"
+    );
+    let conv_results: Vec<ConvResult> = CONV_SHAPES.iter().map(bench_conv_shape).collect();
+    println!(
+        "{:<28} {:>12} {:>12} {:>9}  bits",
+        "shape", "unfolded", "panels", "speedup"
+    );
+    for r in &conv_results {
+        println!(
+            "{:<28} {:>12} {:>12} {:>8.2}x  {}",
+            r.name,
+            format!("{:.1}µs", r.unfolded_secs * 1e6),
+            format!("{:.1}µs", r.panel_secs * 1e6),
+            r.unfolded_secs / r.panel_secs,
+            if r.lowering_identical {
+                "="
+            } else {
+                "DIVERGED"
+            }
+        );
+    }
+    let conv_aggregate = conv_results.iter().map(|r| r.unfolded_secs).sum::<f64>()
+        / conv_results.iter().map(|r| r.panel_secs).sum::<f64>();
+    println!("\nAggregate conv lowering time: {conv_aggregate:.2}x");
+
     println!("\nTraining — batched engine vs per-sample loop (batch 32, 1 thread)\n");
     let train_results = vec![
         bench_training(Arch::ConvNet, "ConvNet", 16),
@@ -348,6 +602,8 @@ fn main() {
         sweep_aggregate,
         dense_aggregate,
         &xai,
+        &conv_results,
+        conv_aggregate,
         &train_results,
     )
     .expect("write results/bench_gemm.json");
@@ -355,9 +611,13 @@ fn main() {
 
     let gemm_ok = gemm_results.iter().all(|r| r.bit_identical);
     let prepack_ok = sweep_results.iter().all(|r| r.prepack_identical) && xai.bit_identical;
+    let conv_ok = conv_results.iter().all(|r| r.lowering_identical);
     let train_ok = train_results.iter().all(|r| r.weights_bit_identical);
-    if !gemm_ok || !prepack_ok || !train_ok {
-        eprintln!("ERROR: blocked/prepacked/batched path diverged bitwise from the reference path");
+    if !gemm_ok || !prepack_ok || !conv_ok || !train_ok {
+        eprintln!(
+            "ERROR: blocked/prepacked/panel-lowered/batched path diverged bitwise from the \
+             reference path"
+        );
         std::process::exit(1);
     }
 }
@@ -454,13 +714,23 @@ fn bench_sweep_shape(s: &SweepShape) -> SweepResult {
             );
             ((s.wk, s.wm, s.n), true, timed)
         }
-        SweepOp::ConvFwd => {
-            let rows = Tensor::rand_uniform(&[s.n, s.wk], -1.0, 1.0, &mut rng);
+        SweepOp::ConvFwd { channels, size } => {
+            let geo = Conv2dGeometry {
+                in_channels: channels,
+                in_h: size,
+                in_w: size,
+                kernel: 3,
+                stride: 1,
+                pad: 1,
+            };
+            let images: Vec<Tensor> = (0..s.n / (size * size))
+                .map(|_| Tensor::rand_uniform(&[channels, size, size], -1.0, 1.0, &mut rng))
+                .collect();
             let pw = w.prepack_a().expect("weights are rank 2");
             let timed = timed_pair(
-                |o, p| w.matmul_a_bt_into(&rows, o, p).expect("shapes agree"),
+                |o, p| w.conv_gemm_into(&images, &geo, o, p).expect("shapes agree"),
                 |o, p| {
-                    pw.matmul_a_bt_prepacked_into(&rows, o, p)
+                    pw.conv_gemm_prepacked_into(&images, &geo, o, p)
                         .expect("shapes agree")
                 },
             );
@@ -468,15 +738,15 @@ fn bench_sweep_shape(s: &SweepShape) -> SweepResult {
         }
         SweepOp::ConvDx => {
             let g = Tensor::rand_uniform(&[s.wm, s.n], -1.0, 1.0, &mut rng);
-            let pw = w.prepack_b().expect("weights are rank 2");
+            let pw = w.prepack_at().expect("weights are rank 2");
             let timed = timed_pair(
-                |o, p| g.matmul_at_b_into(&w, o, p).expect("shapes agree"),
-                |o, _| {
-                    pw.matmul_at_b_rhs_prepacked_into(&g, o)
+                |o, p| w.matmul_at_b_into(&g, o, p).expect("shapes agree"),
+                |o, p| {
+                    pw.matmul_at_b_prepacked_into(&g, o, p)
                         .expect("shapes agree")
                 },
             );
-            ((s.n, s.wm, s.wk), false, timed)
+            ((s.wk, s.wm, s.n), false, timed)
         }
     };
     SweepResult {
@@ -489,6 +759,105 @@ fn bench_sweep_shape(s: &SweepShape) -> SweepResult {
         prepacked_secs,
         prepack_identical,
     }
+}
+
+/// Times one conv shape through both frozen lowerings — forward plus input
+/// gradient, as one SmoothGrad sweep runs them — and bit-compares the
+/// forward products and the folded input gradients.
+fn bench_conv_shape(s: &ConvShape) -> ConvResult {
+    let geo = Conv2dGeometry {
+        in_channels: s.channels,
+        in_h: s.size,
+        in_w: s.size,
+        kernel: s.kernel,
+        stride: s.stride,
+        pad: s.pad,
+    };
+    let mut rng = StdRng::seed_from_u64(19);
+    let w = Tensor::rand_uniform(&[s.filters, geo.patch_len()], -1.0, 1.0, &mut rng);
+    let images: Vec<Tensor> = (0..CONV_BATCH)
+        .map(|_| Tensor::rand_uniform(&[s.channels, s.size, s.size], -1.0, 1.0, &mut rng))
+        .collect();
+    let (oh, ow) = (geo.out_h(), geo.out_w());
+    let per_sample: Vec<Tensor> = (0..CONV_BATCH)
+        .map(|_| Tensor::rand_uniform(&[s.filters, oh, ow], -1.0, 1.0, &mut rng))
+        .collect();
+    // The unfolded path reads them concatenated: `[F, B·spatial]`.
+    let mut concat = vec![0.0f32; s.filters * CONV_BATCH * oh * ow];
+    for (b, g) in per_sample.iter().enumerate() {
+        for (f, row) in g.data().chunks_exact(oh * ow).enumerate() {
+            concat[(f * CONV_BATCH + b) * oh * ow..][..oh * ow].copy_from_slice(row);
+        }
+    }
+    let grads = Tensor::from_vec(concat, &[s.filters, CONV_BATCH * oh * ow]).expect("concat");
+    let mut unfolded = UnfoldedConv {
+        geo,
+        images: &images,
+        grads: &grads,
+        fwd: w.prepack_a().expect("weights are rank 2"),
+        dx: w.prepack_b().expect("weights are rank 2"),
+        rows: Vec::new(),
+        packed: Vec::new(),
+        out: Vec::new(),
+        drows: Vec::new(),
+    };
+    let mut panels = PanelConv {
+        geo,
+        images: &images,
+        grads: &per_sample,
+        fwd: w.prepack_a().expect("weights are rank 2"),
+        dx: w.prepack_at().expect("weights are rank 2"),
+        packed: Vec::new(),
+        out: Vec::new(),
+        dx_scratch: Vec::new(),
+    };
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let dx_bits = |dx: &[Tensor]| dx.iter().flat_map(|t| bits(t.data())).collect::<Vec<u32>>();
+    let dx_unfolded = unfolded.run();
+    let dx_panels = panels.run();
+    let lowering_identical =
+        bits(&unfolded.out) == bits(&panels.out) && dx_bits(&dx_unfolded) == dx_bits(&dx_panels);
+    let (unfolded_secs, panel_secs) = time_interleaved(
+        || {
+            std::hint::black_box(unfolded.run());
+        },
+        || {
+            std::hint::black_box(panels.run());
+        },
+    );
+    ConvResult {
+        name: s.name,
+        geo,
+        filters: s.filters,
+        unfolded_secs,
+        panel_secs,
+        lowering_identical,
+    }
+}
+
+/// Seconds per iteration of two competing paths: short alternating windows,
+/// keeping each side's fastest, so host-speed drift during the run hits
+/// both sides alike instead of whichever ran second.
+fn time_interleaved(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let window = |f: &mut dyn FnMut()| {
+        let start = Instant::now();
+        let mut iters = 0u32;
+        while start.elapsed() < Duration::from_millis(40) {
+            f();
+            iters += 1;
+        }
+        start.elapsed().as_secs_f64() / f64::from(iters)
+    };
+    for _ in 0..3 {
+        a();
+        b();
+    }
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..8 {
+        best_a = best_a.min(window(&mut a));
+        best_b = best_b.min(window(&mut b));
+    }
+    (best_a, best_b)
 }
 
 /// Runs the full XAI verdict sweep (batched class probabilities + batched
@@ -635,8 +1004,8 @@ fn bench_training(arch: Arch, name: &'static str, size: usize) -> TrainResult {
 }
 
 /// Hand-formatted JSON record (the vendored serde_json has no pretty
-/// printer) of the kernel, prepacked-weight, XAI-sweep, and training
-/// comparisons.
+/// printer) of the kernel, prepacked-weight, XAI-sweep, conv-lowering and
+/// training comparisons.
 #[allow(clippy::too_many_arguments)]
 fn write_bench_json(
     gemm: &[GemmResult],
@@ -646,6 +1015,8 @@ fn write_bench_json(
     sweep_aggregate: f64,
     dense_aggregate: f64,
     xai: &XaiSweepResult,
+    conv: &[ConvResult],
+    conv_aggregate: f64,
     training: &[TrainResult],
 ) -> std::io::Result<()> {
     std::fs::create_dir_all("results")?;
@@ -707,6 +1078,30 @@ fn write_bench_json(
         1.0 - xai.pack_bytes_frozen as f64 / xai.pack_bytes_unfrozen as f64,
         xai.prepack_hits,
     );
+    let conv_entries: Vec<String> = conv
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\n      \"shape\": \"{}\",\n      \"channels\": {},\n      \
+                 \"size\": {},\n      \"filters\": {},\n      \"kernel\": {},\n      \
+                 \"stride\": {},\n      \"pad\": {},\n      \"batch\": {CONV_BATCH},\n      \
+                 \"unfolded_secs_per_iter\": {:.9},\n      \
+                 \"panel_secs_per_iter\": {:.9},\n      \"speedup\": {:.3},\n      \
+                 \"lowering_identical\": {}\n    }}",
+                r.name,
+                r.geo.in_channels,
+                r.geo.in_h,
+                r.filters,
+                r.geo.kernel,
+                r.geo.stride,
+                r.geo.pad,
+                r.unfolded_secs,
+                r.panel_secs,
+                r.unfolded_secs / r.panel_secs,
+                r.lowering_identical
+            )
+        })
+        .collect();
     let train_entries: Vec<String> = training
         .iter()
         .map(|r| {
@@ -745,10 +1140,15 @@ fn write_bench_json(
          \"prepack_sweep\": [\n{}\n  ],\n  \
          \"prepack_sweep_aggregate_speedup\": {sweep_aggregate:.3},\n  \
          \"prepack_dense_aggregate_speedup\": {dense_aggregate:.3},\n{},\n  \
+         \"conv_lowering\": [\n{}\n  ],\n  \
+         \"conv_lowering_identical\": {},\n  \
+         \"conv_lowering_aggregate_speedup\": {conv_aggregate:.3},\n  \
          \"training\": [\n{}\n  ]\n}}",
         gemm_entries.join(",\n"),
         sweep_entries.join(",\n"),
         xai_entry,
+        conv_entries.join(",\n"),
+        conv.iter().all(|r| r.lowering_identical),
         train_entries.join(",\n"),
     )
 }

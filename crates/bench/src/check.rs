@@ -130,6 +130,15 @@ pub const PREPACK_MIN_DENSE_AGGREGATE_SPEEDUP: f64 = 1.1;
 /// gate carries no measurement noise.
 pub const PREPACK_MIN_PACK_ELIMINATION: f64 = 0.15;
 
+/// Minimum acceptable speedup of the image-panel conv lowering (panels
+/// packed straight from the images, `Wᵀ · G` folded by `col2im`) over the
+/// unfolded one (`im2row` rows, `gᵀ · W` folded by `row2im`), aggregated
+/// over every conv shape of the GTSRB serving members — frozen forward plus
+/// input gradient at SmoothGrad batch 16 — and gated absolutely. Measured
+/// 2.8–3.0× on a 2-vCPU AVX-512 host; the floor keeps the unfold-free path
+/// from silently falling back to the unfolded cost.
+pub const CONV_LOWERING_MIN_AGGREGATE_SPEEDUP: f64 = 1.8;
+
 /// Gates `bench_gemm.json`: per shape, the blocked kernel must stay
 /// bit-identical to the reference and keep its within-run speedup; per
 /// prepack-sweep row, the prepacked entry must stay bit-identical to per-call
@@ -139,8 +148,12 @@ pub const PREPACK_MIN_PACK_ELIMINATION: f64 = 0.15;
 /// the baseline *and* clear [`PREPACK_MIN_DENSE_AGGREGATE_SPEEDUP`]; the
 /// frozen XAI sweep must stay bit-identical, keep hitting prepacked operands,
 /// and keep eliminating at least [`PREPACK_MIN_PACK_ELIMINATION`] of the
-/// sweep's pack traffic; per training row, batched updates must stay
-/// weight-bit-identical and keep the batched-vs-per-sample ratio.
+/// sweep's pack traffic; per conv-lowering shape, the image-panel lowering
+/// must stay bit-identical to the unfolded one, and its aggregate speedup
+/// must hold relative to the baseline *and* clear
+/// [`CONV_LOWERING_MIN_AGGREGATE_SPEEDUP`]; per training row, batched
+/// updates must stay weight-bit-identical and keep the batched-vs-per-sample
+/// ratio.
 pub fn check_gemm(baseline: &Value, fresh: &Value, tolerance: f64) -> GateReport {
     let mut report = GateReport::default();
     let empty: &[Value] = &[];
@@ -254,6 +267,51 @@ pub fn check_gemm(baseline: &Value, fresh: &Value, tolerance: f64) -> GateReport
                 }
             }
             None => report.fail(format!("FAIL {label}: missing from fresh record")),
+        }
+    }
+    let fresh_conv = get(fresh, "conv_lowering")
+        .and_then(Value::as_array)
+        .unwrap_or(empty);
+    for base_row in get(baseline, "conv_lowering")
+        .and_then(Value::as_array)
+        .unwrap_or(empty)
+    {
+        let Some(shape) = get_str(base_row, "shape") else {
+            continue;
+        };
+        let label = format!("conv_lowering/{shape}");
+        match fresh_conv
+            .iter()
+            .find(|r| get_str(r, "shape") == Some(shape))
+        {
+            Some(fresh_row) => report.gate_flag(&label, get_bool(fresh_row, "lowering_identical")),
+            None => report.fail(format!("FAIL {label}: missing from fresh record")),
+        }
+    }
+    if get(baseline, "conv_lowering").is_some() {
+        report.gate_flag(
+            "conv_lowering/all_shapes",
+            get_bool(fresh, "conv_lowering_identical"),
+        );
+        match (
+            get_num(baseline, "conv_lowering_aggregate_speedup"),
+            get_num(fresh, "conv_lowering_aggregate_speedup"),
+        ) {
+            (Some(b), Some(f)) => {
+                report.gate_speedup("conv_lowering/aggregate", b, f, tolerance);
+                if f >= CONV_LOWERING_MIN_AGGREGATE_SPEEDUP {
+                    report.ok(format!(
+                        "ok   conv_lowering/min_speedup: {f:.3} >= absolute floor \
+                         {CONV_LOWERING_MIN_AGGREGATE_SPEEDUP}"
+                    ));
+                } else {
+                    report.fail(format!(
+                        "FAIL conv_lowering/min_speedup: {f:.3} below absolute floor \
+                         {CONV_LOWERING_MIN_AGGREGATE_SPEEDUP}"
+                    ));
+                }
+            }
+            _ => report.fail("FAIL conv_lowering/aggregate: speedup field missing".into()),
         }
     }
     let fresh_training = get(fresh, "training")
@@ -603,6 +661,7 @@ pub fn scale_speedups(value: &mut Value, factor: f64) {
                     || key == "prepack_sweep_aggregate_speedup"
                     || key == "prepack_dense_aggregate_speedup"
                     || key == "pack_bytes_eliminated_fraction"
+                    || key == "conv_lowering_aggregate_speedup"
                 {
                     if let Some(n) = num(v) {
                         *v = Value::Float(n * factor);
@@ -635,6 +694,8 @@ pub fn flip_verdict_flags(value: &mut Value) {
                     || key == "shard_verdicts_identical"
                     || key == "full_pinned_identical"
                     || key == "prepack_identical"
+                    || key == "lowering_identical"
+                    || key == "conv_lowering_identical"
                     || key == "noop_identical"
                     || key == "v1_identical"
                     || key == "v2_identical"
@@ -703,6 +764,28 @@ mod tests {
                 "pack_bytes_eliminated_fraction": 0.22,
                 "prepack_hits_per_sweep": 18
               },
+              "training": [
+                {"model": "ConvNet", "input_size": 16, "speedup": 1.0,
+                 "weights_bit_identical": true}
+              ]
+            }"#,
+        )
+        .expect("valid test record")
+    }
+
+    /// A gemm record carrying the conv-lowering section.
+    fn gemm_record_with_conv_lowering() -> Value {
+        serde_json::from_str(
+            r#"{
+              "gemm": [
+                {"shape": "a", "speedup": 2.0, "bit_identical": true}
+              ],
+              "conv_lowering": [
+                {"shape": "stem", "speedup": 3.4, "lowering_identical": true},
+                {"shape": "down", "speedup": 1.3, "lowering_identical": true}
+              ],
+              "conv_lowering_identical": true,
+              "conv_lowering_aggregate_speedup": 2.3,
               "training": [
                 {"model": "ConvNet", "input_size": 16, "speedup": 1.0,
                  "weights_bit_identical": true}
@@ -993,6 +1076,55 @@ mod tests {
             .failures
             .iter()
             .any(|f| f.contains("min_pack_elimination")));
+    }
+
+    #[test]
+    fn conv_lowering_gate_passes_clean_and_catches_doctoring() {
+        let base = gemm_record_with_conv_lowering();
+        let report = check_gemm(&base, &base, DEFAULT_TOLERANCE);
+        assert!(report.passed(), "failures: {:?}", report.failures);
+        // gemm (1 + 1) + training (1 + 1) + 2 row flags + all-shapes flag
+        // + aggregate (relative + absolute floor)
+        assert_eq!(report.checks.len(), 9);
+
+        let mut slow = gemm_record_with_conv_lowering();
+        scale_speedups(&mut slow, 1.0 / 1.5);
+        let report = check_gemm(&base, &slow, DEFAULT_TOLERANCE);
+        assert!(report
+            .failures
+            .iter()
+            .any(|f| f.contains("conv_lowering/aggregate")));
+
+        let mut diverged = gemm_record_with_conv_lowering();
+        flip_verdict_flags(&mut diverged);
+        let report = check_gemm(&base, &diverged, DEFAULT_TOLERANCE);
+        for label in [
+            "conv_lowering/stem",
+            "conv_lowering/down",
+            "conv_lowering/all_shapes",
+        ] {
+            assert!(
+                report.failures.iter().any(|f| f.contains(label)),
+                "{label} divergence not caught: {:?}",
+                report.failures
+            );
+        }
+
+        // An aggregate below the floor fails even when it matches the
+        // baseline exactly.
+        let mut weak = gemm_record_with_conv_lowering();
+        if let Value::Object(pairs) = &mut weak {
+            for (k, v) in pairs.iter_mut() {
+                if k == "conv_lowering_aggregate_speedup" {
+                    *v = Value::Float(1.2);
+                }
+            }
+        }
+        let report = check_gemm(&weak, &weak, DEFAULT_TOLERANCE);
+        assert!(report
+            .failures
+            .iter()
+            .any(|f| f.contains("conv_lowering/min_speedup")));
     }
 
     #[test]

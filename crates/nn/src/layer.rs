@@ -16,10 +16,12 @@ pub enum Mode {
     /// Deterministic forward pass that keeps only what
     /// [`Layer::backward_input`] needs (activation masks, pooling argmaxes,
     /// normalization statistics) and skips the parameter-gradient caches —
-    /// im2row patch matrices, cached layer inputs. This is the mode of the
-    /// XAI hot path: `predict_proba` never calls backward at all, and
-    /// `input_gradient` only needs the input gradient, so neither should pay
-    /// training-only memory traffic on every perturbation pass.
+    /// cached layer inputs, and the patch rows a convolution unfolds only
+    /// for its weight gradient (an inference-mode convolution never unfolds
+    /// its input). This is the mode of the XAI hot path: `predict_proba`
+    /// never calls backward at all, and `input_gradient` only needs the
+    /// input gradient, so neither should pay training-only memory traffic
+    /// on every perturbation pass.
     Inference,
 }
 

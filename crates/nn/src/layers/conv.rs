@@ -1,21 +1,22 @@
 use crate::{Layer, Mode};
 use rand::Rng;
 use remix_tensor::{
-    gemm_accum_ab, im2row_batch_into, im2row_into, row2im, row2im_batch, Conv2dGeometry,
-    PackedOperand, Result, Tensor, TensorError,
+    gemm_accum_ab, im2row_batch_into, Conv2dGeometry, PackedOperand, Result, Tensor, TensorError,
 };
 
-/// 2-D convolution over `[C, H, W]` inputs, lowered to a matrix product via
-/// a row-major patch matrix (im2row).
+/// 2-D convolution over `[C, H, W]` inputs, lowered to matrix products
+/// without unfolding the input.
 ///
-/// Weights are stored as `[filters, C*k*k]` and patches as
-/// `[out_h*out_w, C*k*k]` rows, so the forward pass is a transpose-free
-/// `W ·ᵃᵇᵗ patches` and both backward products are plain rank-2 matmuls. A
-/// batch of inputs lowers to one `[B*out_h*out_w, C*k*k]` patch matrix whose
-/// per-sample blocks are contiguous *rows* — the unfold writes, the
-/// per-sample dW windows and the input-gradient fold all touch memory
-/// sequentially, and the fused products are bit-identical to per-sample ones
-/// because each output element keeps its own ascending-k chain.
+/// Weights are stored as `[filters, C*k*k]`. The forward pass is one
+/// `W · patchesᵀ` GEMM over the whole batch whose B panels are packed
+/// straight from the images (`conv_gemm_into`), and the input gradient is
+/// `Wᵀ · G` folded onto the images panel by panel (`conv_input_grads`).
+/// Both are bit-identical to the unfolded formulation (`im2row` rows
+/// through `matmul_a_bt`, `gᵀ · W` through `row2im`) because every output
+/// element keeps its own ascending-k chain and every input-gradient element
+/// its ascending output-position order. Only Train/Eval forwards unfold the
+/// `[B*out_h*out_w, C*k*k]` patch rows, because the weight gradient reads
+/// per-sample row windows of them.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: Tensor, // [F, C*k*k]
@@ -24,8 +25,7 @@ pub struct Conv2d {
     grad_b: Tensor,
     geo: Conv2dGeometry,
     filters: usize,
-    cached_rows: Tensor, // [B*out_h*out_w, C*k*k] patch rows from forward
-    scratch_rows: Vec<f32>,
+    cached_rows: Tensor, // [B*out_h*out_w, C*k*k] patch rows of a Train/Eval forward
     scratch: ConvScratch,
     /// Prepacked weight operands from [`Layer::prepare_inference`]; dropped
     /// on any parameter mutation (see [`Layer::visit_params`]).
@@ -33,24 +33,22 @@ pub struct Conv2d {
 }
 
 /// Both roles the frozen `[F, C·k·k]` weight plays: `fwd` is the A-side of
-/// the forward `W ·ᵃᵇᵗ patches` product, `bwd` the B-side (panel layout) of
-/// the input-gradient `gᵀ · W` product.
+/// the forward `W · patchesᵀ` product, `bwd` the transpose-read A-side of
+/// the input-gradient `Wᵀ · G` product.
 #[derive(Debug, Clone)]
 struct ConvPacks {
     fwd: PackedOperand,
     bwd: PackedOperand,
 }
 
-/// Reusable buffers for the batched GEMMs. Each GEMM call site owns its pair
-/// so the sizes stay stable across training steps and the `_into` kernels
-/// never reallocate or zero-fill in steady state.
+/// Reusable buffers for the batched GEMMs. Each GEMM call site owns its
+/// buffers so the sizes stay stable across calls and the kernels never
+/// reallocate in steady state.
 #[derive(Debug, Clone, Default)]
 struct ConvScratch {
     fwd_out: Vec<f32>,    // [F, B·spatial] forward product
-    fwd_packed: Vec<f32>, // packed patch-row panels for the forward GEMM
-    gcat: Vec<f32>,       // [F, B·spatial] concatenated output gradients
-    drows: Vec<f32>,      // [B·spatial, patch] patch-row gradients
-    dx_packed: Vec<f32>,  // packed weight panels for the dX GEMM
+    fwd_packed: Vec<f32>, // zero-padded input images the forward panels read
+    dx: Vec<f32>,         // padded gradient copies and input-gradient images
     dw_packed: Vec<f32>,  // packed patch-row panels for the per-sample dW GEMMs
 }
 
@@ -89,21 +87,8 @@ impl Conv2d {
             geo,
             filters,
             cached_rows: Tensor::default(),
-            scratch_rows: Vec::new(),
             scratch: ConvScratch::default(),
             packs: None,
-        }
-    }
-
-    /// Reclaims the patch-row buffer for the next unfold: the inference path
-    /// parks it in `scratch_rows`, the training path leaves it inside the
-    /// previous step's `cached_rows`.
-    fn take_patch_buf(&mut self) -> Vec<f32> {
-        let buf = std::mem::take(&mut self.scratch_rows);
-        if buf.is_empty() {
-            std::mem::take(&mut self.cached_rows).into_vec()
-        } else {
-            buf
         }
     }
 
@@ -112,50 +97,37 @@ impl Conv2d {
         (self.filters, self.geo.out_h(), self.geo.out_w())
     }
 
-    /// Input gradient `row2im(gᵀ · W)` — shared by `backward` and
-    /// `backward_input`. `matmul_at_b` reads `gᵀ` straight out of the
-    /// `[F, spatial]` storage, so no transpose copy is materialized, and the
-    /// `[spatial, patch]` result feeds the sequential-read row fold.
-    fn input_grad_from(&self, g: &Tensor) -> Result<Tensor> {
-        let drows = match &self.packs {
-            Some(p) => {
-                let mut out = Vec::new();
-                p.bwd.matmul_at_b_rhs_prepacked_into(g, &mut out)?;
-                Tensor::from_vec(out, &[g.shape()[1], self.geo.patch_len()])?
-            }
-            None => g.matmul_at_b(&self.weight)?,
-        };
-        row2im(&drows, &self.geo)
+    /// Input gradients, one per output gradient — the one dX path of every
+    /// backward entry: `Wᵀ · G` for the concatenated gradients, folded onto
+    /// the images panel by panel. `Wᵀ` is read straight out of the
+    /// `[F, patch]` storage (or its frozen `prepack_at` blocks), and each
+    /// product element sums over filters in ascending order, the chain of
+    /// the unfolded formulation's `gᵀ · W`. Every GEMM column belongs to one
+    /// sample, so batched gradients match per-sample ones bit for bit.
+    fn input_grads(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
+        match &self.packs {
+            Some(p) => p
+                .bwd
+                .conv_input_grads_prepacked(grads_out, &self.geo, &mut self.scratch.dx),
+            None => self
+                .weight
+                .conv_input_grads(grads_out, &self.geo, &mut self.scratch.dx),
+        }
     }
 
-    /// Concatenates per-sample output gradients into the batched layout
-    /// `[F, B·spatial]` (sample `bi` at columns `bi·spatial..`), validating
-    /// shapes. Reuses the `gcat` scratch allocation; every slot is written.
-    fn concat_grads(&mut self, grads_out: &[Tensor]) -> Result<Tensor> {
-        let batch = grads_out.len();
-        let (oh, ow) = (self.geo.out_h(), self.geo.out_w());
-        let spatial = oh * ow;
-        let total = batch * spatial;
-        let mut gcat = std::mem::take(&mut self.scratch.gcat);
-        if gcat.len() != self.filters * total {
-            gcat.clear();
-            gcat.resize(self.filters * total, 0.0);
-        }
-        for (bi, g) in grads_out.iter().enumerate() {
-            if g.len() != self.filters * spatial {
-                self.scratch.gcat = gcat;
-                return Err(TensorError::ShapeMismatch {
-                    left: g.shape().to_vec(),
-                    right: vec![self.filters, oh, ow],
-                    op: "conv batched backward",
-                });
-            }
-            for f in 0..self.filters {
-                let dst = f * total + bi * spatial;
-                gcat[dst..dst + spatial].copy_from_slice(&g.data()[f * spatial..(f + 1) * spatial]);
-            }
-        }
-        Tensor::from_vec(gcat, &[self.filters, total])
+    /// Input gradient of one sample (see [`Conv2d::input_grads`]).
+    fn input_grad(&mut self, grad_out: &Tensor) -> Tensor {
+        self.input_grads(std::slice::from_ref(grad_out))
+            .expect("grad shape matches conv output")
+            .pop()
+            .expect("one gradient per sample")
+    }
+
+    /// `grad_out` viewed as the `[F, out_h*out_w]` matrix the dW GEMM reads.
+    fn grad_matrix(&self, grad_out: &Tensor) -> Tensor {
+        grad_out
+            .reshape(&[self.filters, self.geo.out_h() * self.geo.out_w()])
+            .expect("grad shape matches conv output")
     }
 
     /// `dW += g · rows ; db += row sums of g` — the parameter half of
@@ -202,7 +174,7 @@ impl Conv2d {
 
     /// Checks the cached patch matrix covers `batch` samples and that every
     /// per-sample gradient has the conv's output length. Shared by the
-    /// batched backward entry points, all of which read raw per-sample
+    /// batched training backward entry points, which read raw per-sample
     /// windows after this.
     fn validate_batch_grads(
         &self,
@@ -226,24 +198,6 @@ impl Conv2d {
         }
         Ok(())
     }
-
-    /// Shared tail of both batched backward paths: `dX = row2im(gcatᵀ · W)`
-    /// as one large transpose-free GEMM into reused scratch, then the
-    /// per-sample row fold. Returns `gcat`'s allocation to the scratch pool.
-    fn batched_input_grads(&mut self, gcat: Tensor, batch: usize) -> Result<Vec<Tensor>> {
-        let mut drows = std::mem::take(&mut self.scratch.drows);
-        let gemm = match &self.packs {
-            Some(p) => p.bwd.matmul_at_b_rhs_prepacked_into(&gcat, &mut drows),
-            None => gcat.matmul_at_b_into(&self.weight, &mut drows, &mut self.scratch.dx_packed),
-        };
-        self.scratch.gcat = gcat.into_vec();
-        gemm?;
-        let total = drows.len() / self.geo.patch_len();
-        let drows_t = Tensor::from_vec(drows, &[total, self.geo.patch_len()])?;
-        let folded = row2im_batch(&drows_t, &self.geo, batch);
-        self.scratch.drows = drows_t.into_vec();
-        folded
-    }
 }
 
 impl Layer for Conv2d {
@@ -257,84 +211,51 @@ impl Layer for Conv2d {
     }
 
     fn try_forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let mut buf = self.take_patch_buf();
-        if let Err(e) = im2row_into(input, &self.geo, &mut buf) {
-            self.scratch_rows = buf;
-            return Err(e);
-        }
-        let (oh, ow) = (self.geo.out_h(), self.geo.out_w());
-        let spatial = oh * ow;
-        let rows = Tensor::from_vec(buf, &[spatial, self.geo.patch_len()])?;
-        // `W ·ᵃᵇᵗ rows` reads the patch rows straight out of their storage —
-        // same products, same ascending-patch chains as the column-layout
-        // `W · cols`, so forward bits are unchanged by the row layout.
-        let mut out = Vec::new();
-        match &self.packs {
-            Some(p) => {
-                p.fwd
-                    .matmul_a_bt_prepacked_into(&rows, &mut out, &mut self.scratch.fwd_packed)?
-            }
-            None => self
-                .weight
-                .matmul_a_bt_into(&rows, &mut out, &mut self.scratch.fwd_packed)?,
-        }
-        for f in 0..self.filters {
-            let b = self.bias.data()[f];
-            for v in &mut out[f * spatial..(f + 1) * spatial] {
-                *v += b;
-            }
-        }
-        if mode == Mode::Inference {
-            // The input gradient only needs the weights; recycle the patch
-            // matrix as scratch instead of caching it.
-            self.scratch_rows = rows.into_vec();
-        } else {
-            self.cached_rows = rows;
-        }
-        Tensor::from_vec(out, &[self.filters, oh, ow])
+        let mut outs = self.forward_batch(std::slice::from_ref(input), mode)?;
+        Ok(outs.pop().expect("one output per input"))
     }
 
     fn forward_batch(&mut self, inputs: &[Tensor], mode: Mode) -> Result<Vec<Tensor>> {
         if inputs.is_empty() {
             return Ok(Vec::new());
         }
-        let mut buf = self.take_patch_buf();
-        if let Err(e) = im2row_batch_into(inputs, &self.geo, &mut buf) {
-            self.scratch_rows = buf;
-            return Err(e);
-        }
-        let batch = inputs.len();
         let (oh, ow) = (self.geo.out_h(), self.geo.out_w());
         let spatial = oh * ow;
-        let total = batch * spatial;
-        let rows = Tensor::from_vec(buf, &[total, self.geo.patch_len()])?;
+        let total = inputs.len() * spatial;
         // One big product: sample b occupies output columns
         // b*spatial..(b+1)*spatial. Each output element keeps its own
         // ascending-patch chain, so every element is bit-identical to the
         // per-sample product.
         let mut big = std::mem::take(&mut self.scratch.fwd_out);
         let gemm = match &self.packs {
-            Some(p) => {
-                p.fwd
-                    .matmul_a_bt_prepacked_into(&rows, &mut big, &mut self.scratch.fwd_packed)
-            }
-            None => self
-                .weight
-                .matmul_a_bt_into(&rows, &mut big, &mut self.scratch.fwd_packed),
+            Some(p) => p.fwd.conv_gemm_prepacked_into(
+                inputs,
+                &self.geo,
+                &mut big,
+                &mut self.scratch.fwd_packed,
+            ),
+            None => self.weight.conv_gemm_into(
+                inputs,
+                &self.geo,
+                &mut big,
+                &mut self.scratch.fwd_packed,
+            ),
         };
-        if mode == Mode::Inference {
-            self.scratch_rows = rows.into_vec();
-        } else {
-            // Train/Eval keep the batched patch matrix: backward_batch reads
-            // per-sample row windows of it for the dW accumulation.
-            self.cached_rows = rows;
-        }
         if let Err(e) = gemm {
             self.scratch.fwd_out = big;
             return Err(e);
         }
-        let mut outs = Vec::with_capacity(batch);
-        for bi in 0..batch {
+        if mode == Mode::Inference {
+            self.cached_rows = Tensor::default();
+        } else {
+            // Train/Eval unfold the batch only because the dW accumulation
+            // reads per-sample row windows of the patch matrix.
+            let mut rows = std::mem::take(&mut self.cached_rows).into_vec();
+            im2row_batch_into(inputs, &self.geo, &mut rows)?;
+            self.cached_rows = Tensor::from_vec(rows, &[total, self.geo.patch_len()])?;
+        }
+        let mut outs = Vec::with_capacity(inputs.len());
+        for bi in 0..inputs.len() {
             let mut sample = Vec::with_capacity(self.filters * spatial);
             for f in 0..self.filters {
                 let base = f * total + bi * spatial;
@@ -348,39 +269,27 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (oh, ow) = (self.geo.out_h(), self.geo.out_w());
-        let g = grad_out
-            .reshape(&[self.filters, oh * ow])
-            .expect("grad shape matches conv output");
+        let g = self.grad_matrix(grad_out);
         self.accumulate_param_grads(&g);
-        // dx = row2im(gᵀ · W)
-        self.input_grad_from(&g).expect("row2im geometry")
+        self.input_grad(grad_out)
     }
 
     fn backward_params_only(&mut self, grad_out: &Tensor) {
         // Root-layer training backward: skip the dX GEMM and the overlap
         // fold entirely — the image gradient is never consumed.
-        let g = grad_out
-            .reshape(&[self.filters, self.geo.out_h() * self.geo.out_w()])
-            .expect("grad shape matches conv output");
+        let g = self.grad_matrix(grad_out);
         self.accumulate_param_grads(&g);
     }
 
     fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
-        let (oh, ow) = (self.geo.out_h(), self.geo.out_w());
-        let g = grad_out
-            .reshape(&[self.filters, oh * ow])
-            .expect("grad shape matches conv output");
-        self.input_grad_from(&g).expect("row2im geometry")
+        self.input_grad(grad_out)
     }
 
     fn backward_input_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
         if grads_out.is_empty() {
             return Ok(Vec::new());
         }
-        let batch = grads_out.len();
-        let g = self.concat_grads(grads_out)?;
-        self.batched_input_grads(g, batch)
+        self.input_grads(grads_out)
     }
 
     fn supports_batched_backward(&self) -> bool {
@@ -391,16 +300,11 @@ impl Layer for Conv2d {
         if grads_out.is_empty() {
             return Ok(Vec::new());
         }
-        let batch = grads_out.len();
         let spatial = self.geo.out_h() * self.geo.out_w();
         let patch = self.geo.patch_len();
         self.validate_batch_grads(grads_out, spatial, patch)?;
         self.accumulate_batch_param_grads(grads_out, spatial, patch);
-        // dX is one large transpose-free GEMM + batched row fold: each output
-        // row belongs to exactly one sample, so per-element chains match the
-        // per-sample input gradient.
-        let g = self.concat_grads(grads_out)?;
-        self.batched_input_grads(g, batch)
+        self.input_grads(grads_out)
     }
 
     fn backward_batch_params_only(&mut self, grads_out: &[Tensor]) -> Result<()> {
@@ -431,7 +335,7 @@ impl Layer for Conv2d {
     fn prepare_inference(&mut self) {
         self.packs = Some(ConvPacks {
             fwd: self.weight.prepack_a().expect("conv weight is rank 2"),
-            bwd: self.weight.prepack_b().expect("conv weight is rank 2"),
+            bwd: self.weight.prepack_at().expect("conv weight is rank 2"),
         });
     }
 
@@ -552,14 +456,19 @@ mod tests {
     }
 
     #[test]
-    fn inference_mode_skips_patch_cache() {
+    fn only_train_and_eval_unfold_patch_rows() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut conv = Conv2d::new((1, 4, 4), 2, 3, 1, 1, &mut rng);
         let x = Tensor::randn(&[1, 4, 4], 1.0, &mut rng);
         conv.forward(&x, Mode::Inference);
         assert_eq!(conv.cached_rows.len(), 0);
-        assert!(!conv.scratch_rows.is_empty());
         conv.forward(&x, Mode::Train);
         assert_ne!(conv.cached_rows.len(), 0);
+        conv.forward(&x, Mode::Inference);
+        assert_eq!(
+            conv.cached_rows.len(),
+            0,
+            "an inference forward drops stale rows"
+        );
     }
 }

@@ -1,26 +1,59 @@
 use crate::{Layer, Mode};
 use rand::Rng;
-use remix_tensor::{Result, Tensor};
+use remix_tensor::{Conv2dGeometry, Result, Tensor};
 
 /// Depthwise 2-D convolution: one `k×k` filter per input channel.
 ///
 /// This is the distinguishing layer of MobileNet and of the MBConv blocks in
-/// EfficientNetV2. Channel counts in the zoo are small, so a direct loop is
-/// fast enough without im2col lowering.
+/// EfficientNetV2. With one filter per channel there is no GEMM to lower to,
+/// so the forward pass and the input gradient are direct slice loops, one
+/// per kernel tap and output row. In the forward pass the range of output
+/// columns whose input column lies inside the image is computed once per
+/// tap, outside the column loop, so each loop is a branch-free multiply-add
+/// (vectorised at stride 1); the input gradient accumulates in a zero-padded
+/// plane instead, which needs no ranges at all. Every output element still
+/// sums its taps in `ky`, `kx` order starting from the bias, and every
+/// input-gradient element its contributions in ascending output-position
+/// order, so the results are bit-identical to per-element loops. The weight
+/// gradient, needed only in training, keeps its per-element loop.
 #[derive(Debug, Clone)]
 pub struct DepthwiseConv2d {
     weight: Tensor, // [C, k*k]
     bias: Tensor,   // [C]
     grad_w: Tensor,
     grad_b: Tensor,
-    channels: usize,
-    in_h: usize,
-    in_w: usize,
-    kernel: usize,
-    stride: usize,
-    pad: usize,
+    geo: Conv2dGeometry, // `in_channels` is the channel count
     cached_input: Tensor,
     batch_inputs: Vec<Tensor>,
+}
+
+/// `dst[i] += w · src[ix0 + i·stride]`: one kernel tap over a run of output
+/// columns.
+fn gather_mul_add(dst: &mut [f32], src: &[f32], ix0: usize, stride: usize, w: f32) {
+    if stride == 1 {
+        let n = dst.len();
+        for (d, &x) in dst.iter_mut().zip(&src[ix0..ix0 + n]) {
+            *d += w * x;
+        }
+    } else {
+        for (d, &x) in dst.iter_mut().zip(src[ix0..].iter().step_by(stride)) {
+            *d += w * x;
+        }
+    }
+}
+
+/// `dst[i·stride] += src[i] · w`: one kernel tap's input-gradient
+/// contributions from an output row, onto distinct input columns.
+fn scatter_mul_add(dst: &mut [f32], src: &[f32], stride: usize, w: f32) {
+    if stride == 1 {
+        for (d, &g) in dst[..src.len()].iter_mut().zip(src) {
+            *d += g * w;
+        }
+    } else {
+        for (d, &g) in dst.iter_mut().step_by(stride).zip(src) {
+            *d += g * w;
+        }
+    }
 }
 
 impl DepthwiseConv2d {
@@ -37,72 +70,81 @@ impl DepthwiseConv2d {
         rng: &mut impl Rng,
     ) -> Self {
         let (c, h, w) = in_shape;
-        assert!(h + 2 * pad >= kernel && w + 2 * pad >= kernel && stride > 0);
+        let geo = Conv2dGeometry {
+            in_channels: c,
+            in_h: h,
+            in_w: w,
+            kernel,
+            stride,
+            pad,
+        };
+        assert!(geo.is_valid(), "invalid depthwise geometry {geo:?}");
         let std = (2.0 / (kernel * kernel) as f32).sqrt();
         Self {
             weight: Tensor::randn(&[c, kernel * kernel], std, rng),
             bias: Tensor::zeros(&[c]),
             grad_w: Tensor::zeros(&[c, kernel * kernel]),
             grad_b: Tensor::zeros(&[c]),
-            channels: c,
-            in_h: h,
-            in_w: w,
-            kernel,
-            stride,
-            pad,
+            geo,
             cached_input: Tensor::default(),
             batch_inputs: Vec::new(),
         }
     }
 
-    fn out_h(&self) -> usize {
-        (self.in_h + 2 * self.pad - self.kernel) / self.stride + 1
-    }
-
-    fn out_w(&self) -> usize {
-        (self.in_w + 2 * self.pad - self.kernel) / self.stride + 1
-    }
-
     /// Output shape `(channels, out_h, out_w)`.
     pub fn out_shape(&self) -> (usize, usize, usize) {
-        (self.channels, self.out_h(), self.out_w())
+        (self.geo.in_channels, self.geo.out_h(), self.geo.out_w())
     }
 
-    /// Input gradient only: the same loop as [`Layer::backward`] with the
-    /// parameter-gradient updates removed, so `dx` accumulates in the exact
-    /// same order.
+    /// Valid output rows and columns of every kernel tap.
+    fn taps(&self) -> (Vec<std::ops::Range<usize>>, Vec<std::ops::Range<usize>>) {
+        let k = self.geo.kernel;
+        (
+            (0..k).map(|ky| self.geo.valid_oy(ky)).collect(),
+            (0..k).map(|kx| self.geo.valid_ox(kx)).collect(),
+        )
+    }
+
+    /// Input gradient, accumulated per channel in a zero-padded
+    /// `[H+2·pad, W+2·pad]` plane so no tap needs a bounds test (what lands
+    /// on the padding is dropped with it). Each input element receives its
+    /// contributions in ascending output-position order: walking `ky` and
+    /// then `kx` downwards visits, for any one element, its output rows and
+    /// then its output columns in ascending order, and each tap adds its
+    /// gradient block one output row at a time as a slice loop.
+    ///
+    /// Zero gradients are added rather than skipped: `0 · w` is ±0.0 for a
+    /// finite weight, and adding ±0.0 to an accumulator that starts at +0.0
+    /// is the identity — such an accumulator can never become -0.0, since
+    /// `+0.0 + -0.0` and exact cancellation both round to +0.0.
     fn input_grad(&self, grad_out: &Tensor) -> Tensor {
-        let (oh, ow, k) = (self.out_h(), self.out_w(), self.kernel);
-        debug_assert_eq!(grad_out.shape(), [self.channels, oh, ow]);
-        let mut dx = Tensor::zeros(&[self.channels, self.in_h, self.in_w]);
-        let g = grad_out.data();
-        let dxb = dx.data_mut();
-        for c in 0..self.channels {
-            let w = &self.weight.data()[c * k * k..(c + 1) * k * k];
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let gv = g[(c * oh + oy) * ow + ox];
-                    if gv == 0.0 {
-                        continue;
-                    }
-                    for ky in 0..k {
-                        let iy = (oy * self.stride + ky) as isize - self.pad as isize;
-                        if iy < 0 || iy >= self.in_h as isize {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ix = (ox * self.stride + kx) as isize - self.pad as isize;
-                            if ix < 0 || ix >= self.in_w as isize {
-                                continue;
-                            }
-                            let xi = (c * self.in_h + iy as usize) * self.in_w + ix as usize;
-                            dxb[xi] += gv * w[ky * k + kx];
-                        }
+        let g = self.geo;
+        let (oh, ow, k, s, pad) = (g.out_h(), g.out_w(), g.kernel, g.stride, g.pad);
+        let (h, w) = (g.in_h, g.in_w);
+        debug_assert_eq!(grad_out.shape(), [g.in_channels, oh, ow]);
+        let wp = w + 2 * pad;
+        let mut padded = vec![0.0f32; (h + 2 * pad) * wp];
+        let mut dx = Vec::with_capacity(g.in_channels * h * w);
+        for (wk, gplane) in self
+            .weight
+            .data()
+            .chunks_exact(k * k)
+            .zip(grad_out.data().chunks_exact(oh * ow))
+        {
+            padded.fill(0.0);
+            for ky in (0..k).rev() {
+                for kx in (0..k).rev() {
+                    for (oy, grow) in gplane.chunks_exact(ow).enumerate() {
+                        let dst = &mut padded[(oy * s + ky) * wp + kx..];
+                        scatter_mul_add(dst, grow, s, wk[ky * k + kx]);
                     }
                 }
             }
+            for prow in padded[pad * wp..][..h * wp].chunks_exact(wp) {
+                dx.extend_from_slice(&prow[pad..pad + w]);
+            }
         }
-        dx
+        Tensor::from_vec(dx, &[g.in_channels, h, w]).expect("depthwise input gradient shape")
     }
 
     /// Full backward for one sample against an explicit input: accumulates
@@ -110,74 +152,39 @@ impl DepthwiseConv2d {
     /// [`Layer::backward_batch`] (per-sample batch inputs, in order), so both
     /// run identical accumulation chains.
     fn backward_sample(&mut self, grad_out: &Tensor, input: &Tensor) -> Tensor {
-        let (oh, ow, k) = (self.out_h(), self.out_w(), self.kernel);
-        debug_assert_eq!(grad_out.shape(), [self.channels, oh, ow]);
-        let mut dx = Tensor::zeros(&[self.channels, self.in_h, self.in_w]);
-        let x = input.data();
-        let g = grad_out.data();
-        let dxb = dx.data_mut();
-        for c in 0..self.channels {
-            let w = &self.weight.data()[c * k * k..(c + 1) * k * k];
-            let gw_base = c * k * k;
-            let mut db = 0.0;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let gv = g[(c * oh + oy) * ow + ox];
-                    if gv == 0.0 {
-                        continue;
-                    }
-                    db += gv;
-                    for ky in 0..k {
-                        let iy = (oy * self.stride + ky) as isize - self.pad as isize;
-                        if iy < 0 || iy >= self.in_h as isize {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ix = (ox * self.stride + kx) as isize - self.pad as isize;
-                            if ix < 0 || ix >= self.in_w as isize {
-                                continue;
-                            }
-                            let xi = (c * self.in_h + iy as usize) * self.in_w + ix as usize;
-                            self.grad_w.data_mut()[gw_base + ky * k + kx] += gv * x[xi];
-                            dxb[xi] += gv * w[ky * k + kx];
-                        }
-                    }
-                }
-            }
-            self.grad_b.data_mut()[c] += db;
-        }
-        dx
+        self.param_grads_sample(grad_out, input);
+        self.input_grad(grad_out)
     }
 
-    /// Parameter gradients only for one sample: the same loop as
-    /// [`DepthwiseConv2d::backward_sample`] with the `dx` writes removed, so
-    /// `dW`/`db` accumulate in the exact same order.
+    /// Parameter gradients only for one sample: `dW`/`db` accumulate over
+    /// output positions in `(oy, ox)` order.
     fn param_grads_sample(&mut self, grad_out: &Tensor, input: &Tensor) {
-        let (oh, ow, k) = (self.out_h(), self.out_w(), self.kernel);
-        debug_assert_eq!(grad_out.shape(), [self.channels, oh, ow]);
+        let g = self.geo;
+        let (oh, ow, k) = (g.out_h(), g.out_w(), g.kernel);
+        debug_assert_eq!(grad_out.shape(), [g.in_channels, oh, ow]);
         let x = input.data();
-        let g = grad_out.data();
-        for c in 0..self.channels {
+        let gd = grad_out.data();
+        for c in 0..g.in_channels {
             let gw_base = c * k * k;
             let mut db = 0.0;
             for oy in 0..oh {
                 for ox in 0..ow {
-                    let gv = g[(c * oh + oy) * ow + ox];
+                    let gv = gd[(c * oh + oy) * ow + ox];
                     if gv == 0.0 {
                         continue;
                     }
                     db += gv;
                     for ky in 0..k {
-                        let iy = (oy * self.stride + ky) as isize - self.pad as isize;
-                        if iy < 0 || iy >= self.in_h as isize {
+                        let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+                        if iy < 0 || iy >= g.in_h as isize {
                             continue;
                         }
                         for kx in 0..k {
-                            let ix = (ox * self.stride + kx) as isize - self.pad as isize;
-                            if ix < 0 || ix >= self.in_w as isize {
+                            let ix = (ox * g.stride + kx) as isize - g.pad as isize;
+                            if ix < 0 || ix >= g.in_w as isize {
                                 continue;
                             }
-                            let xi = (c * self.in_h + iy as usize) * self.in_w + ix as usize;
+                            let xi = (c * g.in_h + iy as usize) * g.in_w + ix as usize;
                             self.grad_w.data_mut()[gw_base + ky * k + kx] += gv * x[xi];
                         }
                     }
@@ -194,32 +201,33 @@ impl Layer for DepthwiseConv2d {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        debug_assert_eq!(input.shape(), [self.channels, self.in_h, self.in_w]);
-        let (oh, ow, k) = (self.out_h(), self.out_w(), self.kernel);
-        let mut out = Tensor::zeros(&[self.channels, oh, ow]);
-        let x = input.data();
-        let buf = out.data_mut();
-        for c in 0..self.channels {
-            let w = &self.weight.data()[c * k * k..(c + 1) * k * k];
-            let b = self.bias.data()[c];
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = b;
-                    for ky in 0..k {
-                        let iy = (oy * self.stride + ky) as isize - self.pad as isize;
-                        if iy < 0 || iy >= self.in_h as isize {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ix = (ox * self.stride + kx) as isize - self.pad as isize;
-                            if ix < 0 || ix >= self.in_w as isize {
-                                continue;
-                            }
-                            acc += w[ky * k + kx]
-                                * x[(c * self.in_h + iy as usize) * self.in_w + ix as usize];
-                        }
+        let g = self.geo;
+        let (oh, ow, k, s) = (g.out_h(), g.out_w(), g.kernel, g.stride);
+        let (h, w) = (g.in_h, g.in_w);
+        debug_assert_eq!(input.shape(), [g.in_channels, h, w]);
+        let (ys, xs) = self.taps();
+        let mut out = Tensor::zeros(&[g.in_channels, oh, ow]);
+        for (c, (oplane, xplane)) in out
+            .data_mut()
+            .chunks_exact_mut(oh * ow)
+            .zip(input.data().chunks_exact(h * w))
+            .enumerate()
+        {
+            let wk = &self.weight.data()[c * k * k..(c + 1) * k * k];
+            oplane.fill(self.bias.data()[c]);
+            // Tap-major: consecutive slice loops write different output
+            // rows, never re-reading the previous tap's stores.
+            for (ky, yr) in ys.iter().enumerate() {
+                for (kx, xr) in xs.iter().enumerate() {
+                    if xr.is_empty() {
+                        continue;
                     }
-                    buf[(c * oh + oy) * ow + ox] = acc;
+                    let ix0 = xr.start * s + kx - g.pad;
+                    for oy in yr.clone() {
+                        let xrow = &xplane[(oy * s + ky - g.pad) * w..][..w];
+                        let orow = &mut oplane[oy * ow..][xr.clone()];
+                        gather_mul_add(orow, xrow, ix0, s, wk[ky * k + kx]);
+                    }
                 }
             }
         }
@@ -363,5 +371,82 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let dw = DepthwiseConv2d::new((4, 8, 8), 3, 2, 1, &mut rng);
         assert_eq!(dw.out_shape(), (4, 4, 4));
+    }
+
+    /// The per-element loops the row-sliced kernels replaced: every output
+    /// sums its in-image taps in `ky`, `kx` order from the bias, and every
+    /// input-gradient element accumulates in `(oy, ox)` order, skipping zero
+    /// gradients.
+    fn reference(dw: &DepthwiseConv2d, x: &Tensor, g: &Tensor) -> (Vec<f32>, Vec<f32>) {
+        let geo = dw.geo;
+        let (oh, ow, k) = (geo.out_h(), geo.out_w(), geo.kernel);
+        let (h, w) = (geo.in_h as isize, geo.in_w as isize);
+        let mut y = vec![0.0f32; geo.in_channels * oh * ow];
+        let mut dx = vec![0.0f32; x.len()];
+        for c in 0..geo.in_channels {
+            let wk = &dw.weight.data()[c * k * k..(c + 1) * k * k];
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let o = (c * oh + oy) * ow + ox;
+                    let mut acc = dw.bias.data()[c];
+                    let gv = g.data()[o];
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let iy = (oy * geo.stride + ky) as isize - geo.pad as isize;
+                            let ix = (ox * geo.stride + kx) as isize - geo.pad as isize;
+                            if iy < 0 || iy >= h || ix < 0 || ix >= w {
+                                continue;
+                            }
+                            let xi = (c as isize * h + iy) * w + ix;
+                            acc += wk[ky * k + kx] * x.data()[xi as usize];
+                            if gv != 0.0 {
+                                dx[xi as usize] += gv * wk[ky * k + kx];
+                            }
+                        }
+                    }
+                    y[o] = acc;
+                }
+            }
+        }
+        (y, dx)
+    }
+
+    #[test]
+    fn row_slices_match_the_per_element_reference_bitwise() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(4);
+        for (shape, kernel, stride, pad) in [
+            ((3, 7, 6), 3, 1, 1),
+            ((2, 8, 8), 3, 2, 1),
+            ((4, 5, 9), 3, 2, 0),
+            ((2, 6, 5), 2, 2, 1),
+            ((1, 3, 3), 1, 1, 0),
+            ((2, 1, 4), 3, 1, 1),
+        ] {
+            let mut dw = DepthwiseConv2d::new(shape, kernel, stride, pad, &mut rng);
+            dw.bias = Tensor::randn(&[shape.0], 1.0, &mut rng);
+            let x = Tensor::randn(&[shape.0, shape.1, shape.2], 1.0, &mut rng);
+            let (c, oh, ow) = dw.out_shape();
+            let mut g = Tensor::randn(&[c, oh, ow], 1.0, &mut rng);
+            // All-zero gradient rows (of both signs), as a ReLU mask makes.
+            for (r, row) in g.data_mut().chunks_exact_mut(ow).enumerate() {
+                if r % 3 == 1 {
+                    row.fill(if r % 2 == 0 { 0.0 } else { -0.0 });
+                }
+            }
+            let (y_ref, dx_ref) = reference(&dw, &x, &g);
+            let y = dw.forward(&x, Mode::Inference);
+            assert_eq!(
+                bits(y.data()),
+                bits(&y_ref),
+                "forward {shape:?} s{stride} p{pad}"
+            );
+            let dx = dw.backward_input(&g);
+            assert_eq!(
+                bits(dx.data()),
+                bits(&dx_ref),
+                "input grad {shape:?} s{stride} p{pad}"
+            );
+        }
     }
 }

@@ -6,8 +6,8 @@
 //! * a [`Layer`] trait whose backward pass propagates gradients **to the
 //!   input** as well as to the weights — the property the gradient-based XAI
 //!   techniques (Integrated Gradients, SmoothGrad) in `remix-xai` rely on;
-//! * the layer set needed by the zoo: dense, convolution (lowered to GEMM via im2row),
-//!   depthwise convolution, max/average/global pooling, batch-norm
+//! * the layer set needed by the zoo: dense, convolution (lowered to GEMMs
+//!   that pack from and fold onto the images), depthwise convolution, max/average/global pooling, batch-norm
 //!   (running-statistics variant), dropout, residual blocks with optional
 //!   projection shortcuts, and squeeze-and-excitation;
 //! * [`Sequential`] composition, softmax cross-entropy loss, SGD (momentum)

@@ -164,8 +164,10 @@ impl Layer for Sequential {
     }
 
     fn backward_input_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
+        let _bwd = remix_trace::span("backward_input_batch");
         let mut gs = grads_out.to_vec();
         for layer in self.layers.iter_mut().rev() {
+            let _layer = remix_trace::span(layer.name());
             gs = layer.backward_input_batch(&gs)?;
         }
         Ok(gs)

@@ -5,8 +5,9 @@
 //! rest of the workspace (the neural-network stack in `remix-nn`, the XAI
 //! techniques in `remix-xai`, the diversity metrics in `remix-diversity`) is
 //! built on: row-major `f32` tensors with elementwise arithmetic, matrix
-//! multiplication, axis reductions, and `im2row`/`im2col` patch lowering for
-//! convolutions.
+//! multiplication (including a convolution GEMM that packs its panels
+//! straight from the images), axis reductions, and the `col2im` / `im2row`
+//! patch folds and unfolds around it.
 //!
 //! # Example
 //!
@@ -31,8 +32,7 @@ mod reduce;
 mod tensor;
 
 pub use conv::{
-    col2im, col2im_batch, im2col, im2col_batch_into, im2col_into, im2row, im2row_batch_into,
-    im2row_into, row2im, row2im_batch, Conv2dGeometry,
+    col2im, col2im_batch, im2col, im2row, im2row_batch_into, row2im, row2im_batch, Conv2dGeometry,
 };
 pub use error::TensorError;
 pub use linalg::{gemm_accum_ab, gemm_accum_abt_window, PackedOperand, PackedRole};

@@ -14,7 +14,8 @@
 //! additions within one element, so blocked, serial, and row-parallel paths
 //! are all bit-identical. See DESIGN.md §6f.
 
-use crate::{Result, Tensor, TensorError};
+use crate::conv::{check_batch, ConvFold, ConvPanels};
+use crate::{Conv2dGeometry, Result, Tensor, TensorError};
 use std::ops::Range;
 
 /// Register-block height: rows of A handled per micro-kernel call.
@@ -22,7 +23,7 @@ const MR: usize = 4;
 /// Register-block width: columns of B handled per micro-kernel call.
 /// `MR × NR` accumulators fill 8 YMM (AVX2) or 4 ZMM (AVX-512) registers,
 /// leaving room for the B loads and the A broadcast.
-const NR: usize = 16;
+pub(crate) const NR: usize = 16;
 
 /// One output row of the pre-blocking ikj matmul kernel: `orow += arow · B`.
 ///
@@ -73,7 +74,7 @@ fn pack_b_panel(b: &[f32], k: usize, n: usize, j0: usize, dst: &mut [f32]) {
 /// Sizes a pack/output buffer without the zero-fill `resize` implies: every
 /// caller overwrites all `len` slots, and on the hot path the buffer is
 /// reused at a stable size, making the reset free.
-fn reset_buf(buf: &mut Vec<f32>, len: usize) {
+pub(crate) fn reset_buf(buf: &mut Vec<f32>, len: usize) {
     if buf.len() != len {
         buf.clear();
         buf.resize(len, 0.0);
@@ -125,7 +126,7 @@ fn pack_bt(b: &[f32], n: usize, row_len: usize, window: &Range<usize>, packed: &
 /// Kept out of the per-block inner loops: callers tally whole pack buffers
 /// (B panels on entry, the A side once per dispatch).
 #[inline]
-fn trace_pack_bytes(floats: usize) {
+pub(crate) fn trace_pack_bytes(floats: usize) {
     remix_trace::add(
         remix_trace::Counter::GemmPackBytes,
         (floats * std::mem::size_of::<f32>()) as u64,
@@ -237,6 +238,34 @@ fn micro_kernel() -> MicroKernel {
     portable
 }
 
+/// Writes (with `ACCUM`, adds) the top `h` rows and first `w` columns of a
+/// register tile into row-major `out`, tile corner at `corner`, rows `n`
+/// apart.
+#[inline(always)]
+fn store_tile<const ACCUM: bool>(
+    acc: &[[f32; NR]; MR],
+    h: usize,
+    w: usize,
+    out: &mut [f32],
+    corner: usize,
+    n: usize,
+) {
+    for (r, accr) in acc.iter().enumerate().take(h) {
+        let dst = &mut out[corner + r * n..][..w];
+        if ACCUM {
+            for (d, &s) in dst.iter_mut().zip(accr.iter()) {
+                *d += s;
+            }
+        } else if let Ok(full) = <&mut [f32; NR]>::try_from(&mut *dst) {
+            // A fixed-size copy compiles to vector moves; a slice copy of
+            // `w` floats would call `memcpy` per row.
+            *full = *accr;
+        } else {
+            dst.copy_from_slice(&accr[..w]);
+        }
+    }
+}
+
 /// Computes output rows `rows` of a GEMM against pre-packed B panels.
 ///
 /// `pack_a(i0, h, dst)` fills an interleaved `[kc][MR]` block for source rows
@@ -265,16 +294,7 @@ fn gemm_rows<const ACCUM: bool>(
             // SAFETY: `micro_kernel` only returns a feature-gated variant
             // when the CPU reports that feature.
             let acc = unsafe { kernel(&apack, panel, kc) };
-            for (r, accr) in acc.iter().enumerate().take(h) {
-                let dst = &mut out[(i - rows.start + r) * n + j0..][..w];
-                if ACCUM {
-                    for (d, &s) in dst.iter_mut().zip(accr.iter()) {
-                        *d += s;
-                    }
-                } else {
-                    dst.copy_from_slice(&accr[..w]);
-                }
-            }
+            store_tile::<ACCUM>(&acc, h, w, out, (i - rows.start) * n + j0, n);
         }
         i += h;
     }
@@ -342,16 +362,7 @@ fn gemm_rows_prepacked<const ACCUM: bool>(
             // SAFETY: `micro_kernel` only returns a feature-gated variant
             // when the CPU reports that feature.
             let acc = unsafe { kernel(apack, panel, kc) };
-            for (r, accr) in acc.iter().enumerate().take(h) {
-                let dst = &mut out[(i - rows.start + r) * n + j0..][..w];
-                if ACCUM {
-                    for (d, &s) in dst.iter_mut().zip(accr.iter()) {
-                        *d += s;
-                    }
-                } else {
-                    dst.copy_from_slice(&accr[..w]);
-                }
-            }
+            store_tile::<ACCUM>(&acc, h, w, out, (i - rows.start) * n + j0, n);
         }
         i += h;
     }
@@ -391,6 +402,221 @@ fn gemm_dispatch_prepacked(
     } else {
         gemm_rows_prepacked::<false>(ablocks, 0..m, kc, n, packed_b, out);
     }
+}
+
+/// Fills the `[kc][NR]` B panel of the `width` columns `j0..`:
+/// `(j0, width, dst)`.
+type PanelFn<'a> = dyn Fn(usize, usize, &mut [f32]) + Sync + 'a;
+
+/// Computes output rows `rows` of a GEMM against stored A blocks (as in
+/// [`gemm_rows_prepacked`]) whose B panels are produced one at a time:
+/// `pack_panel(j0, width, dst)` fills the `[kc][NR]` panel of the `width`
+/// columns `j0..`, and every A block of the span multiplies it while it is
+/// still in L1, so the packed B operand is never materialized as a whole.
+/// The micro-kernel sees the same blocks and panels as over a fully packed
+/// operand — only the order in which tiles are computed changes — so the
+/// results are bit-identical.
+fn gemm_rows_panelwise(
+    ablocks: &[f32],
+    rows: Range<usize>,
+    kc: usize,
+    n: usize,
+    pack_panel: &PanelFn<'_>,
+    out: &mut [f32],
+) {
+    debug_assert!(
+        rows.start.is_multiple_of(MR),
+        "prepacked spans must start on an MR boundary"
+    );
+    let kernel = micro_kernel();
+    let block_len = kc * MR;
+    let mut panel = vec![0.0f32; kc * NR];
+    for j0 in (0..n).step_by(NR) {
+        let w = NR.min(n - j0);
+        pack_panel(j0, w, &mut panel);
+        let mut i = rows.start;
+        while i < rows.end {
+            let h = MR.min(rows.end - i);
+            let apack = &ablocks[(i / MR) * block_len..][..block_len];
+            // SAFETY: `micro_kernel` only returns a feature-gated variant
+            // when the CPU reports that feature.
+            let acc = unsafe { kernel(apack, &panel, kc) };
+            store_tile::<false>(&acc, h, w, out, (i - rows.start) * n + j0, n);
+            i += h;
+        }
+    }
+}
+
+/// [`gemm_dispatch_prepacked`] with B panels produced per span by
+/// `pack_panel` (see [`gemm_rows_panelwise`]). Parallel spans each produce
+/// every panel for their own rows. Callers count their A-side traffic: a
+/// prepack hit, or the A blocks they packed.
+fn gemm_dispatch_panelwise(
+    ablocks: &[f32],
+    m: usize,
+    kc: usize,
+    n: usize,
+    pack_panel: &PanelFn<'_>,
+    out: &mut [f32],
+) {
+    remix_trace::incr(remix_trace::Counter::GemmCalls);
+    remix_trace::add(remix_trace::Counter::GemmMacs, (m * kc * n) as u64);
+    trace_pack_bytes(n.div_ceil(NR) * kc * NR);
+    let _span = remix_trace::span("gemm");
+    let threads = remix_parallel::num_threads();
+    if threads > 1 && m > 1 && m * kc * n >= PARALLEL_MATMUL_MACS {
+        let rows_per_span = m.div_ceil(threads.min(m)).next_multiple_of(MR);
+        remix_parallel::for_each_span_mut(out, rows_per_span * n, |span, orows| {
+            let row0 = span * rows_per_span;
+            gemm_rows_panelwise(
+                ablocks,
+                row0..row0 + orows.len() / n,
+                kc,
+                n,
+                pack_panel,
+                orows,
+            );
+        });
+    } else {
+        gemm_rows_panelwise(ablocks, 0..m, kc, n, pack_panel, out);
+    }
+}
+
+/// Convolution input gradients, fused: the `[C·k·k, B·spatial]` product
+/// `Wᵀ · G` of the `Wᵀ` A blocks `ablocks` (`m = C·k·k` rows, inner
+/// dimension `kc = F`) with the concatenated output gradients is never
+/// materialized. For each `NR`-column gradient panel, packed straight from
+/// the per-sample `grads`, every row block's register tile lands in an
+/// L1-sized `[C·k·k][NR]` tile that [`ConvFold`] adds onto zero-padded
+/// input-gradient images before the next panel.
+///
+/// Each tile element is the exact value `matmul_at_b` computes (same A
+/// blocks, same panels, same kernel), and panels fold in ascending column
+/// order, so the result is bit-identical to `col2im_batch(Wᵀ · G)`.
+/// Parallel spans take whole samples — a sample's images only receive its
+/// own columns — and re-partition its columns into their own panels, which
+/// moves no element's chain. `scratch` holds the padded gradient copies and
+/// images.
+fn conv_input_grads_dispatch(
+    ablocks: &[f32],
+    kc: usize,
+    grads: &[Tensor],
+    geo: &Conv2dGeometry,
+    scratch: &mut Vec<f32>,
+) -> Vec<Tensor> {
+    if grads.is_empty() {
+        return Vec::new();
+    }
+    let m = geo.patch_len();
+    let (oh, ow) = (geo.out_h(), geo.out_w());
+    let n = grads.len() * oh * ow;
+    remix_trace::incr(remix_trace::Counter::GemmCalls);
+    remix_trace::add(remix_trace::Counter::GemmMacs, (m * kc * n) as u64);
+    trace_pack_bytes(n.div_ceil(NR) * kc * NR);
+    let _span = remix_trace::span("gemm");
+    // The gradients are the "images" of a 1×1 convolution whose patch
+    // element `f` is filter `f`: its panels are `pack_b` of the concatenation.
+    let grad_geo = Conv2dGeometry {
+        in_channels: kc,
+        in_h: oh,
+        in_w: ow,
+        kernel: 1,
+        stride: 1,
+        pad: 0,
+    };
+    let fold = ConvFold::new(geo);
+    let grad_len = ConvPanels::scratch_len(&grad_geo, grads.len());
+    reset_buf(scratch, grad_len + grads.len() * fold.image_len());
+    let (grad_scratch, images) = scratch.split_at_mut(grad_len);
+    let panels = ConvPanels::new(grads, &grad_geo, grad_scratch);
+    images.fill(0.0);
+    let threads = remix_parallel::num_threads();
+    if threads > 1 && grads.len() > 1 && m * kc * n >= PARALLEL_MATMUL_MACS {
+        let per_span = grads.len().div_ceil(threads.min(grads.len()));
+        remix_parallel::for_each_span_mut(images, per_span * fold.image_len(), |i, dst| {
+            conv_grads_span(ablocks, kc, &panels, &fold, i * per_span, dst)
+        });
+    } else {
+        conv_grads_span(ablocks, kc, &panels, &fold, 0, images);
+    }
+    fold.extract(images)
+}
+
+/// The fused input-gradient loop of [`conv_input_grads_dispatch`] over the
+/// samples whose padded images are `dst`, starting at sample `b0`.
+fn conv_grads_span(
+    ablocks: &[f32],
+    kc: usize,
+    panels: &ConvPanels<'_>,
+    fold: &ConvFold,
+    b0: usize,
+    dst: &mut [f32],
+) {
+    let kernel = micro_kernel();
+    let spatial = panels.cols() / panels.samples();
+    let mut panel = vec![0.0f32; kc * NR];
+    let mut tile = vec![0.0f32; ablocks.len() / kc * NR];
+    let cols = b0 * spatial..(b0 + dst.len() / fold.image_len()) * spatial;
+    for j0 in cols.clone().step_by(NR) {
+        let width = NR.min(cols.end - j0);
+        panels.pack(j0, width, &mut panel);
+        for (ablock, rows) in ablocks
+            .chunks_exact(kc * MR)
+            .zip(tile.chunks_exact_mut(MR * NR))
+        {
+            // SAFETY: `micro_kernel` only returns a feature-gated variant
+            // when the CPU reports that feature.
+            let acc = unsafe { kernel(ablock, &panel, kc) };
+            for (row, accr) in rows.chunks_exact_mut(NR).zip(&acc) {
+                let row: &mut [f32; NR] = row.try_into().expect("NR-wide tile row");
+                *row = *accr;
+            }
+        }
+        fold.fold(&tile, j0, width, b0, dst);
+    }
+}
+
+/// Validates the conv input-gradient operands: a `[F, C·k·k]` filter matrix
+/// (`weight_shape`) for `geo`, and `[F, out_h, out_w]`-long gradients.
+fn check_conv_grads(
+    weight_shape: [usize; 2],
+    grads: &[Tensor],
+    geo: &Conv2dGeometry,
+) -> Result<()> {
+    check_filters(weight_shape, geo)?;
+    let out = [weight_shape[0], geo.out_h(), geo.out_w()];
+    match grads.iter().find(|g| g.len() != out.iter().product()) {
+        Some(g) => Err(TensorError::ShapeMismatch {
+            left: g.shape().to_vec(),
+            right: out.to_vec(),
+            op: "conv input gradient",
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Packs all of row-major `a` (`[m, k]`) into the interleaved
+/// `[m.div_ceil(MR)][k][MR]` A blocks, tail rows zero-padded — what
+/// [`Tensor::prepack_a`] stores and the per-call `pack_a_rows` closure
+/// rebuilds block by block.
+fn pack_a_blocks(a: &[f32], m: usize, k: usize) -> Vec<f32> {
+    let blocks = m.div_ceil(MR);
+    let mut data = vec![0.0f32; blocks * k * MR];
+    let window = 0..k;
+    for (bi, dst) in data.chunks_exact_mut(k * MR).enumerate() {
+        pack_a_rows(a, k, &window, bi * MR, MR.min(m - bi * MR), dst);
+    }
+    data
+}
+
+/// Packs the transpose of row-major `a` (`[k, m]`) into the same
+/// `[m.div_ceil(MR)][k][MR]` A blocks — what [`Tensor::prepack_at`] stores.
+fn pack_at_blocks(a: &[f32], k: usize, m: usize) -> Vec<f32> {
+    let mut data = vec![0.0f32; m.div_ceil(MR) * k * MR];
+    for (bi, dst) in data.chunks_exact_mut(k * MR).enumerate() {
+        pack_at_rows(a, m, k, bi * MR, MR.min(m - bi * MR), dst);
+    }
+    data
 }
 
 /// Accumulates `out[i][j] += Σ_{p ∈ window} a[i][p] · b[j][p]` for row-major
@@ -632,6 +858,81 @@ impl PackedOperand {
         Ok(())
     }
 
+    /// Convolution forward `P · patchesᵀ` for a pack built by
+    /// [`Tensor::prepack_a`] from the `[F, C·k·k]` filter matrix, over a
+    /// batch of `[C, H, W]` `inputs` → `out: [F, B·out_h·out_w]` (sample `b`
+    /// in columns `b·out_h·out_w ..`). Bit-identical to
+    /// [`PackedOperand::matmul_a_bt_prepacked_into`] on the
+    /// [`im2row_batch_into`](crate::im2row_batch_into) patch rows, but the B
+    /// panels are packed straight from the images, so no patch matrix is
+    /// built. `packed` is scratch for those panels.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first input's geometry error, or
+    /// [`TensorError::MatmulDimMismatch`] if the pack's inner dimension is
+    /// not `geo.patch_len()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pack's role is not [`PackedRole::A`].
+    pub fn conv_gemm_prepacked_into(
+        &self,
+        inputs: &[Tensor],
+        geo: &Conv2dGeometry,
+        out: &mut Vec<f32>,
+        packed: &mut Vec<f32>,
+    ) -> Result<()> {
+        self.expect_role(PackedRole::A, "conv_gemm_prepacked_into");
+        check_batch(inputs, geo, "conv_gemm")?;
+        check_filters(self.src, geo)?;
+        reset_buf(packed, ConvPanels::scratch_len(geo, inputs.len()));
+        let panels = ConvPanels::new(inputs, geo, packed);
+        reset_buf(out, self.dim * panels.cols());
+        remix_trace::incr(remix_trace::Counter::PrepackHits);
+        gemm_dispatch_panelwise(
+            &self.data,
+            self.dim,
+            self.kc,
+            panels.cols(),
+            &|j0, width, dst| panels.pack(j0, width, dst),
+            out,
+        );
+        Ok(())
+    }
+
+    /// Convolution input gradients for a pack built by
+    /// [`Tensor::prepack_at`] from the `[F, C·k·k]` filter matrix: one
+    /// `[C, H, W]` gradient per `[F, out_h, out_w]` output gradient in
+    /// `grads`. Bit-identical to [`col2im_batch`](crate::col2im_batch) of
+    /// [`PackedOperand::matmul_at_b_prepacked_into`] over the concatenated
+    /// gradients, but the `[C·k·k, B·out_h·out_w]` product is folded onto
+    /// the images panel by panel instead of being built. `scratch` holds the
+    /// padded gradient copies and images.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::MatmulDimMismatch`] if the pack's output
+    /// dimension is not `geo.patch_len()`, or [`TensorError::ShapeMismatch`]
+    /// for a gradient of the wrong length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pack's role is not [`PackedRole::At`].
+    pub fn conv_input_grads_prepacked(
+        &self,
+        grads: &[Tensor],
+        geo: &Conv2dGeometry,
+        scratch: &mut Vec<f32>,
+    ) -> Result<Vec<Tensor>> {
+        self.expect_role(PackedRole::At, "conv_input_grads_prepacked");
+        check_conv_grads([self.kc, self.dim], grads, geo)?;
+        remix_trace::incr(remix_trace::Counter::PrepackHits);
+        Ok(conv_input_grads_dispatch(
+            &self.data, self.kc, grads, geo, scratch,
+        ))
+    }
+
     /// `lhsᵀ · P` for a pack built by [`Tensor::prepack_b`] from `[k, n]`
     /// and `lhs: [k, m]` → `out: [m, n]`; bit-identical to
     /// `lhs.matmul_at_b_into(source, ..)`. The varying `lhs` packs per
@@ -698,6 +999,18 @@ impl PackedOperand {
         );
         Ok(())
     }
+}
+
+/// Checks that the `[F, C·k·k]` filter matrix `weight_shape` has `geo`'s
+/// patch length as its inner dimension.
+fn check_filters(weight_shape: [usize; 2], geo: &Conv2dGeometry) -> Result<()> {
+    if weight_shape[1] != geo.patch_len() {
+        return Err(TensorError::MatmulDimMismatch {
+            left: weight_shape.to_vec(),
+            right: vec![geo.in_channels, geo.in_h, geo.in_w],
+        });
+    }
+    Ok(())
 }
 
 fn check_rank2(t: &Tensor, op: &'static str) -> Result<()> {
@@ -886,6 +1199,71 @@ impl Tensor {
         Ok(())
     }
 
+    /// Convolution forward `self · patchesᵀ` for the `[F, C·k·k]` filter
+    /// matrix `self` over a batch of `[C, H, W]` `inputs` →
+    /// `out: [F, B·out_h·out_w]` — the fresh-A twin of
+    /// [`PackedOperand::conv_gemm_prepacked_into`], bit-identical to
+    /// [`Tensor::matmul_a_bt_into`] on the
+    /// [`im2row_batch_into`](crate::im2row_batch_into) patch rows without
+    /// building them. `packed` is scratch for the image-packed B panels.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] unless `self` is rank 2, the
+    /// first input's geometry error, or [`TensorError::MatmulDimMismatch`]
+    /// if `self`'s inner dimension is not `geo.patch_len()`.
+    pub fn conv_gemm_into(
+        &self,
+        inputs: &[Tensor],
+        geo: &Conv2dGeometry,
+        out: &mut Vec<f32>,
+        packed: &mut Vec<f32>,
+    ) -> Result<()> {
+        check_rank2(self, "conv_gemm")?;
+        let (m, k) = (self.shape()[0], self.shape()[1]);
+        check_batch(inputs, geo, "conv_gemm")?;
+        check_filters([m, k], geo)?;
+        let ablocks = pack_a_blocks(self.data(), m, k);
+        trace_pack_a_bytes(m, k);
+        reset_buf(packed, ConvPanels::scratch_len(geo, inputs.len()));
+        let panels = ConvPanels::new(inputs, geo, packed);
+        reset_buf(out, m * panels.cols());
+        gemm_dispatch_panelwise(
+            &ablocks,
+            m,
+            k,
+            panels.cols(),
+            &|j0, width, dst| panels.pack(j0, width, dst),
+            out,
+        );
+        Ok(())
+    }
+
+    /// Convolution input gradients for the `[F, C·k·k]` filter matrix
+    /// `self` — the fresh-A twin of
+    /// [`PackedOperand::conv_input_grads_prepacked`], bit-identical to
+    /// [`col2im_batch`](crate::col2im_batch) of [`Tensor::matmul_at_b`]
+    /// over the concatenated gradients.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] unless `self` is rank 2, and
+    /// otherwise the errors of
+    /// [`PackedOperand::conv_input_grads_prepacked`].
+    pub fn conv_input_grads(
+        &self,
+        grads: &[Tensor],
+        geo: &Conv2dGeometry,
+        scratch: &mut Vec<f32>,
+    ) -> Result<Vec<Tensor>> {
+        check_rank2(self, "conv_input_grads")?;
+        let (f, patch) = (self.shape()[0], self.shape()[1]);
+        check_conv_grads([f, patch], grads, geo)?;
+        let ablocks = pack_at_blocks(self.data(), f, patch);
+        trace_pack_a_bytes(patch, f);
+        Ok(conv_input_grads_dispatch(&ablocks, f, grads, geo, scratch))
+    }
+
     /// Packs `self: [m, k]` once as the left operand of [`Tensor::matmul`] /
     /// [`Tensor::matmul_a_bt`] products ([`PackedRole::A`]): the interleaved
     /// `[m.div_ceil(MR)][k][MR]` A blocks the kernel would otherwise rebuild
@@ -898,19 +1276,7 @@ impl Tensor {
     pub fn prepack_a(&self) -> Result<PackedOperand> {
         check_rank2(self, "prepack_a")?;
         let (m, k) = (self.shape()[0], self.shape()[1]);
-        let blocks = m.div_ceil(MR);
-        let mut data = vec![0.0f32; blocks * k * MR];
-        let window = 0..k;
-        for bi in 0..blocks {
-            pack_a_rows(
-                self.data(),
-                k,
-                &window,
-                bi * MR,
-                MR.min(m - bi * MR),
-                &mut data[bi * k * MR..(bi + 1) * k * MR],
-            );
-        }
+        let data = pack_a_blocks(self.data(), m, k);
         trace_pack_bytes(data.len());
         Ok(PackedOperand {
             role: PackedRole::A,
@@ -933,18 +1299,7 @@ impl Tensor {
     pub fn prepack_at(&self) -> Result<PackedOperand> {
         check_rank2(self, "prepack_at")?;
         let (k, m) = (self.shape()[0], self.shape()[1]);
-        let blocks = m.div_ceil(MR);
-        let mut data = vec![0.0f32; blocks * k * MR];
-        for bi in 0..blocks {
-            pack_at_rows(
-                self.data(),
-                m,
-                k,
-                bi * MR,
-                MR.min(m - bi * MR),
-                &mut data[bi * k * MR..(bi + 1) * k * MR],
-            );
-        }
+        let data = pack_at_blocks(self.data(), k, m);
         trace_pack_bytes(data.len());
         Ok(PackedOperand {
             role: PackedRole::At,

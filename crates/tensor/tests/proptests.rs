@@ -1,8 +1,8 @@
 //! Property-based tests for the tensor substrate.
 
 use proptest::prelude::*;
-use rand::{rngs::StdRng, SeedableRng};
-use remix_tensor::{im2col, Conv2dGeometry, Tensor};
+use rand::{rngs::StdRng, Rng, SeedableRng};
+use remix_tensor::{col2im_batch, im2col, im2row_batch_into, row2im_batch, Conv2dGeometry, Tensor};
 
 fn vec_strategy(len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-100.0f32..100.0, len)
@@ -174,5 +174,117 @@ proptest! {
         pbt.matmul_a_bt_rhs_prepacked_into(&a, &mut out).unwrap();
         let fresh = a.matmul_a_bt(&bt).unwrap();
         prop_assert_eq!(bits(&out), bits(fresh.data()), "matmul_a_bt_rhs_prepacked ({m},{k},{n})");
+    }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Uniform values with ±0.0 sprinkled in, so signed-zero handling is
+/// exercised alongside ordinary rounding.
+fn signed_zero_tensor(shape: &[usize], rng: &mut StdRng) -> Tensor {
+    let len = shape.iter().product();
+    let data = (0..len)
+        .map(|_| match rng.gen_range(0..6u32) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-2.0..2.0),
+        })
+        .collect();
+    Tensor::from_vec(data, shape).unwrap()
+}
+
+// Conv lowering contracts over small geometries: C 1–4, H/W 1–9, k 1–3,
+// stride 1–2, pad 0–1, batch 1–5. Output rows shorter than a 16-lane panel
+// make panels straddle output rows and samples, and most B·spatial column
+// counts are not multiples of 16.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn conv_gemm_panels_are_bit_identical_to_unfolded_rows(
+        c in 1usize..5, h in 1usize..10, w in 1usize..10, k in 1usize..4,
+        stride in 1usize..3, pad in 0usize..2, batch in 1usize..6,
+        filters in 1usize..10, seed in 0u64..1024
+    ) {
+        let geo = Conv2dGeometry { in_channels: c, in_h: h, in_w: w, kernel: k, stride, pad };
+        if !geo.is_valid() {
+            continue;
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let weight = signed_zero_tensor(&[filters, geo.patch_len()], &mut rng);
+        let inputs: Vec<Tensor> =
+            (0..batch).map(|_| signed_zero_tensor(&[c, h, w], &mut rng)).collect();
+        // Reference: unfold the patch rows, then the transpose-free GEMM.
+        let mut rows = Vec::new();
+        im2row_batch_into(&inputs, &geo, &mut rows).unwrap();
+        let rows =
+            Tensor::from_vec(rows, &[batch * geo.out_h() * geo.out_w(), geo.patch_len()]).unwrap();
+        let reference = weight.matmul_a_bt(&rows).unwrap();
+
+        let (mut out, mut packed) = (Vec::new(), Vec::new());
+        weight.conv_gemm_into(&inputs, &geo, &mut out, &mut packed).unwrap();
+        prop_assert_eq!(bits(&out), bits(reference.data()), "fresh {:?} x{}", geo, batch);
+        let frozen = weight.prepack_a().unwrap();
+        frozen.conv_gemm_prepacked_into(&inputs, &geo, &mut out, &mut packed).unwrap();
+        prop_assert_eq!(bits(&out), bits(reference.data()), "prepacked {:?} x{}", geo, batch);
+    }
+
+    #[test]
+    fn col2im_fold_is_bit_identical_to_row2im(
+        c in 1usize..5, h in 1usize..10, w in 1usize..10, k in 1usize..4,
+        stride in 1usize..3, pad in 0usize..2, batch in 1usize..6,
+        filters in 1usize..10, seed in 0u64..1024
+    ) {
+        let geo = Conv2dGeometry { in_channels: c, in_h: h, in_w: w, kernel: k, stride, pad };
+        if !geo.is_valid() {
+            continue;
+        }
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xf01d);
+        let cols = batch * geo.out_h() * geo.out_w();
+        let weight = signed_zero_tensor(&[filters, geo.patch_len()], &mut rng);
+        let grads = signed_zero_tensor(&[filters, cols], &mut rng);
+        // Reference: gᵀ·W patch rows through the row fold.
+        let reference = row2im_batch(&grads.matmul_at_b(&weight).unwrap(), &geo, batch).unwrap();
+        let expect: Vec<Vec<u32>> = reference.iter().map(|t| bits(t.data())).collect();
+
+        let fold = |dcols: Tensor| -> Vec<Vec<u32>> {
+            col2im_batch(&dcols, &geo, batch).unwrap().iter().map(|t| bits(t.data())).collect()
+        };
+        prop_assert_eq!(fold(weight.matmul_at_b(&grads).unwrap()), expect.clone(), "fresh {:?}", geo);
+        let (mut out, mut packed) = (Vec::new(), Vec::new());
+        let frozen = weight.prepack_at().unwrap();
+        frozen.matmul_at_b_prepacked_into(&grads, &mut out, &mut packed).unwrap();
+        let dcols = Tensor::from_vec(out, &[geo.patch_len(), cols]).unwrap();
+        prop_assert_eq!(fold(dcols), expect.clone(), "prepacked {:?}", geo);
+
+        // The fused entries fold each gradient panel's tiles straight onto
+        // the images, from per-sample `[F, out_h, out_w]` gradients.
+        let per_sample: Vec<Tensor> = (0..batch)
+            .map(|b| {
+                let spatial = cols / batch;
+                let data = grads
+                    .data()
+                    .chunks_exact(cols)
+                    .flat_map(|row| row[b * spatial..(b + 1) * spatial].to_vec())
+                    .collect();
+                Tensor::from_vec(data, &[filters, geo.out_h(), geo.out_w()]).unwrap()
+            })
+            .collect();
+        let all_bits = |ts: Vec<Tensor>| ts.iter().map(|t| bits(t.data())).collect::<Vec<_>>();
+        let fused = weight.conv_input_grads(&per_sample, &geo, &mut packed).unwrap();
+        prop_assert_eq!(all_bits(fused), expect.clone(), "fused fresh {:?}", geo);
+        let fused = frozen.conv_input_grads_prepacked(&per_sample, &geo, &mut packed).unwrap();
+        prop_assert_eq!(all_bits(fused), expect, "fused prepacked {:?}", geo);
+
+        // The fold alone: any patch-gradient matrix, against its transpose.
+        let m = signed_zero_tensor(&[geo.patch_len(), cols], &mut rng);
+        let by_rows = row2im_batch(&m.transpose().unwrap(), &geo, batch).unwrap();
+        prop_assert_eq!(
+            fold(m),
+            by_rows.iter().map(|t| bits(t.data())).collect::<Vec<_>>(),
+            "fold {:?}", geo
+        );
     }
 }
