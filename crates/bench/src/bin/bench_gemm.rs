@@ -4,11 +4,14 @@
 //! kernel on the zoo's conv/dense GEMM shapes (single-threaded, so the
 //! numbers isolate the kernel, not the pool), the frozen serve-path GEMMs
 //! against per-call packing, the image-panel conv lowering against the
-//! unfolded one on every conv shape of the GTSRB serving members, then times
-//! `Trainer::fit` with the batched forward/backward engine against the
-//! per-sample loop on conv/dense and depthwise zoo models. Every comparison
-//! is also a bitwise gate: any f32 divergence between the two paths exits
-//! nonzero so CI can fail on it. Results land in `results/bench_gemm.json`.
+//! unfolded one on every conv shape of the GTSRB serving members, one
+//! lane-major 16-image input-gradient sweep of each GTSRB serving member
+//! against 16 per-sample calls, then times `Trainer::fit` with the batched
+//! forward/backward engine against the per-sample loop on conv/dense and
+//! depthwise zoo models. Two competing paths are timed in alternating
+//! windows, so host-speed drift hits both alike. Every comparison is also a
+//! bitwise gate: any f32 divergence between the two paths exits nonzero so
+//! CI can fail on it. Results land in `results/bench_gemm.json`.
 
 use rand::{rngs::StdRng, SeedableRng};
 use remix_nn::{zoo, Arch, InputSpec, Layer, Model, Trainer, TrainerConfig};
@@ -396,13 +399,13 @@ impl UnfoldedConv<'_> {
     }
 }
 
-/// The frozen conv serve path: B panels packed straight from the images,
-/// and the input gradient `Wᵀ · G` folded onto the images panel by panel,
-/// from the per-sample gradients.
+/// The frozen conv serve path: B panels packed straight from the lane-major
+/// batch, and the input gradient `Wᵀ · G` folded onto the lane-major
+/// gradient panel by panel.
 struct PanelConv<'a> {
     geo: Conv2dGeometry,
-    images: &'a [Tensor],
-    grads: &'a [Tensor],
+    images: &'a Tensor,
+    grads: &'a Tensor,
     fwd: PackedOperand,
     dx: PackedOperand,
     packed: Vec<f32>,
@@ -411,7 +414,7 @@ struct PanelConv<'a> {
 }
 
 impl PanelConv<'_> {
-    fn run(&mut self) -> Vec<Tensor> {
+    fn run(&mut self) -> Tensor {
         self.fwd
             .conv_gemm_prepacked_into(self.images, &self.geo, &mut self.out, &mut self.packed)
             .expect("images match");
@@ -419,6 +422,24 @@ impl PanelConv<'_> {
             .conv_input_grads_prepacked(self.grads, &self.geo, &mut self.dx_scratch)
             .expect("gradients match")
     }
+}
+
+/// The GTSRB serving members whose input-gradient sweeps the lane phase
+/// times, at 3×16×16.
+const LANE_SWEEP_MODELS: &[(Arch, &str)] = &[
+    (Arch::ConvNet, "ConvNet"),
+    (Arch::MobileNet, "MobileNet"),
+    (Arch::ResNet18, "ResNet18"),
+];
+
+/// Images per lane sweep: the noisy copies of one SmoothGrad sweep.
+const LANE_SWEEP_BATCH: usize = 16;
+
+struct LaneSweepResult {
+    model: &'static str,
+    per_sample_secs: f64,
+    lanes_secs: f64,
+    lanes_identical: bool,
 }
 
 /// Per-sample `Trainer::fit` wall times measured at the commit preceding
@@ -566,6 +587,32 @@ fn main() {
         / conv_results.iter().map(|r| r.panel_secs).sum::<f64>();
     println!("\nAggregate conv lowering time: {conv_aggregate:.2}x");
 
+    println!(
+        "\nLane sweep — one lane-major input_gradient_batch vs per-sample input_gradient \
+         (frozen, 3×16×16, batch {LANE_SWEEP_BATCH})\n"
+    );
+    let lane_results: Vec<LaneSweepResult> = LANE_SWEEP_MODELS
+        .iter()
+        .map(|&(arch, name)| bench_lane_sweep(arch, name))
+        .collect();
+    println!(
+        "{:<12} {:>12} {:>12} {:>9}  bits",
+        "model", "per-sample", "lanes", "speedup"
+    );
+    for r in &lane_results {
+        println!(
+            "{:<12} {:>12} {:>12} {:>8.2}x  {}",
+            r.model,
+            format!("{:.1}µs", r.per_sample_secs * 1e6),
+            format!("{:.1}µs", r.lanes_secs * 1e6),
+            r.per_sample_secs / r.lanes_secs,
+            if r.lanes_identical { "=" } else { "DIVERGED" }
+        );
+    }
+    let lane_aggregate = lane_results.iter().map(|r| r.per_sample_secs).sum::<f64>()
+        / lane_results.iter().map(|r| r.lanes_secs).sum::<f64>();
+    println!("\nAggregate lane sweep time: {lane_aggregate:.2}x");
+
     println!("\nTraining — batched engine vs per-sample loop (batch 32, 1 thread)\n");
     let train_results = vec![
         bench_training(Arch::ConvNet, "ConvNet", 16),
@@ -604,6 +651,8 @@ fn main() {
         &xai,
         &conv_results,
         conv_aggregate,
+        &lane_results,
+        lane_aggregate,
         &train_results,
     )
     .expect("write results/bench_gemm.json");
@@ -612,11 +661,12 @@ fn main() {
     let gemm_ok = gemm_results.iter().all(|r| r.bit_identical);
     let prepack_ok = sweep_results.iter().all(|r| r.prepack_identical) && xai.bit_identical;
     let conv_ok = conv_results.iter().all(|r| r.lowering_identical);
+    let lanes_ok = lane_results.iter().all(|r| r.lanes_identical);
     let train_ok = train_results.iter().all(|r| r.weights_bit_identical);
-    if !gemm_ok || !prepack_ok || !conv_ok || !train_ok {
+    if !gemm_ok || !prepack_ok || !conv_ok || !lanes_ok || !train_ok {
         eprintln!(
-            "ERROR: blocked/prepacked/panel-lowered/batched path diverged bitwise from the \
-             reference path"
+            "ERROR: blocked/prepacked/panel-lowered/lane-major/batched path diverged bitwise \
+             from the reference path"
         );
         std::process::exit(1);
     }
@@ -643,14 +693,17 @@ fn bench_shape(shape: &GemmShape) -> GemmResult {
         .zip(&out)
         .all(|(x, y)| x.to_bits() == y.to_bits());
 
-    let reference_secs = time_per_iter(|| {
-        std::hint::black_box(a.matmul_reference(&b).expect("shapes agree"));
-    });
-    let blocked_secs = time_per_iter(|| {
-        a.matmul_into(&b, &mut out, &mut packed)
-            .expect("shapes agree");
-        std::hint::black_box(out.last());
-    });
+    let (reference_secs, blocked_secs) = time_interleaved(
+        KERNEL_WINDOWS,
+        || {
+            std::hint::black_box(a.matmul_reference(&b).expect("shapes agree"));
+        },
+        || {
+            a.matmul_into(&b, &mut out, &mut packed)
+                .expect("shapes agree");
+            std::hint::black_box(out.last());
+        },
+    );
 
     GemmResult {
         name: shape.name,
@@ -676,14 +729,17 @@ fn timed_pair(
     pre(&mut po, &mut pp);
     let identical =
         fo.len() == po.len() && fo.iter().zip(&po).all(|(x, y)| x.to_bits() == y.to_bits());
-    let fresh_secs = time_per_iter(|| {
-        fresh(&mut fo, &mut fp);
-        std::hint::black_box(fo.last());
-    });
-    let prepacked_secs = time_per_iter(|| {
-        pre(&mut po, &mut pp);
-        std::hint::black_box(po.last());
-    });
+    let (fresh_secs, prepacked_secs) = time_interleaved(
+        KERNEL_WINDOWS,
+        || {
+            fresh(&mut fo, &mut fp);
+            std::hint::black_box(fo.last());
+        },
+        || {
+            pre(&mut po, &mut pp);
+            std::hint::black_box(po.last());
+        },
+    );
     (fresh_secs, prepacked_secs, identical)
 }
 
@@ -723,9 +779,12 @@ fn bench_sweep_shape(s: &SweepShape) -> SweepResult {
                 stride: 1,
                 pad: 1,
             };
-            let images: Vec<Tensor> = (0..s.n / (size * size))
-                .map(|_| Tensor::rand_uniform(&[channels, size, size], -1.0, 1.0, &mut rng))
-                .collect();
+            let images = Tensor::rand_uniform(
+                &[channels, size, size, s.n / (size * size)],
+                -1.0,
+                1.0,
+                &mut rng,
+            );
             let pw = w.prepack_a().expect("weights are rank 2");
             let timed = timed_pair(
                 |o, p| w.conv_gemm_into(&images, &geo, o, p).expect("shapes agree"),
@@ -801,10 +860,12 @@ fn bench_conv_shape(s: &ConvShape) -> ConvResult {
         out: Vec::new(),
         drows: Vec::new(),
     };
+    let lane_images = Tensor::stack_lanes(&images).expect("same-shape images");
+    let lane_grads = Tensor::stack_lanes(&per_sample).expect("same-shape gradients");
     let mut panels = PanelConv {
         geo,
-        images: &images,
-        grads: &per_sample,
+        images: &lane_images,
+        grads: &lane_grads,
         fwd: w.prepack_a().expect("weights are rank 2"),
         dx: w.prepack_at().expect("weights are rank 2"),
         packed: Vec::new(),
@@ -812,12 +873,23 @@ fn bench_conv_shape(s: &ConvShape) -> ConvResult {
         dx_scratch: Vec::new(),
     };
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-    let dx_bits = |dx: &[Tensor]| dx.iter().flat_map(|t| bits(t.data())).collect::<Vec<u32>>();
     let dx_unfolded = unfolded.run();
     let dx_panels = panels.run();
-    let lowering_identical =
-        bits(&unfolded.out) == bits(&panels.out) && dx_bits(&dx_unfolded) == dx_bits(&dx_panels);
+    // The unfolded product holds sample b in columns b·spatial..; the
+    // lane-major one holds it in lane b of every output position.
+    let spatial = oh * ow;
+    let out_as_lanes: Vec<f32> = (0..s.filters * spatial * CONV_BATCH)
+        .map(|i| {
+            let (fp, b) = (i / CONV_BATCH, i % CONV_BATCH);
+            let (f, p) = (fp / spatial, fp % spatial);
+            unfolded.out[(f * CONV_BATCH + b) * spatial + p]
+        })
+        .collect();
+    let dx_as_lanes = Tensor::stack_lanes(&dx_unfolded).expect("same-shape gradients");
+    let lowering_identical = bits(&out_as_lanes) == bits(&panels.out)
+        && bits(dx_as_lanes.data()) == bits(dx_panels.data());
     let (unfolded_secs, panel_secs) = time_interleaved(
+        PHASE_WINDOWS,
         || {
             std::hint::black_box(unfolded.run());
         },
@@ -835,14 +907,86 @@ fn bench_conv_shape(s: &ConvShape) -> ConvResult {
     }
 }
 
+/// Times one frozen serving member's input-gradient sweep: 16 per-sample
+/// `input_gradient` calls against one lane-major `input_gradient_batch`,
+/// each side on its own copy of the model, with a bitwise gate on the
+/// gradients.
+fn bench_lane_sweep(arch: Arch, name: &'static str) -> LaneSweepResult {
+    let spec = InputSpec {
+        channels: 3,
+        size: 16,
+        num_classes: 43,
+    };
+    let mut rng = StdRng::seed_from_u64(23);
+    let mut per_sample = Model::new(zoo::build(arch, spec, &mut rng), spec);
+    per_sample.freeze_for_inference();
+    let mut lanes = per_sample.clone();
+    let images: Vec<Tensor> = (0..LANE_SWEEP_BATCH)
+        .map(|_| Tensor::rand_uniform(&[3, 16, 16], 0.0, 1.0, &mut rng))
+        .collect();
+    let classes: Vec<usize> = (0..LANE_SWEEP_BATCH)
+        .map(|i| (7 * i) % spec.num_classes)
+        .collect();
+    let one_by_one = |m: &mut Model| -> Vec<Tensor> {
+        images
+            .iter()
+            .zip(&classes)
+            .map(|(x, &c)| m.input_gradient(x, c))
+            .collect()
+    };
+    let batched = |m: &mut Model| {
+        m.input_gradient_batch(&images, &classes)
+            .expect("valid batch")
+    };
+    let lanes_identical = one_by_one(&mut per_sample) == batched(&mut lanes);
+    let (per_sample_secs, lanes_secs) = time_interleaved(
+        PHASE_WINDOWS,
+        || {
+            std::hint::black_box(one_by_one(&mut per_sample));
+        },
+        || {
+            std::hint::black_box(batched(&mut lanes));
+        },
+    );
+    LaneSweepResult {
+        model: name,
+        per_sample_secs,
+        lanes_secs,
+        lanes_identical,
+    }
+}
+
+/// How [`time_interleaved`] measures: alternating windows per side, and
+/// each window's length.
+#[derive(Clone, Copy)]
+struct Windows {
+    rounds: u32,
+    each: Duration,
+}
+
+/// The conv-lowering and lane-sweep phases, whose sides run for hundreds
+/// of microseconds to milliseconds.
+const PHASE_WINDOWS: Windows = Windows {
+    rounds: 8,
+    each: Duration::from_millis(40),
+};
+
+/// The kernel and prepack rows, whose sides run for microseconds: three
+/// times the rounds, half as long, give each side's minimum more chances
+/// at an undisturbed stretch of the host.
+const KERNEL_WINDOWS: Windows = Windows {
+    rounds: 24,
+    each: Duration::from_millis(20),
+};
+
 /// Seconds per iteration of two competing paths: short alternating windows,
 /// keeping each side's fastest, so host-speed drift during the run hits
 /// both sides alike instead of whichever ran second.
-fn time_interleaved(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+fn time_interleaved(plan: Windows, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
     let window = |f: &mut dyn FnMut()| {
         let start = Instant::now();
         let mut iters = 0u32;
-        while start.elapsed() < Duration::from_millis(40) {
+        while start.elapsed() < plan.each {
             f();
             iters += 1;
         }
@@ -853,7 +997,7 @@ fn time_interleaved(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
         b();
     }
     let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..8 {
+    for _ in 0..plan.rounds {
         best_a = best_a.min(window(&mut a));
         best_b = best_b.min(window(&mut b));
     }
@@ -908,12 +1052,15 @@ fn bench_xai_sweep() -> XaiSweepResult {
     let prepack_hits = remix_trace::counter(remix_trace::Counter::PrepackHits);
     remix_trace::set_enabled(false);
 
-    let unfrozen_secs = time_per_iter(|| {
-        std::hint::black_box(sweep(&mut plain));
-    });
-    let frozen_secs = time_per_iter(|| {
-        std::hint::black_box(sweep(&mut frozen));
-    });
+    let (unfrozen_secs, frozen_secs) = time_interleaved(
+        KERNEL_WINDOWS,
+        || {
+            std::hint::black_box(sweep(&mut plain));
+        },
+        || {
+            std::hint::black_box(sweep(&mut frozen));
+        },
+    );
     XaiSweepResult {
         model: "ConvNet",
         batch: SWEEP_BATCH,
@@ -924,20 +1071,6 @@ fn bench_xai_sweep() -> XaiSweepResult {
         pack_bytes_frozen,
         prepack_hits,
     }
-}
-
-/// Seconds per iteration: warm up, then repeat until ≥0.3 s has elapsed.
-fn time_per_iter(mut f: impl FnMut()) -> f64 {
-    for _ in 0..3 {
-        f();
-    }
-    let start = Instant::now();
-    let mut iters = 0u32;
-    while start.elapsed() < Duration::from_millis(300) {
-        f();
-        iters += 1;
-    }
-    start.elapsed().as_secs_f64() / f64::from(iters)
 }
 
 /// Trains two identically-seeded copies of `arch` at GTSRB scale, one
@@ -1004,8 +1137,8 @@ fn bench_training(arch: Arch, name: &'static str, size: usize) -> TrainResult {
 }
 
 /// Hand-formatted JSON record (the vendored serde_json has no pretty
-/// printer) of the kernel, prepacked-weight, XAI-sweep, conv-lowering and
-/// training comparisons.
+/// printer) of the kernel, prepacked-weight, XAI-sweep, conv-lowering,
+/// lane-sweep and training comparisons.
 #[allow(clippy::too_many_arguments)]
 fn write_bench_json(
     gemm: &[GemmResult],
@@ -1017,6 +1150,8 @@ fn write_bench_json(
     xai: &XaiSweepResult,
     conv: &[ConvResult],
     conv_aggregate: f64,
+    lanes: &[LaneSweepResult],
+    lane_aggregate: f64,
     training: &[TrainResult],
 ) -> std::io::Result<()> {
     std::fs::create_dir_all("results")?;
@@ -1102,6 +1237,22 @@ fn write_bench_json(
             )
         })
         .collect();
+    let lane_entries: Vec<String> = lanes
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\n      \"model\": \"{}\",\n      \"batch\": {LANE_SWEEP_BATCH},\n      \
+                 \"per_sample_secs_per_iter\": {:.9},\n      \
+                 \"lanes_secs_per_iter\": {:.9},\n      \"speedup\": {:.3},\n      \
+                 \"lanes_identical\": {}\n    }}",
+                r.model,
+                r.per_sample_secs,
+                r.lanes_secs,
+                r.per_sample_secs / r.lanes_secs,
+                r.lanes_identical
+            )
+        })
+        .collect();
     let train_entries: Vec<String> = training
         .iter()
         .map(|r| {
@@ -1143,12 +1294,17 @@ fn write_bench_json(
          \"conv_lowering\": [\n{}\n  ],\n  \
          \"conv_lowering_identical\": {},\n  \
          \"conv_lowering_aggregate_speedup\": {conv_aggregate:.3},\n  \
+         \"lane_sweep\": [\n{}\n  ],\n  \
+         \"lane_sweep_identical\": {},\n  \
+         \"lane_sweep_aggregate_speedup\": {lane_aggregate:.3},\n  \
          \"training\": [\n{}\n  ]\n}}",
         gemm_entries.join(",\n"),
         sweep_entries.join(",\n"),
         xai_entry,
         conv_entries.join(",\n"),
         conv.iter().all(|r| r.lowering_identical),
+        lane_entries.join(",\n"),
+        lanes.iter().all(|r| r.lanes_identical),
         train_entries.join(",\n"),
     )
 }

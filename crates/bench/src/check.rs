@@ -131,13 +131,21 @@ pub const PREPACK_MIN_DENSE_AGGREGATE_SPEEDUP: f64 = 1.1;
 pub const PREPACK_MIN_PACK_ELIMINATION: f64 = 0.15;
 
 /// Minimum acceptable speedup of the image-panel conv lowering (panels
-/// packed straight from the images, `Wᵀ · G` folded by `col2im`) over the
+/// packed straight from the lane-major batch, `Wᵀ · G` folded onto it) over the
 /// unfolded one (`im2row` rows, `gᵀ · W` folded by `row2im`), aggregated
 /// over every conv shape of the GTSRB serving members — frozen forward plus
 /// input gradient at SmoothGrad batch 16 — and gated absolutely. Measured
 /// 2.8–3.0× on a 2-vCPU AVX-512 host; the floor keeps the unfold-free path
 /// from silently falling back to the unfolded cost.
 pub const CONV_LOWERING_MIN_AGGREGATE_SPEEDUP: f64 = 1.8;
+
+/// Minimum acceptable speedup of one lane-major 16-image input-gradient
+/// sweep over 16 per-sample `input_gradient` calls, aggregated over the
+/// frozen GTSRB serving members (ConvNet, MobileNet, ResNet18 at 3×16×16)
+/// and gated absolutely. Measured 1.32–1.55× over 16 runs on a 2-vCPU
+/// AVX-512 host; the floor keeps the lane-major layers from silently
+/// falling back to per-sample cost (≈ 1.0×).
+pub const LANE_SWEEP_MIN_AGGREGATE_SPEEDUP: f64 = 1.1;
 
 /// Gates `bench_gemm.json`: per shape, the blocked kernel must stay
 /// bit-identical to the reference and keep its within-run speedup; per
@@ -151,9 +159,11 @@ pub const CONV_LOWERING_MIN_AGGREGATE_SPEEDUP: f64 = 1.8;
 /// sweep's pack traffic; per conv-lowering shape, the image-panel lowering
 /// must stay bit-identical to the unfolded one, and its aggregate speedup
 /// must hold relative to the baseline *and* clear
-/// [`CONV_LOWERING_MIN_AGGREGATE_SPEEDUP`]; per training row, batched
-/// updates must stay weight-bit-identical and keep the batched-vs-per-sample
-/// ratio.
+/// [`CONV_LOWERING_MIN_AGGREGATE_SPEEDUP`]; per lane-sweep model, the
+/// lane-major sweep must stay bit-identical to per-sample calls, and its
+/// aggregate speedup must hold relative to the baseline *and* clear
+/// [`LANE_SWEEP_MIN_AGGREGATE_SPEEDUP`]; per training row, batched updates
+/// must stay weight-bit-identical and keep the batched-vs-per-sample ratio.
 pub fn check_gemm(baseline: &Value, fresh: &Value, tolerance: f64) -> GateReport {
     let mut report = GateReport::default();
     let empty: &[Value] = &[];
@@ -312,6 +322,51 @@ pub fn check_gemm(baseline: &Value, fresh: &Value, tolerance: f64) -> GateReport
                 }
             }
             _ => report.fail("FAIL conv_lowering/aggregate: speedup field missing".into()),
+        }
+    }
+    let fresh_lanes = get(fresh, "lane_sweep")
+        .and_then(Value::as_array)
+        .unwrap_or(empty);
+    for base_row in get(baseline, "lane_sweep")
+        .and_then(Value::as_array)
+        .unwrap_or(empty)
+    {
+        let Some(model) = get_str(base_row, "model") else {
+            continue;
+        };
+        let label = format!("lane_sweep/{model}");
+        match fresh_lanes
+            .iter()
+            .find(|r| get_str(r, "model") == Some(model))
+        {
+            Some(fresh_row) => report.gate_flag(&label, get_bool(fresh_row, "lanes_identical")),
+            None => report.fail(format!("FAIL {label}: missing from fresh record")),
+        }
+    }
+    if get(baseline, "lane_sweep").is_some() {
+        report.gate_flag(
+            "lane_sweep/all_models",
+            get_bool(fresh, "lane_sweep_identical"),
+        );
+        match (
+            get_num(baseline, "lane_sweep_aggregate_speedup"),
+            get_num(fresh, "lane_sweep_aggregate_speedup"),
+        ) {
+            (Some(b), Some(f)) => {
+                report.gate_speedup("lane_sweep/aggregate", b, f, tolerance);
+                if f >= LANE_SWEEP_MIN_AGGREGATE_SPEEDUP {
+                    report.ok(format!(
+                        "ok   lane_sweep/min_speedup: {f:.3} >= absolute floor \
+                         {LANE_SWEEP_MIN_AGGREGATE_SPEEDUP}"
+                    ));
+                } else {
+                    report.fail(format!(
+                        "FAIL lane_sweep/min_speedup: {f:.3} below absolute floor \
+                         {LANE_SWEEP_MIN_AGGREGATE_SPEEDUP}"
+                    ));
+                }
+            }
+            _ => report.fail("FAIL lane_sweep/aggregate: speedup field missing".into()),
         }
     }
     let fresh_training = get(fresh, "training")
@@ -662,6 +717,7 @@ pub fn scale_speedups(value: &mut Value, factor: f64) {
                     || key == "prepack_dense_aggregate_speedup"
                     || key == "pack_bytes_eliminated_fraction"
                     || key == "conv_lowering_aggregate_speedup"
+                    || key == "lane_sweep_aggregate_speedup"
                 {
                     if let Some(n) = num(v) {
                         *v = Value::Float(n * factor);
@@ -696,6 +752,8 @@ pub fn flip_verdict_flags(value: &mut Value) {
                     || key == "prepack_identical"
                     || key == "lowering_identical"
                     || key == "conv_lowering_identical"
+                    || key == "lanes_identical"
+                    || key == "lane_sweep_identical"
                     || key == "noop_identical"
                     || key == "v1_identical"
                     || key == "v2_identical"
@@ -786,6 +844,28 @@ mod tests {
               ],
               "conv_lowering_identical": true,
               "conv_lowering_aggregate_speedup": 2.3,
+              "training": [
+                {"model": "ConvNet", "input_size": 16, "speedup": 1.0,
+                 "weights_bit_identical": true}
+              ]
+            }"#,
+        )
+        .expect("valid test record")
+    }
+
+    /// A gemm record carrying the lane-sweep section.
+    fn gemm_record_with_lane_sweep() -> Value {
+        serde_json::from_str(
+            r#"{
+              "gemm": [
+                {"shape": "a", "speedup": 2.0, "bit_identical": true}
+              ],
+              "lane_sweep": [
+                {"model": "ConvNet", "speedup": 1.3, "lanes_identical": true},
+                {"model": "MobileNet", "speedup": 2.1, "lanes_identical": true}
+              ],
+              "lane_sweep_identical": true,
+              "lane_sweep_aggregate_speedup": 1.8,
               "training": [
                 {"model": "ConvNet", "input_size": 16, "speedup": 1.0,
                  "weights_bit_identical": true}
@@ -1125,6 +1205,54 @@ mod tests {
             .failures
             .iter()
             .any(|f| f.contains("conv_lowering/min_speedup")));
+    }
+
+    #[test]
+    fn lane_sweep_gate_passes_clean_and_catches_doctoring() {
+        let base = gemm_record_with_lane_sweep();
+        let clean = check_gemm(&base, &base, DEFAULT_TOLERANCE);
+        assert!(clean.passed(), "{:?}", clean.failures);
+        assert!(clean
+            .checks
+            .iter()
+            .any(|c| c.contains("lane_sweep/min_speedup")));
+
+        let mut slow = gemm_record_with_lane_sweep();
+        scale_speedups(&mut slow, 0.5);
+        let report = check_gemm(&base, &slow, DEFAULT_TOLERANCE);
+        assert!(report
+            .failures
+            .iter()
+            .any(|f| f.contains("lane_sweep/aggregate")));
+
+        let mut diverged = gemm_record_with_lane_sweep();
+        flip_verdict_flags(&mut diverged);
+        let report = check_gemm(&base, &diverged, DEFAULT_TOLERANCE);
+        for label in [
+            "lane_sweep/ConvNet",
+            "lane_sweep/MobileNet",
+            "lane_sweep/all_models",
+        ] {
+            assert!(
+                report.failures.iter().any(|f| f.contains(label)),
+                "{label} not caught: {:?}",
+                report.failures
+            );
+        }
+
+        let mut weak = gemm_record_with_lane_sweep();
+        if let Value::Object(pairs) = &mut weak {
+            for (k, v) in pairs.iter_mut() {
+                if k == "lane_sweep_aggregate_speedup" {
+                    *v = Value::Float(LANE_SWEEP_MIN_AGGREGATE_SPEEDUP * 0.9);
+                }
+            }
+        }
+        let report = check_gemm(&weak, &weak, DEFAULT_TOLERANCE);
+        assert!(report
+            .failures
+            .iter()
+            .any(|f| f.contains("lane_sweep/min_speedup")));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::{Layer, Mode};
 use rand::Rng;
-use remix_tensor::Tensor;
+use remix_tensor::{Result, Tensor, TensorError};
 
 /// Single-head self-attention patch classifier.
 #[derive(Clone)]
@@ -44,6 +44,8 @@ pub struct MiniVit {
     cache_v: Tensor,
     cache_attn: Tensor, // [T, T]
     cache_pooled: Tensor,
+    /// Per-sample forward caches of a lane-major batch, in lane order.
+    lane_caches: Vec<[Tensor; 7]>,
 }
 
 impl MiniVit {
@@ -97,7 +99,20 @@ impl MiniVit {
             cache_v: Tensor::default(),
             cache_attn: Tensor::default(),
             cache_pooled: Tensor::default(),
+            lane_caches: Vec::new(),
         }
+    }
+
+    /// Swaps the forward caches with `caches`.
+    fn swap_caches(&mut self, caches: &mut [Tensor; 7]) {
+        let [patches, tokens, q, k, v, attn, pooled] = caches;
+        std::mem::swap(&mut self.cache_patches, patches);
+        std::mem::swap(&mut self.cache_tokens, tokens);
+        std::mem::swap(&mut self.cache_q, q);
+        std::mem::swap(&mut self.cache_k, k);
+        std::mem::swap(&mut self.cache_v, v);
+        std::mem::swap(&mut self.cache_attn, attn);
+        std::mem::swap(&mut self.cache_pooled, pooled);
     }
 
     /// Number of tokens (grid²).
@@ -319,6 +334,46 @@ impl Layer for MiniVit {
             }
         }
         dx
+    }
+
+    fn forward_lanes(&mut self, input: Tensor) -> Result<Tensor> {
+        // Attention has no lane kernels: the batch runs image by image, and
+        // each image's forward caches are set aside for its backward.
+        let sample = [self.channels, self.size, self.size];
+        if input.shape().split_last().map(|(_, s)| s) != Some(&sample[..]) {
+            return Err(TensorError::ShapeMismatch {
+                left: input.shape().to_vec(),
+                right: sample.to_vec(),
+                op: "minivit forward_lanes",
+            });
+        }
+        self.lane_caches.clear();
+        let mut logits = Vec::new();
+        for x in input.unstack_lanes() {
+            logits.push(self.forward(&x, Mode::Inference));
+            let mut caches: [Tensor; 7] = Default::default();
+            self.swap_caches(&mut caches);
+            self.lane_caches.push(caches);
+        }
+        Tensor::stack_lanes(&logits)
+    }
+
+    fn backward_input_lanes(&mut self, grad_out: Tensor) -> Result<Tensor> {
+        let grads = grad_out.unstack_lanes();
+        if grads.len() != self.lane_caches.len() {
+            return Err(TensorError::ShapeMismatch {
+                left: grad_out.shape().to_vec(),
+                right: vec![self.num_classes, self.lane_caches.len()],
+                op: "minivit backward_input_lanes",
+            });
+        }
+        let mut caches = std::mem::take(&mut self.lane_caches);
+        let mut dxs = Vec::with_capacity(grads.len());
+        for (g, cache) in grads.iter().zip(&mut caches) {
+            self.swap_caches(cache);
+            dxs.push(self.backward_input(g));
+        }
+        Tensor::stack_lanes(&dxs)
     }
 
     fn visit_params(&mut self, visit: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
@@ -569,6 +624,31 @@ mod tests {
         let mut grads_ref = Vec::new();
         reference.visit_params(&mut |_, grad| grads_ref.extend(bits(grad)));
         assert_eq!(grads_fused, grads_ref, "parameter gradients");
+    }
+
+    #[test]
+    fn lane_batches_run_image_by_image() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut vit = MiniVit::new(1, 8, 4, 6, 3, &mut rng);
+        let xs: Vec<Tensor> = (0..3)
+            .map(|_| Tensor::randn(&[1, 8, 8], 1.0, &mut rng))
+            .collect();
+        let gs: Vec<Tensor> = (0..3).map(|_| Tensor::randn(&[3], 1.0, &mut rng)).collect();
+        let mut per_image = vit.clone();
+        let (mut ys, mut dxs) = (Vec::new(), Vec::new());
+        for (x, g) in xs.iter().zip(&gs) {
+            ys.push(per_image.forward(x, Mode::Inference));
+            dxs.push(per_image.backward_input(g));
+        }
+        let y = vit
+            .forward_lanes(Tensor::stack_lanes(&xs).unwrap())
+            .unwrap();
+        let dx = vit
+            .backward_input_lanes(Tensor::stack_lanes(&gs).unwrap())
+            .unwrap();
+        assert_eq!(y.unstack_lanes(), ys);
+        assert_eq!(dx.unstack_lanes(), dxs);
+        assert!(vit.backward_input_lanes(Tensor::zeros(&[3, 2])).is_err());
     }
 
     #[test]

@@ -22,6 +22,11 @@ pub enum Mode {
     /// never calls backward at all, and `input_gradient` only needs the
     /// input gradient, so neither should pay training-only memory traffic
     /// on every perturbation pass.
+    ///
+    /// It is also the only mode of the lane-major batch passes
+    /// ([`Layer::forward_lanes`] / [`Layer::backward_input_lanes`]), which
+    /// keep the same caches for all `B` samples in one lane-major tensor
+    /// each.
     Inference,
 }
 
@@ -36,16 +41,23 @@ pub enum Mode {
 ///
 /// # Batched execution
 ///
-/// [`Layer::forward_batch`] pushes a whole batch of same-shape inputs through
-/// the layer at once; convolution layers turn the batch into a single large
-/// matrix product. The default implementation loops [`Layer::try_forward`]
-/// over the samples so exotic layers keep working unchanged. After a
-/// `forward_batch`, the only valid backward call is
-/// [`Layer::backward_input_batch`] — and only on layers reporting
-/// [`Layer::supports_batched_backward`] — which propagates per-sample input
-/// gradients *without* touching parameter gradients. All batched paths are
-/// bit-identical to their per-sample counterparts: they run the same kernels
-/// in the same per-element accumulation order.
+/// Inference batches travel *lane-major*: one tensor whose shape is the
+/// per-sample shape plus a last sample axis (`[C, H, W, B]`, `[features,
+/// B]`), so the `B` copies of every element sit next to each other as
+/// lanes. [`Layer::forward_lanes`] runs such a batch in [`Mode::Inference`]
+/// and [`Layer::backward_input_lanes`] propagates its input gradients,
+/// touching no parameter gradient. Convolutions turn the batch into one
+/// GEMM whose columns are (output position, lane), so the product is
+/// already lane-major; every other layer loops over runs of `B` contiguous
+/// lanes in which each lane runs exactly its sample's per-sample chain —
+/// the same operations on the same operands in the same order, starting
+/// from the same value — so the lanes are bit-identical to `B` calls of
+/// [`Layer::forward`] / [`Layer::backward_input`].
+///
+/// Training batches stay sample-major: [`Layer::forward_batch`] in
+/// [`Mode::Train`] / [`Mode::Eval`] and [`Layer::backward_batch`] take one
+/// tensor per sample, because parameter gradients must accumulate sample
+/// by sample in batch order.
 pub trait Layer: Send {
     /// Computes the layer output for `input`, caching backward state
     /// according to `mode`.
@@ -63,16 +75,17 @@ pub trait Layer: Send {
         Ok(self.forward(input, mode))
     }
 
-    /// Computes outputs for a batch of same-shape inputs.
+    /// Computes outputs for a sample-major batch of same-shape inputs — the
+    /// training batch path.
     ///
     /// The default loops [`Layer::try_forward`] over the samples, leaving the
     /// single-sample caches holding the *last* sample's state — which is why
     /// per-sample `backward` after a default `forward_batch` is invalid and
-    /// batched backward is gated on [`Layer::supports_batched_backward`].
+    /// batched backward is gated on [`Layer::supports_batched_train`].
     /// Layers overriding this with a genuinely batched implementation must
     /// keep bit-identical outputs and maintain per-sample caches for
-    /// [`Layer::backward_input_batch`] (except in [`Mode::Inference`], where
-    /// only the input-gradient caches are required).
+    /// [`Layer::backward_batch`]. Inference batches use
+    /// [`Layer::forward_lanes`] instead.
     ///
     /// # Errors
     ///
@@ -80,6 +93,27 @@ pub trait Layer: Send {
     fn forward_batch(&mut self, inputs: &[Tensor], mode: Mode) -> Result<Vec<Tensor>> {
         inputs.iter().map(|x| self.try_forward(x, mode)).collect()
     }
+
+    /// Lane-major [`Mode::Inference`] forward: `input` is `B` samples as
+    /// one tensor of the per-sample shape plus a last axis of `B` lanes, and
+    /// so is the result. Lane `b` of the output is bit-identical to
+    /// [`Layer::forward`] of sample `b`. The layer keeps the input-gradient
+    /// caches of all `B` samples for [`Layer::backward_input_lanes`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the layer's shape-validation error for a mismatched batch.
+    fn forward_lanes(&mut self, input: Tensor) -> Result<Tensor>;
+
+    /// Lane-major [`Layer::backward_input`]: the input gradients of the
+    /// batch of the immediately preceding [`Layer::forward_lanes`], from its
+    /// lane-major output gradients, without touching parameter gradients.
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error if `grad_out` does not match the preceding
+    /// forward's output.
+    fn backward_input_lanes(&mut self, grad_out: Tensor) -> Result<Tensor>;
 
     /// Propagates `grad_out` (gradient w.r.t. the last forward output) and
     /// returns the gradient w.r.t. the last forward input. Accumulates
@@ -122,32 +156,6 @@ pub trait Layer: Send {
     /// [`Mode::Inference`].
     fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
         self.backward(grad_out)
-    }
-
-    /// Batched [`Layer::backward_input`]: per-sample input gradients for the
-    /// batch of the immediately preceding [`Layer::forward_batch`].
-    ///
-    /// Only valid on layers reporting [`Layer::supports_batched_backward`];
-    /// the default returns [`TensorError::Unsupported`] so a mis-wired caller
-    /// fails loudly instead of silently using stale caches.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::Unsupported`] unless overridden.
-    fn backward_input_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
-        let _ = grads_out;
-        Err(TensorError::Unsupported {
-            op: "backward_input_batch",
-            by: self.name(),
-        })
-    }
-
-    /// Whether this layer implements the batched backward contract
-    /// ([`Layer::forward_batch`] keeping per-sample caches +
-    /// [`Layer::backward_input_batch`]). Defaults to `false`; callers fall
-    /// back to per-sample forward/backward for layers that opt out.
-    fn supports_batched_backward(&self) -> bool {
-        false
     }
 
     /// Batched [`Layer::backward`]: per-sample input gradients for the batch

@@ -1,8 +1,8 @@
 use crate::{Layer, Mode};
 use remix_tensor::{Result, Tensor, TensorError};
 
-/// Checks that a batched backward call matches the batch size of the
-/// preceding `forward_batch`.
+/// Checks that a batched backward call matches the cached state of the
+/// preceding batched forward (samples, or elements of a lane-major batch).
 fn check_batch(got: usize, cached: usize, op: &'static str) -> Result<()> {
     if got == cached {
         Ok(())
@@ -60,11 +60,28 @@ impl Layer for Relu {
         Tensor::from_vec(data, grad_out.shape()).expect("same shape")
     }
 
-    fn backward_input_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
+    fn forward_lanes(&mut self, mut input: Tensor) -> Result<Tensor> {
+        self.mask.clear();
+        self.mask.extend(input.data().iter().map(|&v| v > 0.0));
+        input.map_inplace(|v| v.max(0.0));
+        Ok(input)
+    }
+
+    fn backward_input_lanes(&mut self, mut grad_out: Tensor) -> Result<Tensor> {
+        check_batch(grad_out.len(), self.mask.len(), "relu backward_input_lanes")?;
+        // A select, not a conditional store: it stays branch-free.
+        for (g, &m) in grad_out.data_mut().iter_mut().zip(&self.mask) {
+            *g = if m { *g } else { 0.0 };
+        }
+        Ok(grad_out)
+    }
+
+    fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
+        // No parameters: the training backward is the input backward.
         check_batch(
             grads_out.len(),
             self.batch_masks.len(),
-            "relu backward_input_batch",
+            "relu backward_batch",
         )?;
         grads_out
             .iter()
@@ -79,15 +96,6 @@ impl Layer for Relu {
                 Tensor::from_vec(data, g.shape())
             })
             .collect()
-    }
-
-    fn supports_batched_backward(&self) -> bool {
-        true
-    }
-
-    fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
-        // No parameters: the training backward is the input backward.
-        self.backward_input_batch(grads_out)
     }
 
     fn supports_batched_train(&self) -> bool {
@@ -143,11 +151,27 @@ impl Layer for Sigmoid {
         Tensor::from_vec(data, grad_out.shape()).expect("same shape")
     }
 
-    fn backward_input_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
+    fn forward_lanes(&mut self, mut input: Tensor) -> Result<Tensor> {
+        input.map_inplace(|v| 1.0 / (1.0 + (-v).exp()));
+        self.cached_out = input.clone();
+        Ok(input)
+    }
+
+    fn backward_input_lanes(&mut self, grad_out: Tensor) -> Result<Tensor> {
+        check_batch(
+            grad_out.len(),
+            self.cached_out.len(),
+            "sigmoid backward_input_lanes",
+        )?;
+        Ok(self.backward(&grad_out))
+    }
+
+    fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
+        // No parameters: the training backward is the input backward.
         check_batch(
             grads_out.len(),
             self.batch_outs.len(),
-            "sigmoid backward_input_batch",
+            "sigmoid backward_batch",
         )?;
         grads_out
             .iter()
@@ -162,15 +186,6 @@ impl Layer for Sigmoid {
                 Tensor::from_vec(data, g.shape())
             })
             .collect()
-    }
-
-    fn supports_batched_backward(&self) -> bool {
-        true
-    }
-
-    fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
-        // No parameters: the training backward is the input backward.
-        self.backward_input_batch(grads_out)
     }
 
     fn supports_batched_train(&self) -> bool {
@@ -223,11 +238,27 @@ impl Layer for TanhLayer {
         Tensor::from_vec(data, grad_out.shape()).expect("same shape")
     }
 
-    fn backward_input_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
+    fn forward_lanes(&mut self, mut input: Tensor) -> Result<Tensor> {
+        input.map_inplace(f32::tanh);
+        self.cached_out = input.clone();
+        Ok(input)
+    }
+
+    fn backward_input_lanes(&mut self, grad_out: Tensor) -> Result<Tensor> {
+        check_batch(
+            grad_out.len(),
+            self.cached_out.len(),
+            "tanh backward_input_lanes",
+        )?;
+        Ok(self.backward(&grad_out))
+    }
+
+    fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
+        // No parameters: the training backward is the input backward.
         check_batch(
             grads_out.len(),
             self.batch_outs.len(),
-            "tanh backward_input_batch",
+            "tanh backward_batch",
         )?;
         grads_out
             .iter()
@@ -242,15 +273,6 @@ impl Layer for TanhLayer {
                 Tensor::from_vec(data, g.shape())
             })
             .collect()
-    }
-
-    fn supports_batched_backward(&self) -> bool {
-        true
-    }
-
-    fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
-        // No parameters: the training backward is the input backward.
-        self.backward_input_batch(grads_out)
     }
 
     fn supports_batched_train(&self) -> bool {
@@ -295,20 +317,43 @@ mod tests {
     }
 
     #[test]
-    fn batched_relu_keeps_per_sample_masks() {
-        let mut r = Relu::new();
+    fn lane_sigmoid_and_tanh_match_per_sample() {
         let xs = [
-            Tensor::from_slice(&[-1.0, 2.0]),
-            Tensor::from_slice(&[3.0, -4.0]),
+            Tensor::from_slice(&[-1.5, 0.25, 3.0]),
+            Tensor::from_slice(&[0.0, -0.0, 0.75]),
         ];
-        let ys = r.forward_batch(&xs, Mode::Inference).unwrap();
-        assert_eq!(ys[0].data(), &[0.0, 2.0]);
-        assert_eq!(ys[1].data(), &[3.0, 0.0]);
-        let gs = [Tensor::ones(&[2]), Tensor::ones(&[2])];
-        let dxs = r.backward_input_batch(&gs).unwrap();
-        assert_eq!(dxs[0].data(), &[0.0, 1.0]);
-        assert_eq!(dxs[1].data(), &[1.0, 0.0]);
-        // Mismatched batch size is rejected rather than silently zipped.
-        assert!(r.backward_input_batch(&gs[..1]).is_err());
+        let gs = [
+            Tensor::from_slice(&[1.0, -2.0, 0.5]),
+            Tensor::from_slice(&[0.3, 0.0, -1.0]),
+        ];
+        let layers: [Box<dyn Layer>; 2] = [Box::new(Sigmoid::new()), Box::new(TanhLayer::new())];
+        for mut layer in layers {
+            let (mut ys, mut dxs) = (Vec::new(), Vec::new());
+            for (x, g) in xs.iter().zip(&gs) {
+                ys.push(layer.forward(x, Mode::Inference));
+                dxs.push(layer.backward_input(g));
+            }
+            let y = layer
+                .forward_lanes(Tensor::stack_lanes(&xs).unwrap())
+                .unwrap();
+            let dx = layer
+                .backward_input_lanes(Tensor::stack_lanes(&gs).unwrap())
+                .unwrap();
+            assert_eq!(y.unstack_lanes(), ys, "{}", layer.name());
+            assert_eq!(dx.unstack_lanes(), dxs, "{}", layer.name());
+        }
+    }
+
+    #[test]
+    fn lane_relu_keeps_per_lane_masks() {
+        let mut r = Relu::new();
+        // Lane-major: element 0 of both samples, then element 1.
+        let xs = Tensor::from_vec(vec![-1.0, 3.0, 2.0, -4.0], &[2, 2]).unwrap();
+        let ys = r.forward_lanes(xs).unwrap();
+        assert_eq!(ys.data(), &[0.0, 3.0, 2.0, 0.0]);
+        let dxs = r.backward_input_lanes(Tensor::ones(&[2, 2])).unwrap();
+        assert_eq!(dxs.data(), &[0.0, 1.0, 1.0, 0.0]);
+        // A mismatched batch is rejected rather than silently zipped.
+        assert!(r.backward_input_lanes(Tensor::ones(&[2, 1])).is_err());
     }
 }

@@ -1,3 +1,4 @@
+use super::plane_lanes_of;
 use crate::{Layer, Mode};
 use remix_tensor::{Result, Tensor, TensorError};
 
@@ -143,23 +144,104 @@ impl Layer for InstanceNorm2d {
         self.input_grad_from(grad_out, &self.cached_xhat, &self.cached_sigma)
     }
 
-    fn backward_input_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
-        if grads_out.len() != self.batch_xhat.len() {
-            return Err(TensorError::ShapeMismatch {
-                left: vec![grads_out.len()],
-                right: vec![self.batch_xhat.len()],
-                op: "instancenorm backward_input_batch",
+    fn forward_lanes(&mut self, mut input: Tensor) -> Result<Tensor> {
+        let lanes = plane_lanes_of(
+            &input,
+            self.channels,
+            self.spatial,
+            "instancenorm forward_lanes",
+        )?;
+        let (n, eps) = (self.spatial as f32, self.eps);
+        let mut xhat = vec![0.0f32; input.len()];
+        let mut sigma = vec![0.0f32; self.channels * lanes];
+        let plane = self.spatial * lanes;
+        for (c, ((x, xh), sig)) in input
+            .data_mut()
+            .chunks_exact_mut(plane)
+            .zip(xhat.chunks_exact_mut(plane))
+            .zip(sigma.chunks_exact_mut(lanes))
+            .enumerate()
+        {
+            let (g, b) = (self.gamma.data()[c], self.beta.data()[c]);
+            // Each lane runs the per-sample chains: `Iterator::sum` from
+            // -0.0 in spatial order for the mean, then for the variance.
+            for_lane_groups!(lanes, b0, G, {
+                let mut sum = [-0.0f32; G];
+                for row in x.chunks_exact(lanes) {
+                    let v = lane_group!(row, b0, G);
+                    for i in 0..G {
+                        sum[i] += v[i];
+                    }
+                }
+                let mean = sum.map(|s| s / n);
+                let mut var = [-0.0f32; G];
+                for row in x.chunks_exact(lanes) {
+                    let v = lane_group!(row, b0, G);
+                    for i in 0..G {
+                        var[i] += (v[i] - mean[i]) * (v[i] - mean[i]);
+                    }
+                }
+                let s = var.map(|v| (v / n + eps).sqrt());
+                sig[b0..b0 + G].copy_from_slice(&s);
+                for (row, hrow) in x.chunks_exact_mut(lanes).zip(xh.chunks_exact_mut(lanes)) {
+                    let (v, h) = (lane_group!(mut row, b0, G), lane_group!(mut hrow, b0, G));
+                    for i in 0..G {
+                        h[i] = (v[i] - mean[i]) / s[i];
+                        v[i] = g * h[i] + b;
+                    }
+                }
             });
         }
-        Ok(grads_out
-            .iter()
-            .zip(self.batch_xhat.iter().zip(&self.batch_sigma))
-            .map(|(g, (xhat, sigma))| self.input_grad_from(g, xhat, sigma))
-            .collect())
+        self.cached_xhat = Tensor::from_vec(xhat, input.shape())?;
+        self.cached_sigma = sigma;
+        Ok(input)
     }
 
-    fn supports_batched_backward(&self) -> bool {
-        true
+    fn backward_input_lanes(&mut self, mut grad_out: Tensor) -> Result<Tensor> {
+        let lanes = plane_lanes_of(
+            &grad_out,
+            self.channels,
+            self.spatial,
+            "instancenorm backward_input_lanes",
+        )?;
+        if grad_out.shape() != self.cached_xhat.shape() {
+            return Err(TensorError::ShapeMismatch {
+                left: grad_out.shape().to_vec(),
+                right: self.cached_xhat.shape().to_vec(),
+                op: "instancenorm backward_input_lanes",
+            });
+        }
+        let n = self.spatial as f32;
+        let plane = self.spatial * lanes;
+        for (c, ((go, xh), sig)) in grad_out
+            .data_mut()
+            .chunks_exact_mut(plane)
+            .zip(self.cached_xhat.data().chunks_exact(plane))
+            .zip(self.cached_sigma.chunks_exact(lanes))
+            .enumerate()
+        {
+            let g = self.gamma.data()[c];
+            // dx = γ/(Nσ) · (N·dy − Σdy − x̂·Σ(dy·x̂)), both sums from -0.0
+            // per lane, as `input_grad_from` computes them.
+            for_lane_groups!(lanes, b0, G, {
+                let (mut sum_dy, mut sum_dy_xhat) = ([-0.0f32; G], [-0.0f32; G]);
+                for (row, hrow) in go.chunks_exact(lanes).zip(xh.chunks_exact(lanes)) {
+                    let (d, h) = (lane_group!(row, b0, G), lane_group!(hrow, b0, G));
+                    for i in 0..G {
+                        sum_dy[i] += d[i];
+                        sum_dy_xhat[i] += d[i] * h[i];
+                    }
+                }
+                let scale = lane_group!(sig, b0, G).map(|s| g / (n * s));
+                for (row, hrow) in go.chunks_exact_mut(lanes).zip(xh.chunks_exact(lanes)) {
+                    let (d, h) = (lane_group!(mut row, b0, G), lane_group!(hrow, b0, G));
+                    for i in 0..G {
+                        d[i] = scale[i] * (n * d[i] - sum_dy[i] - h[i] * sum_dy_xhat[i]);
+                    }
+                }
+            });
+        }
+        Ok(grad_out)
     }
 
     fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
@@ -213,6 +295,24 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
     use remix_tensor::Tensor;
+
+    #[test]
+    fn lanes_keep_the_per_sample_signed_zeros() {
+        // A channel of -0.0 makes every sum's sign hinge on its -0.0 start
+        // (`Iterator::sum`'s); the other lanes hold ordinary values.
+        let mut norm = InstanceNorm2d::new((2, 2, 2));
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut xs: Vec<Tensor> = (0..3)
+            .map(|_| Tensor::randn(&[2, 2, 2], 1.0, &mut rng))
+            .collect();
+        let mut gs: Vec<Tensor> = (0..3)
+            .map(|_| Tensor::randn(&[2, 2, 2], 1.0, &mut rng))
+            .collect();
+        xs[1].data_mut()[..4].fill(-0.0);
+        gs[1].data_mut()[..4].fill(-0.0);
+        gs[2].data_mut()[4..].fill(-0.0);
+        crate::layers::assert_lanes_match_per_sample(&mut norm, &xs, &gs);
+    }
 
     #[test]
     fn output_is_standardized_per_channel() {

@@ -7,10 +7,13 @@ use remix_tensor::{
 /// 2-D convolution over `[C, H, W]` inputs, lowered to matrix products
 /// without unfolding the input.
 ///
-/// Weights are stored as `[filters, C*k*k]`. The forward pass is one
-/// `W · patchesᵀ` GEMM over the whole batch whose B panels are packed
-/// straight from the images (`conv_gemm_into`), and the input gradient is
-/// `Wᵀ · G` folded onto the images panel by panel (`conv_input_grads`).
+/// Weights are stored as `[filters, C*k*k]`. Every forward entry is one
+/// `W · patchesᵀ` GEMM whose B panels are packed straight from the batch —
+/// a lane-major `[C, H, W, B]` inference batch or a single sample
+/// (`conv_gemm_into`), or a sample-major training batch
+/// (`conv_gemm_samples_into`) — and the input gradient is `Wᵀ · G` folded
+/// onto the images panel by panel (`conv_input_grads`,
+/// `conv_input_grads_samples`).
 /// Both are bit-identical to the unfolded formulation (`im2row` rows
 /// through `matmul_a_bt`, `gᵀ · W` through `row2im`) because every output
 /// element keeps its own ascending-k chain and every input-gradient element
@@ -41,15 +44,15 @@ struct ConvPacks {
     bwd: PackedOperand,
 }
 
-/// Reusable buffers for the batched GEMMs. Each GEMM call site owns its
-/// buffers so the sizes stay stable across calls and the kernels never
-/// reallocate in steady state.
+/// Reusable buffers for the GEMMs. Each GEMM call site owns its buffers so
+/// the sizes stay stable across calls and the kernels never reallocate in
+/// steady state.
 #[derive(Debug, Clone, Default)]
 struct ConvScratch {
-    fwd_out: Vec<f32>,    // [F, B·spatial] forward product
-    fwd_packed: Vec<f32>, // zero-padded input images the forward panels read
-    dx: Vec<f32>,         // padded gradient copies and input-gradient images
-    dw_packed: Vec<f32>,  // packed patch-row panels for the per-sample dW GEMMs
+    fwd_out: Vec<f32>,   // [F, B·spatial] forward product of a training batch
+    padded: Vec<f32>,    // zero-padded batch the forward panels read
+    dx: Vec<f32>,        // gradient copies and zero-padded input gradients
+    dw_packed: Vec<f32>, // packed patch-row panels for the per-sample dW GEMMs
 }
 
 impl Conv2d {
@@ -97,14 +100,49 @@ impl Conv2d {
         (self.filters, self.geo.out_h(), self.geo.out_w())
     }
 
-    /// Input gradients, one per output gradient — the one dX path of every
-    /// backward entry: `Wᵀ · G` for the concatenated gradients, folded onto
-    /// the images panel by panel. `Wᵀ` is read straight out of the
+    /// The forward product `W · patchesᵀ + b` of a lane-major
+    /// `[C, H, W, B]` batch into `out`, the lane-major `[F, out_h, out_w, B]`
+    /// output — the one forward path of every entry. Each output element
+    /// keeps its own ascending-patch chain, so every lane is bit-identical
+    /// to the per-sample product, and the bias is added as `v + b`.
+    fn forward_into(&mut self, batch: &Tensor, out: &mut Vec<f32>) -> Result<()> {
+        match &self.packs {
+            Some(p) => {
+                p.fwd
+                    .conv_gemm_prepacked_into(batch, &self.geo, out, &mut self.scratch.padded)?
+            }
+            None => self
+                .weight
+                .conv_gemm_into(batch, &self.geo, out, &mut self.scratch.padded)?,
+        }
+        if !out.is_empty() {
+            let n = out.len() / self.filters;
+            for (row, &b) in out.chunks_exact_mut(n).zip(self.bias.data()) {
+                for v in row {
+                    *v += b;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The forward of one `[C, H, W]` sample, which the conv entries take
+    /// as a one-lane batch.
+    fn forward_sample(&mut self, input: &Tensor) -> Result<Tensor> {
+        let mut out = Vec::new();
+        self.forward_into(input, &mut out)?;
+        let (f, oh, ow) = self.out_shape();
+        Tensor::from_vec(out, &[f, oh, ow])
+    }
+
+    /// Input gradients of a lane-major `[F, out_h, out_w, B]` output
+    /// gradient — the one dX path of every backward entry: `Wᵀ · G` folded
+    /// onto the images panel by panel. `Wᵀ` is read straight out of the
     /// `[F, patch]` storage (or its frozen `prepack_at` blocks), and each
     /// product element sums over filters in ascending order, the chain of
     /// the unfolded formulation's `gᵀ · W`. Every GEMM column belongs to one
     /// sample, so batched gradients match per-sample ones bit for bit.
-    fn input_grads(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
+    fn input_grads(&mut self, grads_out: &Tensor) -> Result<Tensor> {
         match &self.packs {
             Some(p) => p
                 .bwd
@@ -115,12 +153,41 @@ impl Conv2d {
         }
     }
 
-    /// Input gradient of one sample (see [`Conv2d::input_grads`]).
+    /// Input gradient of one sample (see [`Conv2d::input_grads`]): a
+    /// `[F, out_h, out_w]` gradient is a one-lane batch.
     fn input_grad(&mut self, grad_out: &Tensor) -> Tensor {
-        self.input_grads(std::slice::from_ref(grad_out))
+        self.input_grads(grad_out)
             .expect("grad shape matches conv output")
-            .pop()
-            .expect("one gradient per sample")
+    }
+
+    /// [`Conv2d::input_grads`] of a sample-major training batch: one GEMM
+    /// over the concatenated gradients, folded onto each sample's image.
+    fn input_grads_samples(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
+        match &self.packs {
+            Some(p) => {
+                p.bwd
+                    .conv_input_grads_samples_prepacked(grads_out, &self.geo, &mut self.scratch.dx)
+            }
+            None => {
+                self.weight
+                    .conv_input_grads_samples(grads_out, &self.geo, &mut self.scratch.dx)
+            }
+        }
+    }
+
+    /// Train/Eval forwards unfold the batch's `[B*out_h*out_w, C*k*k]` patch
+    /// rows, because the dW accumulation reads per-sample row windows of
+    /// them; an Inference forward drops stale rows instead.
+    fn cache_rows(&mut self, inputs: &[Tensor], mode: Mode) -> Result<()> {
+        if mode == Mode::Inference {
+            self.cached_rows = Tensor::default();
+            return Ok(());
+        }
+        let mut rows = std::mem::take(&mut self.cached_rows).into_vec();
+        im2row_batch_into(inputs, &self.geo, &mut rows)?;
+        let spatial = self.geo.out_h() * self.geo.out_w();
+        self.cached_rows = Tensor::from_vec(rows, &[inputs.len() * spatial, self.geo.patch_len()])?;
+        Ok(())
     }
 
     /// `grad_out` viewed as the `[F, out_h*out_w]` matrix the dW GEMM reads.
@@ -211,8 +278,9 @@ impl Layer for Conv2d {
     }
 
     fn try_forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let mut outs = self.forward_batch(std::slice::from_ref(input), mode)?;
-        Ok(outs.pop().expect("one output per input"))
+        let out = self.forward_sample(input)?;
+        self.cache_rows(std::slice::from_ref(input), mode)?;
+        Ok(out)
     }
 
     fn forward_batch(&mut self, inputs: &[Tensor], mode: Mode) -> Result<Vec<Tensor>> {
@@ -228,32 +296,24 @@ impl Layer for Conv2d {
         // per-sample product.
         let mut big = std::mem::take(&mut self.scratch.fwd_out);
         let gemm = match &self.packs {
-            Some(p) => p.fwd.conv_gemm_prepacked_into(
+            Some(p) => p.fwd.conv_gemm_samples_prepacked_into(
                 inputs,
                 &self.geo,
                 &mut big,
-                &mut self.scratch.fwd_packed,
+                &mut self.scratch.padded,
             ),
-            None => self.weight.conv_gemm_into(
+            None => self.weight.conv_gemm_samples_into(
                 inputs,
                 &self.geo,
                 &mut big,
-                &mut self.scratch.fwd_packed,
+                &mut self.scratch.padded,
             ),
         };
         if let Err(e) = gemm {
             self.scratch.fwd_out = big;
             return Err(e);
         }
-        if mode == Mode::Inference {
-            self.cached_rows = Tensor::default();
-        } else {
-            // Train/Eval unfold the batch only because the dW accumulation
-            // reads per-sample row windows of the patch matrix.
-            let mut rows = std::mem::take(&mut self.cached_rows).into_vec();
-            im2row_batch_into(inputs, &self.geo, &mut rows)?;
-            self.cached_rows = Tensor::from_vec(rows, &[total, self.geo.patch_len()])?;
-        }
+        self.cache_rows(inputs, mode)?;
         let mut outs = Vec::with_capacity(inputs.len());
         for bi in 0..inputs.len() {
             let mut sample = Vec::with_capacity(self.filters * spatial);
@@ -266,6 +326,19 @@ impl Layer for Conv2d {
         }
         self.scratch.fwd_out = big;
         Ok(outs)
+    }
+
+    fn forward_lanes(&mut self, input: Tensor) -> Result<Tensor> {
+        let mut out = Vec::new();
+        self.forward_into(&input, &mut out)?;
+        self.cached_rows = Tensor::default();
+        let (f, oh, ow) = self.out_shape();
+        let lanes = out.len() / (f * oh * ow);
+        Tensor::from_vec(out, &[f, oh, ow, lanes])
+    }
+
+    fn backward_input_lanes(&mut self, grad_out: Tensor) -> Result<Tensor> {
+        self.input_grads(&grad_out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -285,17 +358,6 @@ impl Layer for Conv2d {
         self.input_grad(grad_out)
     }
 
-    fn backward_input_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
-        if grads_out.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.input_grads(grads_out)
-    }
-
-    fn supports_batched_backward(&self) -> bool {
-        true
-    }
-
     fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
         if grads_out.is_empty() {
             return Ok(Vec::new());
@@ -304,7 +366,7 @@ impl Layer for Conv2d {
         let patch = self.geo.patch_len();
         self.validate_batch_grads(grads_out, spatial, patch)?;
         self.accumulate_batch_param_grads(grads_out, spatial, patch);
-        self.input_grads(grads_out)
+        self.input_grads_samples(grads_out)
     }
 
     fn backward_batch_params_only(&mut self, grads_out: &[Tensor]) -> Result<()> {
@@ -429,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_forward_and_backward_are_bit_identical() {
+    fn lane_forward_and_backward_are_bit_identical() {
         let mut rng = StdRng::seed_from_u64(6);
         let mut conv = Conv2d::new((2, 5, 5), 4, 3, 2, 1, &mut rng);
         let inputs: Vec<Tensor> = (0..3)
@@ -444,8 +506,14 @@ mod tests {
             seq_out.push(conv.forward(x, Mode::Inference));
             seq_dx.push(conv.backward_input(g));
         }
-        let bat_out = conv.forward_batch(&inputs, Mode::Inference).unwrap();
-        let bat_dx = conv.backward_input_batch(&grads).unwrap();
+        let bat_out = conv
+            .forward_lanes(Tensor::stack_lanes(&inputs).unwrap())
+            .unwrap()
+            .unstack_lanes();
+        let bat_dx = conv
+            .backward_input_lanes(Tensor::stack_lanes(&grads).unwrap())
+            .unwrap()
+            .unstack_lanes();
         for (a, b) in seq_out.iter().zip(&bat_out) {
             assert_eq!(a.shape(), b.shape());
             assert_eq!(a.data(), b.data());

@@ -1,6 +1,7 @@
+use super::lanes_of;
 use crate::{Layer, Mode};
 use rand::Rng;
-use remix_tensor::{PackedOperand, Result, Tensor};
+use remix_tensor::{PackedOperand, Result, Tensor, TensorError};
 
 /// Fully-connected layer: `y = W x + b` over rank-1 inputs.
 ///
@@ -101,6 +102,53 @@ impl Dense {
             }
         }
         Tensor::from_slice(&dx)
+    }
+
+    /// [`Layer::forward`]'s `W x + b` for each lane of a lane-major
+    /// `[in, B]` batch, through the per-sample `matvec` chain: every output
+    /// lane sums `w·x` over the inputs in ascending order from -0.0, where
+    /// `Iterator::sum` starts, then adds the bias. Composite layers
+    /// (squeeze-excitation) that run their dense sublayers per sample use
+    /// this for their lanes.
+    pub(crate) fn matvec_lanes(&self, x: &[f32], lanes: usize) -> Vec<f32> {
+        let in_dim = self.in_dim();
+        let mut out = vec![-0.0f32; self.out_dim() * lanes];
+        for ((o, row), &b) in out
+            .chunks_exact_mut(lanes)
+            .zip(self.weight.data().chunks_exact(in_dim))
+            .zip(self.bias.data())
+        {
+            for (&w, xs) in row.iter().zip(x.chunks_exact(lanes)) {
+                for (acc, &xv) in o.iter_mut().zip(xs) {
+                    *acc += w * xv;
+                }
+            }
+            for acc in o {
+                *acc += b;
+            }
+        }
+        out
+    }
+
+    /// [`Dense::input_grad`] for each lane of a lane-major `[out, B]`
+    /// gradient: the same per-lane chain over the outputs from +0.0,
+    /// zero-gradient skip included.
+    pub(crate) fn input_grad_lanes(&self, grad_out: &[f32], lanes: usize) -> Vec<f32> {
+        let in_dim = self.in_dim();
+        let mut dx = vec![0.0f32; in_dim * lanes];
+        for (gs, row) in grad_out
+            .chunks_exact(lanes)
+            .zip(self.weight.data().chunks_exact(in_dim))
+        {
+            for (d, &w) in dx.chunks_exact_mut(lanes).zip(row) {
+                for (d, &g) in d.iter_mut().zip(gs) {
+                    if g != 0.0 {
+                        *d += g * w;
+                    }
+                }
+            }
+        }
+        dx
     }
 
     /// Batched `dX = Wᵀ · G` through one transpose-free GEMM into reused
@@ -257,21 +305,58 @@ impl Layer for Dense {
         Ok(outs)
     }
 
-    fn backward_input_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
-        // dx = Wᵀ g needs no cached state. A frozen layer routes the batch
-        // through the prepacked Wᵀ·G GEMM — bit-identical to the per-sample
-        // kernel (see `batched_input_grads`). Unfrozen layers keep the
-        // per-sample loop, which skips the gmat transpose-copy for the
-        // common single-gradient XAI call.
-        if self.packs.is_some() && !grads_out.is_empty() {
-            self.batched_input_grads(grads_out)
-        } else {
-            Ok(grads_out.iter().map(|g| self.input_grad(g)).collect())
+    fn forward_lanes(&mut self, input: Tensor) -> Result<Tensor> {
+        let (out_dim, in_dim) = (self.out_dim(), self.in_dim());
+        // Whatever the per-sample shape, a lane-major batch is the `[in, B]`
+        // column matrix the GEMM multiplies: `big[i][s] = Σ_j w[i][j]·x_s[j]`
+        // in ascending j, the per-sample matvec chain, so adding the bias
+        // last reproduces forward() bitwise.
+        let lanes = input.shape().last().copied().unwrap_or(0);
+        if lanes == 0 || input.len() != in_dim * lanes {
+            return Err(TensorError::ShapeMismatch {
+                left: input.shape().to_vec(),
+                right: vec![in_dim],
+                op: "dense forward_lanes",
+            });
         }
+        let xmat = input.into_shape(&[in_dim, lanes])?;
+        let mut out = Vec::new();
+        match &self.packs {
+            Some(p) => {
+                p.fwd
+                    .matmul_prepacked_into(&xmat, &mut out, &mut self.scratch.fwd_packed)?
+            }
+            None => self
+                .weight
+                .matmul_into(&xmat, &mut out, &mut self.scratch.fwd_packed)?,
+        }
+        for (row, &b) in out.chunks_exact_mut(lanes).zip(self.bias.data()) {
+            for v in row {
+                *v += b;
+            }
+        }
+        Tensor::from_vec(out, &[out_dim, lanes])
     }
 
-    fn supports_batched_backward(&self) -> bool {
-        true
+    fn backward_input_lanes(&mut self, grad_out: Tensor) -> Result<Tensor> {
+        // dx = Wᵀ g needs no cached state: one transpose-free GEMM over the
+        // `[out, B]` gradients, through the prepacked Wᵀ when frozen —
+        // bit-identical to the per-sample kernel (see `batched_input_grads`).
+        let in_dim = self.in_dim();
+        let lanes = lanes_of(&grad_out, &[self.out_dim()], "dense backward_input_lanes")?;
+        let mut dx = Vec::new();
+        match &self.packs {
+            Some(p) => p.bwd.matmul_at_b_prepacked_into(
+                &grad_out,
+                &mut dx,
+                &mut self.scratch.bwd_packed,
+            )?,
+            None => {
+                self.weight
+                    .matmul_at_b_into(&grad_out, &mut dx, &mut self.scratch.bwd_packed)?
+            }
+        }
+        Tensor::from_vec(dx, &[in_dim, lanes])
     }
 
     fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {

@@ -1,3 +1,4 @@
+use super::lanes_of;
 use crate::{Layer, Mode};
 use rand::Rng;
 use remix_tensor::{Conv2dGeometry, Result, Tensor};
@@ -53,6 +54,56 @@ fn scatter_mul_add(dst: &mut [f32], src: &[f32], stride: usize, w: f32) {
         for (d, &g) in dst.iter_mut().step_by(stride).zip(src) {
             *d += g * w;
         }
+    }
+}
+
+/// `dst[i] += w · src[(ix0 + i·stride)·B + b]` over lane-major rows: one
+/// kernel tap over a run of output columns, `B = lanes` lanes each. At
+/// stride 1 the run is one contiguous slice-add.
+fn gather_mul_add_lanes(
+    dst: &mut [f32],
+    src: &[f32],
+    ix0: usize,
+    stride: usize,
+    lanes: usize,
+    w: f32,
+) {
+    if stride == 1 {
+        let n = dst.len();
+        for (d, &x) in dst.iter_mut().zip(&src[ix0 * lanes..][..n]) {
+            *d += w * x;
+        }
+    } else {
+        for_lane_groups!(lanes, b0, G, {
+            for (i, run) in dst.chunks_exact_mut(lanes).enumerate() {
+                let x = lane_group!(src[(ix0 + i * stride) * lanes..], b0, G);
+                let d = lane_group!(mut run, b0, G);
+                for l in 0..G {
+                    d[l] += w * x[l];
+                }
+            }
+        });
+    }
+}
+
+/// `dst[(i·stride)·B + b] += src[i·B + b] · w`: one kernel tap's
+/// input-gradient contributions from a lane-major output row, onto distinct
+/// input slots.
+fn scatter_mul_add_lanes(dst: &mut [f32], src: &[f32], stride: usize, lanes: usize, w: f32) {
+    if stride == 1 {
+        for (d, &g) in dst[..src.len()].iter_mut().zip(src) {
+            *d += g * w;
+        }
+    } else {
+        for_lane_groups!(lanes, b0, G, {
+            for (i, run) in src.chunks_exact(lanes).enumerate() {
+                let g = lane_group!(run, b0, G);
+                let d = lane_group!(mut dst[i * stride * lanes..], b0, G);
+                for l in 0..G {
+                    d[l] += g[l] * w;
+                }
+            }
+        });
     }
 }
 
@@ -268,12 +319,77 @@ impl Layer for DepthwiseConv2d {
         Ok(outs)
     }
 
-    fn backward_input_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
-        Ok(grads_out.iter().map(|g| self.input_grad(g)).collect())
+    /// The per-sample forward over lane-major rows, caching nothing (the
+    /// input gradient needs only the weights). Each output lane starts from
+    /// the bias and adds its in-image taps in `ky`, `kx` order; taps that
+    /// would read padding are skipped, not added as zero products, since
+    /// `bias + w·0` would turn a -0.0 bias into +0.0.
+    fn forward_lanes(&mut self, input: Tensor) -> Result<Tensor> {
+        let g = self.geo;
+        let (oh, ow, k, s) = (g.out_h(), g.out_w(), g.kernel, g.stride);
+        let (h, w) = (g.in_h, g.in_w);
+        let lanes = lanes_of(&input, &[g.in_channels, h, w], "depthwise forward_lanes")?;
+        let (ys, xs) = self.taps();
+        let mut out = vec![0.0f32; g.in_channels * oh * ow * lanes];
+        for (c, (oplane, xplane)) in out
+            .chunks_exact_mut(oh * ow * lanes)
+            .zip(input.data().chunks_exact(h * w * lanes))
+            .enumerate()
+        {
+            let wk = &self.weight.data()[c * k * k..(c + 1) * k * k];
+            oplane.fill(self.bias.data()[c]);
+            for (ky, yr) in ys.iter().enumerate() {
+                for (kx, xr) in xs.iter().enumerate() {
+                    if xr.is_empty() {
+                        continue;
+                    }
+                    let ix0 = xr.start * s + kx - g.pad;
+                    for oy in yr.clone() {
+                        let xrow = &xplane[(oy * s + ky - g.pad) * w * lanes..][..w * lanes];
+                        let orow =
+                            &mut oplane[(oy * ow + xr.start) * lanes..(oy * ow + xr.end) * lanes];
+                        gather_mul_add_lanes(orow, xrow, ix0, s, lanes, wk[ky * k + kx]);
+                    }
+                }
+            }
+        }
+        Tensor::from_vec(out, &[g.in_channels, oh, ow, lanes])
     }
 
-    fn supports_batched_backward(&self) -> bool {
-        true
+    /// The per-sample input gradient over lane-major rows, each lane
+    /// receiving its contributions in the per-sample order.
+    fn backward_input_lanes(&mut self, grad_out: Tensor) -> Result<Tensor> {
+        let g = self.geo;
+        let (oh, ow, k, s, pad) = (g.out_h(), g.out_w(), g.kernel, g.stride, g.pad);
+        let (h, w) = (g.in_h, g.in_w);
+        let lanes = lanes_of(
+            &grad_out,
+            &[g.in_channels, oh, ow],
+            "depthwise backward_input_lanes",
+        )?;
+        let wp = (w + 2 * pad) * lanes;
+        let mut padded = vec![0.0f32; (h + 2 * pad) * wp];
+        let mut dx = Vec::with_capacity(g.in_channels * h * w * lanes);
+        for (wk, gplane) in self
+            .weight
+            .data()
+            .chunks_exact(k * k)
+            .zip(grad_out.data().chunks_exact(oh * ow * lanes))
+        {
+            padded.fill(0.0);
+            for ky in (0..k).rev() {
+                for kx in (0..k).rev() {
+                    for (oy, grow) in gplane.chunks_exact(ow * lanes).enumerate() {
+                        let dst = &mut padded[(oy * s + ky) * wp + kx * lanes..];
+                        scatter_mul_add_lanes(dst, grow, s, lanes, wk[ky * k + kx]);
+                    }
+                }
+            }
+            for prow in padded[pad * wp..][..h * wp].chunks_exact(wp) {
+                dx.extend_from_slice(&prow[pad * lanes..][..w * lanes]);
+            }
+        }
+        Tensor::from_vec(dx, &[g.in_channels, h, w, lanes])
     }
 
     fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
@@ -331,6 +447,29 @@ impl Layer for DepthwiseConv2d {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
+
+    #[test]
+    fn lanes_skip_padding_taps_like_the_per_sample_path() {
+        // A -0.0 bias over -0.0 inputs with positive weights stays -0.0 only
+        // if padding taps are skipped: `-0.0 + w·(+0.0)` is +0.0.
+        for stride in [1, 2] {
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut dw = DepthwiseConv2d::new((2, 5, 5), 3, stride, 1, &mut rng);
+            dw.weight.map_inplace(f32::abs);
+            dw.bias.data_mut().fill(-0.0);
+            let (oh, ow) = (dw.geo.out_h(), dw.geo.out_w());
+            let mut xs: Vec<Tensor> = (0..3)
+                .map(|_| Tensor::randn(&[2, 5, 5], 1.0, &mut rng))
+                .collect();
+            xs[0].data_mut().fill(-0.0);
+            let gs: Vec<Tensor> = (0..3)
+                .map(|_| Tensor::randn(&[2, oh, ow], 1.0, &mut rng))
+                .collect();
+            let y = dw.forward(&xs[0], Mode::Inference);
+            assert!(y.data().iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
+            crate::layers::assert_lanes_match_per_sample(&mut dw, &xs, &gs);
+        }
+    }
 
     #[test]
     fn channels_do_not_mix() {

@@ -111,9 +111,21 @@ impl Layer for Dropout {
         }
     }
 
-    fn backward_input_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
+    fn forward_lanes(&mut self, input: Tensor) -> Result<Tensor> {
+        // Identity in inference mode, like `forward`.
+        self.mask = None;
+        Ok(input)
+    }
+
+    fn backward_input_lanes(&mut self, grad_out: Tensor) -> Result<Tensor> {
+        Ok(grad_out)
+    }
+
+    fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
+        // No parameters: applying the per-sample masks is the whole training
+        // backward.
         if self.batch_masks.is_empty() {
-            // Identity in eval/inference mode.
+            // Identity after an eval-mode forward.
             return Ok(grads_out.to_vec());
         }
         if grads_out.len() != self.batch_masks.len() {
@@ -131,16 +143,6 @@ impl Layer for Dropout {
                 Tensor::from_vec(data, g.shape())
             })
             .collect()
-    }
-
-    fn supports_batched_backward(&self) -> bool {
-        true
-    }
-
-    fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
-        // No parameters: applying the per-sample masks is the whole training
-        // backward.
-        self.backward_input_batch(grads_out)
     }
 
     fn supports_batched_train(&self) -> bool {

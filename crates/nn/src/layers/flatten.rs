@@ -1,7 +1,8 @@
 use crate::{Layer, Mode};
 use remix_tensor::{Result, Tensor};
 
-/// Flattens any input to rank 1 and restores the shape on the way back.
+/// Flattens any input to rank 1 (a lane-major batch to `[features, B]`)
+/// and restores the shape on the way back.
 #[derive(Debug, Default, Clone)]
 pub struct Flatten {
     in_shape: Vec<usize>,
@@ -38,20 +39,26 @@ impl Layer for Flatten {
         Ok(inputs.iter().map(Tensor::flatten).collect())
     }
 
-    fn backward_input_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
-        grads_out
-            .iter()
-            .map(|g| g.reshape(&self.in_shape))
-            .collect()
+    fn forward_lanes(&mut self, input: Tensor) -> Result<Tensor> {
+        // Lane-major `[.., B]` flattens to `[len / B, B]` without moving a
+        // value: the per-sample axes are already row-major in front of the
+        // lanes.
+        let lanes = input.shape().last().copied().unwrap_or(1);
+        self.in_shape = input.shape().to_vec();
+        let flat = input.len() / lanes.max(1);
+        input.into_shape(&[flat, lanes])
     }
 
-    fn supports_batched_backward(&self) -> bool {
-        true
+    fn backward_input_lanes(&mut self, grad_out: Tensor) -> Result<Tensor> {
+        grad_out.into_shape(&self.in_shape)
     }
 
     fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
         // No parameters: reshaping is the whole training backward.
-        self.backward_input_batch(grads_out)
+        grads_out
+            .iter()
+            .map(|g| g.reshape(&self.in_shape))
+            .collect()
     }
 
     fn supports_batched_train(&self) -> bool {
@@ -75,5 +82,15 @@ mod tests {
         assert_eq!(y.shape(), &[24]);
         let dx = f.backward(&Tensor::ones(&[24]));
         assert_eq!(dx.shape(), &[2, 3, 4]);
+    }
+
+    #[test]
+    fn lane_batches_flatten_to_features_by_lanes() {
+        let mut f = Flatten::new();
+        let x = Tensor::from_vec((0..24).map(|v| v as f32).collect(), &[2, 3, 4]).unwrap();
+        let y = f.forward_lanes(x.clone()).unwrap();
+        assert_eq!(y.shape(), &[6, 4]);
+        assert_eq!(y.data(), x.data());
+        assert_eq!(f.backward_input_lanes(y).unwrap(), x);
     }
 }

@@ -1,3 +1,4 @@
+use super::lanes_of;
 use crate::{Layer, Mode};
 use remix_tensor::{Result, Tensor, TensorError};
 
@@ -66,9 +67,11 @@ impl MaxPool2d {
         out
     }
 
-    fn route_grad(&self, grad_out: &Tensor, argmax: &[usize]) -> Tensor {
+    /// Adds every output gradient onto its window's maximum, in a zero
+    /// input gradient of shape `[C, H, W]` plus `lanes`.
+    fn route_grad(&self, grad_out: &Tensor, argmax: &[usize], lanes: &[usize]) -> Tensor {
         let (c, h, w) = self.in_shape;
-        let mut dx = Tensor::zeros(&[c, h, w]);
+        let mut dx = Tensor::zeros(&[&[c, h, w][..], lanes].concat());
         let buf = dx.data_mut();
         for (&src, &g) in argmax.iter().zip(grad_out.data()) {
             buf[src] += g;
@@ -106,34 +109,78 @@ impl Layer for MaxPool2d {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let argmax = std::mem::take(&mut self.argmax);
-        let dx = self.route_grad(grad_out, &argmax);
+        let dx = self.route_grad(grad_out, &argmax, &[]);
         self.argmax = argmax;
         dx
     }
 
-    fn backward_input_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
-        if grads_out.len() != self.batch_argmax.len() {
-            return Err(TensorError::ShapeMismatch {
-                left: vec![grads_out.len()],
-                right: vec![self.batch_argmax.len()],
-                op: "maxpool backward_input_batch",
+    fn forward_lanes(&mut self, input: Tensor) -> Result<Tensor> {
+        let (c, h, w) = self.in_shape;
+        let lanes = lanes_of(&input, &[c, h, w], "maxpool forward_lanes")?;
+        let (_, oh, ow) = self.out_shape();
+        let win = self.window;
+        let x = input.data();
+        let mut out = vec![0.0f32; c * oh * ow * lanes];
+        self.argmax.clear();
+        self.argmax.resize(out.len(), 0);
+        // Each lane runs the per-sample scan: start at the window's first
+        // element, replace only on a strictly greater value (as selects:
+        // lanes disagree).
+        let windows = out
+            .chunks_exact_mut(lanes)
+            .zip(self.argmax.chunks_exact_mut(lanes));
+        for (o, (out, argmax)) in windows.enumerate() {
+            let (ci, oy, ox) = (o / (oh * ow), o / ow % oh, o % ow);
+            let corner = (ci * h + oy * win) * w + ox * win;
+            for_lane_groups!(lanes, b0, G, {
+                let mut best = *lane_group!(x[corner * lanes..], b0, G);
+                let mut best_i: [usize; G] = std::array::from_fn(|l| corner * lanes + b0 + l);
+                for ky in 0..win {
+                    for kx in 0..win {
+                        let base = (corner + ky * w + kx) * lanes;
+                        let v = lane_group!(x[base..], b0, G);
+                        for l in 0..G {
+                            let greater = v[l] > best[l];
+                            best[l] = if greater { v[l] } else { best[l] };
+                            best_i[l] = if greater { base + b0 + l } else { best_i[l] };
+                        }
+                    }
+                }
+                out[b0..b0 + G].copy_from_slice(&best);
+                argmax[b0..b0 + G].copy_from_slice(&best_i);
             });
         }
-        Ok(grads_out
-            .iter()
-            .zip(&self.batch_argmax)
-            .map(|(g, a)| self.route_grad(g, a))
-            .collect())
+        Tensor::from_vec(out, &[c, oh, ow, lanes])
     }
 
-    fn supports_batched_backward(&self) -> bool {
-        true
+    fn backward_input_lanes(&mut self, grad_out: Tensor) -> Result<Tensor> {
+        let (c, oh, ow) = self.out_shape();
+        let lanes = lanes_of(&grad_out, &[c, oh, ow], "maxpool backward_input_lanes")?;
+        if grad_out.len() != self.argmax.len() {
+            return Err(TensorError::ShapeMismatch {
+                left: grad_out.shape().to_vec(),
+                right: vec![self.argmax.len()],
+                op: "maxpool backward_input_lanes",
+            });
+        }
+        Ok(self.route_grad(&grad_out, &self.argmax, &[lanes]))
     }
 
     fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
         // No parameters: routing through the per-sample argmaxes is the whole
         // training backward.
-        self.backward_input_batch(grads_out)
+        if grads_out.len() != self.batch_argmax.len() {
+            return Err(TensorError::ShapeMismatch {
+                left: vec![grads_out.len()],
+                right: vec![self.batch_argmax.len()],
+                op: "maxpool backward_batch",
+            });
+        }
+        Ok(grads_out
+            .iter()
+            .zip(&self.batch_argmax)
+            .map(|(g, a)| self.route_grad(g, a, &[]))
+            .collect())
     }
 
     fn supports_batched_train(&self) -> bool {
@@ -222,18 +269,56 @@ impl Layer for AvgPool2d {
         dx
     }
 
-    fn backward_input_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
-        // Average pooling's backward reads no cached state.
-        Ok(grads_out.iter().map(|g| self.backward(g)).collect())
+    fn forward_lanes(&mut self, input: Tensor) -> Result<Tensor> {
+        let (c, h, w) = self.in_shape;
+        let lanes = lanes_of(&input, &[c, h, w], "avgpool forward_lanes")?;
+        let (_, oh, ow) = self.out_shape();
+        let (win, norm) = (self.window, 1.0 / (self.window * self.window) as f32);
+        let x = input.data();
+        let mut out = vec![0.0f32; c * oh * ow * lanes];
+        for (o, out) in out.chunks_exact_mut(lanes).enumerate() {
+            let (ci, oy, ox) = (o / (oh * ow), o / ow % oh, o % ow);
+            let corner = (ci * h + oy * win) * w + ox * win;
+            for_lane_groups!(lanes, b0, G, {
+                let mut acc = [0.0f32; G];
+                for ky in 0..win {
+                    for kx in 0..win {
+                        let v = lane_group!(x[(corner + ky * w + kx) * lanes..], b0, G);
+                        for l in 0..G {
+                            acc[l] += v[l];
+                        }
+                    }
+                }
+                out[b0..b0 + G].copy_from_slice(&acc.map(|a| a * norm));
+            });
+        }
+        Tensor::from_vec(out, &[c, oh, ow, lanes])
     }
 
-    fn supports_batched_backward(&self) -> bool {
-        true
+    fn backward_input_lanes(&mut self, grad_out: Tensor) -> Result<Tensor> {
+        let (c, h, w) = self.in_shape;
+        let (_, oh, ow) = self.out_shape();
+        let lanes = lanes_of(&grad_out, &[c, oh, ow], "avgpool backward_input_lanes")?;
+        let (win, norm) = (self.window, 1.0 / (self.window * self.window) as f32);
+        let mut dx = vec![0.0f32; c * h * w * lanes];
+        for (o, g) in grad_out.data().chunks_exact(lanes).enumerate() {
+            let (ci, oy, ox) = (o / (oh * ow), o / ow % oh, o % ow);
+            let corner = (ci * h + oy * win) * w + ox * win;
+            for ky in 0..win {
+                for kx in 0..win {
+                    let i = (corner + ky * w + kx) * lanes;
+                    for (d, &gv) in dx[i..i + lanes].iter_mut().zip(g) {
+                        *d += gv * norm;
+                    }
+                }
+            }
+        }
+        Tensor::from_vec(dx, &[c, h, w, lanes])
     }
 
     fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
         // No parameters and no cached state.
-        self.backward_input_batch(grads_out)
+        Ok(grads_out.iter().map(|g| self.backward(g)).collect())
     }
 
     fn supports_batched_train(&self) -> bool {
@@ -291,18 +376,52 @@ impl Layer for GlobalAvgPool {
         dx
     }
 
-    fn backward_input_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
-        // Global average pooling's backward reads no cached state.
-        Ok(grads_out.iter().map(|g| self.backward(g)).collect())
+    fn forward_lanes(&mut self, input: Tensor) -> Result<Tensor> {
+        let (c, h, w) = self.in_shape;
+        let lanes = lanes_of(&input, &[c, h, w], "global avgpool forward_lanes")?;
+        let spatial = h * w;
+        let mut out = vec![0.0f32; c * lanes];
+        for (out, plane) in out
+            .chunks_exact_mut(lanes)
+            .zip(input.data().chunks_exact(spatial * lanes))
+        {
+            // `Iterator::sum` starts from -0.0; so does each lane.
+            for_lane_groups!(lanes, b0, G, {
+                let mut acc = [-0.0f32; G];
+                for row in plane.chunks_exact(lanes) {
+                    let v = lane_group!(row, b0, G);
+                    for l in 0..G {
+                        acc[l] += v[l];
+                    }
+                }
+                out[b0..b0 + G].copy_from_slice(&acc.map(|a| a / spatial as f32));
+            });
+        }
+        Tensor::from_vec(out, &[c, lanes])
     }
 
-    fn supports_batched_backward(&self) -> bool {
-        true
+    fn backward_input_lanes(&mut self, grad_out: Tensor) -> Result<Tensor> {
+        let (c, h, w) = self.in_shape;
+        let lanes = lanes_of(&grad_out, &[c], "global avgpool backward_input_lanes")?;
+        let spatial = h * w;
+        let norm = 1.0 / spatial as f32;
+        let mut dx = vec![0.0f32; c * spatial * lanes];
+        for (plane, g) in dx
+            .chunks_exact_mut(spatial * lanes)
+            .zip(grad_out.data().chunks_exact(lanes))
+        {
+            for d in plane.chunks_exact_mut(lanes) {
+                for (d, &gv) in d.iter_mut().zip(g) {
+                    *d = gv * norm;
+                }
+            }
+        }
+        Tensor::from_vec(dx, &[c, h, w, lanes])
     }
 
     fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
         // No parameters and no cached state.
-        self.backward_input_batch(grads_out)
+        Ok(grads_out.iter().map(|g| self.backward(g)).collect())
     }
 
     fn supports_batched_train(&self) -> bool {
@@ -317,6 +436,35 @@ impl Layer for GlobalAvgPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lane_pools_match_per_sample_including_ties_and_signed_zeros() {
+        // Sample 0 ties in every window (the first maximum wins), sample 1
+        // holds -0.0 next to +0.0, and sample 2 is all -0.0.
+        let xs = [
+            Tensor::from_vec(vec![1.0, 1.0, 3.0, 3.0, 1.0, 1.0, 3.0, 3.0], &[2, 2, 2]).unwrap(),
+            Tensor::from_vec(
+                vec![-0.0, 0.0, 0.0, -0.0, -1.0, -0.0, -2.0, -0.0],
+                &[2, 2, 2],
+            )
+            .unwrap(),
+            Tensor::full(&[2, 2, 2], -0.0),
+        ];
+        let gs = [
+            Tensor::from_vec(vec![1.0, 2.0], &[2, 1, 1]).unwrap(),
+            Tensor::from_vec(vec![-0.0, 3.0], &[2, 1, 1]).unwrap(),
+            Tensor::from_vec(vec![-0.0, -0.0], &[2, 1, 1]).unwrap(),
+        ];
+        let gap_grads = [
+            Tensor::from_slice(&[1.0, 2.0]),
+            Tensor::from_slice(&[-0.0, 3.0]),
+            Tensor::from_slice(&[-0.0, -0.0]),
+        ];
+        use crate::layers::assert_lanes_match_per_sample as check;
+        check(&mut MaxPool2d::new((2, 2, 2), 2), &xs, &gs);
+        check(&mut AvgPool2d::new((2, 2, 2), 2), &xs, &gs);
+        check(&mut GlobalAvgPool::new((2, 2, 2)), &xs, &gap_grads);
+    }
 
     #[test]
     fn maxpool_selects_maxima() {

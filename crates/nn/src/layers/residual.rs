@@ -114,30 +114,24 @@ impl Layer for Residual {
         dx
     }
 
-    fn backward_input_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
-        let mut dxs = self.body.backward_input_batch(grads_out)?;
-        match &mut self.projection {
-            Some(proj) => {
-                let shorts = proj.backward_input_batch(grads_out)?;
-                for (d, s) in dxs.iter_mut().zip(&shorts) {
-                    d.add_assign(s)?;
-                }
-            }
-            None => {
-                for (d, g) in dxs.iter_mut().zip(grads_out) {
-                    d.add_assign(g)?;
-                }
-            }
-        }
-        Ok(dxs)
+    fn forward_lanes(&mut self, input: Tensor) -> Result<Tensor> {
+        let mut out = self.body.forward_lanes(input.clone())?;
+        let shortcut = match &mut self.projection {
+            Some(proj) => proj.forward_lanes(input)?,
+            None => input,
+        };
+        out.add_assign(&shortcut)?;
+        Ok(out)
     }
 
-    fn supports_batched_backward(&self) -> bool {
-        self.body.supports_batched_backward()
-            && self
-                .projection
-                .as_ref()
-                .is_none_or(Layer::supports_batched_backward)
+    fn backward_input_lanes(&mut self, grad_out: Tensor) -> Result<Tensor> {
+        let mut dx = self.body.backward_input_lanes(grad_out.clone())?;
+        let d_short = match &mut self.projection {
+            Some(proj) => proj.backward_input_lanes(grad_out)?,
+            None => grad_out,
+        };
+        dx.add_assign(&d_short)?;
+        Ok(dx)
     }
 
     fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
@@ -254,12 +248,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_projected_block_is_bit_identical() {
+    fn lane_projected_block_is_bit_identical() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut body = Sequential::new();
         body.push(Conv2d::new((2, 4, 4), 4, 3, 2, 1, &mut rng));
         let mut block = Residual::projected(body, (2, 4, 4), 4, 2, &mut rng);
-        assert!(block.supports_batched_backward());
         let xs: Vec<Tensor> = (0..3)
             .map(|_| Tensor::randn(&[2, 4, 4], 1.0, &mut rng))
             .collect();
@@ -272,13 +265,15 @@ mod tests {
             seq_y.push(block.forward(x, Mode::Inference));
             seq_dx.push(block.backward_input(g));
         }
-        let bat_y = block.forward_batch(&xs, Mode::Inference).unwrap();
-        let bat_dx = block.backward_input_batch(&gs).unwrap();
-        for (a, b) in seq_y.iter().zip(&bat_y) {
-            assert_eq!(a.data(), b.data());
-        }
-        for (a, b) in seq_dx.iter().zip(&bat_dx) {
-            assert_eq!(a.data(), b.data());
-        }
+        let bat_y = block
+            .forward_lanes(Tensor::stack_lanes(&xs).unwrap())
+            .unwrap()
+            .unstack_lanes();
+        let bat_dx = block
+            .backward_input_lanes(Tensor::stack_lanes(&gs).unwrap())
+            .unwrap()
+            .unstack_lanes();
+        assert_eq!(seq_y, bat_y);
+        assert_eq!(seq_dx, bat_dx);
     }
 }

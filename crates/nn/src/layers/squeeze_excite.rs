@@ -1,3 +1,4 @@
+use super::plane_lanes_of;
 use crate::layers::Dense;
 use crate::{Layer, Mode};
 use rand::Rng;
@@ -16,7 +17,6 @@ pub struct SqueezeExcite {
     cached_input: Tensor,
     cached_gate: Vec<f32>,
     cached_hidden: Vec<f32>,
-    batch_cache: Vec<(Tensor, Vec<f32>, Vec<f32>)>,
 }
 
 impl SqueezeExcite {
@@ -33,12 +33,10 @@ impl SqueezeExcite {
             cached_input: Tensor::default(),
             cached_gate: Vec::new(),
             cached_hidden: Vec::new(),
-            batch_cache: Vec::new(),
         }
     }
 
-    /// One forward pass, returning `(output, gate, hidden)` so callers decide
-    /// where the backward caches live (single-sample vs per-batch-sample).
+    /// One forward pass, returning `(output, gate, hidden)`.
     fn forward_one(&mut self, input: &Tensor, mode: Mode) -> (Tensor, Vec<f32>, Vec<f32>) {
         // squeeze: global average pool
         let mut pooled = vec![0.0f32; self.channels];
@@ -152,18 +150,6 @@ impl Layer for SqueezeExcite {
         out
     }
 
-    fn forward_batch(&mut self, inputs: &[Tensor], mode: Mode) -> Result<Vec<Tensor>> {
-        let mut outs = Vec::with_capacity(inputs.len());
-        let mut cache = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            let (out, gate, hidden) = self.forward_one(input, mode);
-            cache.push((input.clone(), gate, hidden));
-            outs.push(out);
-        }
-        self.batch_cache = cache;
-        Ok(outs)
-    }
-
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         // dL/dx (direct path): grad_out * gate
         let mut dx = grad_out.clone();
@@ -224,23 +210,113 @@ impl Layer for SqueezeExcite {
         )
     }
 
-    fn backward_input_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
-        if grads_out.len() != self.batch_cache.len() {
-            return Err(TensorError::ShapeMismatch {
-                left: vec![grads_out.len()],
-                right: vec![self.batch_cache.len()],
-                op: "squeeze_excite backward_input_batch",
-            });
+    fn forward_lanes(&mut self, input: Tensor) -> Result<Tensor> {
+        // Each lane runs `forward_one`'s chains: the pooled sums from -0.0,
+        // the dense sublayers' per-sample matvecs, then the channel gates.
+        let lanes = plane_lanes_of(
+            &input,
+            self.channels,
+            self.spatial,
+            "squeeze_excite forward_lanes",
+        )?;
+        let plane = self.spatial * lanes;
+        let mut pooled = vec![-0.0f32; self.channels * lanes];
+        for (p, xplane) in pooled
+            .chunks_exact_mut(lanes)
+            .zip(input.data().chunks_exact(plane))
+        {
+            for row in xplane.chunks_exact(lanes) {
+                for (a, &v) in p.iter_mut().zip(row) {
+                    *a += v;
+                }
+            }
+            for a in p {
+                *a /= self.spatial as f32;
+            }
         }
-        Ok(grads_out
-            .iter()
-            .zip(&self.batch_cache)
-            .map(|(g, (input, gate, hidden))| self.input_grad_from(g, input, gate, hidden))
-            .collect())
+        let mut hidden = self.reduce.matvec_lanes(&pooled, lanes);
+        for h in &mut hidden {
+            *h = h.max(0.0);
+        }
+        let mut gate = self.expand.matvec_lanes(&hidden, lanes);
+        for g in &mut gate {
+            *g = 1.0 / (1.0 + (-*g).exp());
+        }
+        let mut out = input.clone();
+        for (oplane, g) in out
+            .data_mut()
+            .chunks_exact_mut(plane)
+            .zip(gate.chunks_exact(lanes))
+        {
+            for row in oplane.chunks_exact_mut(lanes) {
+                for (v, &g) in row.iter_mut().zip(g) {
+                    *v *= g;
+                }
+            }
+        }
+        self.cached_input = input;
+        self.cached_gate = gate;
+        self.cached_hidden = hidden;
+        Ok(out)
     }
 
-    fn supports_batched_backward(&self) -> bool {
-        true
+    fn backward_input_lanes(&mut self, mut grad_out: Tensor) -> Result<Tensor> {
+        // `input_grad_from`, lane by lane.
+        if grad_out.shape() != self.cached_input.shape() {
+            return Err(TensorError::ShapeMismatch {
+                left: grad_out.shape().to_vec(),
+                right: self.cached_input.shape().to_vec(),
+                op: "squeeze_excite backward_input_lanes",
+            });
+        }
+        let lanes = plane_lanes_of(
+            &grad_out,
+            self.channels,
+            self.spatial,
+            "squeeze_excite backward_input_lanes",
+        )?;
+        let plane = self.spatial * lanes;
+        // dL/dgate[c] = Σ_s grad_out[c,s] · x[c,s], from -0.0
+        let mut dgate = vec![-0.0f32; self.channels * lanes];
+        for ((d, gplane), xplane) in dgate
+            .chunks_exact_mut(lanes)
+            .zip(grad_out.data().chunks_exact(plane))
+            .zip(self.cached_input.data().chunks_exact(plane))
+        {
+            for (grow, xrow) in gplane.chunks_exact(lanes).zip(xplane.chunks_exact(lanes)) {
+                for ((a, &g), &x) in d.iter_mut().zip(grow).zip(xrow) {
+                    *a += g * x;
+                }
+            }
+        }
+        // through sigmoid, expand, relu and reduce (input paths only)
+        let dg_pre: Vec<f32> = dgate
+            .iter()
+            .zip(&self.cached_gate)
+            .map(|(&d, &g)| d * g * (1.0 - g))
+            .collect();
+        let mut dh = self.expand.input_grad_lanes(&dg_pre, lanes);
+        for (d, &h) in dh.iter_mut().zip(&self.cached_hidden) {
+            *d = if h > 0.0 { *d } else { 0.0 };
+        }
+        let dpool = self.reduce.input_grad_lanes(&dh, lanes);
+        // direct path grad_out · gate, plus the pooled gradient spread back
+        // over the spatial positions
+        let norm = 1.0 / self.spatial as f32;
+        for ((dplane, g), dp) in grad_out
+            .data_mut()
+            .chunks_exact_mut(plane)
+            .zip(self.cached_gate.chunks_exact(lanes))
+            .zip(dpool.chunks_exact(lanes))
+        {
+            for row in dplane.chunks_exact_mut(lanes) {
+                for ((v, &g), &d) in row.iter_mut().zip(g).zip(dp) {
+                    *v *= g;
+                    *v += d * norm;
+                }
+            }
+        }
+        Ok(grad_out)
     }
 
     fn visit_params(&mut self, visit: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
@@ -249,10 +325,10 @@ impl Layer for SqueezeExcite {
     }
 
     fn prepare_inference(&mut self) {
-        // The SE excitation path runs its Dense sublayers per sample (matvec,
-        // never the batched GEMM), so freezing them installs packs that stay
-        // unused — but forwarding keeps the freeze invariant uniform should
-        // they ever batch.
+        // The SE excitation path runs its Dense sublayers' per-sample chains
+        // (matvec, never the batched GEMM), so freezing them installs packs
+        // that stay unused — but forwarding keeps the freeze invariant
+        // uniform should they ever batch.
         self.reduce.prepare_inference();
         self.expand.prepare_inference();
     }

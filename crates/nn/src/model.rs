@@ -83,15 +83,21 @@ impl Model {
 
     /// Raw logits for a batch of same-shape images.
     ///
-    /// Convolutional layers evaluate the whole batch as a single matrix
-    /// product; the results are bit-identical to calling [`Model::logits`]
-    /// per image.
+    /// The batch runs through the network once, lane-major
+    /// ([`Layer::forward_lanes`]): convolutions evaluate it as one matrix
+    /// product, every other layer as loops over the samples' lanes. The
+    /// results are bit-identical to calling [`Model::logits`] per image.
     ///
     /// # Errors
     ///
-    /// Returns the first layer validation error.
+    /// Returns a shape error if the images' shapes differ, or the first
+    /// layer validation error.
     pub fn logits_batch(&mut self, images: &[Tensor]) -> Result<Vec<Tensor>> {
-        self.net.forward_batch(images, Mode::Inference)
+        if images.is_empty() {
+            return Ok(Vec::new());
+        }
+        let logits = self.net.forward_lanes(Tensor::stack_lanes(images)?)?;
+        Ok(logits.unstack_lanes())
     }
 
     /// Softmax class probabilities for a batch of images (see
@@ -134,16 +140,15 @@ impl Model {
     /// Per-image input gradients for a batch: `classes[i]` selects the logit
     /// differentiated for `images[i]`.
     ///
-    /// When every layer supports the batched backward contract the whole
-    /// batch runs through one forward/backward sweep (convolutions as single
-    /// large matmuls); otherwise it falls back to per-image
-    /// [`Model::input_gradient`] calls. Both paths produce bit-identical
-    /// gradients.
+    /// The whole batch runs through one lane-major forward/backward sweep
+    /// ([`Layer::forward_lanes`], [`Layer::backward_input_lanes`];
+    /// convolutions as single large matmuls), bit-identical to per-image
+    /// [`Model::input_gradient`] calls.
     ///
     /// # Errors
     ///
-    /// Returns a shape error if `images` and `classes` lengths differ, or the
-    /// first layer validation error.
+    /// Returns a shape error if `images` and `classes` lengths differ or
+    /// the images' shapes differ, or the first layer validation error.
     pub fn input_gradient_batch(
         &mut self,
         images: &[Tensor],
@@ -156,25 +161,16 @@ impl Model {
                 op: "input_gradient_batch",
             });
         }
-        if self.net.supports_batched_backward() {
-            let logits = self.net.forward_batch(images, Mode::Inference)?;
-            let seeds: Vec<Tensor> = logits
-                .iter()
-                .zip(classes)
-                .map(|(l, &c)| {
-                    let mut seed = Tensor::zeros(l.shape());
-                    seed.data_mut()[c] = 1.0;
-                    seed
-                })
-                .collect();
-            self.net.backward_input_batch(&seeds)
-        } else {
-            Ok(images
-                .iter()
-                .zip(classes)
-                .map(|(img, &c)| self.input_gradient(img, c))
-                .collect())
+        if images.is_empty() {
+            return Ok(Vec::new());
         }
+        let logits = self.net.forward_lanes(Tensor::stack_lanes(images)?)?;
+        let mut seed = Tensor::zeros(logits.shape());
+        let lanes = classes.len();
+        for (b, &c) in classes.iter().enumerate() {
+            seed.data_mut()[c * lanes + b] = 1.0;
+        }
+        Ok(self.net.backward_input_lanes(seed)?.unstack_lanes())
     }
 
     /// Freezes the network for steady-state serving: every layer prepacks its

@@ -141,6 +141,26 @@ impl Layer for Sequential {
         Ok(xs)
     }
 
+    fn forward_lanes(&mut self, input: Tensor) -> Result<Tensor> {
+        let _fwd = remix_trace::span("forward_lanes");
+        let mut x = input;
+        for layer in &mut self.layers {
+            let _layer = remix_trace::span(layer.name());
+            x = layer.forward_lanes(x)?;
+        }
+        Ok(x)
+    }
+
+    fn backward_input_lanes(&mut self, grad_out: Tensor) -> Result<Tensor> {
+        let _bwd = remix_trace::span("backward_input_lanes");
+        let mut g = grad_out;
+        for layer in self.layers.iter_mut().rev() {
+            let _layer = remix_trace::span(layer.name());
+            g = layer.backward_input_lanes(g)?;
+        }
+        Ok(g)
+    }
+
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let mut g = grad_out.clone();
         for layer in self.layers.iter_mut().rev() {
@@ -161,20 +181,6 @@ impl Layer for Sequential {
             g = layer.backward_input(&g);
         }
         g
-    }
-
-    fn backward_input_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
-        let _bwd = remix_trace::span("backward_input_batch");
-        let mut gs = grads_out.to_vec();
-        for layer in self.layers.iter_mut().rev() {
-            let _layer = remix_trace::span(layer.name());
-            gs = layer.backward_input_batch(&gs)?;
-        }
-        Ok(gs)
-    }
-
-    fn supports_batched_backward(&self) -> bool {
-        self.layers.iter().all(|l| l.supports_batched_backward())
     }
 
     fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {

@@ -166,10 +166,9 @@ struct PoolShared {
 struct Pool {
     shared: Arc<PoolShared>,
     workers: usize,
+    /// Worker threads this pool has spawned.
+    spawned: AtomicUsize,
 }
-
-/// Lifetime count of worker threads spawned by pools in this process.
-static THREADS_SPAWNED: AtomicUsize = AtomicUsize::new(0);
 
 impl Pool {
     /// Spawns `workers` detached worker threads (zero is valid: every job
@@ -179,15 +178,20 @@ impl Pool {
             inbox: Mutex::new(Inbox { seq: 0, job: None }),
             available: Condvar::new(),
         });
+        let spawned = AtomicUsize::new(0);
         for w in 0..workers {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name(format!("remix-pool-{w}"))
                 .spawn(move || worker_loop(&shared))
                 .expect("spawn pool worker");
-            THREADS_SPAWNED.fetch_add(1, Ordering::Relaxed);
+            spawned.fetch_add(1, Ordering::Relaxed);
         }
-        Self { shared, workers }
+        Self {
+            shared,
+            workers,
+            spawned,
+        }
     }
 
     /// Runs `f(0)`, `f(1)`, …, `f(ntasks - 1)`, each exactly once, fanned out
@@ -280,12 +284,13 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
+static GLOBAL_POOL: OnceLock<Pool> = OnceLock::new();
+
 /// The process-wide pool, spawned on first use. Sized to leave one slot for
 /// the posting thread; `REMIX_THREADS` can raise it above the core count at
 /// first use (useful for exercising the parallel paths on small machines).
 fn global_pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| {
+    GLOBAL_POOL.get_or_init(|| {
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
         Pool::with_workers(num_threads().max(hw).saturating_sub(1))
     })
@@ -307,11 +312,13 @@ pub fn pool_execute(ntasks: usize, f: &(dyn Fn(usize) + Sync)) {
     global_pool().execute(ntasks, f);
 }
 
-/// Total worker threads ever spawned by this process's pools. Flat across
-/// repeated parallel calls — the probe tests use this to assert the pool is
-/// actually reused rather than respawned.
+/// Worker threads the process-wide pool has spawned (0 before its first
+/// parallel call). Flat across repeated parallel calls — the probe tests use
+/// this to assert the pool is actually reused rather than respawned.
 pub fn pool_threads_spawned() -> usize {
-    THREADS_SPAWNED.load(Ordering::Relaxed)
+    GLOBAL_POOL
+        .get()
+        .map_or(0, |pool| pool.spawned.load(Ordering::Relaxed))
 }
 
 // ---------------------------------------------------------------------------
@@ -538,8 +545,11 @@ mod tests {
 
     #[test]
     fn pool_is_reused_across_jobs() {
+        // Counts this pool's own spawns: the process-wide counter also moves
+        // whenever another test builds a pool concurrently.
         let pool = Pool::with_workers(2);
-        let before = pool_threads_spawned();
+        let before = pool.spawned.load(Ordering::Relaxed);
+        assert_eq!(before, 2);
         for _ in 0..50 {
             let sum = AtomicUsize::new(0);
             pool.execute(8, &|i| {
@@ -548,7 +558,7 @@ mod tests {
             assert_eq!(sum.load(Ordering::Relaxed), 28);
         }
         assert_eq!(
-            pool_threads_spawned(),
+            pool.spawned.load(Ordering::Relaxed),
             before,
             "50 jobs must not spawn new threads"
         );

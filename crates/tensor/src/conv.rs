@@ -1,6 +1,8 @@
-//! Patch lowering for 2-D convolution: the image-to-panel packer behind the
-//! conv GEMM entries, the `col2im` input-gradient fold, and the `im2row` /
-//! `im2col` unfolds (rows for the weight gradient, the rest as references).
+//! Patch lowering for 2-D convolution over lane-major and sample-major
+//! batches: the batch-to-panel packer behind the conv GEMM entries, the
+//! fold of their input gradients, and the `im2row` / `row2im` / `im2col`
+//! per-sample unfolds and folds (rows for the weight gradient, the rest as
+//! references).
 
 use crate::linalg::{reset_buf, NR};
 use crate::{Result, Tensor, TensorError};
@@ -99,94 +101,204 @@ pub(crate) fn check_batch(inputs: &[Tensor], geo: &Conv2dGeometry, op: &'static 
     inputs.iter().try_for_each(|x| check_geometry(x, geo, op))
 }
 
-/// Where the patch windows of a conv GEMM's columns sit in a batch of
-/// zero-padded `[C, H+2·pad, W+2·pad]` images. GEMM column `j` is output
-/// position `j % (out_h·out_w)` of sample `j / (out_h·out_w)`, and patch
-/// element `p = (c, ky, kx)` of column `j` is at `corner(j) + taps[p]` — a
-/// fixed offset, with no bounds test, because padding positions are real
-/// (zero) slots of the padded image.
+/// Validates a lane-major batch `[d0, d1, d2, B]` against the per-sample
+/// shape `sample` and returns its lane count `B`. A single sample `sample`
+/// has the memory layout of a one-lane batch and passes as one.
+pub(crate) fn check_lanes(batch: &Tensor, sample: [usize; 3], op: &'static str) -> Result<usize> {
+    if batch.shape() == sample {
+        return Ok(1);
+    }
+    if batch.rank() != 4 {
+        return Err(TensorError::RankMismatch {
+            expected: 4,
+            shape: batch.shape().to_vec(),
+            op,
+        });
+    }
+    if batch.shape()[..3] != sample {
+        return Err(TensorError::ShapeMismatch {
+            left: batch.shape().to_vec(),
+            right: sample.to_vec(),
+            op,
+        });
+    }
+    Ok(batch.shape()[3])
+}
+
+/// Where the patch windows of a conv GEMM's columns sit in a zero-padded
+/// batch of `S` images `[C, H+2·pad, W+2·pad, L]` of `L` lanes each: one
+/// image of `B` lanes for a lane-major batch, `B` one-lane images for a
+/// sample-major one. GEMM column `j` is lane `j % L` of output position
+/// `(j / L) % (out_h·out_w)` of image `j / (out_h·out_w·L)`, so the product
+/// holds each image's lane-major output `[F, out_h, out_w, L]` in its own
+/// stretch of columns — the lane-major output of a lane-major batch, sample
+/// `b` in columns `b·out_h·out_w..` of a sample-major one. Patch element
+/// `p = (c, ky, kx)` of column `j` is at `corner(j) + taps[p]` — a fixed
+/// offset, with no bounds test, because padding positions are real (zero)
+/// slots of the padded batch.
 struct PaddedLayout {
     /// Offset of patch element `p` from its window corner.
     taps: Vec<usize>,
-    /// Padded floats per image, and per padded image row.
+    /// Padded floats per channel, `(H+2·pad)·(W+2·pad)·L`, and per image.
+    plane: usize,
     image: usize,
     wp: usize,
+    oh: usize,
     ow: usize,
     stride: usize,
-    spatial: usize,
+    lanes: usize,
+    /// GEMM columns per image, `out_h·out_w·L`, and in all.
+    image_cols: usize,
+    cols: usize,
 }
 
-/// Where the lanes of one panel (up to `NR` consecutive GEMM columns) sit.
+/// Where the columns of one panel (up to `NR` consecutive GEMM columns) sit.
 enum Lanes {
-    /// `NR / len` runs of `len` lanes, one output row each: lane
-    /// `r·len + i` at `corners[r] + i·step`.
+    /// A full panel as `NR / len` runs of `len` columns: column `r·len + i`
+    /// at `corners[r] + i·step`.
     Runs {
         corners: [usize; NR],
         len: usize,
         step: usize,
     },
-    /// Lane by lane: ragged tails, and output rows that do not tile a panel.
-    Scattered([usize; NR]),
+    /// The ragged last panel, column by column.
+    Ragged([usize; NR]),
 }
 
 impl PaddedLayout {
-    fn new(geo: &Conv2dGeometry) -> Self {
+    fn new(geo: &Conv2dGeometry, images: usize, lanes: usize) -> Self {
         let (k, wp) = (geo.kernel, geo.in_w + 2 * geo.pad);
-        let plane = (geo.in_h + 2 * geo.pad) * wp;
+        let plane = (geo.in_h + 2 * geo.pad) * wp * lanes;
+        let image_cols = geo.out_h() * geo.out_w() * lanes;
         PaddedLayout {
             taps: (0..geo.in_channels)
                 .flat_map(|c| {
-                    (0..k).flat_map(move |ky| (0..k).map(move |kx| c * plane + ky * wp + kx))
+                    (0..k).flat_map(move |ky| {
+                        (0..k).map(move |kx| c * plane + (ky * wp + kx) * lanes)
+                    })
                 })
                 .collect(),
+            plane,
             image: geo.in_channels * plane,
             wp,
+            oh: geo.out_h(),
             ow: geo.out_w(),
             stride: geo.stride,
-            spatial: geo.out_h() * geo.out_w(),
+            lanes,
+            image_cols,
+            cols: images * image_cols,
         }
     }
 
-    /// Window corner of GEMM column `j` in images numbered from sample `b0`.
-    fn corner(&self, j: usize, b0: usize) -> usize {
-        let pos = j % self.spatial;
-        (j / self.spatial - b0) * self.image
-            + (pos / self.ow) * self.stride * self.wp
-            + (pos % self.ow) * self.stride
+    /// Copies one `[C, H, W, L]` image into its zero-padded slot `dst`,
+    /// whose padding the caller has zeroed.
+    fn copy_padded(&self, dst: &mut [f32], src: &[f32], geo: &Conv2dGeometry) {
+        let (row, padded_row) = (geo.in_w * self.lanes, self.wp * self.lanes);
+        for (dplane, xplane) in dst
+            .chunks_exact_mut(self.plane)
+            .zip(src.chunks_exact(geo.in_h * row))
+        {
+            for (drow, xrow) in dplane[geo.pad * padded_row..]
+                .chunks_exact_mut(padded_row)
+                .zip(xplane.chunks_exact(row))
+            {
+                drow[geo.pad * self.lanes..][..row].copy_from_slice(xrow);
+            }
+        }
     }
 
-    /// Lanes of the `width` columns `j0..`. Lanes past `width` of a ragged
-    /// panel point at offset 0: like the GEMM's zero-padded edge lanes they
-    /// are computed but never stored or folded, so any in-bounds slot will
-    /// do.
-    fn lanes(&self, j0: usize, width: usize, b0: usize) -> Lanes {
-        let (pos, ow) = (j0 % self.spatial, self.ow);
-        // A 1×1, stride-1, unpadded conv has no padding columns, so
-        // consecutive output rows are consecutive in the image too.
-        let flat = self.stride == 1 && self.wp == ow && pos + NR <= self.spatial;
-        let len = if pos % ow + NR <= ow || flat {
-            NR
-        } else if NR.is_multiple_of(ow) && pos.is_multiple_of(ow) {
-            ow
-        } else {
-            0
-        };
-        if width == NR && len > 0 {
-            let mut corners = [0; NR];
-            for (r, c) in corners.iter_mut().enumerate().take(NR / len) {
-                *c = self.corner(j0 + r * len, b0);
+    /// Appends the `[C, H, W, L]` interior of the padded image `image`.
+    fn interior(&self, image: &[f32], geo: &Conv2dGeometry, out: &mut Vec<f32>) {
+        let (row, padded_row) = (geo.in_w * self.lanes, self.wp * self.lanes);
+        for pplane in image.chunks_exact(self.plane) {
+            for prow in pplane[geo.pad * padded_row..]
+                .chunks_exact(padded_row)
+                .take(geo.in_h)
+            {
+                out.extend_from_slice(&prow[geo.pad * self.lanes..][..row]);
             }
+        }
+    }
+
+    /// Where the `width` columns `j0..` sit. The lanes of one output
+    /// position are contiguous, and at stride 1 so are the positions of one
+    /// output row: a panel of a 16-lane batch is a single run at any
+    /// stride, one that stays within an output row at stride 1 is too, and
+    /// one-lane images get the strided runs of a sample-major image.
+    /// Lanes past `width` of a ragged panel point at offset 0: like the
+    /// GEMM's zero-padded edge lanes they are computed but never stored or
+    /// folded, so any in-bounds slot will do.
+    fn lanes(&self, j0: usize, width: usize) -> Lanes {
+        let mut corners = [0; NR];
+        let (mut s, col) = (j0 / self.image_cols, j0 % self.image_cols);
+        let (pos, mut b) = (col / self.lanes, col % self.lanes);
+        let (mut oy, mut ox) = (pos / self.ow, pos % self.ow);
+        let corner = |s: usize, oy: usize, ox: usize, b: usize| {
+            s * self.image + (oy * self.stride * self.wp + ox * self.stride) * self.lanes + b
+        };
+        // The common case, one contiguous run: the panel stays within one
+        // output position, or within one output row at stride 1.
+        let row_end = if self.stride == 1 { self.ow } else { ox + 1 };
+        if width == NR && ox * self.lanes + b + NR <= row_end * self.lanes {
+            corners[0] = corner(s, oy, ox, b);
             return Lanes::Runs {
                 corners,
-                len,
-                step: self.stride,
+                len: NR,
+                step: 1,
             };
         }
-        let mut corners = [0; NR];
-        for (l, c) in corners.iter_mut().enumerate().take(width) {
-            *c = self.corner(j0 + l, b0);
+        for c in corners.iter_mut().take(width) {
+            *c = corner(s, oy, ox, b);
+            b += 1;
+            if b == self.lanes {
+                b = 0;
+                ox += 1;
+                if ox == self.ow {
+                    ox = 0;
+                    oy += 1;
+                    if oy == self.oh {
+                        oy = 0;
+                        s += 1;
+                    }
+                }
+            }
         }
-        Lanes::Scattered(corners)
+        if width < NR {
+            return Lanes::Ragged(corners);
+        }
+        // Offsets grow with the column. Runs are the longest power-of-two
+        // chunks that advance by the first step throughout: `breaks` ORs
+        // the columns that do not, and its lowest set bit caps the length.
+        let step = corners[1] - corners[0];
+        let breaks = (1..NR)
+            .filter(|&l| corners[l] != corners[l - 1] + step)
+            .fold(0usize, |acc, l| acc | l);
+        let len = if breaks == 0 {
+            NR
+        } else {
+            1 << breaks.trailing_zeros()
+        };
+        for r in 1..NR / len {
+            corners[r] = corners[r * len];
+        }
+        Lanes::Runs { corners, len, step }
+    }
+}
+
+impl Lanes {
+    /// The same columns seen from a buffer that starts `origin` floats into
+    /// the padded batch, past none of them.
+    fn shifted(mut self, origin: usize, width: usize) -> Self {
+        if origin > 0 {
+            let live = match &mut self {
+                Lanes::Runs { corners, len, .. } => &mut corners[..NR / *len],
+                Lanes::Ragged(corners) => &mut corners[..width],
+            };
+            for c in live {
+                *c -= origin;
+            }
+        }
+        self
     }
 }
 
@@ -246,73 +358,79 @@ macro_rules! with_run_len {
 }
 
 /// The B operand of the conv GEMM `W [F, C·k·k] · patchesᵀ`, produced one
-/// `[C·k·k][NR]` panel at a time straight from the `[C, H, W]` images.
+/// `[C·k·k][NR]` panel at a time straight from a lane-major `[C, H, W, B]`
+/// batch or from `B` sample-major `[C, H, W]` images.
 ///
-/// Slot `(p, lane)` of the panel for columns `j0..` holds exactly the value
-/// the patch-row matrix of [`im2row_batch_into`] has at row `j0 + lane`,
-/// column `p` — the panel `pack_bt` would gather from that matrix — so a
-/// GEMM over these panels is bit-identical to one over the unfolded rows,
-/// without the rows (or the full set of panels) ever being built.
+/// Slot `(p, lane)` of the panel for columns `j0..` holds patch element `p`
+/// of the output position and sample of column `j0 + lane` (see
+/// [`PaddedLayout`]) — exactly what that sample's [`im2row_batch_into`] row
+/// for that position holds in column `p` — so every element of a GEMM over
+/// these panels is the product one over the unfolded rows computes, and
+/// neither the rows nor the full set of panels is ever built.
 ///
-/// The images are copied once, zero-padded, into caller scratch. When a
-/// panel's lanes tile output rows (one row, several whole rows, or any
-/// stretch of a 1×1 unpadded convolution), each panel row is one or a few
-/// contiguous (stride 1) or strided runs of padded image rows; otherwise it
-/// is gathered lane by lane.
+/// A padded lane-major batch, and every sample-major batch, is copied once,
+/// zero-padded, into caller scratch; an unpadded lane-major batch packs
+/// from the batch in place.
 pub(crate) struct ConvPanels<'a> {
     layout: PaddedLayout,
     padded: &'a [f32],
-    samples: usize,
 }
 
 impl<'a> ConvPanels<'a> {
-    /// Scratch floats [`ConvPanels::new`] needs for `samples` images.
-    pub(crate) fn scratch_len(geo: &Conv2dGeometry, samples: usize) -> usize {
-        samples * PaddedLayout::new(geo).image
+    /// Lays out the lane-major `batch` of `lanes` lanes (validated against
+    /// `geo` by the caller) for packing.
+    pub(crate) fn new(
+        batch: &'a Tensor,
+        lanes: usize,
+        geo: &Conv2dGeometry,
+        scratch: &'a mut Vec<f32>,
+    ) -> Self {
+        let layout = PaddedLayout::new(geo, 1, lanes);
+        if geo.pad == 0 {
+            return ConvPanels {
+                layout,
+                padded: batch.data(),
+            };
+        }
+        reset_buf(scratch, layout.image);
+        scratch.fill(0.0);
+        layout.copy_padded(scratch, batch.data(), geo);
+        ConvPanels {
+            layout,
+            padded: scratch,
+        }
     }
 
-    /// Copies `inputs`, zero-padded, into `scratch`
-    /// ([`ConvPanels::scratch_len`] floats). Callers validate `inputs`
-    /// against `geo`; only their lengths are read as `[C, H, W]`.
-    pub(crate) fn new(inputs: &[Tensor], geo: &Conv2dGeometry, scratch: &'a mut [f32]) -> Self {
-        let layout = PaddedLayout::new(geo);
-        let (pad, h, w, wp) = (geo.pad, geo.in_h, geo.in_w, layout.wp);
-        if pad == 0 {
-            for (dst, x) in scratch.chunks_exact_mut(layout.image).zip(inputs) {
-                dst.copy_from_slice(x.data());
-            }
-        } else {
+    /// Scratch floats [`ConvPanels::from_samples`] needs for `samples`
+    /// images.
+    pub(crate) fn samples_len(geo: &Conv2dGeometry, samples: usize) -> usize {
+        samples * PaddedLayout::new(geo, 1, 1).image
+    }
+
+    /// Copies the sample-major `inputs` (validated against `geo` by the
+    /// caller), zero-padded, into `scratch`
+    /// ([`ConvPanels::samples_len`] floats) for packing.
+    pub(crate) fn from_samples(
+        inputs: &[Tensor],
+        geo: &Conv2dGeometry,
+        scratch: &'a mut [f32],
+    ) -> Self {
+        let layout = PaddedLayout::new(geo, inputs.len(), 1);
+        if geo.pad > 0 {
             scratch.fill(0.0);
-            let plane = layout.image / geo.in_channels;
-            for (dst, x) in scratch.chunks_exact_mut(layout.image).zip(inputs) {
-                for (dplane, xplane) in dst
-                    .chunks_exact_mut(plane)
-                    .zip(x.data().chunks_exact(h * w))
-                {
-                    for (drow, xrow) in dplane[pad * wp..]
-                        .chunks_exact_mut(wp)
-                        .zip(xplane.chunks_exact(w))
-                    {
-                        drow[pad..pad + w].copy_from_slice(xrow);
-                    }
-                }
-            }
+        }
+        for (dst, x) in scratch.chunks_exact_mut(layout.image).zip(inputs) {
+            layout.copy_padded(dst, x.data(), geo);
         }
         ConvPanels {
             layout,
             padded: scratch,
-            samples: inputs.len(),
         }
     }
 
-    /// GEMM columns: samples × output positions.
+    /// GEMM columns: images × output positions × lanes.
     pub(crate) fn cols(&self) -> usize {
-        self.samples * self.layout.spatial
-    }
-
-    /// Images the panels are packed from.
-    pub(crate) fn samples(&self) -> usize {
-        self.samples
+        self.layout.cols
     }
 
     /// Fills `panel` (`[C·k·k][NR]`) with the `width` GEMM columns `j0..`;
@@ -320,14 +438,14 @@ impl<'a> ConvPanels<'a> {
     pub(crate) fn pack(&self, j0: usize, width: usize, panel: &mut [f32]) {
         let padded = self.padded;
         let rows = panel.chunks_exact_mut(NR).zip(&self.layout.taps);
-        match self.layout.lanes(j0, width, 0) {
+        match self.layout.lanes(j0, width) {
             Lanes::Runs { corners, len, step } => {
                 let corners = &corners[..NR / len];
                 for (dst, &tap) in rows {
                     with_run_len!(len, gather_runs(dst, &padded[tap..], corners, step));
                 }
             }
-            Lanes::Scattered(corners) => {
+            Lanes::Ragged(corners) => {
                 for (dst, &tap) in rows {
                     for (v, &o) in dst.iter_mut().zip(&corners) {
                         *v = padded[o + tap];
@@ -338,87 +456,114 @@ impl<'a> ConvPanels<'a> {
     }
 }
 
-/// Folds patch-gradient tiles — `[C·k·k][NR]`, one row per patch element,
-/// GEMM columns as in [`ConvPanels`] — onto zero-padded
-/// `[C, H+2·pad, W+2·pad]` input-gradient images; what lands on the padding
-/// is dropped with it when the interiors are extracted.
+/// Folds patch-gradient tiles — one `[NR]` row per patch element, GEMM
+/// columns as in [`ConvPanels`] — onto zero-padded
+/// `[C, H+2·pad, W+2·pad, L]` input-gradient images laid out as in
+/// [`PaddedLayout`]; what lands on the padding is dropped with it when the
+/// interiors are extracted.
 ///
 /// Every input element receives its contributions in ascending
-/// output-position order, exactly as [`row2im`] adds them, provided tiles
-/// are folded in ascending column order: within a tile, rows are added with
+/// output-position order, exactly as [`row2im`] adds them for its sample,
+/// provided tiles are folded in ascending column order (a sample's columns
+/// ascend with the output position): within a tile, rows are added with
 /// `(ky, kx)` descending. For one element, the kernel row `ky` reaching it
 /// from output row `oy` satisfies `oy·stride + ky = iy`, so descending `ky`
 /// means ascending `oy`; for one `ky`, descending `kx` likewise means
-/// ascending `ox`. Each (patch element, run of lanes) step is one slice-add
-/// whose elements land on distinct input positions.
+/// ascending `ox`. Channels run innermost: an element's channel is fixed,
+/// so their order is free, and running them between two taps of one
+/// channel keeps a slice-add from re-reading the overlapping, still
+/// in-flight stores of the previous `kx`. Each (patch element, run of
+/// lanes) step is one slice-add whose elements land on distinct input
+/// slots.
+///
+/// A fold covers a range of images, or a range of input channels of one
+/// image, whose padded planes it owns outright, so disjoint ranges fold in
+/// parallel.
 pub(crate) struct ConvFold {
     layout: PaddedLayout,
     geo: Conv2dGeometry,
-    /// Patch elements in fold order: `(ky, kx)` descending, channels
-    /// ascending within each. Only the `(ky, kx)` order matters to an
-    /// element (its channel is fixed); running the channels between two
-    /// taps of one channel keeps a slice-add from re-reading the
-    /// overlapping, still-in-flight stores of the previous `kx`.
-    order: Vec<usize>,
 }
 
 impl ConvFold {
-    pub(crate) fn new(geo: &Conv2dGeometry) -> Self {
-        let kk = geo.kernel * geo.kernel;
+    pub(crate) fn new(geo: &Conv2dGeometry, images: usize, lanes: usize) -> Self {
         ConvFold {
-            layout: PaddedLayout::new(geo),
+            layout: PaddedLayout::new(geo, images, lanes),
             geo: *geo,
-            order: (0..kk)
-                .rev()
-                .flat_map(|t| (0..geo.in_channels).map(move |c| c * kk + t))
-                .collect(),
         }
     }
 
-    /// Floats per padded input-gradient image.
+    /// Floats per padded input-gradient channel plane, and per image.
+    pub(crate) fn plane_len(&self) -> usize {
+        self.layout.plane
+    }
+
     pub(crate) fn image_len(&self) -> usize {
         self.layout.image
     }
 
-    /// Adds the tile rows (patch elements; rows past the patch length are
-    /// ignored) for the `width` columns `j0..` onto `dst`, the padded images
-    /// of samples `b0..`.
-    pub(crate) fn fold(&self, tile: &[f32], j0: usize, width: usize, b0: usize, dst: &mut [f32]) {
+    /// GEMM columns per image.
+    pub(crate) fn image_cols(&self) -> usize {
+        self.layout.image_cols
+    }
+
+    /// Adds the tile rows of the patch elements of channels `chans` — row
+    /// `(c − chans.start)·k·k + (ky·k + kx)`, rows past them ignored — for
+    /// the `width` columns `j0..`, all of images `s0..`, onto `dst`: the
+    /// padded planes of `chans` of image `s0`, on through the images that
+    /// follow when `chans` holds every channel.
+    pub(crate) fn fold(
+        &self,
+        tile: &[f32],
+        chans: Range<usize>,
+        j0: usize,
+        width: usize,
+        s0: usize,
+        dst: &mut [f32],
+    ) {
+        let kk = self.geo.kernel * self.geo.kernel;
         let taps = &self.layout.taps;
-        let rows = self
-            .order
-            .iter()
-            .map(|&p| (&tile[p * NR..(p + 1) * NR], &taps[p]));
-        match self.layout.lanes(j0, width, b0) {
-            Lanes::Runs { corners, len, step } => {
-                let corners = &corners[..NR / len];
-                for (src, &tap) in rows {
-                    with_run_len!(len, scatter_add_runs(&mut dst[tap..], src, corners, step));
-                }
-            }
-            Lanes::Scattered(corners) => {
-                for (src, &tap) in rows {
-                    for (&o, &v) in corners[..width].iter().zip(src) {
-                        dst[o + tap] += v;
+        let base = chans.start * self.layout.plane;
+        // Plain nested loops: an iterator adaptor chain here costs as much
+        // as the adds themselves.
+        let lanes = self
+            .layout
+            .lanes(j0, width)
+            .shifted(s0 * self.layout.image, width);
+        for t in (0..kk).rev() {
+            for c in chans.clone() {
+                let src = &tile[((c - chans.start) * kk + t) * NR..][..NR];
+                let tap = taps[c * kk + t] - base;
+                match &lanes {
+                    Lanes::Runs { corners, len, step } => {
+                        let corners = &corners[..NR / len];
+                        with_run_len!(*len, scatter_add_runs(&mut dst[tap..], src, corners, *step));
+                    }
+                    Lanes::Ragged(corners) => {
+                        for (&o, &v) in corners[..width].iter().zip(src) {
+                            dst[o + tap] += v;
+                        }
                     }
                 }
             }
         }
     }
 
-    /// The `[C, H, W]` interior of each padded image in `padded`.
-    pub(crate) fn extract(&self, padded: &[f32]) -> Vec<Tensor> {
+    /// The lane-major `[C, H, W, L]` interior of the one padded image
+    /// `padded`, shaped `shape`.
+    pub(crate) fn extract(&self, padded: &[f32], shape: &[usize]) -> Tensor {
+        let mut out = Vec::with_capacity(shape.iter().product());
+        self.layout.interior(padded, &self.geo, &mut out);
+        Tensor::from_vec(out, shape).expect("interior shape")
+    }
+
+    /// The `[C, H, W]` interior of each one-lane padded image in `padded`.
+    pub(crate) fn extract_samples(&self, padded: &[f32]) -> Vec<Tensor> {
         let g = &self.geo;
-        let (wp, plane) = (self.layout.wp, self.layout.image / g.in_channels);
         padded
             .chunks_exact(self.layout.image)
             .map(|image| {
                 let mut out = Vec::with_capacity(g.in_channels * g.in_h * g.in_w);
-                for pplane in image.chunks_exact(plane) {
-                    for prow in pplane[g.pad * wp..].chunks_exact(wp).take(g.in_h) {
-                        out.extend_from_slice(&prow[g.pad..g.pad + g.in_w]);
-                    }
-                }
+                self.layout.interior(image, g, &mut out);
                 Tensor::from_vec(out, &[g.in_channels, g.in_h, g.in_w]).expect("interior shape")
             })
             .collect()
@@ -457,8 +602,7 @@ fn fill_patches(out: &mut [f32], data: &[f32], geo: &Conv2dGeometry) {
 /// Unfolds a `[C, H, W]` input into a `[C*k*k, out_h*out_w]` patch matrix.
 ///
 /// Padding positions contribute zeros. Convolution then becomes
-/// `weights [F, C*k*k] x patches [C*k*k, out_h*out_w]`. This is the
-/// reference layout [`col2im`] is the adjoint of.
+/// `weights [F, C*k*k] x patches [C*k*k, out_h*out_w]`.
 ///
 /// # Errors
 ///
@@ -579,8 +723,8 @@ fn fold_patch_rows(dst: &mut [f32], rows: &[f32], geo: &Conv2dGeometry) {
 /// matrix back into a `[C, H, W]` input gradient.
 ///
 /// Overlapping contributions accumulate in ascending output-position order.
-/// Kept as the per-element reference for [`col2im`], which folds the
-/// transposed matrix in the same order and is bitwise equal to it.
+/// Kept as the per-element reference for the fused input-gradient fold of
+/// the conv GEMM entries, which adds them in the same order.
 ///
 /// # Errors
 ///
@@ -622,60 +766,6 @@ pub fn row2im_batch(rows_mat: &Tensor, geo: &Conv2dGeometry, batch: usize) -> Re
             out
         })
         .collect())
-}
-
-/// Folds a `[C*k*k, out_h*out_w]` patch-gradient matrix back into a
-/// `[C, H, W]` input gradient, accumulating overlapping contributions.
-///
-/// This is the adjoint of [`im2col`] and the convolution input-gradient
-/// fold (which is how XAI input gradients reach the image). Contributions
-/// accumulate in ascending output-position order, so the result is bitwise
-/// equal to [`row2im`] on the transposed matrix.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `cols` does not match the
-/// geometry.
-pub fn col2im(cols_mat: &Tensor, geo: &Conv2dGeometry) -> Result<Tensor> {
-    Ok(col2im_batch(cols_mat, geo, 1)?.remove(0))
-}
-
-/// Batched [`col2im`]: folds a `[C*k*k, B*out_h*out_w]` patch-gradient matrix
-/// (sample `b` in columns `b*out_h*out_w .. (b+1)*out_h*out_w`, the layout of
-/// `Wᵀ · G` for concatenated output gradients) back into `B` per-sample
-/// `[C, H, W]` input gradients, each bitwise equal to [`col2im`] on its own
-/// column block.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `cols_mat` does not match the
-/// geometry for `batch` samples.
-pub fn col2im_batch(cols_mat: &Tensor, geo: &Conv2dGeometry, batch: usize) -> Result<Vec<Tensor>> {
-    let spatial = geo.out_h() * geo.out_w();
-    let expect = [geo.patch_len(), batch * spatial];
-    if cols_mat.shape() != expect {
-        return Err(TensorError::ShapeMismatch {
-            left: cols_mat.shape().to_vec(),
-            right: expect.to_vec(),
-            op: "col2im",
-        });
-    }
-    let fold = ConvFold::new(geo);
-    let n = batch * spatial;
-    let patch = geo.patch_len();
-    let mut padded = vec![0.0; batch * fold.image_len()];
-    let mut tile = vec![0.0; patch * NR];
-    for j0 in (0..n).step_by(NR) {
-        let width = NR.min(n - j0);
-        for (row, src) in tile
-            .chunks_exact_mut(NR)
-            .zip(cols_mat.data().chunks_exact(n))
-        {
-            row[..width].copy_from_slice(&src[j0..j0 + width]);
-        }
-        fold.fold(&tile, j0, width, 0, &mut padded);
-    }
-    Ok(fold.extract(&padded))
 }
 
 #[cfg(test)]
@@ -735,57 +825,9 @@ mod tests {
     }
 
     #[test]
-    fn col2im_is_adjoint_accumulation() {
-        // all-ones gradient on cols accumulates overlap counts in the image
-        let g = geo();
-        let grad_cols = Tensor::ones(&[4, 4]);
-        let grad_in = col2im(&grad_cols, &g).unwrap();
-        // centre pixel participates in all 4 patches
-        assert_eq!(grad_in.at(&[0, 1, 1]), 4.0);
-        // corners participate in exactly 1
-        assert_eq!(grad_in.at(&[0, 0, 0]), 1.0);
-    }
-
-    #[test]
     fn shape_validation() {
         assert!(im2col(&Tensor::zeros(&[3, 3]), &geo()).is_err());
         assert!(im2col(&Tensor::zeros(&[2, 3, 3]), &geo()).is_err());
-        assert!(col2im(&Tensor::zeros(&[4, 5]), &geo()).is_err());
-    }
-
-    #[test]
-    fn batched_col2im_matches_per_sample() {
-        let g = Conv2dGeometry {
-            in_channels: 1,
-            in_h: 4,
-            in_w: 4,
-            kernel: 3,
-            stride: 1,
-            pad: 1,
-        };
-        let cols = g.out_h() * g.out_w();
-        let batch = 2;
-        let data: Vec<f32> = (0..g.patch_len() * cols * batch)
-            .map(|v| v as f32 * 0.25 - 3.0)
-            .collect();
-        let big = Tensor::from_vec(data.clone(), &[g.patch_len(), batch * cols]).unwrap();
-        let folded = col2im_batch(&big, &g, batch).unwrap();
-        assert_eq!(folded.len(), batch);
-        for b in 0..batch {
-            let mut sample = vec![0.0f32; g.patch_len() * cols];
-            for row in 0..g.patch_len() {
-                for col in 0..cols {
-                    sample[row * cols + col] = data[row * batch * cols + b * cols + col];
-                }
-            }
-            let single = col2im(
-                &Tensor::from_vec(sample, &[g.patch_len(), cols]).unwrap(),
-                &g,
-            )
-            .unwrap();
-            assert_eq!(folded[b].data(), single.data(), "sample {b}");
-        }
-        assert!(col2im_batch(&big, &g, 3).is_err());
     }
 
     #[test]
@@ -862,8 +904,7 @@ mod tests {
 
     #[test]
     fn row2im_accumulates_overlap_counts() {
-        // all-ones gradient on rows accumulates overlap counts in the image,
-        // the same adjoint property col2im satisfies
+        // all-ones gradient on rows accumulates overlap counts in the image
         let g = geo();
         let grad_rows = Tensor::ones(&[4, 4]);
         let grad_in = row2im(&grad_rows, &g).unwrap();

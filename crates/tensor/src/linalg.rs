@@ -14,7 +14,7 @@
 //! additions within one element, so blocked, serial, and row-parallel paths
 //! are all bit-identical. See DESIGN.md §6f.
 
-use crate::conv::{check_batch, ConvFold, ConvPanels};
+use crate::conv::{check_batch, check_lanes, ConvFold, ConvPanels};
 use crate::{Conv2dGeometry, Result, Tensor, TensorError};
 use std::ops::Range;
 
@@ -482,22 +482,247 @@ fn gemm_dispatch_panelwise(
     }
 }
 
-/// Convolution input gradients, fused: the `[C·k·k, B·spatial]` product
-/// `Wᵀ · G` of the `Wᵀ` A blocks `ablocks` (`m = C·k·k` rows, inner
-/// dimension `kc = F`) with the concatenated output gradients is never
-/// materialized. For each `NR`-column gradient panel, packed straight from
-/// the per-sample `grads`, every row block's register tile lands in an
-/// L1-sized `[C·k·k][NR]` tile that [`ConvFold`] adds onto zero-padded
-/// input-gradient images before the next panel.
+/// The conv GEMM `W · patchesᵀ` of the A blocks `ablocks` (`m` rows, inner
+/// dimension `kc`) with the B panels `panels` packs, into `out`:
+/// `[m, panels.cols()]`.
+fn conv_gemm_panels(
+    ablocks: &[f32],
+    m: usize,
+    kc: usize,
+    panels: &ConvPanels<'_>,
+    out: &mut Vec<f32>,
+) {
+    reset_buf(out, m * panels.cols());
+    gemm_dispatch_panelwise(
+        ablocks,
+        m,
+        kc,
+        panels.cols(),
+        &|j0, width, dst| panels.pack(j0, width, dst),
+        out,
+    );
+}
+
+/// Convolution input gradients, fused: the `[C·k·k, n]` product `Wᵀ · G`
+/// of the `Wᵀ` A blocks `ablocks` (`m = C·k·k` rows, inner dimension
+/// `kc = F`) with the output gradients whose B panels `grads` packs is never
+/// materialized. For each `NR`-column panel of `G`, every row block's
+/// register tile lands in an L1-sized `[C·k·k][NR]` tile that `fold` adds
+/// onto `images`, the zeroed padded input-gradient images, before the next
+/// panel.
 ///
 /// Each tile element is the exact value `matmul_at_b` computes (same A
 /// blocks, same panels, same kernel), and panels fold in ascending column
-/// order, so the result is bit-identical to `col2im_batch(Wᵀ · G)`.
-/// Parallel spans take whole samples — a sample's images only receive its
-/// own columns — and re-partition its columns into their own panels, which
-/// moves no element's chain. `scratch` holds the padded gradient copies and
-/// images.
+/// order, so each sample's gradient is bit-identical to `row2im(gᵀ · W)`.
+/// An image only receives its own columns, and a channel's padded plane
+/// only the tile rows of its own patch elements, so the work splits into
+/// independent parts: parallel spans take whole images of a sample-major
+/// batch, or whole blocks of channels of a single (lane-major) image, whose
+/// serial loop runs channel blocks small enough for their active rows to
+/// stay in L1. Every part starts on an A block and computes its rows for
+/// each of its panels, which moves no element's chain. Each panel is
+/// packed, and counted as packed, once.
 fn conv_input_grads_dispatch(
+    ablocks: &[f32],
+    kc: usize,
+    grads: &ConvPanels<'_>,
+    fold: &ConvFold,
+    geo: &Conv2dGeometry,
+    images: &mut [f32],
+) {
+    let m = geo.patch_len();
+    let n = grads.cols();
+    remix_trace::incr(remix_trace::Counter::GemmCalls);
+    remix_trace::add(remix_trace::Counter::GemmMacs, (m * kc * n) as u64);
+    let _span = remix_trace::span("gemm");
+    if n == 0 {
+        return;
+    }
+    let (channels, image) = (geo.in_channels, fold.image_len());
+    let count = images.len() / image;
+    // Channel blocks fill whole A blocks, and their active padded rows —
+    // `k` rows of every channel of the block — fit comfortably in L1: a
+    // lane-major row holds every lane.
+    let kk = geo.kernel * geo.kernel;
+    let unit = MR / gcd(kk, MR);
+    let padded_row = fold.plane_len() / (geo.in_h + 2 * geo.pad);
+    let row_bytes = geo.kernel * padded_row * std::mem::size_of::<f32>();
+    let block = (FOLD_WINDOW_BYTES / row_bytes)
+        .max(1)
+        .next_multiple_of(unit);
+    let threads = remix_parallel::num_threads();
+    let parallel = threads > 1 && m * kc * n >= PARALLEL_MATMUL_MACS;
+    let per_span = channels
+        .div_ceil(threads.min(channels))
+        .next_multiple_of(unit);
+    let split = count == 1 && parallel && per_span < channels;
+    // Every part of a single image — a parallel span or a serial block of
+    // its channels — reads every panel: with more than one part, the panels
+    // are packed once, up front. The images of a sample-major batch own
+    // disjoint columns, so their spans pack as they go.
+    let mut packed = Vec::new();
+    if count == 1 && (split || channels > block) {
+        packed = vec![0.0f32; n.div_ceil(NR) * kc * NR];
+        trace_pack_bytes(packed.len());
+        for (j0, panel) in (0..n).step_by(NR).zip(packed.chunks_exact_mut(kc * NR)) {
+            grads.pack(j0, NR.min(n - j0), panel);
+        }
+    }
+    let span = ConvGradSpan {
+        ablocks,
+        kc,
+        kk,
+        block,
+        grads,
+        packed: &packed,
+        fold,
+    };
+    if count > 1 {
+        let per_span = count.div_ceil(threads.min(count));
+        if parallel {
+            remix_parallel::for_each_span_mut(images, per_span * image, |i, dst| {
+                let s0 = i * per_span;
+                span.run_block(s0..s0 + dst.len() / image, 0..channels, dst)
+            });
+        } else {
+            span.run_block(0..count, 0..channels, images);
+        }
+    } else if split {
+        let plane = fold.plane_len();
+        remix_parallel::for_each_span_mut(images, per_span * plane, |i, dst| {
+            let c0 = i * per_span;
+            span.run(c0..c0 + dst.len() / plane, dst)
+        });
+    } else {
+        span.run(0..channels, images);
+    }
+}
+
+/// Bytes of padded input-gradient rows one fold block keeps active.
+const FOLD_WINDOW_BYTES: usize = 16 << 10;
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+/// The fused input-gradient loop of [`conv_input_grads_dispatch`].
+struct ConvGradSpan<'a> {
+    ablocks: &'a [f32],
+    kc: usize,
+    /// Patch elements per channel, `k·k`.
+    kk: usize,
+    /// Channels per fold block of a single image.
+    block: usize,
+    grads: &'a ConvPanels<'a>,
+    /// Every panel of `grads`, packed, or empty to pack them as they come.
+    packed: &'a [f32],
+    fold: &'a ConvFold,
+}
+
+impl ConvGradSpan<'_> {
+    /// Folds the input gradient of channels `chans` of a single image onto
+    /// `dst`, their padded planes, block by block. `chans.start·k·k` sits
+    /// on an A block boundary.
+    fn run(&self, chans: Range<usize>, dst: &mut [f32]) {
+        let plane = self.fold.plane_len();
+        for (i, dst) in dst.chunks_mut(self.block * plane).enumerate() {
+            let c0 = chans.start + i * self.block;
+            self.run_block(0..1, c0..c0 + dst.len() / plane, dst);
+        }
+    }
+
+    /// Every panel of the columns of `images`, its tile rows of the patch
+    /// elements of channels `chans` folded onto `dst`, their padded planes,
+    /// in ascending panel order: one block of a single image, or every
+    /// channel of several images of a sample-major batch. Blocks own
+    /// disjoint planes, so their order is free.
+    fn run_block(&self, images: Range<usize>, chans: Range<usize>, dst: &mut [f32]) {
+        let kc = self.kc;
+        let kernel = micro_kernel();
+        let rows = chans.start * self.kk..chans.end * self.kk;
+        let blocks = &self.ablocks[rows.start / MR * kc * MR..rows.end.div_ceil(MR) * kc * MR];
+        let per_image = self.fold.image_cols();
+        let cols = images.start * per_image..images.end * per_image;
+        if self.packed.is_empty() {
+            trace_pack_bytes(cols.len().div_ceil(NR) * kc * NR);
+        }
+        let mut own = vec![0.0f32; kc * NR];
+        let mut tile = vec![0.0f32; blocks.len() / kc * NR];
+        for j0 in cols.clone().step_by(NR) {
+            let width = NR.min(cols.end - j0);
+            let panel = if self.packed.is_empty() {
+                self.grads.pack(j0, width, &mut own);
+                &own[..]
+            } else {
+                &self.packed[j0 / NR * kc * NR..][..kc * NR]
+            };
+            for (ablock, rows) in blocks
+                .chunks_exact(kc * MR)
+                .zip(tile.chunks_exact_mut(MR * NR))
+            {
+                // SAFETY: `micro_kernel` only returns a feature-gated variant
+                // when the CPU reports that feature.
+                let acc = unsafe { kernel(ablock, panel, kc) };
+                for (row, accr) in rows.chunks_exact_mut(NR).zip(&acc) {
+                    let row: &mut [f32; NR] = row.try_into().expect("NR-wide tile row");
+                    *row = *accr;
+                }
+            }
+            self.fold
+                .fold(&tile, chans.clone(), j0, width, images.start, dst);
+        }
+    }
+}
+
+/// The geometry under which output gradients `[F, out_h, out_w]` are the
+/// images of a 1×1 convolution whose patch element `f` is filter `f`: their
+/// [`ConvPanels`] are the B panels of `G`.
+fn grad_geometry(filters: usize, geo: &Conv2dGeometry) -> Conv2dGeometry {
+    Conv2dGeometry {
+        in_channels: filters,
+        in_h: geo.out_h(),
+        in_w: geo.out_w(),
+        kernel: 1,
+        stride: 1,
+        pad: 0,
+    }
+}
+
+/// The fused conv input gradient of the lane-major output gradient `grads`
+/// of `lanes` lanes: a lane-major `[C, H, W, B]` gradient, or `[C, H, W]`
+/// for a single `[F, out_h, out_w]` sample. `scratch` holds the padded
+/// input gradient.
+fn fused_input_grads_lanes(
+    ablocks: &[f32],
+    kc: usize,
+    grads: &Tensor,
+    lanes: usize,
+    geo: &Conv2dGeometry,
+    scratch: &mut Vec<f32>,
+) -> Tensor {
+    // Unpadded, the gradient panels pack from `grads` in place and never
+    // touch their scratch.
+    let mut no_padding = Vec::new();
+    let panels = ConvPanels::new(grads, lanes, &grad_geometry(kc, geo), &mut no_padding);
+    let fold = ConvFold::new(geo, 1, lanes);
+    reset_buf(scratch, fold.image_len());
+    scratch.fill(0.0);
+    conv_input_grads_dispatch(ablocks, kc, &panels, &fold, geo, scratch);
+    let mut shape = vec![geo.in_channels, geo.in_h, geo.in_w];
+    if grads.rank() == 4 {
+        shape.push(lanes);
+    }
+    fold.extract(scratch, &shape)
+}
+
+/// The fused conv input gradients of the sample-major output gradients
+/// `grads`, one `[C, H, W]` gradient each. `scratch` holds the gradients'
+/// copies and the padded input gradients.
+fn fused_input_grads_samples(
     ablocks: &[f32],
     kc: usize,
     grads: &[Tensor],
@@ -507,78 +732,37 @@ fn conv_input_grads_dispatch(
     if grads.is_empty() {
         return Vec::new();
     }
-    let m = geo.patch_len();
-    let (oh, ow) = (geo.out_h(), geo.out_w());
-    let n = grads.len() * oh * ow;
-    remix_trace::incr(remix_trace::Counter::GemmCalls);
-    remix_trace::add(remix_trace::Counter::GemmMacs, (m * kc * n) as u64);
-    trace_pack_bytes(n.div_ceil(NR) * kc * NR);
-    let _span = remix_trace::span("gemm");
-    // The gradients are the "images" of a 1×1 convolution whose patch
-    // element `f` is filter `f`: its panels are `pack_b` of the concatenation.
-    let grad_geo = Conv2dGeometry {
-        in_channels: kc,
-        in_h: oh,
-        in_w: ow,
-        kernel: 1,
-        stride: 1,
-        pad: 0,
-    };
-    let fold = ConvFold::new(geo);
-    let grad_len = ConvPanels::scratch_len(&grad_geo, grads.len());
+    let grad_geo = grad_geometry(kc, geo);
+    let fold = ConvFold::new(geo, grads.len(), 1);
+    let grad_len = ConvPanels::samples_len(&grad_geo, grads.len());
     reset_buf(scratch, grad_len + grads.len() * fold.image_len());
     let (grad_scratch, images) = scratch.split_at_mut(grad_len);
-    let panels = ConvPanels::new(grads, &grad_geo, grad_scratch);
+    let panels = ConvPanels::from_samples(grads, &grad_geo, grad_scratch);
     images.fill(0.0);
-    let threads = remix_parallel::num_threads();
-    if threads > 1 && grads.len() > 1 && m * kc * n >= PARALLEL_MATMUL_MACS {
-        let per_span = grads.len().div_ceil(threads.min(grads.len()));
-        remix_parallel::for_each_span_mut(images, per_span * fold.image_len(), |i, dst| {
-            conv_grads_span(ablocks, kc, &panels, &fold, i * per_span, dst)
-        });
-    } else {
-        conv_grads_span(ablocks, kc, &panels, &fold, 0, images);
-    }
-    fold.extract(images)
+    conv_input_grads_dispatch(ablocks, kc, &panels, &fold, geo, images);
+    fold.extract_samples(images)
 }
 
-/// The fused input-gradient loop of [`conv_input_grads_dispatch`] over the
-/// samples whose padded images are `dst`, starting at sample `b0`.
-fn conv_grads_span(
-    ablocks: &[f32],
-    kc: usize,
-    panels: &ConvPanels<'_>,
-    fold: &ConvFold,
-    b0: usize,
-    dst: &mut [f32],
-) {
-    let kernel = micro_kernel();
-    let spatial = panels.cols() / panels.samples();
-    let mut panel = vec![0.0f32; kc * NR];
-    let mut tile = vec![0.0f32; ablocks.len() / kc * NR];
-    let cols = b0 * spatial..(b0 + dst.len() / fold.image_len()) * spatial;
-    for j0 in cols.clone().step_by(NR) {
-        let width = NR.min(cols.end - j0);
-        panels.pack(j0, width, &mut panel);
-        for (ablock, rows) in ablocks
-            .chunks_exact(kc * MR)
-            .zip(tile.chunks_exact_mut(MR * NR))
-        {
-            // SAFETY: `micro_kernel` only returns a feature-gated variant
-            // when the CPU reports that feature.
-            let acc = unsafe { kernel(ablock, &panel, kc) };
-            for (row, accr) in rows.chunks_exact_mut(NR).zip(&acc) {
-                let row: &mut [f32; NR] = row.try_into().expect("NR-wide tile row");
-                *row = *accr;
-            }
-        }
-        fold.fold(&tile, j0, width, b0, dst);
-    }
-}
-
-/// Validates the conv input-gradient operands: a `[F, C·k·k]` filter matrix
-/// (`weight_shape`) for `geo`, and `[F, out_h, out_w]`-long gradients.
+/// Validates the conv input-gradient operands — a `[F, C·k·k]` filter
+/// matrix (`weight_shape`) for `geo` and lane-major `[F, out_h, out_w, B]`
+/// gradients — and returns `B`.
 fn check_conv_grads(
+    weight_shape: [usize; 2],
+    grads: &Tensor,
+    geo: &Conv2dGeometry,
+) -> Result<usize> {
+    check_filters(weight_shape, geo)?;
+    check_lanes(
+        grads,
+        [weight_shape[0], geo.out_h(), geo.out_w()],
+        "conv input gradient",
+    )
+}
+
+/// Validates the sample-major conv input-gradient operands: a `[F, C·k·k]`
+/// filter matrix (`weight_shape`) for `geo`, and `[F, out_h, out_w]`-long
+/// gradients.
+fn check_conv_sample_grads(
     weight_shape: [usize; 2],
     grads: &[Tensor],
     geo: &Conv2dGeometry,
@@ -860,12 +1044,42 @@ impl PackedOperand {
 
     /// Convolution forward `P · patchesᵀ` for a pack built by
     /// [`Tensor::prepack_a`] from the `[F, C·k·k]` filter matrix, over a
-    /// batch of `[C, H, W]` `inputs` → `out: [F, B·out_h·out_w]` (sample `b`
-    /// in columns `b·out_h·out_w ..`). Bit-identical to
-    /// [`PackedOperand::matmul_a_bt_prepacked_into`] on the
-    /// [`im2row_batch_into`](crate::im2row_batch_into) patch rows, but the B
-    /// panels are packed straight from the images, so no patch matrix is
-    /// built. `packed` is scratch for those panels.
+    /// lane-major batch `[C, H, W, B]` → `out: [F, out_h·out_w·B]`, the
+    /// lane-major output `[F, out_h, out_w, B]`. Every element is
+    /// bit-identical to [`PackedOperand::matmul_a_bt_prepacked_into`] on its
+    /// sample's [`im2row_batch_into`](crate::im2row_batch_into) patch rows,
+    /// but the B panels are packed straight from the batch, so no patch
+    /// matrix is built. `padded` is scratch for the zero-padded batch.
+    ///
+    /// # Errors
+    ///
+    /// Returns a rank or shape error unless `batch` is `[C, H, W, B]` for
+    /// `geo`, or [`TensorError::MatmulDimMismatch`] if the pack's inner
+    /// dimension is not `geo.patch_len()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pack's role is not [`PackedRole::A`].
+    pub fn conv_gemm_prepacked_into(
+        &self,
+        batch: &Tensor,
+        geo: &Conv2dGeometry,
+        out: &mut Vec<f32>,
+        padded: &mut Vec<f32>,
+    ) -> Result<()> {
+        self.expect_role(PackedRole::A, "conv_gemm_prepacked_into");
+        let lanes = check_lanes(batch, [geo.in_channels, geo.in_h, geo.in_w], "conv_gemm")?;
+        check_filters(self.src, geo)?;
+        let panels = ConvPanels::new(batch, lanes, geo, padded);
+        remix_trace::incr(remix_trace::Counter::PrepackHits);
+        conv_gemm_panels(&self.data, self.dim, self.kc, &panels, out);
+        Ok(())
+    }
+
+    /// [`PackedOperand::conv_gemm_prepacked_into`] over `B` sample-major
+    /// `[C, H, W]` `inputs` → `out: [F, B·out_h·out_w]`, sample `b` in
+    /// columns `b·out_h·out_w..` — the batched training forward. `packed`
+    /// is scratch for the zero-padded images.
     ///
     /// # Errors
     ///
@@ -876,59 +1090,80 @@ impl PackedOperand {
     /// # Panics
     ///
     /// Panics if the pack's role is not [`PackedRole::A`].
-    pub fn conv_gemm_prepacked_into(
+    pub fn conv_gemm_samples_prepacked_into(
         &self,
         inputs: &[Tensor],
         geo: &Conv2dGeometry,
         out: &mut Vec<f32>,
         packed: &mut Vec<f32>,
     ) -> Result<()> {
-        self.expect_role(PackedRole::A, "conv_gemm_prepacked_into");
+        self.expect_role(PackedRole::A, "conv_gemm_samples_prepacked_into");
         check_batch(inputs, geo, "conv_gemm")?;
         check_filters(self.src, geo)?;
-        reset_buf(packed, ConvPanels::scratch_len(geo, inputs.len()));
-        let panels = ConvPanels::new(inputs, geo, packed);
-        reset_buf(out, self.dim * panels.cols());
+        reset_buf(packed, ConvPanels::samples_len(geo, inputs.len()));
+        let panels = ConvPanels::from_samples(inputs, geo, packed);
         remix_trace::incr(remix_trace::Counter::PrepackHits);
-        gemm_dispatch_panelwise(
-            &self.data,
-            self.dim,
-            self.kc,
-            panels.cols(),
-            &|j0, width, dst| panels.pack(j0, width, dst),
-            out,
-        );
+        conv_gemm_panels(&self.data, self.dim, self.kc, &panels, out);
         Ok(())
     }
 
     /// Convolution input gradients for a pack built by
-    /// [`Tensor::prepack_at`] from the `[F, C·k·k]` filter matrix: one
-    /// `[C, H, W]` gradient per `[F, out_h, out_w]` output gradient in
-    /// `grads`. Bit-identical to [`col2im_batch`](crate::col2im_batch) of
-    /// [`PackedOperand::matmul_at_b_prepacked_into`] over the concatenated
-    /// gradients, but the `[C·k·k, B·out_h·out_w]` product is folded onto
-    /// the images panel by panel instead of being built. `scratch` holds the
-    /// padded gradient copies and images.
+    /// [`Tensor::prepack_at`] from the `[F, C·k·k]` filter matrix: the
+    /// lane-major `[C, H, W, B]` gradient of the lane-major
+    /// `[F, out_h, out_w, B]` output gradient `grads`. Each sample's
+    /// gradient is bit-identical to [`row2im`](crate::row2im) of its
+    /// [`PackedOperand::matmul_at_b_prepacked_into`] patch gradient, but the
+    /// `[C·k·k, out_h·out_w·B]` product is folded onto the padded gradient
+    /// panel by panel instead of being built. `scratch` holds the padded
+    /// input gradient.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::MatmulDimMismatch`] if the pack's output
-    /// dimension is not `geo.patch_len()`, or [`TensorError::ShapeMismatch`]
-    /// for a gradient of the wrong length.
+    /// dimension is not `geo.patch_len()`, or a rank or shape error unless
+    /// `grads` is `[F, out_h, out_w, B]`.
     ///
     /// # Panics
     ///
     /// Panics if the pack's role is not [`PackedRole::At`].
     pub fn conv_input_grads_prepacked(
         &self,
+        grads: &Tensor,
+        geo: &Conv2dGeometry,
+        scratch: &mut Vec<f32>,
+    ) -> Result<Tensor> {
+        self.expect_role(PackedRole::At, "conv_input_grads_prepacked");
+        let lanes = check_conv_grads([self.kc, self.dim], grads, geo)?;
+        remix_trace::incr(remix_trace::Counter::PrepackHits);
+        Ok(fused_input_grads_lanes(
+            &self.data, self.kc, grads, lanes, geo, scratch,
+        ))
+    }
+
+    /// [`PackedOperand::conv_input_grads_prepacked`] over `B` sample-major
+    /// `[F, out_h, out_w]` output gradients: one `[C, H, W]` gradient each
+    /// — the batched training input gradient. `scratch` holds the
+    /// gradients' copies and the padded input gradients.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::MatmulDimMismatch`] if the pack's output
+    /// dimension is not `geo.patch_len()`, or
+    /// [`TensorError::ShapeMismatch`] for a gradient of the wrong length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pack's role is not [`PackedRole::At`].
+    pub fn conv_input_grads_samples_prepacked(
+        &self,
         grads: &[Tensor],
         geo: &Conv2dGeometry,
         scratch: &mut Vec<f32>,
     ) -> Result<Vec<Tensor>> {
-        self.expect_role(PackedRole::At, "conv_input_grads_prepacked");
-        check_conv_grads([self.kc, self.dim], grads, geo)?;
+        self.expect_role(PackedRole::At, "conv_input_grads_samples_prepacked");
+        check_conv_sample_grads([self.kc, self.dim], grads, geo)?;
         remix_trace::incr(remix_trace::Counter::PrepackHits);
-        Ok(conv_input_grads_dispatch(
+        Ok(fused_input_grads_samples(
             &self.data, self.kc, grads, geo, scratch,
         ))
     }
@@ -1200,19 +1435,49 @@ impl Tensor {
     }
 
     /// Convolution forward `self · patchesᵀ` for the `[F, C·k·k]` filter
-    /// matrix `self` over a batch of `[C, H, W]` `inputs` →
-    /// `out: [F, B·out_h·out_w]` — the fresh-A twin of
-    /// [`PackedOperand::conv_gemm_prepacked_into`], bit-identical to
-    /// [`Tensor::matmul_a_bt_into`] on the
+    /// matrix `self` over a lane-major batch `[C, H, W, B]` →
+    /// `out: [F, out_h·out_w·B]`, the lane-major output — the fresh-A twin
+    /// of [`PackedOperand::conv_gemm_prepacked_into`], every element
+    /// bit-identical to [`Tensor::matmul_a_bt_into`] on its sample's
     /// [`im2row_batch_into`](crate::im2row_batch_into) patch rows without
-    /// building them. `packed` is scratch for the image-packed B panels.
+    /// building them. `padded` is scratch for the zero-padded batch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] unless `self` is rank 2, a rank
+    /// or shape error unless `batch` is `[C, H, W, B]` for `geo`, or
+    /// [`TensorError::MatmulDimMismatch`] if `self`'s inner dimension is
+    /// not `geo.patch_len()`.
+    pub fn conv_gemm_into(
+        &self,
+        batch: &Tensor,
+        geo: &Conv2dGeometry,
+        out: &mut Vec<f32>,
+        padded: &mut Vec<f32>,
+    ) -> Result<()> {
+        check_rank2(self, "conv_gemm")?;
+        let (m, k) = (self.shape()[0], self.shape()[1]);
+        let lanes = check_lanes(batch, [geo.in_channels, geo.in_h, geo.in_w], "conv_gemm")?;
+        check_filters([m, k], geo)?;
+        let ablocks = pack_a_blocks(self.data(), m, k);
+        trace_pack_a_bytes(m, k);
+        let panels = ConvPanels::new(batch, lanes, geo, padded);
+        conv_gemm_panels(&ablocks, m, k, &panels, out);
+        Ok(())
+    }
+
+    /// [`Tensor::conv_gemm_into`] over `B` sample-major `[C, H, W]`
+    /// `inputs` → `out: [F, B·out_h·out_w]`, sample `b` in columns
+    /// `b·out_h·out_w..` — the fresh-A twin of
+    /// [`PackedOperand::conv_gemm_samples_prepacked_into`]. `packed` is
+    /// scratch for the zero-padded images.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::RankMismatch`] unless `self` is rank 2, the
     /// first input's geometry error, or [`TensorError::MatmulDimMismatch`]
     /// if `self`'s inner dimension is not `geo.patch_len()`.
-    pub fn conv_gemm_into(
+    pub fn conv_gemm_samples_into(
         &self,
         inputs: &[Tensor],
         geo: &Conv2dGeometry,
@@ -1225,25 +1490,19 @@ impl Tensor {
         check_filters([m, k], geo)?;
         let ablocks = pack_a_blocks(self.data(), m, k);
         trace_pack_a_bytes(m, k);
-        reset_buf(packed, ConvPanels::scratch_len(geo, inputs.len()));
-        let panels = ConvPanels::new(inputs, geo, packed);
-        reset_buf(out, m * panels.cols());
-        gemm_dispatch_panelwise(
-            &ablocks,
-            m,
-            k,
-            panels.cols(),
-            &|j0, width, dst| panels.pack(j0, width, dst),
-            out,
-        );
+        reset_buf(packed, ConvPanels::samples_len(geo, inputs.len()));
+        let panels = ConvPanels::from_samples(inputs, geo, packed);
+        conv_gemm_panels(&ablocks, m, k, &panels, out);
         Ok(())
     }
 
     /// Convolution input gradients for the `[F, C·k·k]` filter matrix
     /// `self` — the fresh-A twin of
-    /// [`PackedOperand::conv_input_grads_prepacked`], bit-identical to
-    /// [`col2im_batch`](crate::col2im_batch) of [`Tensor::matmul_at_b`]
-    /// over the concatenated gradients.
+    /// [`PackedOperand::conv_input_grads_prepacked`]: the lane-major
+    /// `[C, H, W, B]` gradient of the lane-major `[F, out_h, out_w, B]`
+    /// output gradient, each sample's bit-identical to
+    /// [`row2im`](crate::row2im) of its [`Tensor::matmul_at_b`] patch
+    /// gradient.
     ///
     /// # Errors
     ///
@@ -1252,16 +1511,42 @@ impl Tensor {
     /// [`PackedOperand::conv_input_grads_prepacked`].
     pub fn conv_input_grads(
         &self,
+        grads: &Tensor,
+        geo: &Conv2dGeometry,
+        scratch: &mut Vec<f32>,
+    ) -> Result<Tensor> {
+        check_rank2(self, "conv_input_grads")?;
+        let (f, patch) = (self.shape()[0], self.shape()[1]);
+        let lanes = check_conv_grads([f, patch], grads, geo)?;
+        let ablocks = pack_at_blocks(self.data(), f, patch);
+        trace_pack_a_bytes(patch, f);
+        Ok(fused_input_grads_lanes(
+            &ablocks, f, grads, lanes, geo, scratch,
+        ))
+    }
+
+    /// [`Tensor::conv_input_grads`] over `B` sample-major
+    /// `[F, out_h, out_w]` output gradients: one `[C, H, W]` gradient each
+    /// — the fresh-A twin of
+    /// [`PackedOperand::conv_input_grads_samples_prepacked`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] unless `self` is rank 2, and
+    /// otherwise the errors of
+    /// [`PackedOperand::conv_input_grads_samples_prepacked`].
+    pub fn conv_input_grads_samples(
+        &self,
         grads: &[Tensor],
         geo: &Conv2dGeometry,
         scratch: &mut Vec<f32>,
     ) -> Result<Vec<Tensor>> {
         check_rank2(self, "conv_input_grads")?;
         let (f, patch) = (self.shape()[0], self.shape()[1]);
-        check_conv_grads([f, patch], grads, geo)?;
+        check_conv_sample_grads([f, patch], grads, geo)?;
         let ablocks = pack_at_blocks(self.data(), f, patch);
         trace_pack_a_bytes(patch, f);
-        Ok(conv_input_grads_dispatch(&ablocks, f, grads, geo, scratch))
+        Ok(fused_input_grads_samples(&ablocks, f, grads, geo, scratch))
     }
 
     /// Packs `self: [m, k]` once as the left operand of [`Tensor::matmul`] /

@@ -2,6 +2,9 @@ use crate::{Result, TensorError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// Elements per tile of the lane-major stack and unstack loops.
+const LANE_TILE: usize = 64;
+
 /// A dense, row-major `f32` tensor of arbitrary rank.
 ///
 /// `Tensor` is the common currency of the workspace: images are `[C, H, W]`
@@ -233,6 +236,81 @@ impl Tensor {
         Ok(Self { shape, data })
     }
 
+    /// Reinterprets the tensor with a new shape, taking its data without a
+    /// copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeDataMismatch`] if the element counts differ.
+    pub fn into_shape(self, shape: &[usize]) -> Result<Self> {
+        Tensor::from_vec(self.data, shape)
+    }
+
+    /// Stacks same-shape tensors along a new *last* axis: `B` tensors of
+    /// shape `s` become one lane-major `s ++ [B]` tensor whose element
+    /// `(i, b)` is element `i` of `items[b]`, so the `B` copies of every
+    /// element sit next to each other. This is the batch layout of the
+    /// inference passes in `remix-nn`; [`Tensor::unstack_lanes`] inverts it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::EmptyTensor`] when `items` is empty and
+    /// [`TensorError::ShapeMismatch`] when the shapes disagree.
+    pub fn stack_lanes(items: &[Tensor]) -> Result<Self> {
+        let first = items
+            .first()
+            .ok_or(TensorError::EmptyTensor { op: "stack_lanes" })?;
+        if let Some(item) = items.iter().find(|t| t.shape != first.shape) {
+            return Err(TensorError::ShapeMismatch {
+                left: first.shape.clone(),
+                right: item.shape.clone(),
+                op: "stack_lanes",
+            });
+        }
+        let lanes = items.len();
+        let mut data = vec![0.0; first.len() * lanes];
+        // Tiles of LANE_TILE elements keep every sample's stride-`B` pass
+        // within a few cache lines.
+        for i0 in (0..first.len()).step_by(LANE_TILE) {
+            let i1 = (i0 + LANE_TILE).min(first.len());
+            for (b, item) in items.iter().enumerate() {
+                for (i, &v) in (i0..i1).zip(&item.data[i0..i1]) {
+                    data[i * lanes + b] = v;
+                }
+            }
+        }
+        let mut shape = first.shape.clone();
+        shape.push(lanes);
+        Ok(Self { shape, data })
+    }
+
+    /// Splits a lane-major tensor along its last axis: shape `s ++ [B]`
+    /// becomes `B` tensors of shape `s`, the inverse of
+    /// [`Tensor::stack_lanes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a rank-0 tensor.
+    pub fn unstack_lanes(&self) -> Vec<Tensor> {
+        let (&lanes, sample) = self.shape.split_last().expect("a lane axis");
+        let len = sample.iter().product::<usize>();
+        let mut out: Vec<Vec<f32>> = (0..lanes).map(|_| vec![0.0; len]).collect();
+        for i0 in (0..len).step_by(LANE_TILE) {
+            let i1 = (i0 + LANE_TILE).min(len);
+            for (b, o) in out.iter_mut().enumerate() {
+                for (i, v) in (i0..i1).zip(&mut o[i0..i1]) {
+                    *v = self.data[i * lanes + b];
+                }
+            }
+        }
+        out.into_iter()
+            .map(|data| Self {
+                shape: sample.to_vec(),
+                data,
+            })
+            .collect()
+    }
+
     /// Returns `true` if any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|v| !v.is_finite())
@@ -337,6 +415,24 @@ mod tests {
         let b = Tensor::zeros(&[3]);
         assert!(Tensor::stack(&[a, b]).is_err());
         assert!(Tensor::stack(&[]).is_err());
+    }
+
+    #[test]
+    fn stack_lanes_interleaves_and_unstacks() {
+        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
+        let b = Tensor::from_vec(vec![5.0, 6.0, 7.0, 8.0], &[2, 2]).unwrap();
+        let lanes = Tensor::stack_lanes(&[a.clone(), b.clone()]).unwrap();
+        assert_eq!(lanes.shape(), &[2, 2, 2]);
+        assert_eq!(lanes.data(), &[1.0, 5.0, 2.0, 6.0, 3.0, 7.0, 4.0, 8.0]);
+        assert_eq!(lanes.unstack_lanes(), vec![a.clone(), b]);
+        assert!(Tensor::stack_lanes(&[a, Tensor::zeros(&[4])]).is_err());
+        assert!(Tensor::stack_lanes(&[]).is_err());
+        let single = Tensor::stack_lanes(&[Tensor::from_slice(&[1.0, 2.0])]).unwrap();
+        assert_eq!(single.shape(), &[2, 1]);
+        assert_eq!(
+            single.clone().into_shape(&[2]).unwrap().data(),
+            single.data()
+        );
     }
 
     #[test]

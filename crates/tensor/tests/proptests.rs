@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use remix_tensor::{col2im_batch, im2col, im2row_batch_into, row2im_batch, Conv2dGeometry, Tensor};
+use remix_tensor::{im2col, im2row_batch_into, row2im_batch, Conv2dGeometry, Tensor};
 
 fn vec_strategy(len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-100.0f32..100.0, len)
@@ -195,17 +195,19 @@ fn signed_zero_tensor(shape: &[usize], rng: &mut StdRng) -> Tensor {
     Tensor::from_vec(data, shape).unwrap()
 }
 
-// Conv lowering contracts over small geometries: C 1–4, H/W 1–9, k 1–3,
-// stride 1–2, pad 0–1, batch 1–5. Output rows shorter than a 16-lane panel
-// make panels straddle output rows and samples, and most B·spatial column
-// counts are not multiples of 16.
+// Conv lowering contracts, lane-major and sample-major, over small
+// geometries: C 1–4, H/W 1–9, k 1–3, stride 1–2, pad 0–1, batch 1–33, at
+// the default thread count. Output rows shorter than a 16-lane panel and
+// batches that are not multiples of 16 make lane runs straddle output
+// positions, rows and samples, and most column counts are not multiples of
+// 16.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn conv_gemm_panels_are_bit_identical_to_unfolded_rows(
+    fn lane_conv_gemm_is_bit_identical_to_unfolded_rows(
         c in 1usize..5, h in 1usize..10, w in 1usize..10, k in 1usize..4,
-        stride in 1usize..3, pad in 0usize..2, batch in 1usize..6,
+        stride in 1usize..3, pad in 0usize..2, batch in 1usize..34,
         filters in 1usize..10, seed in 0u64..1024
     ) {
         let geo = Conv2dGeometry { in_channels: c, in_h: h, in_w: w, kernel: k, stride, pad };
@@ -216,25 +218,42 @@ proptest! {
         let weight = signed_zero_tensor(&[filters, geo.patch_len()], &mut rng);
         let inputs: Vec<Tensor> =
             (0..batch).map(|_| signed_zero_tensor(&[c, h, w], &mut rng)).collect();
-        // Reference: unfold the patch rows, then the transpose-free GEMM.
+        // Reference: unfold the patch rows, then the transpose-free GEMM;
+        // sample b owns columns b·spatial.. of the product.
+        let spatial = geo.out_h() * geo.out_w();
         let mut rows = Vec::new();
         im2row_batch_into(&inputs, &geo, &mut rows).unwrap();
-        let rows =
-            Tensor::from_vec(rows, &[batch * geo.out_h() * geo.out_w(), geo.patch_len()]).unwrap();
+        let rows = Tensor::from_vec(rows, &[batch * spatial, geo.patch_len()]).unwrap();
         let reference = weight.matmul_a_bt(&rows).unwrap();
+        let lanes = Tensor::stack_lanes(&inputs).unwrap();
+        let expect: Vec<u32> = (0..filters * spatial)
+            .flat_map(|fp| {
+                let (f, p) = (fp / spatial, fp % spatial);
+                let data = reference.data();
+                (0..batch).map(move |b| data[f * batch * spatial + b * spatial + p].to_bits())
+            })
+            .collect();
 
-        let (mut out, mut packed) = (Vec::new(), Vec::new());
-        weight.conv_gemm_into(&inputs, &geo, &mut out, &mut packed).unwrap();
-        prop_assert_eq!(bits(&out), bits(reference.data()), "fresh {:?} x{}", geo, batch);
+        let (mut out, mut padded) = (Vec::new(), Vec::new());
+        weight.conv_gemm_into(&lanes, &geo, &mut out, &mut padded).unwrap();
+        prop_assert_eq!(bits(&out), expect.clone(), "fresh {:?} x{}", geo, batch);
         let frozen = weight.prepack_a().unwrap();
-        frozen.conv_gemm_prepacked_into(&inputs, &geo, &mut out, &mut packed).unwrap();
-        prop_assert_eq!(bits(&out), bits(reference.data()), "prepacked {:?} x{}", geo, batch);
+        frozen.conv_gemm_prepacked_into(&lanes, &geo, &mut out, &mut padded).unwrap();
+        prop_assert_eq!(bits(&out), expect, "prepacked {:?} x{}", geo, batch);
+
+        // The sample-major entries keep the reference's column order.
+        weight.conv_gemm_samples_into(&inputs, &geo, &mut out, &mut padded).unwrap();
+        prop_assert_eq!(bits(&out), bits(reference.data()), "samples fresh {:?} x{}", geo, batch);
+        frozen.conv_gemm_samples_prepacked_into(&inputs, &geo, &mut out, &mut padded).unwrap();
+        prop_assert_eq!(
+            bits(&out), bits(reference.data()), "samples prepacked {:?} x{}", geo, batch
+        );
     }
 
     #[test]
-    fn col2im_fold_is_bit_identical_to_row2im(
+    fn lane_conv_input_grads_are_bit_identical_to_row2im(
         c in 1usize..5, h in 1usize..10, w in 1usize..10, k in 1usize..4,
-        stride in 1usize..3, pad in 0usize..2, batch in 1usize..6,
+        stride in 1usize..3, pad in 0usize..2, batch in 1usize..34,
         filters in 1usize..10, seed in 0u64..1024
     ) {
         let geo = Conv2dGeometry { in_channels: c, in_h: h, in_w: w, kernel: k, stride, pad };
@@ -242,49 +261,77 @@ proptest! {
             continue;
         }
         let mut rng = StdRng::seed_from_u64(seed ^ 0xf01d);
-        let cols = batch * geo.out_h() * geo.out_w();
+        let (oh, ow) = (geo.out_h(), geo.out_w());
         let weight = signed_zero_tensor(&[filters, geo.patch_len()], &mut rng);
-        let grads = signed_zero_tensor(&[filters, cols], &mut rng);
-        // Reference: gᵀ·W patch rows through the row fold.
-        let reference = row2im_batch(&grads.matmul_at_b(&weight).unwrap(), &geo, batch).unwrap();
-        let expect: Vec<Vec<u32>> = reference.iter().map(|t| bits(t.data())).collect();
-
-        let fold = |dcols: Tensor| -> Vec<Vec<u32>> {
-            col2im_batch(&dcols, &geo, batch).unwrap().iter().map(|t| bits(t.data())).collect()
-        };
-        prop_assert_eq!(fold(weight.matmul_at_b(&grads).unwrap()), expect.clone(), "fresh {:?}", geo);
-        let (mut out, mut packed) = (Vec::new(), Vec::new());
-        let frozen = weight.prepack_at().unwrap();
-        frozen.matmul_at_b_prepacked_into(&grads, &mut out, &mut packed).unwrap();
-        let dcols = Tensor::from_vec(out, &[geo.patch_len(), cols]).unwrap();
-        prop_assert_eq!(fold(dcols), expect.clone(), "prepacked {:?}", geo);
-
-        // The fused entries fold each gradient panel's tiles straight onto
-        // the images, from per-sample `[F, out_h, out_w]` gradients.
-        let per_sample: Vec<Tensor> = (0..batch)
-            .map(|b| {
-                let spatial = cols / batch;
-                let data = grads
-                    .data()
-                    .chunks_exact(cols)
-                    .flat_map(|row| row[b * spatial..(b + 1) * spatial].to_vec())
-                    .collect();
-                Tensor::from_vec(data, &[filters, geo.out_h(), geo.out_w()]).unwrap()
-            })
+        let grads: Vec<Tensor> =
+            (0..batch).map(|_| signed_zero_tensor(&[filters, oh, ow], &mut rng)).collect();
+        // Reference: gᵀ·W patch rows of the concatenated per-sample
+        // gradients through the row fold.
+        let cols = batch * oh * ow;
+        let concat: Vec<f32> = (0..filters)
+            .flat_map(|f| grads.iter().flat_map(move |g| g.data()[f * oh * ow..][..oh * ow].to_vec()))
             .collect();
-        let all_bits = |ts: Vec<Tensor>| ts.iter().map(|t| bits(t.data())).collect::<Vec<_>>();
-        let fused = weight.conv_input_grads(&per_sample, &geo, &mut packed).unwrap();
-        prop_assert_eq!(all_bits(fused), expect.clone(), "fused fresh {:?}", geo);
-        let fused = frozen.conv_input_grads_prepacked(&per_sample, &geo, &mut packed).unwrap();
-        prop_assert_eq!(all_bits(fused), expect, "fused prepacked {:?}", geo);
+        let concat = Tensor::from_vec(concat, &[filters, cols]).unwrap();
+        let reference = row2im_batch(&concat.matmul_at_b(&weight).unwrap(), &geo, batch).unwrap();
+        let expect = bits(Tensor::stack_lanes(&reference).unwrap().data());
 
-        // The fold alone: any patch-gradient matrix, against its transpose.
-        let m = signed_zero_tensor(&[geo.patch_len(), cols], &mut rng);
-        let by_rows = row2im_batch(&m.transpose().unwrap(), &geo, batch).unwrap();
-        prop_assert_eq!(
-            fold(m),
-            by_rows.iter().map(|t| bits(t.data())).collect::<Vec<_>>(),
-            "fold {:?}", geo
-        );
+        let lanes = Tensor::stack_lanes(&grads).unwrap();
+        let mut scratch = Vec::new();
+        let fused = weight.conv_input_grads(&lanes, &geo, &mut scratch).unwrap();
+        prop_assert_eq!(fused.shape(), &[c, h, w, batch][..]);
+        prop_assert_eq!(bits(fused.data()), expect.clone(), "fresh {:?} x{}", geo, batch);
+        let frozen = weight.prepack_at().unwrap();
+        let fused = frozen.conv_input_grads_prepacked(&lanes, &geo, &mut scratch).unwrap();
+        prop_assert_eq!(bits(fused.data()), expect, "prepacked {:?} x{}", geo, batch);
+
+        let per_sample: Vec<Vec<u32>> = reference.iter().map(|t| bits(t.data())).collect();
+        let all_bits = |ts: Vec<Tensor>| ts.iter().map(|t| bits(t.data())).collect::<Vec<_>>();
+        let fused = weight.conv_input_grads_samples(&grads, &geo, &mut scratch).unwrap();
+        prop_assert_eq!(all_bits(fused), per_sample.clone(), "samples fresh {:?} x{}", geo, batch);
+        let fused = frozen.conv_input_grads_samples_prepacked(&grads, &geo, &mut scratch).unwrap();
+        prop_assert_eq!(all_bits(fused), per_sample, "samples prepacked {:?} x{}", geo, batch);
+    }
+}
+
+#[test]
+fn lane_conv_entries_take_one_sample_as_one_lane_and_reject_other_shapes() {
+    let geo = Conv2dGeometry {
+        in_channels: 2,
+        in_h: 4,
+        in_w: 4,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+    };
+    let mut rng = StdRng::seed_from_u64(3);
+    let weight = signed_zero_tensor(&[3, geo.patch_len()], &mut rng);
+    let sample = signed_zero_tensor(&[2, 4, 4], &mut rng);
+    let (mut out, mut one, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+    weight
+        .conv_gemm_into(&sample, &geo, &mut out, &mut scratch)
+        .unwrap();
+    let lane = sample.reshape(&[2, 4, 4, 1]).unwrap();
+    weight
+        .conv_gemm_into(&lane, &geo, &mut one, &mut scratch)
+        .unwrap();
+    assert_eq!(bits(&out), bits(&one));
+    let grad = signed_zero_tensor(&[3, 4, 4], &mut rng);
+    let dx = weight.conv_input_grads(&grad, &geo, &mut scratch).unwrap();
+    assert_eq!(dx.shape(), &[2, 4, 4]);
+    let dx_lane = weight
+        .conv_input_grads(&grad.reshape(&[3, 4, 4, 1]).unwrap(), &geo, &mut scratch)
+        .unwrap();
+    assert_eq!(dx_lane.shape(), &[2, 4, 4, 1]);
+    assert_eq!(bits(dx.data()), bits(dx_lane.data()));
+
+    for wrong in [vec![2, 4, 5, 3], vec![2, 16], vec![3, 4, 4, 2]] {
+        let t = Tensor::zeros(&wrong);
+        assert!(weight
+            .conv_gemm_into(&t, &geo, &mut out, &mut scratch)
+            .is_err());
+    }
+    for wrong in [vec![2, 4, 4, 3], vec![3, 16], vec![3, 4, 4, 1, 1]] {
+        let t = Tensor::zeros(&wrong);
+        assert!(weight.conv_input_grads(&t, &geo, &mut scratch).is_err());
     }
 }
