@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
 use remix_data::SyntheticSpec;
 use remix_faults::{inject, ConfusionPattern, FaultConfig, FaultType};
-use remix_nn::{cross_entropy, zoo, Arch, InputSpec, Layer, Mode, Model};
+use remix_nn::{cross_entropy, zoo, Arch, InputSpec, Layer, Mode, Model, Wants};
 use remix_tensor::{im2col, Conv2dGeometry, Tensor};
 
 fn tensor_ops(c: &mut Criterion) {
@@ -54,10 +54,11 @@ fn model_passes(c: &mut Criterion) {
         let mut model2 = Model::named(zoo::build(arch, spec, &mut rng), spec, arch.name());
         group.bench_function(format!("{arch}_train_step"), |bch| {
             bch.iter(|| {
-                model2.net_mut().zero_grads();
-                let logits = model2.net_mut().forward(&img, Mode::Train);
-                let (_, grad) = cross_entropy(&logits, 7);
-                model2.net_mut().backward(&grad)
+                let net = model2.net_mut();
+                net.zero_grads();
+                let logits = net.forward_lanes(img.one_lane(), Mode::Train).unwrap();
+                let (_, grad) = cross_entropy(&logits.only_lane().unwrap(), 7);
+                net.backward_lanes(grad.one_lane(), Wants::Params).unwrap()
             })
         });
     }

@@ -6,15 +6,18 @@
 //! against per-call packing, the image-panel conv lowering against the
 //! unfolded one on every conv shape of the GTSRB serving members, one
 //! lane-major 16-image input-gradient sweep of each GTSRB serving member
-//! against 16 per-sample calls, then times `Trainer::fit` with the batched
-//! forward/backward engine against the per-sample loop on conv/dense and
-//! depthwise zoo models. Two competing paths are timed in alternating
-//! windows, so host-speed drift hits both alike. Every comparison is also a
+//! against 16 per-sample calls, then times `Trainer::fit`, whose mini-batch
+//! steps run lane-major, against a per-sample reference loop of one-lane
+//! steps on conv/dense and depthwise zoo models. Two competing paths are
+//! timed in alternating windows, so host-speed drift hits both alike. Every comparison is also a
 //! bitwise gate: any f32 divergence between the two paths exits nonzero so
 //! CI can fail on it. Results land in `results/bench_gemm.json`.
 
-use rand::{rngs::StdRng, SeedableRng};
-use remix_nn::{zoo, Arch, InputSpec, Layer, Model, Trainer, TrainerConfig};
+use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
+use remix_nn::{
+    cross_entropy, zoo, Arch, InputSpec, Layer, Mode, Model, Optimizer, Sgd, Trainer,
+    TrainerConfig, Wants,
+};
 use remix_tensor::{im2row_batch_into, row2im_batch, Conv2dGeometry, PackedOperand, Tensor};
 use std::io::Write;
 use std::time::{Duration, Instant};
@@ -613,7 +616,9 @@ fn main() {
         / lane_results.iter().map(|r| r.lanes_secs).sum::<f64>();
     println!("\nAggregate lane sweep time: {lane_aggregate:.2}x");
 
-    println!("\nTraining — batched engine vs per-sample loop (batch 32, 1 thread)\n");
+    println!(
+        "\nTraining — lane-major Trainer::fit vs one-lane steps per sample (batch 32, 1 thread)\n"
+    );
     let train_results = vec![
         bench_training(Arch::ConvNet, "ConvNet", 16),
         bench_training(Arch::ConvNet, "ConvNet", 32),
@@ -1073,9 +1078,18 @@ fn bench_xai_sweep() -> XaiSweepResult {
     }
 }
 
-/// Trains two identically-seeded copies of `arch` at GTSRB scale, one
-/// through the batched engine and one per sample, and compares wall time and
-/// final weight bits.
+/// The training rows, whose sides each run one whole `Trainer::fit`
+/// (30–400 ms) per window: a window then holds one fit, and the rounds
+/// alternate the two sides fit by fit.
+const TRAIN_WINDOWS: Windows = Windows {
+    rounds: 8,
+    each: Duration::from_millis(1),
+};
+
+/// Times `Trainer::fit`, which runs each mini-batch as one lane-major
+/// forward/backward, against [`fit_per_sample`] on identically-seeded
+/// copies of `arch` at GTSRB scale, in alternating windows, and compares
+/// their final weight bits.
 fn bench_training(arch: Arch, name: &'static str, size: usize) -> TrainResult {
     let spec = InputSpec {
         channels: 3,
@@ -1095,36 +1109,35 @@ fn bench_training(arch: Arch, name: &'static str, size: usize) -> TrainResult {
         seed: 5,
         ..TrainerConfig::default()
     };
-
-    // Best-of-3: fit wall times on a shared box are noisy, and the minimum
-    // is the least contaminated estimate of the true cost.
-    let run = |batched: bool| {
-        let mut best = f64::INFINITY;
-        let mut bits = Vec::new();
-        for _ in 0..3 {
-            let mut rng = StdRng::seed_from_u64(3);
-            let mut model = Model::new(zoo::build(arch, spec, &mut rng), spec);
-            assert!(
-                model.net_mut().supports_batched_train(),
-                "{name} should support the batched training engine"
-            );
-            let trainer = Trainer::new(TrainerConfig {
-                batched,
-                ..config.clone()
-            });
-            let start = Instant::now();
-            trainer.fit(&mut model, &images, &labels);
-            best = best.min(start.elapsed().as_secs_f64());
-            bits.clear();
-            model.net_mut().visit_params(&mut |p, _| {
-                bits.extend(p.data().iter().map(|v| v.to_bits()));
-            });
-        }
-        (best, bits)
+    let init = Model::new(zoo::build(arch, spec, &mut StdRng::seed_from_u64(3)), spec);
+    let trainer = Trainer::new(config.clone());
+    let per_sample = || {
+        let mut model = init.clone();
+        fit_per_sample(&config, &mut model, &images, &labels);
+        model
     };
-
-    let (per_sample_secs, per_sample_bits) = run(false);
-    let (batched_secs, batched_bits) = run(true);
+    let lanes = || {
+        let mut model = init.clone();
+        trainer.fit(&mut model, &images, &labels);
+        model
+    };
+    let weight_bits = |mut model: Model| {
+        let mut bits = Vec::new();
+        model.net_mut().visit_params(&mut |p, _| {
+            bits.extend(p.data().iter().map(|v| v.to_bits()));
+        });
+        bits
+    };
+    let weights_bit_identical = weight_bits(per_sample()) == weight_bits(lanes());
+    let (per_sample_secs, batched_secs) = time_interleaved(
+        TRAIN_WINDOWS,
+        || {
+            std::hint::black_box(per_sample());
+        },
+        || {
+            std::hint::black_box(lanes());
+        },
+    );
     TrainResult {
         model: name,
         size,
@@ -1132,7 +1145,45 @@ fn bench_training(arch: Arch, name: &'static str, size: usize) -> TrainResult {
         epochs,
         per_sample_secs,
         batched_secs,
-        weights_bit_identical: per_sample_bits == batched_bits,
+        weights_bit_identical,
+    }
+}
+
+/// The per-sample reference of `Trainer::fit` for an SGD config without
+/// sample weights: the same epoch shuffles and, per mini-batch, one
+/// one-lane forward/backward per sample in batch order, then the same
+/// clipped optimizer step.
+fn fit_per_sample(config: &TrainerConfig, model: &mut Model, images: &[Tensor], labels: &[usize]) {
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut optimizer = Sgd::new(config.lr, config.momentum, config.weight_decay);
+    let net = model.net_mut();
+    for _ in 0..config.epochs {
+        let mut order: Vec<usize> = (0..images.len()).collect();
+        order.shuffle(&mut rng);
+        for batch in order.chunks(config.batch_size) {
+            net.zero_grads();
+            for &i in batch {
+                let logits = net
+                    .forward_lanes(images[i].one_lane(), Mode::Train)
+                    .and_then(Tensor::only_lane)
+                    .expect("image matches the model");
+                let (_, grad) = cross_entropy(&logits, labels[i]);
+                net.backward_lanes(grad.one_lane(), Wants::Params)
+                    .expect("gradient matches the logits");
+            }
+            let mut scale = 1.0 / batch.len() as f32;
+            if config.grad_clip > 0.0 {
+                let mut sq = 0.0f32;
+                net.visit_params(&mut |_, g| {
+                    sq += g.data().iter().map(|v| v * v).sum::<f32>();
+                });
+                let norm = sq.sqrt() * scale;
+                if norm > config.grad_clip {
+                    scale *= config.grad_clip / norm;
+                }
+            }
+            optimizer.step(net, scale);
+        }
     }
 }
 

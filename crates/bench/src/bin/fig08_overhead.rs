@@ -4,10 +4,12 @@
 //! cost of D-WMaj).
 //!
 //! The runner additionally benchmarks the batched XAI inference engine
-//! against the per-sample path (`--threads N` pins the worker count, default
-//! auto), asserts the verdicts are bit-identical, and writes a
-//! machine-readable record to `results/bench_inference.json`. A verdict
-//! mismatch exits nonzero so CI can gate on it.
+//! against the per-sample path (`--threads N` pins the process's worker
+//! count, kernels included, default auto), asserts the verdicts are
+//! bit-identical, and writes a machine-readable record to
+//! `results/bench_inference.json`. A verdict mismatch, or a traced
+//! `--threads 1` run that posted work to the worker pool, exits nonzero so
+//! CI can gate on it.
 
 use rand::{rngs::StdRng, SeedableRng};
 use remix_bench::{FaultSetting, Scale, TrainedStack};
@@ -49,6 +51,12 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(0);
+    // `--threads N` is the process budget, not only the pipeline's: the GEMM
+    // and fold kernels size their splits from `REMIX_THREADS`, so pin it
+    // before anything reaches the pool.
+    if threads > 0 {
+        std::env::set_var("REMIX_THREADS", threads.to_string());
+    }
     let trace_path: Option<std::path::PathBuf> =
         args.iter().position(|a| a == "--trace").map(|i| {
             args.get(i + 1)
@@ -237,7 +245,8 @@ fn main() {
 /// Reruns the batched engine with tracing enabled and gates on the tracing
 /// contracts: (1) verdicts are bit-identical to the untraced run, (2) the
 /// span tree's per-stage totals agree with the legacy `StageTimings` sums
-/// within 1 %. Writes the trace record to `path` and prints the tree.
+/// within 1 %, and (3) a single-thread run posts no pool job. Writes the
+/// trace record to `path` and prints the tree.
 fn run_traced(
     stack: &mut TrainedStack,
     test: &remix_data::Dataset,
@@ -267,6 +276,11 @@ fn run_traced(
     }
     remix_trace::set_enabled(false);
     let report = remix_trace::snapshot();
+    let pool_jobs = remix_trace::counter(remix_trace::Counter::PoolJobs);
+    if threads == 1 && pool_jobs != 0 {
+        eprintln!("ERROR: a single-thread traced run posted {pool_jobs} jobs to the worker pool");
+        std::process::exit(1);
+    }
     let traced_identical = untraced
         .verdicts
         .iter()

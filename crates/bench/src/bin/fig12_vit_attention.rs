@@ -10,32 +10,49 @@ use remix_bench::{viz, Scale};
 use remix_data::{Dataset, SyntheticSpec};
 use remix_diversity::DiversityMetric;
 use remix_nn::attention::MiniVit;
-use remix_nn::{cross_entropy, Layer, Mode, Optimizer, Sgd};
+use remix_nn::{cross_entropy, Layer, Mode, Optimizer, Sgd, Wants};
+use remix_tensor::Tensor;
 
 /// Minimal mini-batch training loop for a bare MiniViT layer (per-sample
 /// steps at this learning rate diverge; batching + gradient clipping mirrors
-/// the main `Trainer`).
+/// the main `Trainer`): the training set in order, each batch one
+/// lane-major forward/backward.
 fn train_vit(vit: &mut MiniVit, train: &Dataset, epochs: usize) {
     const BATCH: usize = 16;
     let mut opt = Sgd::new(0.05, 0.9, 1e-4);
     for _ in 0..epochs {
-        let mut in_batch = 0;
-        vit.zero_grads();
-        for (img, label) in train.iter() {
-            let logits = vit.forward(img, Mode::Train);
-            let (_, grad) = cross_entropy(&logits, label);
-            vit.backward(&grad);
-            in_batch += 1;
-            if in_batch == BATCH {
-                step_clipped(vit, &mut opt, in_batch);
-                vit.zero_grads();
-                in_batch = 0;
-            }
-        }
-        if in_batch > 0 {
-            step_clipped(vit, &mut opt, in_batch);
+        for (images, labels) in train.images.chunks(BATCH).zip(train.labels.chunks(BATCH)) {
+            vit.zero_grads();
+            let logits = vit
+                .forward_lanes(
+                    Tensor::stack_lanes(images).expect("same-shape images"),
+                    Mode::Train,
+                )
+                .expect("images match the MiniViT");
+            let grads: Vec<Tensor> = logits
+                .unstack_lanes()
+                .iter()
+                .zip(labels)
+                .map(|(logit, &label)| cross_entropy(logit, label).1)
+                .collect();
+            vit.backward_lanes(
+                Tensor::stack_lanes(&grads).expect("one gradient per lane"),
+                Wants::Params,
+            )
+            .expect("gradients match the logits");
+            step_clipped(vit, &mut opt, images.len());
         }
     }
+}
+
+/// Eval-mode logits of `images`, one lane each.
+fn logits(vit: &mut MiniVit, images: &[Tensor]) -> Vec<Tensor> {
+    vit.forward_lanes(
+        Tensor::stack_lanes(images).expect("same-shape images"),
+        Mode::Eval,
+    )
+    .expect("images match the MiniViT")
+    .unstack_lanes()
 }
 
 fn step_clipped(vit: &mut MiniVit, opt: &mut Sgd, batch: usize) {
@@ -50,9 +67,10 @@ fn step_clipped(vit: &mut MiniVit, opt: &mut Sgd, batch: usize) {
 }
 
 fn accuracy(vit: &mut MiniVit, test: &Dataset) -> f32 {
-    let correct = test
+    let correct = logits(vit, &test.images)
         .iter()
-        .filter(|(img, l)| vit.forward(img, Mode::Eval).argmax().expect("logits") == *l)
+        .zip(&test.labels)
+        .filter(|(y, &l)| y.argmax().expect("logits") == l)
         .count();
     correct as f32 / test.len() as f32
 }
@@ -89,7 +107,7 @@ fn main() {
     let maps: Vec<remix_tensor::Tensor> = vits
         .iter_mut()
         .map(|vit| {
-            vit.forward(img, Mode::Eval);
+            logits(vit, std::slice::from_ref(img));
             vit.attention_map()
         })
         .collect();

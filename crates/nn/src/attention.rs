@@ -8,7 +8,7 @@
 //! as a spatial saliency proxy (column-wise attention received per patch,
 //! upsampled to the image grid).
 
-use crate::{Layer, Mode};
+use crate::{Layer, Mode, Wants};
 use rand::Rng;
 use remix_tensor::{Result, Tensor, TensorError};
 
@@ -36,16 +36,20 @@ pub struct MiniVit {
     g_cls: Tensor,
     g_bcls: Tensor,
     g_pos: Tensor,
-    // forward caches
-    cache_patches: Tensor, // [T, P]
-    cache_tokens: Tensor,  // [T, E]
-    cache_q: Tensor,
-    cache_k: Tensor,
-    cache_v: Tensor,
-    cache_attn: Tensor, // [T, T]
-    cache_pooled: Tensor,
-    /// Per-sample forward caches of a lane-major batch, in lane order.
-    lane_caches: Vec<[Tensor; 7]>,
+    /// Forward caches of the most recent batch, one per lane in lane order.
+    lanes: Vec<VitCache>,
+}
+
+/// One image's forward caches.
+#[derive(Clone, Default)]
+struct VitCache {
+    patches: Tensor, // [T, P]
+    tokens: Tensor,  // [T, E]
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    attn: Tensor, // [T, T]
+    pooled: Tensor,
 }
 
 impl MiniVit {
@@ -92,27 +96,8 @@ impl MiniVit {
             g_cls: Tensor::zeros(&[num_classes, embed_dim]),
             g_bcls: Tensor::zeros(&[num_classes]),
             g_pos: Tensor::zeros(&[grid * grid, embed_dim]),
-            cache_patches: Tensor::default(),
-            cache_tokens: Tensor::default(),
-            cache_q: Tensor::default(),
-            cache_k: Tensor::default(),
-            cache_v: Tensor::default(),
-            cache_attn: Tensor::default(),
-            cache_pooled: Tensor::default(),
-            lane_caches: Vec::new(),
+            lanes: Vec::new(),
         }
-    }
-
-    /// Swaps the forward caches with `caches`.
-    fn swap_caches(&mut self, caches: &mut [Tensor; 7]) {
-        let [patches, tokens, q, k, v, attn, pooled] = caches;
-        std::mem::swap(&mut self.cache_patches, patches);
-        std::mem::swap(&mut self.cache_tokens, tokens);
-        std::mem::swap(&mut self.cache_q, q);
-        std::mem::swap(&mut self.cache_k, k);
-        std::mem::swap(&mut self.cache_v, v);
-        std::mem::swap(&mut self.cache_attn, attn);
-        std::mem::swap(&mut self.cache_pooled, pooled);
     }
 
     /// Number of tokens (grid²).
@@ -125,26 +110,26 @@ impl MiniVit {
         self.num_classes
     }
 
-    /// The most recent `[T, T]` attention matrix (rows = queries).
-    ///
-    /// Returns an empty tensor before the first forward pass.
-    pub fn attention_scores(&self) -> &Tensor {
-        &self.cache_attn
+    /// The `[T, T]` attention matrix (rows = queries) of the last image of
+    /// the most recent forward pass, or `None` before the first one.
+    pub fn attention_scores(&self) -> Option<&Tensor> {
+        self.lanes.last().map(|c| &c.attn)
     }
 
-    /// Spatial saliency proxy from the last forward pass: total attention
-    /// *received* by each patch, upsampled to an `[H, W]` matrix — the
-    /// "attention scores as feature space" of the paper's Fig. 12 workflow.
+    /// Spatial saliency proxy from the last image of the last forward pass:
+    /// total attention *received* by each patch, upsampled to an `[H, W]`
+    /// matrix — the "attention scores as feature space" of the paper's
+    /// Fig. 12 workflow.
     pub fn attention_map(&self) -> Tensor {
         let t = self.num_tokens();
-        if self.cache_attn.len() != t * t {
+        let Some(attn) = self.attention_scores() else {
             return Tensor::zeros(&[self.size, self.size]);
-        }
+        };
         // column sums = attention received per key token
         let mut received = vec![0.0f32; t];
         for q in 0..t {
             for (k, r) in received.iter_mut().enumerate() {
-                *r += self.cache_attn.data()[q * t + k];
+                *r += attn.data()[q * t + k];
             }
         }
         let mut map = Tensor::zeros(&[self.size, self.size]);
@@ -184,27 +169,9 @@ impl MiniVit {
         }
         out
     }
-}
 
-impl std::fmt::Debug for MiniVit {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "MiniVit(patch={}, tokens={}, embed={})",
-            self.patch,
-            self.num_tokens(),
-            self.embed_dim
-        )
-    }
-}
-
-impl Layer for MiniVit {
-    fn clone_boxed(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        debug_assert_eq!(input.shape(), [self.channels, self.size, self.size]);
+    /// One `[C, H, W]` image's logits and the caches of its backward.
+    fn forward_sample(&self, input: &Tensor) -> (Tensor, VitCache) {
         let patches = self.extract_patches(input); // [T, P]
 
         // All projections run as fused `A · Bᵀ` products reading the [out, in]
@@ -233,25 +200,31 @@ impl Layer for MiniVit {
         let pooled = Tensor::from_slice(&pooled);
         let mut logits = self.w_cls.matvec(&pooled).expect("cls");
         logits.add_assign(&self.b_cls).expect("bias");
-        self.cache_patches = patches;
-        self.cache_tokens = tokens;
-        self.cache_q = q;
-        self.cache_k = k;
-        self.cache_v = v;
-        self.cache_attn = attn;
-        self.cache_pooled = pooled;
-        logits
+        let cache = VitCache {
+            patches,
+            tokens,
+            q,
+            k,
+            v,
+            attn,
+            pooled,
+        };
+        (logits, cache)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    /// One image's input gradient from its logit gradient and `cache`,
+    /// accumulating the parameter gradients if `wants` asks for them.
+    fn backward_sample(&mut self, grad_out: &Tensor, cache: &VitCache, wants: Wants) -> Tensor {
         let t = self.num_tokens();
         let e = self.embed_dim;
         let scale = 1.0 / (e as f32).sqrt();
         // classifier head
-        for (i, &g) in grad_out.data().iter().enumerate() {
-            self.g_bcls.data_mut()[i] += g;
-            for j in 0..e {
-                self.g_cls.data_mut()[i * e + j] += g * self.cache_pooled.data()[j];
+        if wants.params() {
+            for (i, &g) in grad_out.data().iter().enumerate() {
+                self.g_bcls.data_mut()[i] += g;
+                for j in 0..e {
+                    self.g_cls.data_mut()[i * e + j] += g * cache.pooled.data()[j];
+                }
             }
         }
         let d_pooled = self
@@ -272,13 +245,13 @@ impl Layer for MiniVit {
         }
         // attended = attn · V; both products read their transposed operand in
         // place (fused A·Bᵀ / Aᵀ·B, bit-identical to the transpose-copy route)
-        let d_attn = d_attended.matmul_a_bt(&self.cache_v).expect("d_attn"); // [T, T]
-        let d_v = self.cache_attn.matmul_at_b(&d_attended).expect("d_v"); // [T, E]
+        let d_attn = d_attended.matmul_a_bt(&cache.v).expect("d_attn"); // [T, T]
+        let d_v = cache.attn.matmul_at_b(&d_attended).expect("d_v"); // [T, E]
 
         // softmax backward per row
         let mut d_scores = Tensor::zeros(&[t, t]);
         {
-            let a = self.cache_attn.data();
+            let a = cache.attn.data();
             let da = d_attn.data();
             let buf = d_scores.data_mut();
             for r in 0..t {
@@ -289,17 +262,19 @@ impl Layer for MiniVit {
             }
         }
         // scores = Q Kᵀ
-        let d_q = d_scores.matmul(&self.cache_k).expect("d_q"); // [T, E]
-        let d_k = d_scores.matmul_at_b(&self.cache_q).expect("d_k"); // [T, E]
-                                                                     // Q = tokens · Wqᵀ etc.: dWq = d_qᵀ · tokens, d_tokens += d_q · Wq
-        let tokens = &self.cache_tokens;
-        let acc = |grad: &mut Tensor, d: &Tensor| {
-            let dw = d.matmul_at_b(tokens).expect("dW");
-            grad.add_assign(&dw).expect("dW shape");
-        };
-        acc(&mut self.g_q, &d_q);
-        acc(&mut self.g_k, &d_k);
-        acc(&mut self.g_v, &d_v);
+        let d_q = d_scores.matmul(&cache.k).expect("d_q"); // [T, E]
+        let d_k = d_scores.matmul_at_b(&cache.q).expect("d_k"); // [T, E]
+                                                                // Q = tokens · Wqᵀ etc.: dWq = d_qᵀ · tokens, d_tokens += d_q · Wq
+        if wants.params() {
+            let tokens = &cache.tokens;
+            let acc = |grad: &mut Tensor, d: &Tensor| {
+                let dw = d.matmul_at_b(tokens).expect("dW");
+                grad.add_assign(&dw).expect("dW shape");
+            };
+            acc(&mut self.g_q, &d_q);
+            acc(&mut self.g_k, &d_k);
+            acc(&mut self.g_v, &d_v);
+        }
         let mut d_tokens = d_q.matmul(&self.w_q).expect("d_tokens q");
         d_tokens
             .add_assign(&d_k.matmul(&self.w_k).expect("d_tokens k"))
@@ -308,9 +283,14 @@ impl Layer for MiniVit {
             .add_assign(&d_v.matmul(&self.w_v).expect("d_tokens v"))
             .expect("shape");
         // tokens = patches · Weᵀ + pos_embed
-        self.g_pos.add_assign(&d_tokens).expect("pos grad shape");
-        let dwe = d_tokens.matmul_at_b(&self.cache_patches).expect("dWe");
-        self.g_embed.add_assign(&dwe).expect("dWe shape");
+        if wants.params() {
+            self.g_pos.add_assign(&d_tokens).expect("pos grad shape");
+            let dwe = d_tokens.matmul_at_b(&cache.patches).expect("dWe");
+            self.g_embed.add_assign(&dwe).expect("dWe shape");
+        }
+        if !wants.input() {
+            return Tensor::default();
+        }
         let d_patches = d_tokens.matmul(&self.w_embed).expect("d_patches"); // [T, P]
 
         // scatter patch gradients back to the image
@@ -335,10 +315,28 @@ impl Layer for MiniVit {
         }
         dx
     }
+}
 
-    fn forward_lanes(&mut self, input: Tensor) -> Result<Tensor> {
+impl std::fmt::Debug for MiniVit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "MiniVit(patch={}, tokens={}, embed={})",
+            self.patch,
+            self.num_tokens(),
+            self.embed_dim
+        )
+    }
+}
+
+impl Layer for MiniVit {
+    fn clone_boxed(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+
+    fn forward_lanes(&mut self, input: Tensor, _mode: Mode) -> Result<Tensor> {
         // Attention has no lane kernels: the batch runs image by image, and
-        // each image's forward caches are set aside for its backward.
+        // each image's forward caches are kept for its backward.
         let sample = [self.channels, self.size, self.size];
         if input.shape().split_last().map(|(_, s)| s) != Some(&sample[..]) {
             return Err(TensorError::ShapeMismatch {
@@ -347,33 +345,40 @@ impl Layer for MiniVit {
                 op: "minivit forward_lanes",
             });
         }
-        self.lane_caches.clear();
-        let mut logits = Vec::new();
-        for x in input.unstack_lanes() {
-            logits.push(self.forward(&x, Mode::Inference));
-            let mut caches: [Tensor; 7] = Default::default();
-            self.swap_caches(&mut caches);
-            self.lane_caches.push(caches);
-        }
+        let (logits, caches): (Vec<Tensor>, Vec<VitCache>) = input
+            .unstack_lanes()
+            .iter()
+            .map(|x| self.forward_sample(x))
+            .unzip();
+        self.lanes = caches;
         Tensor::stack_lanes(&logits)
     }
 
-    fn backward_input_lanes(&mut self, grad_out: Tensor) -> Result<Tensor> {
-        let grads = grad_out.unstack_lanes();
-        if grads.len() != self.lane_caches.len() {
+    fn backward_lanes(&mut self, grad_out: Tensor, wants: Wants) -> Result<Tensor> {
+        let lanes =
+            crate::layers::lanes_of(&grad_out, &[self.num_classes], "minivit backward_lanes")?;
+        if lanes != self.lanes.len() {
             return Err(TensorError::ShapeMismatch {
                 left: grad_out.shape().to_vec(),
-                right: vec![self.num_classes, self.lane_caches.len()],
-                op: "minivit backward_input_lanes",
+                right: vec![self.num_classes, self.lanes.len()],
+                op: "minivit backward_lanes",
             });
         }
-        let mut caches = std::mem::take(&mut self.lane_caches);
-        let mut dxs = Vec::with_capacity(grads.len());
-        for (g, cache) in grads.iter().zip(&mut caches) {
-            self.swap_caches(cache);
-            dxs.push(self.backward_input(g));
+        // Lane after lane, so each parameter gradient adds the images'
+        // contributions in lane order.
+        let caches = std::mem::take(&mut self.lanes);
+        let dxs: Vec<Tensor> = grad_out
+            .unstack_lanes()
+            .iter()
+            .zip(&caches)
+            .map(|(g, cache)| self.backward_sample(g, cache, wants))
+            .collect();
+        self.lanes = caches;
+        if wants.input() {
+            Tensor::stack_lanes(&dxs)
+        } else {
+            Ok(Tensor::default())
         }
-        Tensor::stack_lanes(&dxs)
     }
 
     fn visit_params(&mut self, visit: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
@@ -404,6 +409,7 @@ impl Layer for MiniVit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::{backward_one, forward_one};
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
@@ -411,12 +417,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut vit = MiniVit::new(1, 8, 4, 8, 3, &mut rng);
         let x = Tensor::randn(&[1, 8, 8], 1.0, &mut rng);
-        let y = vit.forward(&x, Mode::Eval);
+        assert!(vit.attention_scores().is_none());
+        let y = forward_one(&mut vit, &x, Mode::Eval);
         assert_eq!(y.len(), 3);
-        assert_eq!(vit.attention_scores().shape(), &[4, 4]);
+        let attn = vit.attention_scores().expect("a forward ran");
+        assert_eq!(attn.shape(), &[4, 4]);
         // attention rows are probability distributions
         for r in 0..4 {
-            let row_sum: f32 = (0..4).map(|c| vit.attention_scores().at(&[r, c])).sum();
+            let row_sum: f32 = (0..4).map(|c| attn.at(&[r, c])).sum();
             assert!((row_sum - 1.0).abs() < 1e-5);
         }
     }
@@ -425,7 +433,11 @@ mod tests {
     fn attention_map_covers_the_image() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut vit = MiniVit::new(1, 8, 4, 8, 2, &mut rng);
-        vit.forward(&Tensor::randn(&[1, 8, 8], 1.0, &mut rng), Mode::Eval);
+        forward_one(
+            &mut vit,
+            &Tensor::randn(&[1, 8, 8], 1.0, &mut rng),
+            Mode::Eval,
+        );
         let map = vit.attention_map();
         assert_eq!(map.shape(), &[8, 8]);
         assert!(map.sum() > 0.0);
@@ -436,13 +448,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut vit = MiniVit::new(1, 8, 4, 6, 2, &mut rng);
         let x = Tensor::randn(&[1, 8, 8], 1.0, &mut rng);
-        let y = vit.forward(&x, Mode::Train);
-        let dx = vit.backward(&Tensor::ones(&[2]));
+        let y = forward_one(&mut vit, &x, Mode::Train);
+        let dx = backward_one(&mut vit, &Tensor::ones(&[2]), Wants::Both);
         let eps = 1e-2;
         for &i in &[0usize, 17, 40, 63] {
             let mut xp = x.clone();
             xp.data_mut()[i] += eps;
-            let yp = vit.forward(&xp, Mode::Train);
+            let yp = forward_one(&mut vit, &xp, Mode::Train);
             let num = (yp.sum() - y.sum()) / eps;
             assert!(
                 (num - dx.data()[i]).abs() < 5e-2,
@@ -456,7 +468,7 @@ mod tests {
     /// with `.transpose()` before a plain `matmul`, exactly as the layer was
     /// originally written. Kept as the reference the fused implementation is
     /// pinned against.
-    fn explicit_transpose_forward(vit: &mut MiniVit, input: &Tensor) -> Tensor {
+    fn explicit_transpose_forward(vit: &MiniVit, input: &Tensor) -> (Tensor, VitCache) {
         let patches = vit.extract_patches(input);
         let we_t = vit.w_embed.transpose().expect("rank 2");
         let mut tokens = patches.matmul(&we_t).expect("embed");
@@ -487,26 +499,32 @@ mod tests {
         let pooled = Tensor::from_slice(&pooled);
         let mut logits = vit.w_cls.matvec(&pooled).expect("cls");
         logits.add_assign(&vit.b_cls).expect("bias");
-        vit.cache_patches = patches;
-        vit.cache_tokens = tokens;
-        vit.cache_q = q;
-        vit.cache_k = k;
-        vit.cache_v = v;
-        vit.cache_attn = attn;
-        vit.cache_pooled = pooled;
-        logits
+        let cache = VitCache {
+            patches,
+            tokens,
+            q,
+            k,
+            v,
+            attn,
+            pooled,
+        };
+        (logits, cache)
     }
 
     /// The pre-fusion backward pass (explicit transposes), matching
     /// [`explicit_transpose_forward`].
-    fn explicit_transpose_backward(vit: &mut MiniVit, grad_out: &Tensor) -> Tensor {
+    fn explicit_transpose_backward(
+        vit: &mut MiniVit,
+        cache: &VitCache,
+        grad_out: &Tensor,
+    ) -> Tensor {
         let t = vit.num_tokens();
         let e = vit.embed_dim;
         let scale = 1.0 / (e as f32).sqrt();
         for (i, &g) in grad_out.data().iter().enumerate() {
             vit.g_bcls.data_mut()[i] += g;
             for j in 0..e {
-                vit.g_cls.data_mut()[i * e + j] += g * vit.cache_pooled.data()[j];
+                vit.g_cls.data_mut()[i * e + j] += g * cache.pooled.data()[j];
             }
         }
         let d_pooled = vit
@@ -525,17 +543,17 @@ mod tests {
             }
         }
         let d_attn = d_attended
-            .matmul(&vit.cache_v.transpose().expect("rank 2"))
+            .matmul(&cache.v.transpose().expect("rank 2"))
             .expect("d_attn");
-        let d_v = vit
-            .cache_attn
+        let d_v = cache
+            .attn
             .transpose()
             .expect("rank 2")
             .matmul(&d_attended)
             .expect("d_v");
         let mut d_scores = Tensor::zeros(&[t, t]);
         {
-            let a = vit.cache_attn.data();
+            let a = cache.attn.data();
             let da = d_attn.data();
             let buf = d_scores.data_mut();
             for r in 0..t {
@@ -545,13 +563,13 @@ mod tests {
                 }
             }
         }
-        let d_q = d_scores.matmul(&vit.cache_k).expect("d_q");
+        let d_q = d_scores.matmul(&cache.k).expect("d_q");
         let d_k = d_scores
             .transpose()
             .expect("rank 2")
-            .matmul(&vit.cache_q)
+            .matmul(&cache.q)
             .expect("d_k");
-        let tokens = &vit.cache_tokens;
+        let tokens = &cache.tokens;
         let dwq = d_q.transpose().expect("rank 2").matmul(tokens).expect("dW");
         vit.g_q.add_assign(&dwq).expect("dW shape");
         let dwk = d_k.transpose().expect("rank 2").matmul(tokens).expect("dW");
@@ -569,7 +587,7 @@ mod tests {
         let dwe = d_tokens
             .transpose()
             .expect("rank 2")
-            .matmul(&vit.cache_patches)
+            .matmul(&cache.patches)
             .expect("dWe");
         vit.g_embed.add_assign(&dwe).expect("dWe shape");
         let d_patches = d_tokens.matmul(&vit.w_embed).expect("d_patches");
@@ -607,17 +625,13 @@ mod tests {
         let x = Tensor::randn(&[2, 12, 12], 1.0, &mut rng);
         let g = Tensor::randn(&[5], 1.0, &mut rng);
 
-        let y_fused = fused.forward(&x, Mode::Train);
-        let y_ref = explicit_transpose_forward(&mut reference, &x);
+        let (y_fused, cache_fused) = fused.forward_sample(&x);
+        let (y_ref, cache_ref) = explicit_transpose_forward(&reference, &x);
         assert_eq!(bits(&y_fused), bits(&y_ref), "logits");
-        assert_eq!(
-            bits(&fused.cache_attn),
-            bits(&reference.cache_attn),
-            "attention"
-        );
+        assert_eq!(bits(&cache_fused.attn), bits(&cache_ref.attn), "attention");
 
-        let dx_fused = fused.backward(&g);
-        let dx_ref = explicit_transpose_backward(&mut reference, &g);
+        let dx_fused = fused.backward_sample(&g, &cache_fused, Wants::Both);
+        let dx_ref = explicit_transpose_backward(&mut reference, &cache_ref, &g);
         assert_eq!(bits(&dx_fused), bits(&dx_ref), "input gradient");
         let mut grads_fused = Vec::new();
         fused.visit_params(&mut |_, grad| grads_fused.extend(bits(grad)));
@@ -634,21 +648,10 @@ mod tests {
             .map(|_| Tensor::randn(&[1, 8, 8], 1.0, &mut rng))
             .collect();
         let gs: Vec<Tensor> = (0..3).map(|_| Tensor::randn(&[3], 1.0, &mut rng)).collect();
-        let mut per_image = vit.clone();
-        let (mut ys, mut dxs) = (Vec::new(), Vec::new());
-        for (x, g) in xs.iter().zip(&gs) {
-            ys.push(per_image.forward(x, Mode::Inference));
-            dxs.push(per_image.backward_input(g));
-        }
-        let y = vit
-            .forward_lanes(Tensor::stack_lanes(&xs).unwrap())
-            .unwrap();
-        let dx = vit
-            .backward_input_lanes(Tensor::stack_lanes(&gs).unwrap())
-            .unwrap();
-        assert_eq!(y.unstack_lanes(), ys);
-        assert_eq!(dx.unstack_lanes(), dxs);
-        assert!(vit.backward_input_lanes(Tensor::zeros(&[3, 2])).is_err());
+        crate::layers::assert_lanes_match_one_lane(&mut vit, &xs, &gs);
+        assert!(vit
+            .backward_lanes(Tensor::zeros(&[3, 2]), Wants::Input)
+            .is_err());
     }
 
     #[test]

@@ -1,16 +1,19 @@
 use super::plane_lanes_of;
-use crate::{Layer, Mode};
+use crate::{Layer, Mode, Wants};
 use remix_tensor::{Result, Tensor, TensorError};
 
 /// Per-channel instance normalization with learnable affine parameters.
 ///
 /// The zoo's deep architectures (ResNet, MobileNet, EfficientNetV2) rely on
-/// batch normalization in their reference form. This trainer feeds samples
-/// one at a time, where batch statistics degenerate, so the normalization
-/// role is filled by *instance* normalization — per-sample per-channel
-/// standardization with an exact backward pass through the statistics. It is
-/// deterministic, identical between train and eval modes, and keeps the deep
-/// zoo models trainable, which is what the reproduction needs from BN.
+/// batch normalization in their reference form. Batch statistics would tie
+/// every sample of a mini-batch to the others, while this trainer's
+/// contract is that a mini-batch step equals its samples' one-lane steps,
+/// and a served verdict must not depend on what it is batched with. So the
+/// normalization role is filled by *instance* normalization — per-sample
+/// per-channel standardization with an exact backward pass through the
+/// statistics. It is deterministic, identical between train and eval modes,
+/// and keeps the deep zoo models trainable, which is what the reproduction
+/// needs from BN.
 #[derive(Debug, Clone)]
 pub struct InstanceNorm2d {
     gamma: Tensor,
@@ -22,8 +25,6 @@ pub struct InstanceNorm2d {
     spatial: usize,
     cached_xhat: Tensor,
     cached_sigma: Vec<f32>,
-    batch_xhat: Vec<Tensor>,
-    batch_sigma: Vec<Vec<f32>>,
 }
 
 impl InstanceNorm2d {
@@ -40,30 +41,7 @@ impl InstanceNorm2d {
             spatial: h * w,
             cached_xhat: Tensor::default(),
             cached_sigma: vec![1.0; c],
-            batch_xhat: Vec::new(),
-            batch_sigma: Vec::new(),
         }
-    }
-
-    /// `dx = γ/(Nσ) · (N·dy − Σdy − x̂·Σ(dy·x̂))` for one sample, without the
-    /// parameter-gradient accumulation of [`Layer::backward`].
-    fn input_grad_from(&self, grad_out: &Tensor, xhat_t: &Tensor, sigma: &[f32]) -> Tensor {
-        let n = self.spatial as f32;
-        let mut dx = Tensor::zeros(grad_out.shape());
-        let buf = dx.data_mut();
-        for c in 0..self.channels {
-            let g = self.gamma.data()[c];
-            let s = sigma[c];
-            let xhat = &xhat_t.data()[c * self.spatial..(c + 1) * self.spatial];
-            let go = &grad_out.data()[c * self.spatial..(c + 1) * self.spatial];
-            let sum_dy: f32 = go.iter().sum();
-            let sum_dy_xhat: f32 = go.iter().zip(xhat).map(|(&a, &b)| a * b).sum();
-            for i in 0..self.spatial {
-                buf[c * self.spatial + i] =
-                    g / (n * s) * (n * go[i] - sum_dy - xhat[i] * sum_dy_xhat);
-            }
-        }
-        dx
     }
 }
 
@@ -72,79 +50,7 @@ impl Layer for InstanceNorm2d {
         Box::new(self.clone())
     }
 
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        debug_assert_eq!(input.len(), self.channels * self.spatial);
-        let n = self.spatial as f32;
-        let mut out = Tensor::zeros(input.shape());
-        let mut xhat = Tensor::zeros(input.shape());
-        {
-            let ob = out.data_mut();
-            let xb = xhat.data_mut();
-            for c in 0..self.channels {
-                let slice = &input.data()[c * self.spatial..(c + 1) * self.spatial];
-                let mean = slice.iter().sum::<f32>() / n;
-                let var = slice.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / n;
-                let sigma = (var + self.eps).sqrt();
-                self.cached_sigma[c] = sigma;
-                let (g, b) = (self.gamma.data()[c], self.beta.data()[c]);
-                for i in 0..self.spatial {
-                    let h = (slice[i] - mean) / sigma;
-                    xb[c * self.spatial + i] = h;
-                    ob[c * self.spatial + i] = g * h + b;
-                }
-            }
-        }
-        self.cached_xhat = xhat;
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let n = self.spatial as f32;
-        let mut dx = Tensor::zeros(grad_out.shape());
-        let buf = dx.data_mut();
-        for c in 0..self.channels {
-            let g = self.gamma.data()[c];
-            let sigma = self.cached_sigma[c];
-            let xhat = &self.cached_xhat.data()[c * self.spatial..(c + 1) * self.spatial];
-            let go = &grad_out.data()[c * self.spatial..(c + 1) * self.spatial];
-            // exact instance-norm backward:
-            // dx = γ/(Nσ) · (N·dy − Σdy − x̂·Σ(dy·x̂))
-            let sum_dy: f32 = go.iter().sum();
-            let sum_dy_xhat: f32 = go.iter().zip(xhat).map(|(&a, &b)| a * b).sum();
-            for i in 0..self.spatial {
-                buf[c * self.spatial + i] =
-                    g / (n * sigma) * (n * go[i] - sum_dy - xhat[i] * sum_dy_xhat);
-            }
-            self.grad_gamma.data_mut()[c] += sum_dy_xhat;
-            self.grad_beta.data_mut()[c] += sum_dy;
-        }
-        dx
-    }
-
-    fn forward_batch(&mut self, inputs: &[Tensor], mode: Mode) -> Result<Vec<Tensor>> {
-        // Instance norm is per-sample by definition; run the single-sample
-        // forward and collect its caches per sample.
-        let mut xhats = Vec::with_capacity(inputs.len());
-        let mut sigmas = Vec::with_capacity(inputs.len());
-        let outs = inputs
-            .iter()
-            .map(|x| {
-                let y = self.forward(x, mode);
-                xhats.push(std::mem::take(&mut self.cached_xhat));
-                sigmas.push(self.cached_sigma.clone());
-                y
-            })
-            .collect();
-        self.batch_xhat = xhats;
-        self.batch_sigma = sigmas;
-        Ok(outs)
-    }
-
-    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
-        self.input_grad_from(grad_out, &self.cached_xhat, &self.cached_sigma)
-    }
-
-    fn forward_lanes(&mut self, mut input: Tensor) -> Result<Tensor> {
+    fn forward_lanes(&mut self, mut input: Tensor, _mode: Mode) -> Result<Tensor> {
         let lanes = plane_lanes_of(
             &input,
             self.channels,
@@ -197,18 +103,18 @@ impl Layer for InstanceNorm2d {
         Ok(input)
     }
 
-    fn backward_input_lanes(&mut self, mut grad_out: Tensor) -> Result<Tensor> {
+    fn backward_lanes(&mut self, mut grad_out: Tensor, wants: Wants) -> Result<Tensor> {
         let lanes = plane_lanes_of(
             &grad_out,
             self.channels,
             self.spatial,
-            "instancenorm backward_input_lanes",
+            "instancenorm backward_lanes",
         )?;
         if grad_out.shape() != self.cached_xhat.shape() {
             return Err(TensorError::ShapeMismatch {
                 left: grad_out.shape().to_vec(),
                 right: self.cached_xhat.shape().to_vec(),
-                op: "instancenorm backward_input_lanes",
+                op: "instancenorm backward_lanes",
             });
         }
         let n = self.spatial as f32;
@@ -222,7 +128,7 @@ impl Layer for InstanceNorm2d {
         {
             let g = self.gamma.data()[c];
             // dx = γ/(Nσ) · (N·dy − Σdy − x̂·Σ(dy·x̂)), both sums from -0.0
-            // per lane, as `input_grad_from` computes them.
+            // per lane; dγ += Σ(dy·x̂) and dβ += Σdy lane after lane.
             for_lane_groups!(lanes, b0, G, {
                 let (mut sum_dy, mut sum_dy_xhat) = ([-0.0f32; G], [-0.0f32; G]);
                 for (row, hrow) in go.chunks_exact(lanes).zip(xh.chunks_exact(lanes)) {
@@ -232,48 +138,28 @@ impl Layer for InstanceNorm2d {
                         sum_dy_xhat[i] += d[i] * h[i];
                     }
                 }
-                let scale = lane_group!(sig, b0, G).map(|s| g / (n * s));
-                for (row, hrow) in go.chunks_exact_mut(lanes).zip(xh.chunks_exact(lanes)) {
-                    let (d, h) = (lane_group!(mut row, b0, G), lane_group!(hrow, b0, G));
+                if wants.params() {
                     for i in 0..G {
-                        d[i] = scale[i] * (n * d[i] - sum_dy[i] - h[i] * sum_dy_xhat[i]);
+                        self.grad_gamma.data_mut()[c] += sum_dy_xhat[i];
+                        self.grad_beta.data_mut()[c] += sum_dy[i];
+                    }
+                }
+                if wants.input() {
+                    let scale = lane_group!(sig, b0, G).map(|s| g / (n * s));
+                    for (row, hrow) in go.chunks_exact_mut(lanes).zip(xh.chunks_exact(lanes)) {
+                        let (d, h) = (lane_group!(mut row, b0, G), lane_group!(hrow, b0, G));
+                        for i in 0..G {
+                            d[i] = scale[i] * (n * d[i] - sum_dy[i] - h[i] * sum_dy_xhat[i]);
+                        }
                     }
                 }
             });
         }
-        Ok(grad_out)
-    }
-
-    fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
-        if grads_out.len() != self.batch_xhat.len() {
-            return Err(TensorError::ShapeMismatch {
-                left: vec![grads_out.len()],
-                right: vec![self.batch_xhat.len()],
-                op: "instancenorm backward_batch",
-            });
-        }
-        let xhats = std::mem::take(&mut self.batch_xhat);
-        let sigmas = std::mem::take(&mut self.batch_sigma);
-        let mut dxs = Vec::with_capacity(grads_out.len());
-        // dγ/dβ accumulate per sample in batch order, recomputing the same
-        // per-channel sums backward() folds — identical chains, so batched
-        // training matches per-sample training bitwise.
-        for (g, (xhat_t, sigma)) in grads_out.iter().zip(xhats.iter().zip(&sigmas)) {
-            dxs.push(self.input_grad_from(g, xhat_t, sigma));
-            for c in 0..self.channels {
-                let xhat = &xhat_t.data()[c * self.spatial..(c + 1) * self.spatial];
-                let go = &g.data()[c * self.spatial..(c + 1) * self.spatial];
-                let sum_dy: f32 = go.iter().sum();
-                let sum_dy_xhat: f32 = go.iter().zip(xhat).map(|(&a, &b)| a * b).sum();
-                self.grad_gamma.data_mut()[c] += sum_dy_xhat;
-                self.grad_beta.data_mut()[c] += sum_dy;
-            }
-        }
-        Ok(dxs)
-    }
-
-    fn supports_batched_train(&self) -> bool {
-        true
+        Ok(if wants.input() {
+            grad_out
+        } else {
+            Tensor::default()
+        })
     }
 
     fn visit_params(&mut self, visit: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
@@ -293,6 +179,7 @@ impl Layer for InstanceNorm2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::{backward_one, forward_one};
     use rand::{rngs::StdRng, SeedableRng};
     use remix_tensor::Tensor;
 
@@ -311,7 +198,7 @@ mod tests {
         xs[1].data_mut()[..4].fill(-0.0);
         gs[1].data_mut()[..4].fill(-0.0);
         gs[2].data_mut()[4..].fill(-0.0);
-        crate::layers::assert_lanes_match_per_sample(&mut norm, &xs, &gs);
+        crate::layers::assert_lanes_match_one_lane(&mut norm, &xs, &gs);
     }
 
     #[test]
@@ -319,7 +206,7 @@ mod tests {
         let mut norm = InstanceNorm2d::new((2, 4, 4));
         let mut rng = StdRng::seed_from_u64(1);
         let x = Tensor::randn(&[2, 4, 4], 3.0, &mut rng).add_scalar(5.0);
-        let y = norm.forward(&x, Mode::Train);
+        let y = forward_one(&mut norm, &x, Mode::Train);
         for c in 0..2 {
             let ch = y.index_axis0(c).unwrap();
             assert!(ch.mean().abs() < 1e-4, "channel {c} mean {}", ch.mean());
@@ -336,8 +223,8 @@ mod tests {
         let mut norm = InstanceNorm2d::new((1, 3, 3));
         let mut rng = StdRng::seed_from_u64(2);
         let x = Tensor::randn(&[1, 3, 3], 1.0, &mut rng);
-        let a = norm.forward(&x, Mode::Train);
-        let b = norm.forward(&x, Mode::Eval);
+        let a = forward_one(&mut norm, &x, Mode::Train);
+        let b = forward_one(&mut norm, &x, Mode::Eval);
         assert_eq!(a, b);
     }
 
@@ -349,10 +236,10 @@ mod tests {
         // non-trivial downstream loss: weighted sum
         let w = Tensor::randn(&[2, 3, 3], 1.0, &mut rng);
         let loss = |norm: &mut InstanceNorm2d, x: &Tensor| -> f32 {
-            norm.forward(x, Mode::Train).mul(&w).unwrap().sum()
+            forward_one(norm, x, Mode::Train).mul(&w).unwrap().sum()
         };
         let base = loss(&mut norm, &x);
-        let dx = norm.backward(&w);
+        let dx = backward_one(&mut norm, &w, Wants::Both);
         let eps = 1e-2;
         for &i in &[0usize, 4, 9, 13, 17] {
             let mut xp = x.clone();
@@ -369,9 +256,9 @@ mod tests {
     #[test]
     fn constant_channel_does_not_blow_up() {
         let mut norm = InstanceNorm2d::new((1, 2, 2));
-        let y = norm.forward(&Tensor::full(&[1, 2, 2], 7.0), Mode::Train);
+        let y = forward_one(&mut norm, &Tensor::full(&[1, 2, 2], 7.0), Mode::Train);
         assert!(!y.has_non_finite());
-        let dx = norm.backward(&Tensor::ones(&[1, 2, 2]));
+        let dx = backward_one(&mut norm, &Tensor::ones(&[1, 2, 2]), Wants::Both);
         assert!(!dx.has_non_finite());
     }
 
@@ -379,8 +266,8 @@ mod tests {
     fn gamma_beta_gradients_accumulate() {
         let mut norm = InstanceNorm2d::new((1, 2, 2));
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 2]).unwrap();
-        norm.forward(&x, Mode::Train);
-        norm.backward(&Tensor::ones(&[1, 2, 2]));
+        forward_one(&mut norm, &x, Mode::Train);
+        backward_one(&mut norm, &Tensor::ones(&[1, 2, 2]), Wants::Both);
         assert_eq!(norm.grad_beta.data()[0], 4.0);
         // x̂ sums to ~0, so dγ ≈ 0 for a uniform upstream gradient
         assert!(norm.grad_gamma.data()[0].abs() < 1e-4);

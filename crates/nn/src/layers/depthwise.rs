@@ -1,5 +1,5 @@
-use super::lanes_of;
-use crate::{Layer, Mode};
+use super::{check_cached, lanes_of};
+use crate::{Layer, Mode, Wants};
 use rand::Rng;
 use remix_tensor::{Conv2dGeometry, Result, Tensor};
 
@@ -24,37 +24,9 @@ pub struct DepthwiseConv2d {
     grad_w: Tensor,
     grad_b: Tensor,
     geo: Conv2dGeometry, // `in_channels` is the channel count
+    /// The `[C, H, W, B]` input of a Train/Eval forward, for the weight
+    /// gradient.
     cached_input: Tensor,
-    batch_inputs: Vec<Tensor>,
-}
-
-/// `dst[i] += w · src[ix0 + i·stride]`: one kernel tap over a run of output
-/// columns.
-fn gather_mul_add(dst: &mut [f32], src: &[f32], ix0: usize, stride: usize, w: f32) {
-    if stride == 1 {
-        let n = dst.len();
-        for (d, &x) in dst.iter_mut().zip(&src[ix0..ix0 + n]) {
-            *d += w * x;
-        }
-    } else {
-        for (d, &x) in dst.iter_mut().zip(src[ix0..].iter().step_by(stride)) {
-            *d += w * x;
-        }
-    }
-}
-
-/// `dst[i·stride] += src[i] · w`: one kernel tap's input-gradient
-/// contributions from an output row, onto distinct input columns.
-fn scatter_mul_add(dst: &mut [f32], src: &[f32], stride: usize, w: f32) {
-    if stride == 1 {
-        for (d, &g) in dst[..src.len()].iter_mut().zip(src) {
-            *d += g * w;
-        }
-    } else {
-        for (d, &g) in dst.iter_mut().step_by(stride).zip(src) {
-            *d += g * w;
-        }
-    }
 }
 
 /// `dst[i] += w · src[(ix0 + i·stride)·B + b]` over lane-major rows: one
@@ -138,7 +110,6 @@ impl DepthwiseConv2d {
             grad_b: Tensor::zeros(&[c]),
             geo,
             cached_input: Tensor::default(),
-            batch_inputs: Vec::new(),
         }
     }
 
@@ -154,57 +125,6 @@ impl DepthwiseConv2d {
             (0..k).map(|ky| self.geo.valid_oy(ky)).collect(),
             (0..k).map(|kx| self.geo.valid_ox(kx)).collect(),
         )
-    }
-
-    /// Input gradient, accumulated per channel in a zero-padded
-    /// `[H+2·pad, W+2·pad]` plane so no tap needs a bounds test (what lands
-    /// on the padding is dropped with it). Each input element receives its
-    /// contributions in ascending output-position order: walking `ky` and
-    /// then `kx` downwards visits, for any one element, its output rows and
-    /// then its output columns in ascending order, and each tap adds its
-    /// gradient block one output row at a time as a slice loop.
-    ///
-    /// Zero gradients are added rather than skipped: `0 · w` is ±0.0 for a
-    /// finite weight, and adding ±0.0 to an accumulator that starts at +0.0
-    /// is the identity — such an accumulator can never become -0.0, since
-    /// `+0.0 + -0.0` and exact cancellation both round to +0.0.
-    fn input_grad(&self, grad_out: &Tensor) -> Tensor {
-        let g = self.geo;
-        let (oh, ow, k, s, pad) = (g.out_h(), g.out_w(), g.kernel, g.stride, g.pad);
-        let (h, w) = (g.in_h, g.in_w);
-        debug_assert_eq!(grad_out.shape(), [g.in_channels, oh, ow]);
-        let wp = w + 2 * pad;
-        let mut padded = vec![0.0f32; (h + 2 * pad) * wp];
-        let mut dx = Vec::with_capacity(g.in_channels * h * w);
-        for (wk, gplane) in self
-            .weight
-            .data()
-            .chunks_exact(k * k)
-            .zip(grad_out.data().chunks_exact(oh * ow))
-        {
-            padded.fill(0.0);
-            for ky in (0..k).rev() {
-                for kx in (0..k).rev() {
-                    for (oy, grow) in gplane.chunks_exact(ow).enumerate() {
-                        let dst = &mut padded[(oy * s + ky) * wp + kx..];
-                        scatter_mul_add(dst, grow, s, wk[ky * k + kx]);
-                    }
-                }
-            }
-            for prow in padded[pad * wp..][..h * wp].chunks_exact(wp) {
-                dx.extend_from_slice(&prow[pad..pad + w]);
-            }
-        }
-        Tensor::from_vec(dx, &[g.in_channels, h, w]).expect("depthwise input gradient shape")
-    }
-
-    /// Full backward for one sample against an explicit input: accumulates
-    /// dW/db and returns dx. Shared by [`Layer::backward`] (cached input) and
-    /// [`Layer::backward_batch`] (per-sample batch inputs, in order), so both
-    /// run identical accumulation chains.
-    fn backward_sample(&mut self, grad_out: &Tensor, input: &Tensor) -> Tensor {
-        self.param_grads_sample(grad_out, input);
-        self.input_grad(grad_out)
     }
 
     /// Parameter gradients only for one sample: `dW`/`db` accumulate over
@@ -251,80 +171,12 @@ impl Layer for DepthwiseConv2d {
         Box::new(self.clone())
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let g = self.geo;
-        let (oh, ow, k, s) = (g.out_h(), g.out_w(), g.kernel, g.stride);
-        let (h, w) = (g.in_h, g.in_w);
-        debug_assert_eq!(input.shape(), [g.in_channels, h, w]);
-        let (ys, xs) = self.taps();
-        let mut out = Tensor::zeros(&[g.in_channels, oh, ow]);
-        for (c, (oplane, xplane)) in out
-            .data_mut()
-            .chunks_exact_mut(oh * ow)
-            .zip(input.data().chunks_exact(h * w))
-            .enumerate()
-        {
-            let wk = &self.weight.data()[c * k * k..(c + 1) * k * k];
-            oplane.fill(self.bias.data()[c]);
-            // Tap-major: consecutive slice loops write different output
-            // rows, never re-reading the previous tap's stores.
-            for (ky, yr) in ys.iter().enumerate() {
-                for (kx, xr) in xs.iter().enumerate() {
-                    if xr.is_empty() {
-                        continue;
-                    }
-                    let ix0 = xr.start * s + kx - g.pad;
-                    for oy in yr.clone() {
-                        let xrow = &xplane[(oy * s + ky - g.pad) * w..][..w];
-                        let orow = &mut oplane[oy * ow..][xr.clone()];
-                        gather_mul_add(orow, xrow, ix0, s, wk[ky * k + kx]);
-                    }
-                }
-            }
-        }
-        if mode != Mode::Inference {
-            // Only the dW accumulation reads the cached input.
-            self.cached_input = input.clone();
-        }
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = std::mem::take(&mut self.cached_input);
-        let dx = self.backward_sample(grad_out, &input);
-        self.cached_input = input;
-        dx
-    }
-
-    fn backward_params_only(&mut self, grad_out: &Tensor) {
-        let input = std::mem::take(&mut self.cached_input);
-        self.param_grads_sample(grad_out, &input);
-        self.cached_input = input;
-    }
-
-    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
-        self.input_grad(grad_out)
-    }
-
-    fn forward_batch(&mut self, inputs: &[Tensor], mode: Mode) -> Result<Vec<Tensor>> {
-        let outs = inputs
-            .iter()
-            .map(|x| self.try_forward(x, mode))
-            .collect::<Result<Vec<_>>>()?;
-        if mode != Mode::Inference {
-            self.batch_inputs = inputs.to_vec();
-        } else {
-            self.batch_inputs.clear();
-        }
-        Ok(outs)
-    }
-
-    /// The per-sample forward over lane-major rows, caching nothing (the
-    /// input gradient needs only the weights). Each output lane starts from
-    /// the bias and adds its in-image taps in `ky`, `kx` order; taps that
-    /// would read padding are skipped, not added as zero products, since
-    /// `bias + w·0` would turn a -0.0 bias into +0.0.
-    fn forward_lanes(&mut self, input: Tensor) -> Result<Tensor> {
+    /// The per-sample forward over lane-major rows; only Train/Eval keep
+    /// the input (the input gradient needs only the weights). Each output
+    /// lane starts from the bias and adds its in-image taps in `ky`, `kx`
+    /// order; taps that would read padding are skipped, not added as zero
+    /// products, since `bias + w·0` would turn a -0.0 bias into +0.0.
+    fn forward_lanes(&mut self, input: Tensor, mode: Mode) -> Result<Tensor> {
         let g = self.geo;
         let (oh, ow, k, s) = (g.out_h(), g.out_w(), g.kernel, g.stride);
         let (h, w) = (g.in_h, g.in_w);
@@ -353,20 +205,48 @@ impl Layer for DepthwiseConv2d {
                 }
             }
         }
+        self.cached_input = if mode == Mode::Inference {
+            Tensor::default()
+        } else {
+            input
+        };
         Tensor::from_vec(out, &[g.in_channels, oh, ow, lanes])
     }
 
-    /// The per-sample input gradient over lane-major rows, each lane
-    /// receiving its contributions in the per-sample order.
-    fn backward_input_lanes(&mut self, grad_out: Tensor) -> Result<Tensor> {
+    /// The per-sample input gradient over lane-major rows, accumulated per
+    /// channel in a zero-padded plane so no tap needs a bounds test (what
+    /// lands on the padding is dropped with it). Each lane receives its
+    /// contributions in ascending output-position order: walking `ky` and
+    /// then `kx` downwards visits, for any one element, its output rows and
+    /// then its output columns in ascending order, and each tap adds its
+    /// gradient block one output row at a time as a slice loop.
+    ///
+    /// Zero gradients are added rather than skipped: `0 · w` is ±0.0 for a
+    /// finite weight, and adding ±0.0 to an accumulator that starts at +0.0
+    /// is the identity — such an accumulator can never become -0.0, since
+    /// `+0.0 + -0.0` and exact cancellation both round to +0.0.
+    ///
+    /// Parameter gradients run lane after lane through the per-element
+    /// loop of one sample.
+    fn backward_lanes(&mut self, grad_out: Tensor, wants: Wants) -> Result<Tensor> {
         let g = self.geo;
         let (oh, ow, k, s, pad) = (g.out_h(), g.out_w(), g.kernel, g.stride, g.pad);
         let (h, w) = (g.in_h, g.in_w);
         let lanes = lanes_of(
             &grad_out,
             &[g.in_channels, oh, ow],
-            "depthwise backward_input_lanes",
+            "depthwise backward_lanes",
         )?;
+        if wants.params() {
+            check_cached(&self.cached_input, lanes, "depthwise backward_lanes")?;
+            let inputs = std::mem::take(&mut self.cached_input).unstack_lanes();
+            for (gs, x) in grad_out.unstack_lanes().iter().zip(&inputs) {
+                self.param_grads_sample(gs, x);
+            }
+        }
+        if !wants.input() {
+            return Ok(Tensor::default());
+        }
         let wp = (w + 2 * pad) * lanes;
         let mut padded = vec![0.0f32; (h + 2 * pad) * wp];
         let mut dx = Vec::with_capacity(g.in_channels * h * w * lanes);
@@ -392,37 +272,6 @@ impl Layer for DepthwiseConv2d {
         Tensor::from_vec(dx, &[g.in_channels, h, w, lanes])
     }
 
-    fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
-        let inputs = std::mem::take(&mut self.batch_inputs);
-        assert_eq!(
-            grads_out.len(),
-            inputs.len(),
-            "backward_batch batch size must match the preceding forward_batch"
-        );
-        Ok(grads_out
-            .iter()
-            .zip(&inputs)
-            .map(|(g, x)| self.backward_sample(g, x))
-            .collect())
-    }
-
-    fn backward_batch_params_only(&mut self, grads_out: &[Tensor]) -> Result<()> {
-        let inputs = std::mem::take(&mut self.batch_inputs);
-        assert_eq!(
-            grads_out.len(),
-            inputs.len(),
-            "backward_batch batch size must match the preceding forward_batch"
-        );
-        for (g, x) in grads_out.iter().zip(&inputs) {
-            self.param_grads_sample(g, x);
-        }
-        Ok(())
-    }
-
-    fn supports_batched_train(&self) -> bool {
-        true
-    }
-
     fn visit_params(&mut self, visit: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
         visit(&mut self.weight, &mut self.grad_w);
         visit(&mut self.bias, &mut self.grad_b);
@@ -446,10 +295,11 @@ impl Layer for DepthwiseConv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::{backward_one, forward_one};
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
-    fn lanes_skip_padding_taps_like_the_per_sample_path() {
+    fn lanes_skip_padding_taps_like_one_lane() {
         // A -0.0 bias over -0.0 inputs with positive weights stays -0.0 only
         // if padding taps are skipped: `-0.0 + w·(+0.0)` is +0.0.
         for stride in [1, 2] {
@@ -465,9 +315,9 @@ mod tests {
             let gs: Vec<Tensor> = (0..3)
                 .map(|_| Tensor::randn(&[2, oh, ow], 1.0, &mut rng))
                 .collect();
-            let y = dw.forward(&xs[0], Mode::Inference);
+            let y = forward_one(&mut dw, &xs[0], Mode::Inference);
             assert!(y.data().iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
-            crate::layers::assert_lanes_match_per_sample(&mut dw, &xs, &gs);
+            crate::layers::assert_lanes_match_one_lane(&mut dw, &xs, &gs);
         }
     }
 
@@ -480,7 +330,7 @@ mod tests {
             *v = 0.0;
         }
         let x = Tensor::ones(&[2, 3, 3]);
-        let y = dw.forward(&x, Mode::Eval);
+        let y = forward_one(&mut dw, &x, Mode::Eval);
         let ch1 = y.index_axis0(1).unwrap();
         assert!(ch1.data().iter().all(|&v| v == 0.0));
         let ch0 = y.index_axis0(0).unwrap();
@@ -492,14 +342,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut dw = DepthwiseConv2d::new((2, 4, 4), 3, 1, 1, &mut rng);
         let x = Tensor::randn(&[2, 4, 4], 1.0, &mut rng);
-        let y = dw.forward(&x, Mode::Train);
+        let y = forward_one(&mut dw, &x, Mode::Train);
         dw.zero_grads();
-        let dx = dw.backward(&Tensor::ones(y.shape()));
+        let dx = backward_one(&mut dw, &Tensor::ones(y.shape()), Wants::Both);
         let eps = 1e-2;
         for &i in &[0usize, 9, 17, 31] {
             let mut xp = x.clone();
             xp.data_mut()[i] += eps;
-            let yp = dw.forward(&xp, Mode::Train);
+            let yp = forward_one(&mut dw, &xp, Mode::Train);
             let num = (yp.sum() - y.sum()) / eps;
             assert!((num - dx.data()[i]).abs() < 5e-2, "input grad at {i}");
         }
@@ -574,13 +424,13 @@ mod tests {
                 }
             }
             let (y_ref, dx_ref) = reference(&dw, &x, &g);
-            let y = dw.forward(&x, Mode::Inference);
+            let y = forward_one(&mut dw, &x, Mode::Inference);
             assert_eq!(
                 bits(y.data()),
                 bits(&y_ref),
                 "forward {shape:?} s{stride} p{pad}"
             );
-            let dx = dw.backward_input(&g);
+            let dx = backward_one(&mut dw, &g, Wants::Input);
             assert_eq!(
                 bits(dx.data()),
                 bits(&dx_ref),

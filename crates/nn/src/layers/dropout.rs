@@ -1,4 +1,4 @@
-use crate::{Layer, Mode};
+use crate::{Layer, Mode, Wants};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use remix_tensor::{Result, Tensor, TensorError};
 
@@ -8,8 +8,9 @@ use remix_tensor::{Result, Tensor, TensorError};
 pub struct Dropout {
     p: f32,
     rng: StdRng,
+    /// The lane-major mask of a Train forward; `None` after an identity
+    /// (Eval/Inference) forward.
     mask: Option<Vec<f32>>,
-    batch_masks: Vec<Vec<f32>>,
 }
 
 impl Dropout {
@@ -27,21 +28,26 @@ impl Dropout {
             p,
             rng: StdRng::seed_from_u64(seed),
             mask: None,
-            batch_masks: Vec::new(),
         }
     }
 
-    fn draw_mask(&mut self, len: usize) -> Vec<f32> {
+    /// Draws the lane-major mask of `len` elements over `lanes` lanes. The
+    /// masks are drawn lane after lane, each lane's elements in order, so
+    /// the RNG stream is consumed exactly as `lanes` one-lane forwards
+    /// would consume it.
+    fn draw_mask(&mut self, len: usize, lanes: usize) -> Vec<f32> {
         let keep = 1.0 - self.p;
-        (0..len)
-            .map(|_| {
-                if self.rng.gen::<f32>() < self.p {
+        let mut mask = vec![0.0f32; len];
+        for b in 0..lanes {
+            for m in mask[b..].iter_mut().step_by(lanes) {
+                *m = if self.rng.gen::<f32>() < self.p {
                     0.0
                 } else {
                     1.0 / keep
-                }
-            })
-            .collect()
+                };
+            }
+        }
+        mask
     }
 }
 
@@ -50,103 +56,36 @@ impl Layer for Dropout {
         Box::new(self.clone())
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        match mode {
-            Mode::Eval | Mode::Inference => {
-                self.mask = None;
-                input.clone()
-            }
-            Mode::Train => {
-                let mask = self.draw_mask(input.len());
-                let data = input
-                    .data()
-                    .iter()
-                    .zip(&mask)
-                    .map(|(&v, &m)| v * m)
-                    .collect();
-                self.mask = Some(mask);
-                Tensor::from_vec(data, input.shape()).expect("same shape")
-            }
-        }
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        match &self.mask {
-            None => grad_out.clone(),
-            Some(mask) => {
-                let data = grad_out
-                    .data()
-                    .iter()
-                    .zip(mask)
-                    .map(|(&g, &m)| g * m)
-                    .collect();
-                Tensor::from_vec(data, grad_out.shape()).expect("same shape")
-            }
-        }
-    }
-
-    fn forward_batch(&mut self, inputs: &[Tensor], mode: Mode) -> Result<Vec<Tensor>> {
-        match mode {
-            Mode::Eval | Mode::Inference => {
-                self.mask = None;
-                self.batch_masks.clear();
-                Ok(inputs.to_vec())
-            }
-            Mode::Train => {
-                // Masks are drawn sample-by-sample in batch order, consuming
-                // the RNG stream exactly as a per-sample forward loop would —
-                // so batched training stays bit-identical to per-sample
-                // training (including the random masks).
-                self.mask = None;
-                self.batch_masks = inputs.iter().map(|x| self.draw_mask(x.len())).collect();
-                inputs
-                    .iter()
-                    .zip(&self.batch_masks)
-                    .map(|(x, mask)| {
-                        let data = x.data().iter().zip(mask).map(|(&v, &m)| v * m).collect();
-                        Tensor::from_vec(data, x.shape())
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    fn forward_lanes(&mut self, input: Tensor) -> Result<Tensor> {
-        // Identity in inference mode, like `forward`.
+    fn forward_lanes(&mut self, mut input: Tensor, mode: Mode) -> Result<Tensor> {
         self.mask = None;
+        if mode == Mode::Train {
+            let lanes = input.shape().last().copied().unwrap_or(1).max(1);
+            let mask = self.draw_mask(input.len(), lanes);
+            for (v, &m) in input.data_mut().iter_mut().zip(&mask) {
+                *v *= m;
+            }
+            self.mask = Some(mask);
+        }
         Ok(input)
     }
 
-    fn backward_input_lanes(&mut self, grad_out: Tensor) -> Result<Tensor> {
+    fn backward_lanes(&mut self, mut grad_out: Tensor, wants: Wants) -> Result<Tensor> {
+        if !wants.input() {
+            return Ok(Tensor::default());
+        }
+        if let Some(mask) = &self.mask {
+            if grad_out.len() != mask.len() {
+                return Err(TensorError::ShapeMismatch {
+                    left: grad_out.shape().to_vec(),
+                    right: vec![mask.len()],
+                    op: "dropout backward_lanes",
+                });
+            }
+            for (g, &m) in grad_out.data_mut().iter_mut().zip(mask) {
+                *g *= m;
+            }
+        }
         Ok(grad_out)
-    }
-
-    fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
-        // No parameters: applying the per-sample masks is the whole training
-        // backward.
-        if self.batch_masks.is_empty() {
-            // Identity after an eval-mode forward.
-            return Ok(grads_out.to_vec());
-        }
-        if grads_out.len() != self.batch_masks.len() {
-            return Err(TensorError::ShapeMismatch {
-                left: vec![grads_out.len()],
-                right: vec![self.batch_masks.len()],
-                op: "dropout batched backward",
-            });
-        }
-        grads_out
-            .iter()
-            .zip(&self.batch_masks)
-            .map(|(g, mask)| {
-                let data = g.data().iter().zip(mask).map(|(&g, &m)| g * m).collect();
-                Tensor::from_vec(data, g.shape())
-            })
-            .collect()
-    }
-
-    fn supports_batched_train(&self) -> bool {
-        true
     }
 
     fn name(&self) -> &'static str {
@@ -157,12 +96,13 @@ impl Layer for Dropout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::{backward_one, forward_one};
 
     #[test]
     fn eval_mode_is_identity() {
         let mut d = Dropout::new(0.5, 1);
         let x = Tensor::ones(&[100]);
-        let y = d.forward(&x, Mode::Eval);
+        let y = forward_one(&mut d, &x, Mode::Eval);
         assert_eq!(y, x);
     }
 
@@ -170,7 +110,7 @@ mod tests {
     fn train_mode_drops_and_rescales() {
         let mut d = Dropout::new(0.5, 2);
         let x = Tensor::ones(&[10_000]);
-        let y = d.forward(&x, Mode::Train);
+        let y = forward_one(&mut d, &x, Mode::Train);
         let zeros = y.data().iter().filter(|&&v| v == 0.0).count();
         assert!((zeros as f32 / 10_000.0 - 0.5).abs() < 0.05);
         // survivors are scaled so the expectation is preserved
@@ -181,12 +121,29 @@ mod tests {
     fn backward_applies_same_mask() {
         let mut d = Dropout::new(0.5, 3);
         let x = Tensor::ones(&[1000]);
-        let y = d.forward(&x, Mode::Train);
-        let dx = d.backward(&Tensor::ones(&[1000]));
+        let y = forward_one(&mut d, &x, Mode::Train);
+        let dx = backward_one(&mut d, &Tensor::ones(&[1000]), Wants::Both);
         // gradient is zero exactly where the forward output was zero
         for (o, g) in y.data().iter().zip(dx.data()) {
             assert_eq!(*o == 0.0, *g == 0.0);
         }
+    }
+
+    #[test]
+    fn lane_masks_are_drawn_lane_after_lane() {
+        let xs: Vec<Tensor> = (0..3)
+            .map(|b| Tensor::full(&[5, 2], 1.0 + b as f32))
+            .collect();
+        let mut one_lane = Dropout::new(0.5, 6);
+        let ys: Vec<Tensor> = xs
+            .iter()
+            .map(|x| forward_one(&mut one_lane, x, Mode::Train))
+            .collect();
+        let mut lanes = Dropout::new(0.5, 6);
+        let y = lanes
+            .forward_lanes(Tensor::stack_lanes(&xs).unwrap(), Mode::Train)
+            .unwrap();
+        assert_eq!(y.unstack_lanes(), ys);
     }
 
     #[test]

@@ -1,38 +1,65 @@
 //! The layer set used by the model zoo.
 
+/// Runs `$body` with the caller's `$lanes` shadowed by the constant 1 for
+/// a one-lane batch — a single sample — so the body's lane strides and
+/// offsets fold away and it compiles to a plain per-sample loop; other
+/// batches run it as written. Either way the body is the same code.
+macro_rules! one_lane_const {
+    ($lanes:ident, $body:block) => {
+        if $lanes == 1 {
+            #[allow(unused_variables)]
+            let $lanes: usize = 1;
+            $body
+        } else {
+            $body
+        }
+    };
+}
+
 /// Runs `$body` once per group of lanes covering `0..$lanes`, with `$b0`
 /// the group's first lane and `$g` its width as a constant (16, 8, 4, 2 or
 /// 1 — the widest that fits). Per-lane loops written against `$g` have a
 /// fixed trip count, so their accumulators stay in registers and they
 /// vectorise at every batch width, including the 2-lane prediction
 /// batches; the lanes of a group are independent, so grouping never
-/// reorders one lane's chain.
+/// reorders one lane's chain. A one-lane batch — a single sample — runs
+/// `$body` with the caller's `$lanes` shadowed by the constant 1, so its
+/// lane strides and offsets fold away and it runs as a plain per-sample
+/// loop.
 macro_rules! for_lane_groups {
-    ($lanes:expr, $b0:ident, $g:ident, $body:block) => {{
-        let lanes: usize = $lanes;
-        let mut $b0 = 0usize;
-        while $b0 < lanes {
-            let rest = lanes - $b0;
-            if rest >= 16 {
-                const $g: usize = 16;
-                $body
-                $b0 += $g;
-            } else if rest >= 8 {
-                const $g: usize = 8;
-                $body
-                $b0 += $g;
-            } else if rest >= 4 {
-                const $g: usize = 4;
-                $body
-                $b0 += $g;
-            } else if rest >= 2 {
-                const $g: usize = 2;
-                $body
-                $b0 += $g;
-            } else {
-                const $g: usize = 1;
-                $body
-                $b0 += $g;
+    ($lanes:ident, $b0:ident, $g:ident, $body:block) => {{
+        if $lanes == 1 {
+            #[allow(unused_variables)]
+            let $lanes: usize = 1;
+            let $b0 = 0usize;
+            const $g: usize = 1;
+            $body
+        } else {
+            let lanes: usize = $lanes;
+            let mut $b0 = 0usize;
+            while $b0 < lanes {
+                let rest = lanes - $b0;
+                if rest >= 16 {
+                    const $g: usize = 16;
+                    $body
+                    $b0 += $g;
+                } else if rest >= 8 {
+                    const $g: usize = 8;
+                    $body
+                    $b0 += $g;
+                } else if rest >= 4 {
+                    const $g: usize = 4;
+                    $body
+                    $b0 += $g;
+                } else if rest >= 2 {
+                    const $g: usize = 2;
+                    $body
+                    $b0 += $g;
+                } else {
+                    const $g: usize = 1;
+                    $body
+                    $b0 += $g;
+                }
             }
         }
     }};
@@ -106,15 +133,57 @@ pub(crate) fn plane_lanes_of(
     }
 }
 
-/// Runs `B` samples through `layer` one by one and as one lane-major batch
-/// (forward in [`crate::Mode::Inference`], then the input gradient) and
-/// asserts the bits agree.
+/// Checks that the parameter-gradient cache `cached` — a layer input kept
+/// by a [`Mode::Train`](crate::Mode::Train) or [`Mode::Eval`](crate::Mode::Eval)
+/// forward — holds the `lanes` lanes of the gradient being propagated.
+pub(crate) fn check_cached(cached: &Tensor, lanes: usize, op: &'static str) -> Result<()> {
+    if cached.shape().last() == Some(&lanes) {
+        Ok(())
+    } else {
+        Err(TensorError::ShapeMismatch {
+            left: cached.shape().to_vec(),
+            right: vec![lanes],
+            op,
+        })
+    }
+}
+
+/// One sample through `layer` as a one-lane batch.
 #[cfg(test)]
-pub(crate) fn assert_lanes_match_per_sample(
+pub(crate) fn forward_one(layer: &mut dyn crate::Layer, x: &Tensor, mode: crate::Mode) -> Tensor {
+    let y = layer
+        .forward_lanes(x.one_lane(), mode)
+        .expect("valid sample");
+    y.only_lane().expect("one lane")
+}
+
+/// One sample's gradient through `layer` as a one-lane batch.
+#[cfg(test)]
+pub(crate) fn backward_one(
+    layer: &mut dyn crate::Layer,
+    g: &Tensor,
+    wants: crate::Wants,
+) -> Tensor {
+    let dx = layer
+        .backward_lanes(g.one_lane(), wants)
+        .expect("valid gradient");
+    if wants.input() {
+        dx.only_lane().expect("one lane")
+    } else {
+        dx
+    }
+}
+
+/// Runs `B` samples through `layer` as `B` one-lane batches and as one
+/// `B`-lane batch — forward in [`crate::Mode::Inference`], then the input
+/// gradient — and asserts the bits agree.
+#[cfg(test)]
+pub(crate) fn assert_lanes_match_one_lane(
     layer: &mut dyn crate::Layer,
     inputs: &[Tensor],
     grads: &[Tensor],
 ) {
+    use crate::{Mode, Wants};
     let bits = |ts: &[Tensor]| -> Vec<Vec<u32>> {
         ts.iter()
             .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
@@ -122,14 +191,20 @@ pub(crate) fn assert_lanes_match_per_sample(
     };
     let (mut ys, mut dxs) = (Vec::new(), Vec::new());
     for (x, g) in inputs.iter().zip(grads) {
-        ys.push(layer.forward(x, crate::Mode::Inference));
-        dxs.push(layer.backward_input(g));
+        ys.push(forward_one(layer, x, Mode::Inference));
+        dxs.push(backward_one(layer, g, Wants::Input));
     }
     let y = layer
-        .forward_lanes(Tensor::stack_lanes(inputs).expect("same-shape inputs"))
+        .forward_lanes(
+            Tensor::stack_lanes(inputs).expect("same-shape inputs"),
+            Mode::Inference,
+        )
         .expect("valid batch");
     let dx = layer
-        .backward_input_lanes(Tensor::stack_lanes(grads).expect("same-shape gradients"))
+        .backward_lanes(
+            Tensor::stack_lanes(grads).expect("same-shape gradients"),
+            Wants::Input,
+        )
         .expect("valid gradients");
     assert_eq!(
         bits(&y.unstack_lanes()),

@@ -1,5 +1,5 @@
 use crate::layers::Conv2d;
-use crate::{Layer, Mode, Sequential};
+use crate::{Layer, Mode, Sequential, Wants};
 use rand::Rng;
 use remix_tensor::{Result, Tensor};
 
@@ -55,112 +55,29 @@ impl Layer for Residual {
         Box::new(self.clone())
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let mut out = self.body.forward(input, mode);
+    fn forward_lanes(&mut self, input: Tensor, mode: Mode) -> Result<Tensor> {
+        let mut out = self.body.forward_lanes(input.clone(), mode)?;
         let shortcut = match &mut self.projection {
-            Some(proj) => proj.forward(input, mode),
-            None => input.clone(),
-        };
-        out.add_assign(&shortcut)
-            .expect("residual body and shortcut shapes must agree");
-        out
-    }
-
-    fn try_forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let mut out = self.body.try_forward(input, mode)?;
-        let shortcut = match &mut self.projection {
-            Some(proj) => proj.try_forward(input, mode)?,
-            None => input.clone(),
-        };
-        out.add_assign(&shortcut)?;
-        Ok(out)
-    }
-
-    fn forward_batch(&mut self, inputs: &[Tensor], mode: Mode) -> Result<Vec<Tensor>> {
-        let mut outs = self.body.forward_batch(inputs, mode)?;
-        match &mut self.projection {
-            Some(proj) => {
-                let shorts = proj.forward_batch(inputs, mode)?;
-                for (o, s) in outs.iter_mut().zip(&shorts) {
-                    o.add_assign(s)?;
-                }
-            }
-            None => {
-                for (o, s) in outs.iter_mut().zip(inputs) {
-                    o.add_assign(s)?;
-                }
-            }
-        }
-        Ok(outs)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut dx = self.body.backward(grad_out);
-        let d_short = match &mut self.projection {
-            Some(proj) => proj.backward(grad_out),
-            None => grad_out.clone(),
-        };
-        dx.add_assign(&d_short).expect("shortcut grad shape");
-        dx
-    }
-
-    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut dx = self.body.backward_input(grad_out);
-        let d_short = match &mut self.projection {
-            Some(proj) => proj.backward_input(grad_out),
-            None => grad_out.clone(),
-        };
-        dx.add_assign(&d_short).expect("shortcut grad shape");
-        dx
-    }
-
-    fn forward_lanes(&mut self, input: Tensor) -> Result<Tensor> {
-        let mut out = self.body.forward_lanes(input.clone())?;
-        let shortcut = match &mut self.projection {
-            Some(proj) => proj.forward_lanes(input)?,
+            Some(proj) => proj.forward_lanes(input, mode)?,
             None => input,
         };
         out.add_assign(&shortcut)?;
         Ok(out)
     }
 
-    fn backward_input_lanes(&mut self, grad_out: Tensor) -> Result<Tensor> {
-        let mut dx = self.body.backward_input_lanes(grad_out.clone())?;
+    fn backward_lanes(&mut self, grad_out: Tensor, wants: Wants) -> Result<Tensor> {
+        // Body and projection own disjoint parameter sets, so running the
+        // body's backward before the projection's keeps each parameter's
+        // lane-by-lane accumulation chain.
+        let mut dx = self.body.backward_lanes(grad_out.clone(), wants)?;
         let d_short = match &mut self.projection {
-            Some(proj) => proj.backward_input_lanes(grad_out)?,
+            Some(proj) => proj.backward_lanes(grad_out, wants)?,
             None => grad_out,
         };
-        dx.add_assign(&d_short)?;
-        Ok(dx)
-    }
-
-    fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
-        // Body and projection own disjoint parameter sets, so running the
-        // body's batched backward before the projection's preserves each
-        // parameter's per-sample accumulation chain.
-        let mut dxs = self.body.backward_batch(grads_out)?;
-        match &mut self.projection {
-            Some(proj) => {
-                let shorts = proj.backward_batch(grads_out)?;
-                for (d, s) in dxs.iter_mut().zip(&shorts) {
-                    d.add_assign(s)?;
-                }
-            }
-            None => {
-                for (d, g) in dxs.iter_mut().zip(grads_out) {
-                    d.add_assign(g)?;
-                }
-            }
+        if wants.input() {
+            dx.add_assign(&d_short)?;
         }
-        Ok(dxs)
-    }
-
-    fn supports_batched_train(&self) -> bool {
-        self.body.supports_batched_train()
-            && self
-                .projection
-                .as_ref()
-                .is_none_or(Layer::supports_batched_train)
+        Ok(dx)
     }
 
     fn visit_params(&mut self, visit: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
@@ -189,7 +106,7 @@ impl Layer for Residual {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::Relu;
+    use crate::layers::{backward_one, forward_one, Relu};
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
@@ -199,7 +116,7 @@ mod tests {
         body.push(Relu::new());
         let mut block = Residual::identity(body);
         let x = Tensor::from_vec(vec![-1.0, 2.0], &[2, 1, 1]).unwrap();
-        let y = block.forward(&x, Mode::Eval);
+        let y = forward_one(&mut block, &x, Mode::Eval);
         assert_eq!(y.data(), &[-1.0, 4.0]);
     }
 
@@ -209,8 +126,8 @@ mod tests {
         body.push(Relu::new());
         let mut block = Residual::identity(body);
         let x = Tensor::from_vec(vec![1.0, -1.0], &[2, 1, 1]).unwrap();
-        block.forward(&x, Mode::Train);
-        let dx = block.backward(&Tensor::ones(&[2, 1, 1]));
+        forward_one(&mut block, &x, Mode::Train);
+        let dx = backward_one(&mut block, &Tensor::ones(&[2, 1, 1]), Wants::Both);
         // positive input: relu path + identity = 2; negative: identity only = 1
         assert_eq!(dx.data(), &[2.0, 1.0]);
     }
@@ -222,9 +139,9 @@ mod tests {
         body.push(Conv2d::new((2, 4, 4), 4, 3, 2, 1, &mut rng));
         let mut block = Residual::projected(body, (2, 4, 4), 4, 2, &mut rng);
         let x = Tensor::randn(&[2, 4, 4], 1.0, &mut rng);
-        let y = block.forward(&x, Mode::Eval);
+        let y = forward_one(&mut block, &x, Mode::Eval);
         assert_eq!(y.shape(), &[4, 2, 2]);
-        let dx = block.backward(&Tensor::ones(&[4, 2, 2]));
+        let dx = backward_one(&mut block, &Tensor::ones(&[4, 2, 2]), Wants::Both);
         assert_eq!(dx.shape(), x.shape());
     }
 
@@ -235,13 +152,13 @@ mod tests {
         body.push(Conv2d::new((1, 4, 4), 2, 3, 1, 1, &mut rng));
         let mut block = Residual::projected(body, (1, 4, 4), 2, 1, &mut rng);
         let x = Tensor::randn(&[1, 4, 4], 1.0, &mut rng);
-        let y = block.forward(&x, Mode::Train);
-        let dx = block.backward(&Tensor::ones(y.shape()));
+        let y = forward_one(&mut block, &x, Mode::Train);
+        let dx = backward_one(&mut block, &Tensor::ones(y.shape()), Wants::Both);
         let eps = 1e-2;
         for &i in &[0usize, 6, 15] {
             let mut xp = x.clone();
             xp.data_mut()[i] += eps;
-            let yp = block.forward(&xp, Mode::Train);
+            let yp = forward_one(&mut block, &xp, Mode::Train);
             let num = (yp.sum() - y.sum()) / eps;
             assert!((num - dx.data()[i]).abs() < 5e-2, "grad at {i}");
         }
@@ -259,21 +176,6 @@ mod tests {
         let gs: Vec<Tensor> = (0..3)
             .map(|_| Tensor::randn(&[4, 2, 2], 1.0, &mut rng))
             .collect();
-        let mut seq_y = Vec::new();
-        let mut seq_dx = Vec::new();
-        for (x, g) in xs.iter().zip(&gs) {
-            seq_y.push(block.forward(x, Mode::Inference));
-            seq_dx.push(block.backward_input(g));
-        }
-        let bat_y = block
-            .forward_lanes(Tensor::stack_lanes(&xs).unwrap())
-            .unwrap()
-            .unstack_lanes();
-        let bat_dx = block
-            .backward_input_lanes(Tensor::stack_lanes(&gs).unwrap())
-            .unwrap()
-            .unstack_lanes();
-        assert_eq!(seq_y, bat_y);
-        assert_eq!(seq_dx, bat_dx);
+        crate::layers::assert_lanes_match_one_lane(&mut block, &xs, &gs);
     }
 }

@@ -48,7 +48,7 @@ pub mod state;
 mod trainer;
 pub mod zoo;
 
-pub use layer::{Layer, Mode};
+pub use layer::{Layer, Mode, Wants};
 pub use loss::cross_entropy;
 pub use model::Model;
 pub use optim::{Adam, Optimizer, Sgd};

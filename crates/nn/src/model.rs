@@ -1,4 +1,4 @@
-use crate::{zoo::InputSpec, Layer, Mode, Sequential};
+use crate::{zoo::InputSpec, Layer, Mode, Sequential, Wants};
 use remix_tensor::{Result, Tensor, TensorError};
 
 /// A trained (or trainable) classifier: a [`Sequential`] network plus its
@@ -49,12 +49,16 @@ impl Model {
         self.net.param_count()
     }
 
-    /// Raw logits for one `[C, H, W]` image.
+    /// Raw logits for one `[C, H, W]` image: a one-lane batch (see
+    /// [`Model::logits_batch`]).
     ///
-    /// Runs in [`Mode::Inference`]: bit-identical to an eval-mode forward,
-    /// but skips the parameter-gradient caches the XAI hot path never reads.
+    /// # Panics
+    ///
+    /// Panics if the image does not match the network's input shape; use
+    /// [`Model::try_logits`] to get the error instead.
     pub fn logits(&mut self, image: &Tensor) -> Tensor {
-        self.net.forward(image, Mode::Inference)
+        self.try_logits(image)
+            .expect("image matches the model's input shape")
     }
 
     /// Fallible [`Model::logits`]: surfaces geometry errors (wrong input
@@ -64,7 +68,9 @@ impl Model {
     ///
     /// Returns the first layer validation error.
     pub fn try_logits(&mut self, image: &Tensor) -> Result<Tensor> {
-        self.net.try_forward(image, Mode::Inference)
+        self.net
+            .forward_lanes(image.one_lane(), Mode::Inference)?
+            .only_lane()
     }
 
     /// Softmax class probabilities for one image.
@@ -83,10 +89,10 @@ impl Model {
 
     /// Raw logits for a batch of same-shape images.
     ///
-    /// The batch runs through the network once, lane-major
-    /// ([`Layer::forward_lanes`]): convolutions evaluate it as one matrix
-    /// product, every other layer as loops over the samples' lanes. The
-    /// results are bit-identical to calling [`Model::logits`] per image.
+    /// The batch runs through the network once, lane-major, in
+    /// [`Mode::Inference`]: convolutions evaluate it as one matrix product,
+    /// every other layer as loops over the samples' lanes. The results are
+    /// bit-identical to calling [`Model::logits`] per image.
     ///
     /// # Errors
     ///
@@ -96,7 +102,9 @@ impl Model {
         if images.is_empty() {
             return Ok(Vec::new());
         }
-        let logits = self.net.forward_lanes(Tensor::stack_lanes(images)?)?;
+        let logits = self
+            .net
+            .forward_lanes(Tensor::stack_lanes(images)?, Mode::Inference)?;
         Ok(logits.unstack_lanes())
     }
 
@@ -122,28 +130,39 @@ impl Model {
     }
 
     /// Gradient of the `class` logit with respect to the input image
-    /// (`[C, H, W]`, same shape as the input).
+    /// (`[C, H, W]`, same shape as the input): a one-lane
+    /// [`Model::input_gradient_batch`].
     ///
     /// This is the primitive behind the gradient-based XAI techniques:
     /// SmoothGrad averages it over noisy inputs, Integrated Gradients
     /// accumulates it along a baseline path. It runs an inference-mode
-    /// forward followed by an input-only backward, so no parameter gradients
-    /// are accumulated (the values are bit-identical to the full backward's
-    /// input gradient).
+    /// forward followed by an input-only backward ([`Wants::Input`]), so no
+    /// parameter gradients are accumulated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image does not match the network's input shape or
+    /// `class` is out of range.
     pub fn input_gradient(&mut self, image: &Tensor, class: usize) -> Tensor {
-        let logits = self.net.forward(image, Mode::Inference);
+        let logits = self
+            .net
+            .forward_lanes(image.one_lane(), Mode::Inference)
+            .expect("image matches the model's input shape");
         let mut seed = Tensor::zeros(logits.shape());
         seed.data_mut()[class] = 1.0;
-        self.net.backward_input(&seed)
+        self.net
+            .backward_lanes(seed, Wants::Input)
+            .and_then(Tensor::only_lane)
+            .expect("seed matches the logits")
     }
 
     /// Per-image input gradients for a batch: `classes[i]` selects the logit
     /// differentiated for `images[i]`.
     ///
     /// The whole batch runs through one lane-major forward/backward sweep
-    /// ([`Layer::forward_lanes`], [`Layer::backward_input_lanes`];
-    /// convolutions as single large matmuls), bit-identical to per-image
-    /// [`Model::input_gradient`] calls.
+    /// ([`Layer::forward_lanes`], [`Layer::backward_lanes`] with
+    /// [`Wants::Input`]; convolutions as single large matmuls),
+    /// bit-identical to per-image [`Model::input_gradient`] calls.
     ///
     /// # Errors
     ///
@@ -164,13 +183,15 @@ impl Model {
         if images.is_empty() {
             return Ok(Vec::new());
         }
-        let logits = self.net.forward_lanes(Tensor::stack_lanes(images)?)?;
+        let logits = self
+            .net
+            .forward_lanes(Tensor::stack_lanes(images)?, Mode::Inference)?;
         let mut seed = Tensor::zeros(logits.shape());
         let lanes = classes.len();
         for (b, &c) in classes.iter().enumerate() {
             seed.data_mut()[c * lanes + b] = 1.0;
         }
-        Ok(self.net.backward_input_lanes(seed)?.unstack_lanes())
+        Ok(self.net.backward_lanes(seed, Wants::Input)?.unstack_lanes())
     }
 
     /// Freezes the network for steady-state serving: every layer prepacks its

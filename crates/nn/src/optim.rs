@@ -125,8 +125,8 @@ impl Optimizer for Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::Dense;
-    use crate::{cross_entropy, Mode, Sequential};
+    use crate::layers::{backward_one, forward_one, Dense};
+    use crate::{cross_entropy, Mode, Sequential, Wants};
     use rand::{rngs::StdRng, SeedableRng};
     use remix_tensor::Tensor;
 
@@ -146,10 +146,10 @@ mod tests {
             net.zero_grads();
             let mut total = 0.0;
             for (x, t) in &data {
-                let logits = net.forward(x, Mode::Train);
+                let logits = forward_one(&mut net, x, Mode::Train);
                 let (loss, grad) = cross_entropy(&logits, *t);
                 total += loss;
-                net.backward(&grad);
+                backward_one(&mut net, &grad, Wants::Params);
             }
             optimizer.step(&mut net, 0.5);
             last = total / 2.0;

@@ -1,4 +1,4 @@
-use crate::{Layer, Mode};
+use crate::{Layer, Mode, Wants};
 use remix_tensor::{Result, Tensor};
 
 /// Ordered composition of layers; itself a [`Layer`], so residual blocks can
@@ -12,7 +12,9 @@ use remix_tensor::{Result, Tensor};
 ///
 /// let mut net = Sequential::new();
 /// net.push(Relu::new());
-/// let y = net.forward(&Tensor::from_slice(&[-1.0, 1.0]), Mode::Eval);
+/// // One sample of two features is a `[2, 1]` one-lane batch.
+/// let x = Tensor::from_vec(vec![-1.0, 1.0], &[2, 1]).unwrap();
+/// let y = net.forward_lanes(x, Mode::Eval).unwrap();
 /// assert_eq!(y.data(), &[0.0, 1.0]);
 /// ```
 #[derive(Default)]
@@ -50,50 +52,6 @@ impl Sequential {
     pub fn layer_names(&self) -> Vec<&'static str> {
         self.layers.iter().map(|l| l.name()).collect()
     }
-
-    /// Training backward: chains [`Layer::backward`] through the layers in
-    /// reverse, but asks the first (input-side) layer for parameter gradients
-    /// only — its input gradient is the image gradient, which a training step
-    /// discards, and for a first convolution that gradient costs a full GEMM
-    /// plus an overlap fold. Parameter gradients are accumulated through the
-    /// exact chains of [`Layer::backward`], so the trained weights are
-    /// bit-identical.
-    ///
-    /// Only `Trainer::fit` should use this: XAI paths need the image gradient
-    /// (they call [`Layer::backward_input`]), and `Sequential` bodies nested
-    /// inside residual blocks must keep returning their input gradient to
-    /// feed the skip-connection sum (they are reached through the
-    /// [`Layer::backward`] of the enclosing block, which this method never
-    /// short-circuits).
-    pub fn backward_train(&mut self, grad_out: &Tensor) {
-        let Some((first, rest)) = self.layers.split_first_mut() else {
-            return;
-        };
-        let mut g = grad_out.clone();
-        for layer in rest.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        first.backward_params_only(&g);
-    }
-
-    /// Batched [`Sequential::backward_train`]: chains
-    /// [`Layer::backward_batch`] in reverse and finishes with the first
-    /// layer's [`Layer::backward_batch_params_only`]. Same root-only
-    /// contract, same bit-identical weights.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first layer-level batched-backward error.
-    pub fn backward_batch_train(&mut self, grads_out: &[Tensor]) -> Result<()> {
-        let Some((first, rest)) = self.layers.split_first_mut() else {
-            return Ok(());
-        };
-        let mut gs = grads_out.to_vec();
-        for layer in rest.iter_mut().rev() {
-            gs = layer.backward_batch(&gs)?;
-        }
-        first.backward_batch_params_only(&gs)
-    }
 }
 
 impl Clone for Sequential {
@@ -115,88 +73,37 @@ impl Layer for Sequential {
         Box::new(self.clone())
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, mode);
-        }
-        x
-    }
-
-    fn try_forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.try_forward(&x, mode)?;
-        }
-        Ok(x)
-    }
-
-    fn forward_batch(&mut self, inputs: &[Tensor], mode: Mode) -> Result<Vec<Tensor>> {
-        let _fwd = remix_trace::span("forward_batch");
-        let mut xs = inputs.to_vec();
-        for layer in &mut self.layers {
-            let _layer = remix_trace::span(layer.name());
-            xs = layer.forward_batch(&xs, mode)?;
-        }
-        Ok(xs)
-    }
-
-    fn forward_lanes(&mut self, input: Tensor) -> Result<Tensor> {
+    fn forward_lanes(&mut self, input: Tensor, mode: Mode) -> Result<Tensor> {
         let _fwd = remix_trace::span("forward_lanes");
         let mut x = input;
         for layer in &mut self.layers {
             let _layer = remix_trace::span(layer.name());
-            x = layer.forward_lanes(x)?;
+            x = layer.forward_lanes(x, mode)?;
         }
         Ok(x)
     }
 
-    fn backward_input_lanes(&mut self, grad_out: Tensor) -> Result<Tensor> {
-        let _bwd = remix_trace::span("backward_input_lanes");
+    /// Chains the layers' backward passes in reverse. With
+    /// [`Wants::Params`] — the root of a training step — every layer but
+    /// the first runs [`Wants::Both`], since the next one down needs its
+    /// input gradient, and the first one [`Wants::Params`]: its input
+    /// gradient is the image gradient, which costs a first convolution a
+    /// full GEMM plus an overlap fold and feeds nothing. A `Sequential`
+    /// nested in a residual block is reached with [`Wants::Both`] and keeps
+    /// returning its input gradient for the skip-connection sum.
+    fn backward_lanes(&mut self, grad_out: Tensor, wants: Wants) -> Result<Tensor> {
+        let _bwd = remix_trace::span("backward_lanes");
         let mut g = grad_out;
-        for layer in self.layers.iter_mut().rev() {
+        let inner = if wants == Wants::Params {
+            Wants::Both
+        } else {
+            wants
+        };
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
             let _layer = remix_trace::span(layer.name());
-            g = layer.backward_input_lanes(g)?;
+            g = layer.backward_lanes(g, if i == 0 { wants } else { inner })?;
         }
         Ok(g)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
-    }
-
-    fn backward_params_only(&mut self, grad_out: &Tensor) {
-        // A Sequential used as a root layer can skip its own first layer's
-        // input gradient too.
-        self.backward_train(grad_out);
-    }
-
-    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward_input(&g);
-        }
-        g
-    }
-
-    fn backward_batch(&mut self, grads_out: &[Tensor]) -> Result<Vec<Tensor>> {
-        let mut gs = grads_out.to_vec();
-        for layer in self.layers.iter_mut().rev() {
-            gs = layer.backward_batch(&gs)?;
-        }
-        Ok(gs)
-    }
-
-    fn backward_batch_params_only(&mut self, grads_out: &[Tensor]) -> Result<()> {
-        self.backward_batch_train(grads_out)
-    }
-
-    fn supports_batched_train(&self) -> bool {
-        self.layers.iter().all(|l| l.supports_batched_train())
     }
 
     fn visit_params(&mut self, visit: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
@@ -223,7 +130,7 @@ impl Layer for Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Conv2d, Dense, Flatten, Relu};
+    use crate::layers::{backward_one, forward_one, Conv2d, Dense, Flatten, Relu};
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
@@ -234,7 +141,7 @@ mod tests {
         net.push(Relu::new());
         net.push(Dense::new(3, 2, &mut rng));
         assert_eq!(net.len(), 3);
-        let y = net.forward(&Tensor::from_slice(&[1.0, -1.0]), Mode::Eval);
+        let y = forward_one(&mut net, &Tensor::from_slice(&[1.0, -1.0]), Mode::Eval);
         assert_eq!(y.len(), 2);
         assert_eq!(net.layer_names(), vec!["Dense", "ReLU", "Dense"]);
     }
@@ -247,15 +154,15 @@ mod tests {
         net.push(Relu::new());
         net.push(Dense::new(4, 2, &mut rng));
         let x = Tensor::from_slice(&[0.5, -0.3, 0.8]);
-        let y = net.forward(&x, Mode::Train);
-        let dx = net.backward(&Tensor::ones(&[2]));
+        let y = forward_one(&mut net, &x, Mode::Train);
+        let dx = backward_one(&mut net, &Tensor::ones(&[2]), Wants::Both);
         assert_eq!(dx.len(), 3);
         // finite-difference check on the whole network
         let eps = 1e-3;
         for i in 0..3 {
             let mut xp = x.clone();
             xp.data_mut()[i] += eps;
-            let yp = net.forward(&xp, Mode::Train);
+            let yp = forward_one(&mut net, &xp, Mode::Train);
             let num = (yp.sum() - y.sum()) / eps;
             assert!((num - dx.data()[i]).abs() < 1e-2, "grad at {i}");
         }
@@ -278,33 +185,25 @@ mod tests {
     }
 
     #[test]
-    fn backward_train_accumulates_the_same_param_grads_as_backward() {
+    fn params_only_accumulates_the_same_param_grads_as_both() {
         let mut rng = StdRng::seed_from_u64(21);
-        let x = Tensor::randn(&[1, 6, 6], 1.0, &mut rng);
-        let g = Tensor::randn(&[3], 1.0, &mut rng);
-        let mut full = conv_net(20);
-        let mut skip = conv_net(20);
-        full.forward(&x, Mode::Train);
-        skip.forward(&x, Mode::Train);
-        full.backward(&g);
-        skip.backward_train(&g);
-        assert_eq!(grad_bits(&mut full), grad_bits(&mut skip));
-    }
-
-    #[test]
-    fn backward_batch_train_accumulates_the_same_param_grads_as_backward_batch() {
-        let mut rng = StdRng::seed_from_u64(23);
         let xs: Vec<Tensor> = (0..4)
             .map(|_| Tensor::randn(&[1, 6, 6], 1.0, &mut rng))
             .collect();
         let gs: Vec<Tensor> = (0..4).map(|_| Tensor::randn(&[3], 1.0, &mut rng)).collect();
-        let mut full = conv_net(22);
-        let mut skip = conv_net(22);
-        full.forward_batch(&xs, Mode::Train).unwrap();
-        skip.forward_batch(&xs, Mode::Train).unwrap();
-        full.backward_batch(&gs).unwrap();
-        skip.backward_batch_train(&gs).unwrap();
-        assert_eq!(grad_bits(&mut full), grad_bits(&mut skip));
+        let mut both = conv_net(20);
+        let mut root = conv_net(20);
+        for net in [&mut both, &mut root] {
+            net.forward_lanes(Tensor::stack_lanes(&xs).unwrap(), Mode::Train)
+                .unwrap();
+        }
+        let g = Tensor::stack_lanes(&gs).unwrap();
+        assert_eq!(
+            both.backward_lanes(g.clone(), Wants::Both).unwrap().shape(),
+            &[1, 6, 6, 4]
+        );
+        assert!(root.backward_lanes(g, Wants::Params).unwrap().is_empty());
+        assert_eq!(grad_bits(&mut both), grad_bits(&mut root));
     }
 
     #[test]

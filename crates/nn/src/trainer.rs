@@ -1,8 +1,18 @@
 //! Mini-batch training loop with optional per-sample weights.
 
-use crate::{cross_entropy, Adam, Layer, Mode, Model, Optimizer, Sgd};
+use crate::{cross_entropy, Adam, Layer, Mode, Model, Optimizer, Sgd, Wants};
 use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
 use remix_tensor::Tensor;
+
+/// Most lanes per forward/backward pass within a mini-batch: a full GEMM
+/// panel and the widest per-lane loop group.
+const TRAIN_LANES: usize = 16;
+
+/// Lane-major input floats a training pass aims for: 8 lanes of a 3×32×32
+/// image. Wider passes let a 32-px layer's lane-major activations outgrow
+/// L2 — 16 lanes made MobileNet@32 steps slower than one lane at a time —
+/// while 16-px images and feature vectors still get full 16-lane passes.
+const TRAIN_PASS_FLOATS: usize = 8 * 3 * 32 * 32;
 
 /// Which optimizer [`Trainer::fit`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,11 +44,6 @@ pub struct TrainerConfig {
     pub seed: u64,
     /// Optimizer selection.
     pub optimizer: OptimizerKind,
-    /// Drive mini-batches through the batched forward/backward engine when
-    /// every layer supports it (`supports_batched_train`). Bit-identical to
-    /// the per-sample loop; disable to force the per-sample path (the
-    /// `bench_gemm` baseline does).
-    pub batched: bool,
 }
 
 impl Default for TrainerConfig {
@@ -52,12 +57,17 @@ impl Default for TrainerConfig {
             grad_clip: 5.0,
             seed: 0,
             optimizer: OptimizerKind::Sgd,
-            batched: true,
         }
     }
 }
 
 /// Trains a [`Model`] on `(image, label)` pairs with softmax cross-entropy.
+///
+/// Each mini-batch runs lane-major in [`Mode::Train`], its images the
+/// lanes of a few forward/backward passes, and every layer accumulates its
+/// parameter gradients lane after lane through one sample's chains, so a
+/// step is bit-identical to its samples' one-lane steps in batch order —
+/// weights, losses and dropout streams alike.
 ///
 /// Supports AdaBoost-style per-sample weights: when weights are set, each
 /// epoch resamples the training set proportionally to the weights (sampling
@@ -107,7 +117,6 @@ impl Trainer {
             OptimizerKind::Adam => Box::new(Adam::new(self.config.lr)),
         };
         let n = images.len();
-        let batched = self.config.batched && model.net_mut().supports_batched_train();
         let mut last_epoch_loss = f32::MAX;
         let _fit = remix_trace::span("fit");
         for _epoch in 0..self.config.epochs {
@@ -118,44 +127,7 @@ impl Trainer {
                 remix_trace::incr(remix_trace::Counter::TrainBatches);
                 remix_trace::add(remix_trace::Counter::TrainSamples, batch.len() as u64);
                 model.net_mut().zero_grads();
-                let mut batch_loss = 0.0;
-                if batched {
-                    // One batched forward/backward: a handful of large GEMMs
-                    // instead of batch_size small ones. Per-sample losses and
-                    // loss gradients are taken in batch order, and every
-                    // layer's backward_batch accumulates parameter gradients
-                    // per sample in that same order, so the result — weights,
-                    // losses, RNG streams — is bit-identical to the
-                    // per-sample branch below.
-                    let batch_images: Vec<Tensor> =
-                        batch.iter().map(|&i| images[i].clone()).collect();
-                    let logits = model
-                        .net_mut()
-                        .forward_batch(&batch_images, Mode::Train)
-                        .expect("batched forward in training");
-                    let mut grads = Vec::with_capacity(batch.len());
-                    for (logit, &i) in logits.iter().zip(batch) {
-                        let (loss, grad) = cross_entropy(logit, labels[i]);
-                        batch_loss += loss;
-                        grads.push(grad);
-                    }
-                    // backward_batch_train skips the first layer's input
-                    // gradient (the image gradient, which nothing consumes);
-                    // parameter gradients run the same chains either way.
-                    model
-                        .net_mut()
-                        .backward_batch_train(&grads)
-                        .expect("batched backward in training");
-                } else {
-                    for &i in batch {
-                        let logits = model.net_mut().forward(&images[i], Mode::Train);
-                        let (loss, grad) = cross_entropy(&logits, labels[i]);
-                        batch_loss += loss;
-                        // Same first-layer skip as the batched branch, so the
-                        // two paths stay step-for-step comparable.
-                        model.net_mut().backward_train(&grad);
-                    }
-                }
+                let batch_loss = backprop(model, images, labels, batch);
                 let mut scale = 1.0 / batch.len() as f32;
                 if self.config.grad_clip > 0.0 {
                     let mut sq = 0.0f32;
@@ -202,6 +174,42 @@ impl Trainer {
             }
         }
     }
+}
+
+/// Accumulates the parameter gradients of the samples `batch` indexes and
+/// returns their summed loss (added in batch order). Every lane runs its
+/// own chains and every parameter gradient adds the lanes in order, so how
+/// the batch is split into passes changes no bit; passes take
+/// [`TRAIN_PASS_FLOATS`] of input, at most [`TRAIN_LANES`] lanes.
+fn backprop(model: &mut Model, images: &[Tensor], labels: &[usize], batch: &[usize]) -> f32 {
+    let sample = images.first().map_or(1, Tensor::len).max(1);
+    let pass = (TRAIN_PASS_FLOATS / sample).clamp(1, TRAIN_LANES);
+    let mut loss_sum = 0.0;
+    for lanes in batch.chunks(pass) {
+        let lane_images: Vec<Tensor> = lanes.iter().map(|&i| images[i].clone()).collect();
+        let logits = model
+            .net_mut()
+            .forward_lanes(
+                Tensor::stack_lanes(&lane_images).expect("same-shape images"),
+                Mode::Train,
+            )
+            .expect("training images match the model");
+        let mut grads = Vec::with_capacity(lanes.len());
+        for (logit, &i) in logits.unstack_lanes().iter().zip(lanes) {
+            let (loss, grad) = cross_entropy(logit, labels[i]);
+            loss_sum += loss;
+            grads.push(grad);
+        }
+        // The root of the step: the image gradient feeds nothing.
+        model
+            .net_mut()
+            .backward_lanes(
+                Tensor::stack_lanes(&grads).expect("one gradient per lane"),
+                Wants::Params,
+            )
+            .expect("loss gradients match the logits");
+    }
+    loss_sum
 }
 
 #[cfg(test)]
@@ -317,39 +325,24 @@ mod tests {
     }
 
     #[test]
-    fn batched_training_is_bit_identical_to_per_sample() {
+    fn a_batch_over_several_lane_runs_equals_one_lane_steps() {
         let (images, labels) = toy_dataset(20, 8);
-        let base = TrainerConfig {
-            epochs: 3,
-            seed: 13,
-            ..TrainerConfig::default()
-        };
-        let mut batched = toy_model(9);
-        let mut per_sample = toy_model(9);
-        assert!(batched.net_mut().supports_batched_train());
-        let lb = Trainer::new(TrainerConfig {
-            batched: true,
-            ..base.clone()
-        })
-        .fit(&mut batched, &images, &labels);
-        let lp = Trainer::new(TrainerConfig {
-            batched: false,
-            ..base
-        })
-        .fit(&mut per_sample, &images, &labels);
-        assert_eq!(lb.to_bits(), lp.to_bits(), "final losses diverge");
-        let collect = |m: &mut Model| {
+        let batch: Vec<usize> = (0..20).rev().collect();
+        let (mut lanes, mut one) = (toy_model(9), toy_model(9));
+        let grad_bits = |m: &mut Model| {
             let mut bits = Vec::new();
-            m.net_mut().visit_params(&mut |p, _| {
-                bits.extend(p.data().iter().map(|v| v.to_bits()));
+            m.net_mut().visit_params(&mut |_, g| {
+                bits.extend(g.data().iter().map(|v| v.to_bits()));
             });
             bits
         };
-        assert_eq!(
-            collect(&mut batched),
-            collect(&mut per_sample),
-            "final weights diverge bitwise"
-        );
+        let loss = backprop(&mut lanes, &images, &labels, &batch);
+        let mut one_loss = 0.0;
+        for &i in &batch {
+            one_loss += backprop(&mut one, &images, &labels, &[i]);
+        }
+        assert_eq!(loss.to_bits(), one_loss.to_bits());
+        assert_eq!(grad_bits(&mut lanes), grad_bits(&mut one));
     }
 
     #[test]

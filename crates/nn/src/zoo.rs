@@ -462,7 +462,8 @@ pub fn build(arch: Arch, spec: InputSpec, rng: &mut impl Rng) -> Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Layer, Mode};
+    use crate::layers::{backward_one, forward_one};
+    use crate::{Layer, Mode, Wants};
     use rand::{rngs::StdRng, SeedableRng};
     use remix_tensor::Tensor;
 
@@ -480,7 +481,7 @@ mod tests {
         let x = Tensor::randn(&[1, 16, 16], 1.0, &mut rng);
         for arch in Arch::ALL {
             let mut net = build(arch, spec(), &mut rng);
-            let y = net.forward(&x, Mode::Eval);
+            let y = forward_one(&mut net, &x, Mode::Eval);
             assert_eq!(y.len(), 5, "{arch} output size");
             assert!(!y.has_non_finite(), "{arch} produced NaN/inf");
         }
@@ -492,8 +493,8 @@ mod tests {
         let x = Tensor::randn(&[1, 16, 16], 1.0, &mut rng);
         for arch in Arch::ALL {
             let mut net = build(arch, spec(), &mut rng);
-            net.forward(&x, Mode::Eval);
-            let dx = net.backward(&Tensor::ones(&[5]));
+            forward_one(&mut net, &x, Mode::Eval);
+            let dx = backward_one(&mut net, &Tensor::ones(&[5]), Wants::Input);
             assert_eq!(dx.shape(), x.shape(), "{arch} input grad shape");
             assert!(dx.abs().sum() > 0.0, "{arch} zero input gradient");
         }
@@ -510,7 +511,7 @@ mod tests {
         let x = Tensor::randn(&[3, 32, 32], 1.0, &mut rng);
         for arch in [Arch::ConvNet, Arch::ResNet50, Arch::EfficientNetV2B1] {
             let mut net = build(arch, spec, &mut rng);
-            assert_eq!(net.forward(&x, Mode::Eval).len(), 10, "{arch}");
+            assert_eq!(forward_one(&mut net, &x, Mode::Eval).len(), 10, "{arch}");
         }
     }
 

@@ -11,7 +11,7 @@
 //!
 //! * **Dynamic micro-batching** ([`ServeConfig::max_batch`],
 //!   [`ServeConfig::batch_window`]) — concurrently arriving requests
-//!   coalesce into shared `forward_batch`/XAI sweeps, time-or-size
+//!   coalesce into shared lane-major prediction and XAI sweeps, time-or-size
 //!   triggered. Verdicts stay bit-identical to [`remix_core::Remix::predict`]
 //!   because batching only re-chunks work the pipeline is chunk-invariant
 //!   over.

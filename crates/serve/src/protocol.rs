@@ -38,7 +38,9 @@ pub struct PredictRequest {
 /// # Errors
 ///
 /// Returns a human-readable message for malformed JSON, a missing or
-/// non-numeric `image` array, or wrong field types.
+/// non-numeric `image` array, a pixel that is not a finite `f32` (such as
+/// `1e39`, which would reach softmax, the drift sketches and the cache key
+/// as infinity), or wrong field types.
 pub fn parse_predict(body: &[u8]) -> Result<PredictRequest, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not utf-8".to_string())?;
     let value: Value = serde_json::from_str(text).map_err(|e| format!("invalid json: {e:?}"))?;
@@ -50,9 +52,9 @@ pub fn parse_predict(body: &[u8]) -> Result<PredictRequest, String> {
         .as_array()
         .ok_or_else(|| "`image` must be an array".to_string())?
         .iter()
-        .map(|v| num(v).map(|f| f as f32))
+        .map(|v| num(v).map(|f| f as f32).filter(|f| f.is_finite()))
         .collect::<Option<Vec<f32>>>()
-        .ok_or_else(|| "`image` entries must be numbers".to_string())?;
+        .ok_or_else(|| "`image` entries must be finite f32 numbers".to_string())?;
     let deadline_ms = match field(pairs, "deadline_ms") {
         None | Some(Value::Null) => None,
         Some(v) => Some(
@@ -228,6 +230,19 @@ mod tests {
         assert_eq!(req.model, None);
         let req = parse_predict(br#"{"image":[0],"model":"tabular"}"#).unwrap();
         assert_eq!(req.model.as_deref(), Some("tabular"));
+    }
+
+    #[test]
+    fn rejects_pixels_beyond_f32() {
+        for body in [&br#"{"image":[0.5,1e39]}"#[..], br#"{"image":[-1e39,0.5]}"#] {
+            let err = parse_predict(body).unwrap_err();
+            assert!(err.contains("finite"), "{err}");
+        }
+        // The largest finite f32 still parses.
+        assert_eq!(
+            parse_predict(br#"{"image":[3.4e38]}"#).unwrap().image,
+            vec![3.4e38]
+        );
     }
 
     #[test]

@@ -611,6 +611,26 @@ fn health_stats_and_error_paths() {
     assert!(text.starts_with("HTTP/1.1 400 Bad Request"));
     assert!(text.contains("HTTP/1.1 404 Not Found"));
 
+    // A pixel beyond f32 (`1e39` would arrive as infinity) is a 400 too,
+    // even in an image of the right length.
+    let mut pixels = vec!["0.5".to_string(); images[0].len()];
+    pixels[1] = "1e39".into();
+    let body = format!("{{\"image\":[{}]}}", pixels.join(","));
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    write!(
+        stream,
+        "POST /predict HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut text = String::new();
+    stream.read_to_string(&mut text).unwrap();
+    assert!(text.starts_with("HTTP/1.1 400 Bad Request"), "{text}");
+    assert!(
+        text.contains("finite"),
+        "error names the bad pixels: {text}"
+    );
+
     let mut client = Client::connect(server.addr()).unwrap();
     // Wrong image length: rejected before it ever reaches the queue.
     let reply = client.predict(&[0.0; 3], None, false).unwrap();

@@ -1,7 +1,7 @@
-//! Patch lowering for 2-D convolution over lane-major and sample-major
-//! batches: the batch-to-panel packer behind the conv GEMM entries, the
-//! fold of their input gradients, and the `im2row` / `row2im` / `im2col`
-//! per-sample unfolds and folds (rows for the weight gradient, the rest as
+//! Patch lowering for 2-D convolution over lane-major batches: the
+//! batch-to-panel packer behind the conv GEMM entries, the fold of their
+//! input gradients, and the `im2row` / `row2im` / `im2col` per-sample
+//! unfolds and folds (rows for the weight gradient, the rest as
 //! references).
 
 use crate::linalg::{reset_buf, NR};
@@ -97,7 +97,7 @@ fn check_geometry(input: &Tensor, geo: &Conv2dGeometry, op: &'static str) -> Res
 }
 
 /// [`check_geometry`] over a batch: the first mismatching input's error.
-pub(crate) fn check_batch(inputs: &[Tensor], geo: &Conv2dGeometry, op: &'static str) -> Result<()> {
+fn check_batch(inputs: &[Tensor], geo: &Conv2dGeometry, op: &'static str) -> Result<()> {
     inputs.iter().try_for_each(|x| check_geometry(x, geo, op))
 }
 
@@ -126,29 +126,23 @@ pub(crate) fn check_lanes(batch: &Tensor, sample: [usize; 3], op: &'static str) 
 }
 
 /// Where the patch windows of a conv GEMM's columns sit in a zero-padded
-/// batch of `S` images `[C, H+2·pad, W+2·pad, L]` of `L` lanes each: one
-/// image of `B` lanes for a lane-major batch, `B` one-lane images for a
-/// sample-major one. GEMM column `j` is lane `j % L` of output position
-/// `(j / L) % (out_h·out_w)` of image `j / (out_h·out_w·L)`, so the product
-/// holds each image's lane-major output `[F, out_h, out_w, L]` in its own
-/// stretch of columns — the lane-major output of a lane-major batch, sample
-/// `b` in columns `b·out_h·out_w..` of a sample-major one. Patch element
-/// `p = (c, ky, kx)` of column `j` is at `corner(j) + taps[p]` — a fixed
-/// offset, with no bounds test, because padding positions are real (zero)
-/// slots of the padded batch.
+/// lane-major batch `[C, H+2·pad, W+2·pad, L]` of `L` lanes. GEMM column
+/// `j` is lane `j % L` of output position `j / L`, so the product is the
+/// lane-major output `[F, out_h, out_w, L]`. Patch element `p = (c, ky, kx)`
+/// of column `j` is at `corner(j) + taps[p]` — a fixed offset, with no
+/// bounds test, because padding positions are real (zero) slots of the
+/// padded batch.
 struct PaddedLayout {
     /// Offset of patch element `p` from its window corner.
     taps: Vec<usize>,
-    /// Padded floats per channel, `(H+2·pad)·(W+2·pad)·L`, and per image.
+    /// Padded floats per channel, `(H+2·pad)·(W+2·pad)·L`, and in all.
     plane: usize,
     image: usize,
     wp: usize,
-    oh: usize,
     ow: usize,
     stride: usize,
     lanes: usize,
-    /// GEMM columns per image, `out_h·out_w·L`, and in all.
-    image_cols: usize,
+    /// GEMM columns, `out_h·out_w·L`.
     cols: usize,
 }
 
@@ -166,10 +160,9 @@ enum Lanes {
 }
 
 impl PaddedLayout {
-    fn new(geo: &Conv2dGeometry, images: usize, lanes: usize) -> Self {
+    fn new(geo: &Conv2dGeometry, lanes: usize) -> Self {
         let (k, wp) = (geo.kernel, geo.in_w + 2 * geo.pad);
         let plane = (geo.in_h + 2 * geo.pad) * wp * lanes;
-        let image_cols = geo.out_h() * geo.out_w() * lanes;
         PaddedLayout {
             taps: (0..geo.in_channels)
                 .flat_map(|c| {
@@ -181,16 +174,14 @@ impl PaddedLayout {
             plane,
             image: geo.in_channels * plane,
             wp,
-            oh: geo.out_h(),
             ow: geo.out_w(),
             stride: geo.stride,
             lanes,
-            image_cols,
-            cols: images * image_cols,
+            cols: geo.out_h() * geo.out_w() * lanes,
         }
     }
 
-    /// Copies one `[C, H, W, L]` image into its zero-padded slot `dst`,
+    /// Copies the `[C, H, W, L]` batch into its zero-padded layout `dst`,
     /// whose padding the caller has zeroed.
     fn copy_padded(&self, dst: &mut [f32], src: &[f32], geo: &Conv2dGeometry) {
         let (row, padded_row) = (geo.in_w * self.lanes, self.wp * self.lanes);
@@ -207,10 +198,10 @@ impl PaddedLayout {
         }
     }
 
-    /// Appends the `[C, H, W, L]` interior of the padded image `image`.
-    fn interior(&self, image: &[f32], geo: &Conv2dGeometry, out: &mut Vec<f32>) {
+    /// Appends the `[C, H, W, L]` interior of the padded batch `padded`.
+    fn interior(&self, padded: &[f32], geo: &Conv2dGeometry, out: &mut Vec<f32>) {
         let (row, padded_row) = (geo.in_w * self.lanes, self.wp * self.lanes);
-        for pplane in image.chunks_exact(self.plane) {
+        for pplane in padded.chunks_exact(self.plane) {
             for prow in pplane[geo.pad * padded_row..]
                 .chunks_exact(padded_row)
                 .take(geo.in_h)
@@ -224,23 +215,22 @@ impl PaddedLayout {
     /// position are contiguous, and at stride 1 so are the positions of one
     /// output row: a panel of a 16-lane batch is a single run at any
     /// stride, one that stays within an output row at stride 1 is too, and
-    /// one-lane images get the strided runs of a sample-major image.
+    /// a one-lane batch gets strided runs.
     /// Lanes past `width` of a ragged panel point at offset 0: like the
     /// GEMM's zero-padded edge lanes they are computed but never stored or
     /// folded, so any in-bounds slot will do.
     fn lanes(&self, j0: usize, width: usize) -> Lanes {
         let mut corners = [0; NR];
-        let (mut s, col) = (j0 / self.image_cols, j0 % self.image_cols);
-        let (pos, mut b) = (col / self.lanes, col % self.lanes);
+        let (pos, mut b) = (j0 / self.lanes, j0 % self.lanes);
         let (mut oy, mut ox) = (pos / self.ow, pos % self.ow);
-        let corner = |s: usize, oy: usize, ox: usize, b: usize| {
-            s * self.image + (oy * self.stride * self.wp + ox * self.stride) * self.lanes + b
+        let corner = |oy: usize, ox: usize, b: usize| {
+            (oy * self.stride * self.wp + ox * self.stride) * self.lanes + b
         };
         // The common case, one contiguous run: the panel stays within one
         // output position, or within one output row at stride 1.
         let row_end = if self.stride == 1 { self.ow } else { ox + 1 };
         if width == NR && ox * self.lanes + b + NR <= row_end * self.lanes {
-            corners[0] = corner(s, oy, ox, b);
+            corners[0] = corner(oy, ox, b);
             return Lanes::Runs {
                 corners,
                 len: NR,
@@ -248,7 +238,7 @@ impl PaddedLayout {
             };
         }
         for c in corners.iter_mut().take(width) {
-            *c = corner(s, oy, ox, b);
+            *c = corner(oy, ox, b);
             b += 1;
             if b == self.lanes {
                 b = 0;
@@ -256,10 +246,6 @@ impl PaddedLayout {
                 if ox == self.ow {
                     ox = 0;
                     oy += 1;
-                    if oy == self.oh {
-                        oy = 0;
-                        s += 1;
-                    }
                 }
             }
         }
@@ -282,23 +268,6 @@ impl PaddedLayout {
             corners[r] = corners[r * len];
         }
         Lanes::Runs { corners, len, step }
-    }
-}
-
-impl Lanes {
-    /// The same columns seen from a buffer that starts `origin` floats into
-    /// the padded batch, past none of them.
-    fn shifted(mut self, origin: usize, width: usize) -> Self {
-        if origin > 0 {
-            let live = match &mut self {
-                Lanes::Runs { corners, len, .. } => &mut corners[..NR / *len],
-                Lanes::Ragged(corners) => &mut corners[..width],
-            };
-            for c in live {
-                *c -= origin;
-            }
-        }
-        self
     }
 }
 
@@ -359,18 +328,17 @@ macro_rules! with_run_len {
 
 /// The B operand of the conv GEMM `W [F, C·k·k] · patchesᵀ`, produced one
 /// `[C·k·k][NR]` panel at a time straight from a lane-major `[C, H, W, B]`
-/// batch or from `B` sample-major `[C, H, W]` images.
+/// batch.
 ///
 /// Slot `(p, lane)` of the panel for columns `j0..` holds patch element `p`
-/// of the output position and sample of column `j0 + lane` (see
-/// [`PaddedLayout`]) — exactly what that sample's [`im2row_batch_into`] row
+/// of the output position and lane of column `j0 + lane` (see
+/// [`PaddedLayout`]) — exactly what that lane's [`im2row_batch_into`] row
 /// for that position holds in column `p` — so every element of a GEMM over
 /// these panels is the product one over the unfolded rows computes, and
 /// neither the rows nor the full set of panels is ever built.
 ///
-/// A padded lane-major batch, and every sample-major batch, is copied once,
-/// zero-padded, into caller scratch; an unpadded lane-major batch packs
-/// from the batch in place.
+/// A padded batch is copied once, zero-padded, into caller scratch; an
+/// unpadded batch packs from the batch in place.
 pub(crate) struct ConvPanels<'a> {
     layout: PaddedLayout,
     padded: &'a [f32],
@@ -385,7 +353,7 @@ impl<'a> ConvPanels<'a> {
         geo: &Conv2dGeometry,
         scratch: &'a mut Vec<f32>,
     ) -> Self {
-        let layout = PaddedLayout::new(geo, 1, lanes);
+        let layout = PaddedLayout::new(geo, lanes);
         if geo.pad == 0 {
             return ConvPanels {
                 layout,
@@ -401,34 +369,7 @@ impl<'a> ConvPanels<'a> {
         }
     }
 
-    /// Scratch floats [`ConvPanels::from_samples`] needs for `samples`
-    /// images.
-    pub(crate) fn samples_len(geo: &Conv2dGeometry, samples: usize) -> usize {
-        samples * PaddedLayout::new(geo, 1, 1).image
-    }
-
-    /// Copies the sample-major `inputs` (validated against `geo` by the
-    /// caller), zero-padded, into `scratch`
-    /// ([`ConvPanels::samples_len`] floats) for packing.
-    pub(crate) fn from_samples(
-        inputs: &[Tensor],
-        geo: &Conv2dGeometry,
-        scratch: &'a mut [f32],
-    ) -> Self {
-        let layout = PaddedLayout::new(geo, inputs.len(), 1);
-        if geo.pad > 0 {
-            scratch.fill(0.0);
-        }
-        for (dst, x) in scratch.chunks_exact_mut(layout.image).zip(inputs) {
-            layout.copy_padded(dst, x.data(), geo);
-        }
-        ConvPanels {
-            layout,
-            padded: scratch,
-        }
-    }
-
-    /// GEMM columns: images × output positions × lanes.
+    /// GEMM columns: output positions × lanes.
     pub(crate) fn cols(&self) -> usize {
         self.layout.cols
     }
@@ -457,14 +398,13 @@ impl<'a> ConvPanels<'a> {
 }
 
 /// Folds patch-gradient tiles — one `[NR]` row per patch element, GEMM
-/// columns as in [`ConvPanels`] — onto zero-padded
-/// `[C, H+2·pad, W+2·pad, L]` input-gradient images laid out as in
-/// [`PaddedLayout`]; what lands on the padding is dropped with it when the
-/// interiors are extracted.
+/// columns as in [`ConvPanels`] — onto a zero-padded `[C, H+2·pad,
+/// W+2·pad, L]` input gradient laid out as in [`PaddedLayout`]; what lands
+/// on the padding is dropped with it when the interior is extracted.
 ///
 /// Every input element receives its contributions in ascending
-/// output-position order, exactly as [`row2im`] adds them for its sample,
-/// provided tiles are folded in ascending column order (a sample's columns
+/// output-position order, exactly as [`row2im`] adds them for its lane,
+/// provided tiles are folded in ascending column order (a lane's columns
 /// ascend with the output position): within a tile, rows are added with
 /// `(ky, kx)` descending. For one element, the kernel row `ky` reaching it
 /// from output row `oy` satisfies `oy·stride + ky = iy`, so descending `ky`
@@ -476,23 +416,22 @@ impl<'a> ConvPanels<'a> {
 /// lanes) step is one slice-add whose elements land on distinct input
 /// slots.
 ///
-/// A fold covers a range of images, or a range of input channels of one
-/// image, whose padded planes it owns outright, so disjoint ranges fold in
-/// parallel.
+/// A fold covers a range of input channels, whose padded planes it owns
+/// outright, so disjoint ranges fold in parallel.
 pub(crate) struct ConvFold {
     layout: PaddedLayout,
     geo: Conv2dGeometry,
 }
 
 impl ConvFold {
-    pub(crate) fn new(geo: &Conv2dGeometry, images: usize, lanes: usize) -> Self {
+    pub(crate) fn new(geo: &Conv2dGeometry, lanes: usize) -> Self {
         ConvFold {
-            layout: PaddedLayout::new(geo, images, lanes),
+            layout: PaddedLayout::new(geo, lanes),
             geo: *geo,
         }
     }
 
-    /// Floats per padded input-gradient channel plane, and per image.
+    /// Floats per padded input-gradient channel plane, and in all.
     pub(crate) fn plane_len(&self) -> usize {
         self.layout.plane
     }
@@ -501,23 +440,15 @@ impl ConvFold {
         self.layout.image
     }
 
-    /// GEMM columns per image.
-    pub(crate) fn image_cols(&self) -> usize {
-        self.layout.image_cols
-    }
-
     /// Adds the tile rows of the patch elements of channels `chans` — row
     /// `(c − chans.start)·k·k + (ky·k + kx)`, rows past them ignored — for
-    /// the `width` columns `j0..`, all of images `s0..`, onto `dst`: the
-    /// padded planes of `chans` of image `s0`, on through the images that
-    /// follow when `chans` holds every channel.
+    /// the `width` columns `j0..` onto `dst`, the padded planes of `chans`.
     pub(crate) fn fold(
         &self,
         tile: &[f32],
         chans: Range<usize>,
         j0: usize,
         width: usize,
-        s0: usize,
         dst: &mut [f32],
     ) {
         let kk = self.geo.kernel * self.geo.kernel;
@@ -525,10 +456,7 @@ impl ConvFold {
         let base = chans.start * self.layout.plane;
         // Plain nested loops: an iterator adaptor chain here costs as much
         // as the adds themselves.
-        let lanes = self
-            .layout
-            .lanes(j0, width)
-            .shifted(s0 * self.layout.image, width);
+        let lanes = self.layout.lanes(j0, width);
         for t in (0..kk).rev() {
             for c in chans.clone() {
                 let src = &tile[((c - chans.start) * kk + t) * NR..][..NR];
@@ -548,25 +476,12 @@ impl ConvFold {
         }
     }
 
-    /// The lane-major `[C, H, W, L]` interior of the one padded image
+    /// The lane-major `[C, H, W, L]` interior of the padded input gradient
     /// `padded`, shaped `shape`.
     pub(crate) fn extract(&self, padded: &[f32], shape: &[usize]) -> Tensor {
         let mut out = Vec::with_capacity(shape.iter().product());
         self.layout.interior(padded, &self.geo, &mut out);
         Tensor::from_vec(out, shape).expect("interior shape")
-    }
-
-    /// The `[C, H, W]` interior of each one-lane padded image in `padded`.
-    pub(crate) fn extract_samples(&self, padded: &[f32]) -> Vec<Tensor> {
-        let g = &self.geo;
-        padded
-            .chunks_exact(self.layout.image)
-            .map(|image| {
-                let mut out = Vec::with_capacity(g.in_channels * g.in_h * g.in_w);
-                self.layout.interior(image, g, &mut out);
-                Tensor::from_vec(out, &[g.in_channels, g.in_h, g.in_w]).expect("interior shape")
-            })
-            .collect()
     }
 }
 
@@ -665,10 +580,9 @@ pub fn im2row(input: &Tensor, geo: &Conv2dGeometry) -> Result<Tensor> {
 /// `[B*out_h*out_w, C*k*k]` patch matrix, sample `b` occupying the contiguous
 /// *row* block `b*out_h*out_w .. (b+1)*out_h*out_w`.
 ///
-/// `Conv2d` unfolds only in training: the per-sample weight gradients read
-/// contiguous row windows of this matrix. It is also the reference the
-/// conv GEMM entries, which pack their panels straight from the images, are
-/// pinned against.
+/// `Conv2d` unfolds only for its weight gradient, one sample (lane) at a
+/// time. It is also the reference the conv GEMM entries, which pack their
+/// panels straight from the images, are pinned against.
 ///
 /// # Errors
 ///

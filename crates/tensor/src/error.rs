@@ -57,14 +57,6 @@ pub enum TensorError {
         /// Name of the operation that failed.
         op: &'static str,
     },
-    /// The operation is not implemented by this component (e.g. a layer that
-    /// opted out of the batched backward path).
-    Unsupported {
-        /// Name of the unsupported operation.
-        op: &'static str,
-        /// Which component rejected it.
-        by: &'static str,
-    },
 }
 
 impl fmt::Display for TensorError {
@@ -98,9 +90,6 @@ impl fmt::Display for TensorError {
                 write!(f, "index {index:?} out of bounds for shape {shape:?}")
             }
             TensorError::EmptyTensor { op } => write!(f, "`{op}` requires a non-empty tensor"),
-            TensorError::Unsupported { op, by } => {
-                write!(f, "`{op}` is not supported by {by}")
-            }
         }
     }
 }

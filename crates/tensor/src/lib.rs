@@ -6,8 +6,8 @@
 //! techniques in `remix-xai`, the diversity metrics in `remix-diversity`) is
 //! built on: row-major `f32` tensors with elementwise arithmetic, matrix
 //! multiplication (including a convolution GEMM that packs its panels
-//! straight from lane-major or sample-major image batches and folds its
-//! input gradients back onto them), axis reductions, and the `im2row` /
+//! straight from lane-major image batches and folds its input gradients
+//! back onto them), axis reductions, and the `im2row` /
 //! `row2im` patch unfolds and folds around it.
 //!
 //! # Example
@@ -34,7 +34,7 @@ mod tensor;
 
 pub use conv::{im2col, im2row, im2row_batch_into, row2im, row2im_batch, Conv2dGeometry};
 pub use error::TensorError;
-pub use linalg::{gemm_accum_ab, gemm_accum_abt_window, PackedOperand, PackedRole};
+pub use linalg::{gemm_accum_ab, PackedOperand, PackedRole};
 pub use random::{fnv1a64, splitmix64};
 pub use tensor::Tensor;
 

@@ -14,7 +14,7 @@
 //! additions within one element, so blocked, serial, and row-parallel paths
 //! are all bit-identical. See DESIGN.md §6f.
 
-use crate::conv::{check_batch, check_lanes, ConvFold, ConvPanels};
+use crate::conv::{check_lanes, ConvFold, ConvPanels};
 use crate::{Conv2dGeometry, Result, Tensor, TensorError};
 use std::ops::Range;
 
@@ -508,20 +508,18 @@ fn conv_gemm_panels(
 /// `kc = F`) with the output gradients whose B panels `grads` packs is never
 /// materialized. For each `NR`-column panel of `G`, every row block's
 /// register tile lands in an L1-sized `[C·k·k][NR]` tile that `fold` adds
-/// onto `images`, the zeroed padded input-gradient images, before the next
-/// panel.
+/// onto `images`, the zeroed padded input gradient, before the next panel.
 ///
 /// Each tile element is the exact value `matmul_at_b` computes (same A
 /// blocks, same panels, same kernel), and panels fold in ascending column
-/// order, so each sample's gradient is bit-identical to `row2im(gᵀ · W)`.
-/// An image only receives its own columns, and a channel's padded plane
-/// only the tile rows of its own patch elements, so the work splits into
-/// independent parts: parallel spans take whole images of a sample-major
-/// batch, or whole blocks of channels of a single (lane-major) image, whose
-/// serial loop runs channel blocks small enough for their active rows to
-/// stay in L1. Every part starts on an A block and computes its rows for
-/// each of its panels, which moves no element's chain. Each panel is
-/// packed, and counted as packed, once.
+/// order, so each lane's gradient is bit-identical to `row2im(gᵀ · W)`. A
+/// channel's padded plane only receives the tile rows of its own patch
+/// elements, so the work splits into independent blocks of channels:
+/// parallel spans take whole blocks, and the serial loop runs channel
+/// blocks small enough for their active rows to stay in L1. Every part
+/// starts on an A block and computes its rows for each of its panels,
+/// which moves no element's chain. Each panel is packed, and counted as
+/// packed, once.
 fn conv_input_grads_dispatch(
     ablocks: &[f32],
     kc: usize,
@@ -538,8 +536,7 @@ fn conv_input_grads_dispatch(
     if n == 0 {
         return;
     }
-    let (channels, image) = (geo.in_channels, fold.image_len());
-    let count = images.len() / image;
+    let channels = geo.in_channels;
     // Channel blocks fill whole A blocks, and their active padded rows —
     // `k` rows of every channel of the block — fit comfortably in L1: a
     // lane-major row holds every lane.
@@ -555,13 +552,12 @@ fn conv_input_grads_dispatch(
     let per_span = channels
         .div_ceil(threads.min(channels))
         .next_multiple_of(unit);
-    let split = count == 1 && parallel && per_span < channels;
-    // Every part of a single image — a parallel span or a serial block of
-    // its channels — reads every panel: with more than one part, the panels
-    // are packed once, up front. The images of a sample-major batch own
-    // disjoint columns, so their spans pack as they go.
+    let split = parallel && per_span < channels;
+    // Every part — a parallel span or a serial block of channels — reads
+    // every panel: with more than one part, the panels are packed once, up
+    // front.
     let mut packed = Vec::new();
-    if count == 1 && (split || channels > block) {
+    if split || channels > block {
         packed = vec![0.0f32; n.div_ceil(NR) * kc * NR];
         trace_pack_bytes(packed.len());
         for (j0, panel) in (0..n).step_by(NR).zip(packed.chunks_exact_mut(kc * NR)) {
@@ -577,17 +573,7 @@ fn conv_input_grads_dispatch(
         packed: &packed,
         fold,
     };
-    if count > 1 {
-        let per_span = count.div_ceil(threads.min(count));
-        if parallel {
-            remix_parallel::for_each_span_mut(images, per_span * image, |i, dst| {
-                let s0 = i * per_span;
-                span.run_block(s0..s0 + dst.len() / image, 0..channels, dst)
-            });
-        } else {
-            span.run_block(0..count, 0..channels, images);
-        }
-    } else if split {
+    if split {
         let plane = fold.plane_len();
         remix_parallel::for_each_span_mut(images, per_span * plane, |i, dst| {
             let c0 = i * per_span;
@@ -615,7 +601,7 @@ struct ConvGradSpan<'a> {
     kc: usize,
     /// Patch elements per channel, `k·k`.
     kk: usize,
-    /// Channels per fold block of a single image.
+    /// Channels per fold block.
     block: usize,
     grads: &'a ConvPanels<'a>,
     /// Every panel of `grads`, packed, or empty to pack them as they come.
@@ -624,36 +610,33 @@ struct ConvGradSpan<'a> {
 }
 
 impl ConvGradSpan<'_> {
-    /// Folds the input gradient of channels `chans` of a single image onto
-    /// `dst`, their padded planes, block by block. `chans.start·k·k` sits
-    /// on an A block boundary.
+    /// Folds the input gradient of channels `chans` onto `dst`, their
+    /// padded planes, block by block. `chans.start·k·k` sits on an A block
+    /// boundary.
     fn run(&self, chans: Range<usize>, dst: &mut [f32]) {
         let plane = self.fold.plane_len();
         for (i, dst) in dst.chunks_mut(self.block * plane).enumerate() {
             let c0 = chans.start + i * self.block;
-            self.run_block(0..1, c0..c0 + dst.len() / plane, dst);
+            self.run_block(c0..c0 + dst.len() / plane, dst);
         }
     }
 
-    /// Every panel of the columns of `images`, its tile rows of the patch
-    /// elements of channels `chans` folded onto `dst`, their padded planes,
-    /// in ascending panel order: one block of a single image, or every
-    /// channel of several images of a sample-major batch. Blocks own
-    /// disjoint planes, so their order is free.
-    fn run_block(&self, images: Range<usize>, chans: Range<usize>, dst: &mut [f32]) {
+    /// Every panel, its tile rows of the patch elements of channels `chans`
+    /// folded onto `dst`, their padded planes, in ascending panel order.
+    /// Blocks own disjoint planes, so their order is free.
+    fn run_block(&self, chans: Range<usize>, dst: &mut [f32]) {
         let kc = self.kc;
         let kernel = micro_kernel();
         let rows = chans.start * self.kk..chans.end * self.kk;
         let blocks = &self.ablocks[rows.start / MR * kc * MR..rows.end.div_ceil(MR) * kc * MR];
-        let per_image = self.fold.image_cols();
-        let cols = images.start * per_image..images.end * per_image;
+        let cols = self.grads.cols();
         if self.packed.is_empty() {
-            trace_pack_bytes(cols.len().div_ceil(NR) * kc * NR);
+            trace_pack_bytes(cols.div_ceil(NR) * kc * NR);
         }
         let mut own = vec![0.0f32; kc * NR];
         let mut tile = vec![0.0f32; blocks.len() / kc * NR];
-        for j0 in cols.clone().step_by(NR) {
-            let width = NR.min(cols.end - j0);
+        for j0 in (0..cols).step_by(NR) {
+            let width = NR.min(cols - j0);
             let panel = if self.packed.is_empty() {
                 self.grads.pack(j0, width, &mut own);
                 &own[..]
@@ -672,8 +655,7 @@ impl ConvGradSpan<'_> {
                     *row = *accr;
                 }
             }
-            self.fold
-                .fold(&tile, chans.clone(), j0, width, images.start, dst);
+            self.fold.fold(&tile, chans.clone(), j0, width, dst);
         }
     }
 }
@@ -708,7 +690,7 @@ fn fused_input_grads_lanes(
     // touch their scratch.
     let mut no_padding = Vec::new();
     let panels = ConvPanels::new(grads, lanes, &grad_geometry(kc, geo), &mut no_padding);
-    let fold = ConvFold::new(geo, 1, lanes);
+    let fold = ConvFold::new(geo, lanes);
     reset_buf(scratch, fold.image_len());
     scratch.fill(0.0);
     conv_input_grads_dispatch(ablocks, kc, &panels, &fold, geo, scratch);
@@ -717,30 +699,6 @@ fn fused_input_grads_lanes(
         shape.push(lanes);
     }
     fold.extract(scratch, &shape)
-}
-
-/// The fused conv input gradients of the sample-major output gradients
-/// `grads`, one `[C, H, W]` gradient each. `scratch` holds the gradients'
-/// copies and the padded input gradients.
-fn fused_input_grads_samples(
-    ablocks: &[f32],
-    kc: usize,
-    grads: &[Tensor],
-    geo: &Conv2dGeometry,
-    scratch: &mut Vec<f32>,
-) -> Vec<Tensor> {
-    if grads.is_empty() {
-        return Vec::new();
-    }
-    let grad_geo = grad_geometry(kc, geo);
-    let fold = ConvFold::new(geo, grads.len(), 1);
-    let grad_len = ConvPanels::samples_len(&grad_geo, grads.len());
-    reset_buf(scratch, grad_len + grads.len() * fold.image_len());
-    let (grad_scratch, images) = scratch.split_at_mut(grad_len);
-    let panels = ConvPanels::from_samples(grads, &grad_geo, grad_scratch);
-    images.fill(0.0);
-    conv_input_grads_dispatch(ablocks, kc, &panels, &fold, geo, images);
-    fold.extract_samples(images)
 }
 
 /// Validates the conv input-gradient operands — a `[F, C·k·k]` filter
@@ -757,26 +715,6 @@ fn check_conv_grads(
         [weight_shape[0], geo.out_h(), geo.out_w()],
         "conv input gradient",
     )
-}
-
-/// Validates the sample-major conv input-gradient operands: a `[F, C·k·k]`
-/// filter matrix (`weight_shape`) for `geo`, and `[F, out_h, out_w]`-long
-/// gradients.
-fn check_conv_sample_grads(
-    weight_shape: [usize; 2],
-    grads: &[Tensor],
-    geo: &Conv2dGeometry,
-) -> Result<()> {
-    check_filters(weight_shape, geo)?;
-    let out = [weight_shape[0], geo.out_h(), geo.out_w()];
-    match grads.iter().find(|g| g.len() != out.iter().product()) {
-        Some(g) => Err(TensorError::ShapeMismatch {
-            left: g.shape().to_vec(),
-            right: out.to_vec(),
-            op: "conv input gradient",
-        }),
-        None => Ok(()),
-    }
 }
 
 /// Packs all of row-major `a` (`[m, k]`) into the interleaved
@@ -803,53 +741,16 @@ fn pack_at_blocks(a: &[f32], k: usize, m: usize) -> Vec<f32> {
     data
 }
 
-/// Accumulates `out[i][j] += Σ_{p ∈ window} a[i][p] · b[j][p]` for row-major
-/// `a: [m, row_len]` and `b: [n, row_len]` (an `A · Bᵀ` product restricted to
-/// a column window), through the blocked micro-kernel.
-///
-/// Each `(i, j)` contribution is a complete ascending-p register chain from
-/// 0.0 that is then added to `out[i][j]` — bitwise the same as materializing
-/// the windowed product and calling `add_assign`. `remix-nn` uses this for
-/// per-sample conv weight gradients inside a batched column matrix; `packed`
-/// is caller-provided scratch so the per-sample loop doesn't reallocate.
-#[allow(clippy::too_many_arguments)] // a raw kernel entry point: dims + window + scratch
-pub fn gemm_accum_abt_window(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    n: usize,
-    row_len: usize,
-    window: Range<usize>,
-    packed: &mut Vec<f32>,
-) {
-    debug_assert!(window.end <= row_len);
-    debug_assert_eq!(out.len(), m * n);
-    let kc = window.len();
-    remix_trace::incr(remix_trace::Counter::GemmCalls);
-    remix_trace::add(remix_trace::Counter::GemmMacs, (m * kc * n) as u64);
-    trace_pack_a_bytes(m, kc);
-    pack_bt(b, n, row_len, &window, packed);
-    gemm_rows::<true>(
-        &|i0, h, dst| pack_a_rows(a, row_len, &window, i0, h, dst),
-        0..m,
-        kc,
-        n,
-        packed,
-        out,
-    );
-}
-
 /// Accumulates `out[i][j] += Σ_p a[i][p] · b[p][j]` for row-major
 /// `a: [m, kc]` and `b: [kc, n]` (a plain `A · B` product), through the
 /// blocked micro-kernel.
 ///
 /// Each `(i, j)` contribution is a complete ascending-p register chain from
 /// 0.0 that is then added to `out[i][j]` — bitwise the same as materializing
-/// `a.matmul(b)` and calling `add_assign`. `remix-nn` uses this for
-/// per-sample conv weight gradients against contiguous row windows of the
-/// batched `[B·spatial, patch]` matrix; `packed` is caller-provided scratch
-/// so the per-sample loop doesn't reallocate.
+/// `a.matmul(b)` and calling `add_assign`. `remix-nn` uses this for the
+/// conv weight gradient, one GEMM per lane against that lane's
+/// `[spatial, patch]` patch rows; `packed` is caller-provided scratch so
+/// the per-lane loop doesn't reallocate.
 pub fn gemm_accum_ab(
     a: &[f32],
     b: &[f32],
@@ -1076,37 +977,6 @@ impl PackedOperand {
         Ok(())
     }
 
-    /// [`PackedOperand::conv_gemm_prepacked_into`] over `B` sample-major
-    /// `[C, H, W]` `inputs` → `out: [F, B·out_h·out_w]`, sample `b` in
-    /// columns `b·out_h·out_w..` — the batched training forward. `packed`
-    /// is scratch for the zero-padded images.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first input's geometry error, or
-    /// [`TensorError::MatmulDimMismatch`] if the pack's inner dimension is
-    /// not `geo.patch_len()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pack's role is not [`PackedRole::A`].
-    pub fn conv_gemm_samples_prepacked_into(
-        &self,
-        inputs: &[Tensor],
-        geo: &Conv2dGeometry,
-        out: &mut Vec<f32>,
-        packed: &mut Vec<f32>,
-    ) -> Result<()> {
-        self.expect_role(PackedRole::A, "conv_gemm_samples_prepacked_into");
-        check_batch(inputs, geo, "conv_gemm")?;
-        check_filters(self.src, geo)?;
-        reset_buf(packed, ConvPanels::samples_len(geo, inputs.len()));
-        let panels = ConvPanels::from_samples(inputs, geo, packed);
-        remix_trace::incr(remix_trace::Counter::PrepackHits);
-        conv_gemm_panels(&self.data, self.dim, self.kc, &panels, out);
-        Ok(())
-    }
-
     /// Convolution input gradients for a pack built by
     /// [`Tensor::prepack_at`] from the `[F, C·k·k]` filter matrix: the
     /// lane-major `[C, H, W, B]` gradient of the lane-major
@@ -1137,34 +1007,6 @@ impl PackedOperand {
         remix_trace::incr(remix_trace::Counter::PrepackHits);
         Ok(fused_input_grads_lanes(
             &self.data, self.kc, grads, lanes, geo, scratch,
-        ))
-    }
-
-    /// [`PackedOperand::conv_input_grads_prepacked`] over `B` sample-major
-    /// `[F, out_h, out_w]` output gradients: one `[C, H, W]` gradient each
-    /// — the batched training input gradient. `scratch` holds the
-    /// gradients' copies and the padded input gradients.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::MatmulDimMismatch`] if the pack's output
-    /// dimension is not `geo.patch_len()`, or
-    /// [`TensorError::ShapeMismatch`] for a gradient of the wrong length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pack's role is not [`PackedRole::At`].
-    pub fn conv_input_grads_samples_prepacked(
-        &self,
-        grads: &[Tensor],
-        geo: &Conv2dGeometry,
-        scratch: &mut Vec<f32>,
-    ) -> Result<Vec<Tensor>> {
-        self.expect_role(PackedRole::At, "conv_input_grads_samples_prepacked");
-        check_conv_sample_grads([self.kc, self.dim], grads, geo)?;
-        remix_trace::incr(remix_trace::Counter::PrepackHits);
-        Ok(fused_input_grads_samples(
-            &self.data, self.kc, grads, geo, scratch,
         ))
     }
 
@@ -1466,36 +1308,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// [`Tensor::conv_gemm_into`] over `B` sample-major `[C, H, W]`
-    /// `inputs` → `out: [F, B·out_h·out_w]`, sample `b` in columns
-    /// `b·out_h·out_w..` — the fresh-A twin of
-    /// [`PackedOperand::conv_gemm_samples_prepacked_into`]. `packed` is
-    /// scratch for the zero-padded images.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] unless `self` is rank 2, the
-    /// first input's geometry error, or [`TensorError::MatmulDimMismatch`]
-    /// if `self`'s inner dimension is not `geo.patch_len()`.
-    pub fn conv_gemm_samples_into(
-        &self,
-        inputs: &[Tensor],
-        geo: &Conv2dGeometry,
-        out: &mut Vec<f32>,
-        packed: &mut Vec<f32>,
-    ) -> Result<()> {
-        check_rank2(self, "conv_gemm")?;
-        let (m, k) = (self.shape()[0], self.shape()[1]);
-        check_batch(inputs, geo, "conv_gemm")?;
-        check_filters([m, k], geo)?;
-        let ablocks = pack_a_blocks(self.data(), m, k);
-        trace_pack_a_bytes(m, k);
-        reset_buf(packed, ConvPanels::samples_len(geo, inputs.len()));
-        let panels = ConvPanels::from_samples(inputs, geo, packed);
-        conv_gemm_panels(&ablocks, m, k, &panels, out);
-        Ok(())
-    }
-
     /// Convolution input gradients for the `[F, C·k·k]` filter matrix
     /// `self` — the fresh-A twin of
     /// [`PackedOperand::conv_input_grads_prepacked`]: the lane-major
@@ -1523,30 +1335,6 @@ impl Tensor {
         Ok(fused_input_grads_lanes(
             &ablocks, f, grads, lanes, geo, scratch,
         ))
-    }
-
-    /// [`Tensor::conv_input_grads`] over `B` sample-major
-    /// `[F, out_h, out_w]` output gradients: one `[C, H, W]` gradient each
-    /// — the fresh-A twin of
-    /// [`PackedOperand::conv_input_grads_samples_prepacked`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] unless `self` is rank 2, and
-    /// otherwise the errors of
-    /// [`PackedOperand::conv_input_grads_samples_prepacked`].
-    pub fn conv_input_grads_samples(
-        &self,
-        grads: &[Tensor],
-        geo: &Conv2dGeometry,
-        scratch: &mut Vec<f32>,
-    ) -> Result<Vec<Tensor>> {
-        check_rank2(self, "conv_input_grads")?;
-        let (f, patch) = (self.shape()[0], self.shape()[1]);
-        check_conv_sample_grads([f, patch], grads, geo)?;
-        let ablocks = pack_at_blocks(self.data(), f, patch);
-        trace_pack_a_bytes(patch, f);
-        Ok(fused_input_grads_samples(&ablocks, f, grads, geo, scratch))
     }
 
     /// Packs `self: [m, k]` once as the left operand of [`Tensor::matmul`] /
@@ -1836,47 +1624,6 @@ mod tests {
             let reference = a.matmul_reference(&b).unwrap();
             let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&blocked), bits(&reference), "shape {m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn gemm_accum_window_matches_matmul_add_assign() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let (m, n, row_len) = (5, 11, 24);
-        let a = Tensor::rand_uniform(&[m, row_len], -1.0, 1.0, &mut rng);
-        let b = Tensor::rand_uniform(&[n, row_len], -1.0, 1.0, &mut rng);
-        for window in [0..row_len, 3..17, 8..8] {
-            let mut got = vec![0.5f32; m * n];
-            let mut expect = got.clone();
-            let mut packed = Vec::new();
-            gemm_accum_abt_window(
-                a.data(),
-                b.data(),
-                &mut got,
-                m,
-                n,
-                row_len,
-                window.clone(),
-                &mut packed,
-            );
-            // reference: slice the window out, run the fused A·Bᵀ, add.
-            // (the empty window must leave `out` untouched)
-            let kc = window.len();
-            if kc > 0 {
-                let slice_rows = |t: &Tensor, rows: usize| -> Tensor {
-                    let mut v = Vec::with_capacity(rows * kc);
-                    for i in 0..rows {
-                        let row = &t.data()[i * row_len..][window.start..window.end];
-                        v.extend_from_slice(row);
-                    }
-                    Tensor::from_vec(v, &[rows, kc]).unwrap()
-                };
-                let prod = slice_rows(&a, m).matmul_a_bt(&slice_rows(&b, n)).unwrap();
-                for (e, p) in expect.iter_mut().zip(prod.data()) {
-                    *e += p;
-                }
-            }
-            assert_eq!(got, expect, "window {window:?}");
         }
     }
 

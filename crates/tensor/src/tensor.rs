@@ -311,6 +311,37 @@ impl Tensor {
             .collect()
     }
 
+    /// A copy of the tensor as a one-lane batch: its shape plus a lane axis
+    /// of 1. The data keeps its layout — this is what
+    /// [`Tensor::stack_lanes`] makes of a single item.
+    pub fn one_lane(&self) -> Self {
+        let mut shape = self.shape.clone();
+        shape.push(1);
+        Self {
+            shape,
+            data: self.data.clone(),
+        }
+    }
+
+    /// The item of a one-lane batch, its shape without the lane axis,
+    /// taking the data without a copy; the inverse of [`Tensor::one_lane`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] unless the last axis has
+    /// length 1.
+    pub fn only_lane(mut self) -> Result<Self> {
+        if self.shape.last() != Some(&1) {
+            return Err(TensorError::ShapeMismatch {
+                left: self.shape,
+                right: vec![1],
+                op: "only_lane",
+            });
+        }
+        self.shape.pop();
+        Ok(self)
+    }
+
     /// Returns `true` if any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|v| !v.is_finite())
@@ -427,12 +458,12 @@ mod tests {
         assert_eq!(lanes.unstack_lanes(), vec![a.clone(), b]);
         assert!(Tensor::stack_lanes(&[a, Tensor::zeros(&[4])]).is_err());
         assert!(Tensor::stack_lanes(&[]).is_err());
-        let single = Tensor::stack_lanes(&[Tensor::from_slice(&[1.0, 2.0])]).unwrap();
+        let item = Tensor::from_slice(&[1.0, 2.0]);
+        let single = Tensor::stack_lanes(std::slice::from_ref(&item)).unwrap();
         assert_eq!(single.shape(), &[2, 1]);
-        assert_eq!(
-            single.clone().into_shape(&[2]).unwrap().data(),
-            single.data()
-        );
+        assert_eq!(item.one_lane(), single);
+        assert_eq!(single.only_lane().unwrap(), item);
+        assert!(lanes.only_lane().is_err());
     }
 
     #[test]
