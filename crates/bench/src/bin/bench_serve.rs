@@ -29,12 +29,12 @@
 //! speedup ratio and the three identity flags against the committed baseline.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use remix_core::Remix;
+use remix_core::{Remix, RemixVerdict};
 use remix_data::SyntheticSpec;
 use remix_ensemble::{majority_with_weights, TrainedEnsemble};
 use remix_nn::layers::{Dense, Flatten, Relu};
 use remix_nn::{InputSpec, Model, Sequential, Trainer, TrainerConfig};
-use remix_serve::{degraded_fragment, verdict_fragment, Client, ClientReply, ServeConfig, Server};
+use remix_serve::{verdict_fragment, Client, ClientReply, ServeConfig, Server};
 use remix_tensor::Tensor;
 use remix_xai::{ExplainerConfig, XaiBudget};
 use std::io::Write;
@@ -212,7 +212,10 @@ fn main() {
             continue;
         }
         let vote = majority_with_weights(outs.iter().map(|o| (o.pred, 1.0)), outs.len() as f32);
-        degraded_fragments.push(degraded_fragment(&vote));
+        degraded_fragments.push(verdict_fragment(&RemixVerdict {
+            degraded: true,
+            ..RemixVerdict::unweighted(vote)
+        }));
         reference_fragments.push(verdict_fragment(&reference.predict(&mut local, image)));
         pool.push(image.data().to_vec());
     }

@@ -353,10 +353,11 @@ pub fn serve(args: &Args) -> Result<(), String> {
         drift,
         drift_action,
     };
-    // Each engine shard owns a whole pipeline, so per-verdict stage
-    // parallelism defaults to sequential — with --shards 0 the shards
-    // already cover every core. Raise --threads to fan one verdict's XAI
-    // models out instead (verdicts are bit-identical either way).
+    // Each engine shard owns a whole pipeline, so stage parallelism
+    // defaults to sequential — with --shards 0 the shards already cover
+    // every core. Raise --threads to fan a batch's members out across N
+    // threads in the prediction and XAI stages (verdicts are bit-identical
+    // either way).
     let builder = Remix::builder()
         .threads(args.get_num("threads", 1usize)?)
         .seed(args.get_num("seed", 0u64)?);

@@ -69,7 +69,8 @@ USAGE:
                         shards; 0 disables                    [4096]
       --shards          engine shards, each owning an ensemble replica,
                         queue, and cache slice; 0 = all cores [0]
-      --threads         XAI-stage threads per verdict         [1]
+      --threads         threads a batch's members fan out over
+                        in the prediction and XAI stages      [1]
       --seed            ReMIX XAI seed                        [0]
       --xai-ladder      XAI budget scheduling: off = full budget for every
                         disagreement, fano = adaptive Fano-bound triage,

@@ -18,6 +18,11 @@
 //! When all models agree, ReMIX short-circuits to that label — the paper's
 //! efficiency fast path.
 //!
+//! [`Remix::predict_batch`] is the one implementation of these stages: it
+//! runs them across a batch of inputs, under an optional deadline per input
+//! and an optional XAI allowance ([`BatchPolicy`]), and [`Remix::predict`]
+//! is a batch of one.
+//!
 //! # Example
 //!
 //! ```no_run
@@ -41,7 +46,7 @@ mod triage;
 mod verdict;
 mod voter;
 
-pub use remix::{Remix, RemixBuilder};
+pub use remix::{BatchPolicy, Remix, RemixBuilder};
 pub use triage::{
     fano_error_bound, plan_downgrades, TriageScheduler, TriageSignals, TriageThresholds,
 };

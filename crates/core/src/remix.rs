@@ -1,10 +1,12 @@
-use crate::triage::TriageScheduler;
+use crate::triage::{plan_downgrades, TriageScheduler, TriageSignals};
 use crate::verdict::{ModelDetail, RemixVerdict, StageTimings};
 use rand::{rngs::StdRng, SeedableRng};
 use remix_diversity::{sparseness_with_threshold, DiversityMetric};
 use remix_ensemble::{majority_with_weights, ModelOutput, Prediction, TrainedEnsemble};
 use remix_tensor::{fnv1a64, splitmix64, Tensor};
+use remix_trace::Counter;
 use remix_xai::{Explainer, ExplainerConfig, XaiLevel, XaiTechnique};
+use std::time::{Duration, Instant};
 
 /// The ReMIX meta-learner (paper §IV): XAI technique + diversity metric +
 /// weight-generation parameters.
@@ -25,6 +27,25 @@ pub struct Remix {
     threads: usize,
 }
 
+/// The two per-batch decisions a caller of [`Remix::predict_batch`] makes
+/// itself; everything else is the pipeline's. `Default` sets neither, which
+/// is what [`Remix::predict`] runs with.
+#[derive(Debug, Clone, Default)]
+pub struct BatchPolicy {
+    /// One deadline per input, in input order. A disagreement whose deadline
+    /// has passed when triage reaches it skips XAI and returns the
+    /// unweighted majority vote, marked [`RemixVerdict::degraded`]. The
+    /// clock is read once, right after the prediction stage.
+    pub deadlines: Option<Vec<Instant>>,
+    /// The batch's XAI allowance in sweep units (see
+    /// [`remix_xai::XaiBudget::sweep_units`]), counted over every member.
+    /// With a scheduler attached, [`plan_downgrades`] moves the
+    /// most-confident disagreements down the ladder until the batch's bill
+    /// fits; the moved verdicts are marked [`RemixVerdict::downgraded`].
+    /// Ignored without a scheduler.
+    pub allowance: Option<u64>,
+}
+
 impl Remix {
     /// Starts building a ReMIX instance.
     pub fn builder() -> RemixBuilder {
@@ -41,26 +62,19 @@ impl Remix {
         self.metric
     }
 
-    /// The configured explainer (technique + parameters).
-    ///
-    /// External drivers of the XAI stage — the serving layer coalesces
-    /// several requests into one [`remix_xai::Explainer::explain_many`] call
-    /// — read the technique and [`remix_xai::XaiBudget`] from here so their
-    /// sweeps match what [`Remix::predict`] would run.
+    /// The configured explainer (technique + parameters): its
+    /// [`remix_xai::XaiBudget`] sizes serving micro-batches and prices
+    /// [`BatchPolicy::allowance`], and a caller that runs the XAI stage
+    /// itself reads the technique from here to sweep as
+    /// [`Remix::predict_batch`] would.
     pub fn explainer(&self) -> &Explainer {
         &self.explainer
     }
 
-    /// Whether the unanimous fast path is enabled (see
-    /// [`RemixBuilder::fast_path`]).
-    pub fn fast_path_enabled(&self) -> bool {
-        self.fast_path
-    }
-
     /// The attached triage scheduler, if any (see
-    /// [`RemixBuilder::scheduler`]). External drivers of the XAI stage — the
-    /// serving layer — read it from here so their level assignments match
-    /// what [`Remix::predict`] would decide.
+    /// [`RemixBuilder::scheduler`]). [`Remix::predict_batch`] consults it;
+    /// a caller that runs the stages itself reads it from here to assign the
+    /// same levels.
     pub fn scheduler(&self) -> Option<&TriageScheduler> {
         self.scheduler.as_ref()
     }
@@ -70,9 +84,9 @@ impl Remix {
     /// Keyed by the model's *name* (not its index), so the stream a model
     /// receives is invariant under ensemble permutation, and independent of
     /// every other model's stream — the prerequisite for running XAI in
-    /// parallel, for verdicts that don't depend on model order, and for the
-    /// serving layer to re-create per-request streams when it batches the
-    /// XAI stage across requests.
+    /// parallel and for verdicts that don't depend on model order. Every
+    /// input in a batch starts its own copy of the stream, so a verdict does
+    /// not depend on its batchmates either.
     pub fn xai_rng(&self, model_name: &str) -> StdRng {
         StdRng::seed_from_u64(splitmix64(self.seed ^ fnv1a64(model_name.as_bytes())))
     }
@@ -88,92 +102,202 @@ impl Remix {
         ensemble.freeze_for_inference();
     }
 
-    /// Runs the five-component ReMIX pipeline on one input.
-    ///
-    /// The prediction and XAI stages fan the constituent models out across
-    /// scoped threads (see the `threads` builder option); every model draws
-    /// from its own [`Remix::xai_rng`] stream and the diversity sums
-    /// accumulate in a fixed order, so the verdict is bit-identical for any
-    /// thread count.
-    ///
-    /// Batching and threading compose orthogonally: each thread owns whole
-    /// models, and *within* a model each XAI technique evaluates its
-    /// perturbed inputs in batches of [`RemixBuilder::xai_batch_size`].
-    /// Both knobs are pure execution strategy — the verdict is bit-identical
-    /// for any `(threads, batch_size)` combination.
+    /// Runs the five-component ReMIX pipeline on one input: a batch of one
+    /// through [`Remix::predict_batch`] with the default [`BatchPolicy`],
+    /// under a `predict` trace span.
     ///
     /// # Panics
     ///
     /// Panics if the ensemble is empty or the image does not match the
     /// models' input spec.
     pub fn predict(&self, ensemble: &mut TrainedEnsemble, image: &Tensor) -> RemixVerdict {
+        let span = remix_trace::span("predict");
+        let mut verdict = None;
+        let images = std::slice::from_ref(image);
+        self.predict_batch(ensemble, images, &BatchPolicy::default(), |_, v| {
+            verdict = Some(v)
+        });
+        let verdict = verdict.expect("one verdict per input");
+        let kind = if verdict.unanimous {
+            "verdict_unanimous"
+        } else if verdict.details.is_empty() {
+            "verdict_skip"
+        } else {
+            "verdict_weighted"
+        };
+        remix_trace::record_duration(kind, span.finish());
+        verdict
+    }
+
+    /// Runs the five-component ReMIX pipeline on a batch of inputs and hands
+    /// each verdict to `deliver(input index, verdict)` as soon as it is
+    /// decided.
+    ///
+    /// 1. **Prediction** — each member forwards the whole batch in one
+    ///    lane-major [`remix_nn::Model::predict_proba_batch`].
+    /// 2. **Triage**, per input in order — a unanimous input takes the fast
+    ///    path; a disagreement past its [`BatchPolicy::deadlines`] entry
+    ///    degrades to the unweighted majority vote; every other
+    ///    disagreement gets its [`TriageSignals`] and a level from the
+    ///    attached scheduler (`Full` without one), which
+    ///    [`BatchPolicy::allowance`] may lower through [`plan_downgrades`].
+    /// 3. **Per rung**, Skip to Full — Skip resolves to the unweighted
+    ///    majority vote; on the XAI rungs each member explains the group in
+    ///    one [`Explainer::explain_many`] call, each input drawing its own
+    ///    copy of the member's [`Remix::xai_rng`] stream, and
+    ///    [`Remix::resolve_disagreement`] weighs and votes per input.
+    ///
+    /// So fast-path, degraded and Skip verdicts are all delivered before any
+    /// XAI sweep starts, then each rung's group as it resolves, each group
+    /// in input order. Members fan out over the `threads` builder option in
+    /// the prediction and XAI stages; within a member each technique sweeps
+    /// its perturbations in chunks of [`RemixBuilder::xai_batch_size`].
+    ///
+    /// Every verdict that is neither degraded nor downgraded is
+    /// bit-identical to [`Remix::predict`] on its input alone, for any batch
+    /// composition, order, thread count or XAI batch size: lane-major
+    /// forwards and coalesced sweeps are bit-identical to one-input ones,
+    /// every input draws the streams it would draw alone, and the diversity
+    /// sums accumulate in a fixed order. The `predictions`, `disagreements`
+    /// and `fast_path_hits` trace counters count once per input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ensemble is empty, an image does not match the models'
+    /// input spec, or `policy.deadlines` does not hold one entry per image.
+    pub fn predict_batch(
+        &self,
+        ensemble: &mut TrainedEnsemble,
+        images: &[Tensor],
+        policy: &BatchPolicy,
+        mut deliver: impl FnMut(usize, RemixVerdict),
+    ) {
+        if images.is_empty() {
+            return;
+        }
+        if let Some(deadlines) = &policy.deadlines {
+            assert_eq!(deadlines.len(), images.len(), "one deadline per input");
+        }
         let threads = remix_parallel::resolve_threads(self.threads);
-        remix_trace::incr(remix_trace::Counter::Predictions);
-        let predict_span = remix_trace::span("predict");
-        let mut timings = StageTimings {
+        remix_trace::add(Counter::Predictions, images.len() as u64);
+        // Each stage runs under a `StageSpan`, which measures wall time
+        // whether or not tracing is enabled; `StageTimings` is the view of
+        // exactly those measurements, so the struct and the span tree agree.
+        let stage = remix_trace::stage_span("prediction");
+        let per_model = remix_parallel::map_mut_indexed(&mut ensemble.models, threads, |_, m| {
+            m.predict_proba_batch(images)
+                .expect("images match the models' input spec")
+        });
+        let timings = StageTimings {
+            prediction: stage.finish() / images.len() as u32,
             threads,
             ..StageTimings::default()
         };
-        // Each stage runs under a `StageSpan`, which measures wall time
-        // whether or not tracing is enabled; `StageTimings` is the view of
-        // exactly those measurements (`finish()` returns the same `Duration`
-        // the span records), so the legacy struct and the span tree can never
-        // disagree.
-        let stage = remix_trace::stage_span("prediction");
-        let outputs = ensemble.outputs_with_threads(image, threads);
-        timings.prediction = stage.finish();
-        // Fast path: when every model predicts the same label the ensemble
-        // has no influence, so ReMIX outputs it directly (paper §IV).
-        let first = outputs[0].pred;
-        if self.fast_path && outputs.iter().all(|o| o.pred == first) {
-            remix_trace::incr(remix_trace::Counter::FastPathHits);
-            remix_trace::record_duration("verdict_unanimous", predict_span.finish());
-            return RemixVerdict {
-                prediction: Prediction::Decided(first),
-                unanimous: true,
-                details: Vec::new(),
-                xai_level: XaiLevel::Skip,
+        let outputs = transpose(per_model, images.len(), ModelOutput::from_probs);
+        let unweighted = |outs: &[ModelOutput]| {
+            let vote = majority_with_weights(outs.iter().map(|o| (o.pred, 1.0)), outs.len() as f32);
+            RemixVerdict {
                 timings,
-            };
-        }
-        remix_trace::incr(remix_trace::Counter::Disagreements);
-        // Triage: how much XAI does this disagreement deserve? Without a
-        // scheduler every disagreement gets the full budget — the historical
-        // path — and so does a scheduler pinned to `Full` (`at_level(Full)`
-        // is the identity), which the bit-identity suite enforces.
-        let level = match &self.scheduler {
-            Some(scheduler) => scheduler.assess(&outputs).0,
-            None => XaiLevel::Full,
+                ..RemixVerdict::unweighted(vote)
+            }
         };
-        if level == XaiLevel::Skip {
-            // Admission said XAI won't change the outcome: deterministic
-            // unweighted majority vote, tagged as such in the verdict.
-            let prediction =
-                majority_with_weights(outputs.iter().map(|o| (o.pred, 1.0)), outputs.len() as f32);
-            remix_trace::record_duration("verdict_skip", predict_span.finish());
-            return RemixVerdict {
-                prediction,
-                unanimous: false,
-                details: Vec::new(),
-                xai_level: XaiLevel::Skip,
-                timings,
-            };
-        }
-        // (1) Feature Space Extraction, one independent RNG stream per model
-        let explainer = self.explainer.at_level(level);
-        let stage = remix_trace::stage_span("xai");
-        let matrices: Vec<Tensor> =
-            remix_parallel::map_mut_indexed(&mut ensemble.models, threads, |i, model| {
-                let mut rng = self.xai_rng(&model.name);
-                explainer.explain(model, image, outputs[i].pred, &mut rng)
+
+        // Triage: the fast path first (a unanimous ensemble has no
+        // influence, paper §IV), then the deadline against one clock read —
+        // the last point before XAI is committed to — then the scheduler.
+        let clock = policy.deadlines.as_ref().map(|d| (Instant::now(), d));
+        // (input, assigned level, signals) of every disagreement left.
+        let mut triaged: Vec<(usize, XaiLevel, TriageSignals)> = Vec::new();
+        for (k, outs) in outputs.iter().enumerate() {
+            let first = outs[0].pred;
+            if self.fast_path && outs.iter().all(|o| o.pred == first) {
+                remix_trace::incr(Counter::FastPathHits);
+                let verdict = RemixVerdict::unweighted(Prediction::Decided(first));
+                deliver(
+                    k,
+                    RemixVerdict {
+                        unanimous: true,
+                        timings,
+                        ..verdict
+                    },
+                );
+                continue;
+            }
+            remix_trace::incr(Counter::Disagreements);
+            if clock.is_some_and(|(now, deadlines)| now > deadlines[k]) {
+                deliver(
+                    k,
+                    RemixVerdict {
+                        degraded: true,
+                        ..unweighted(outs)
+                    },
+                );
+                continue;
+            }
+            triaged.push(match &self.scheduler {
+                Some(scheduler) => {
+                    let (level, signals) = scheduler.assess(outs);
+                    (k, level, signals)
+                }
+                None => (k, XaiLevel::Full, TriageScheduler::signals(outs)),
             });
-        timings.xai = stage.finish();
-        let mut verdict = self.resolve_disagreement(ensemble, &outputs, &matrices);
-        verdict.xai_level = level;
-        verdict.timings.prediction = timings.prediction;
-        verdict.timings.xai = timings.xai;
-        remix_trace::record_duration("verdict_weighted", predict_span.finish());
-        verdict
+        }
+        // The allowance may only move levels *down*, so a downgraded verdict
+        // is exactly what the scheduler would produce at the lower level.
+        let mut levels: Vec<XaiLevel> = triaged.iter().map(|t| t.1).collect();
+        if let (Some(allowance), Some(_)) = (policy.allowance, &self.scheduler) {
+            let members = ensemble.models.len() as u64;
+            let errors: Vec<f32> = triaged.iter().map(|t| t.2.predicted_error).collect();
+            let cost = |level| self.explainer.sweep_units_at(level) * members;
+            plan_downgrades(&mut levels, &errors, cost, allowance);
+        }
+
+        for level in XaiLevel::LADDER {
+            let group: Vec<usize> = (0..triaged.len()).filter(|&i| levels[i] == level).collect();
+            if group.is_empty() {
+                continue;
+            }
+            // (1) Feature Space Extraction: per member, one coalesced sweep
+            // over the group.
+            let (per_model, xai) = if level == XaiLevel::Skip {
+                (Vec::new(), Duration::ZERO)
+            } else {
+                let explainer = self.explainer.at_level(level);
+                let stage = remix_trace::stage_span("xai");
+                let rung = remix_trace::span(match level {
+                    XaiLevel::Light => "xai_light",
+                    XaiLevel::Standard => "xai_standard",
+                    _ => "xai_full",
+                });
+                let per_model =
+                    remix_parallel::map_mut_indexed(&mut ensemble.models, threads, |m, model| {
+                        let items: Vec<(&Tensor, usize)> = group
+                            .iter()
+                            .map(|&i| (&images[triaged[i].0], outputs[triaged[i].0][m].pred))
+                            .collect();
+                        let mut rngs: Vec<StdRng> =
+                            group.iter().map(|_| self.xai_rng(&model.name)).collect();
+                        explainer.explain_many(model, &items, &mut rngs)
+                    });
+                rung.finish();
+                (per_model, stage.finish() / group.len() as u32)
+            };
+            // (2)–(5) per input; Skip resolves without evidence.
+            for (&i, matrices) in group.iter().zip(transpose(per_model, group.len(), |m| m)) {
+                let (k, assigned, signals) = triaged[i];
+                let mut verdict = if level == XaiLevel::Skip {
+                    unweighted(&outputs[k])
+                } else {
+                    self.resolve_disagreement(ensemble, &outputs[k], &matrices)
+                };
+                verdict.xai_level = level;
+                verdict.downgraded = assigned != level;
+                verdict.signals = Some(signals);
+                verdict.timings.prediction = timings.prediction;
+                verdict.timings.xai = xai;
+                deliver(k, verdict);
+            }
+        }
     }
 
     /// Runs pipeline stages (2)–(5) — diversity, sparseness, weighting,
@@ -181,12 +305,13 @@ impl Remix {
     /// matrices, in the exact float-accumulation order of
     /// [`Remix::predict`].
     ///
-    /// This is the verdict-resolution half of `predict`, split out so
-    /// callers that produce the inputs differently (the serving layer
-    /// micro-batches the prediction and XAI stages across requests) share
-    /// the same code path bit for bit. The returned timings cover only the
-    /// `diversity` and `weighting` stages; `prediction` and `xai` are the
-    /// caller's to fill.
+    /// This is the verdict-resolution half of [`Remix::predict_batch`],
+    /// which calls it once per XAI verdict; it is public so that a caller
+    /// running the prediction and XAI stages itself (a staged replay that
+    /// times each stage, say) resolves through the same code bit for bit.
+    /// The returned verdict is tagged [`XaiLevel::Full`] with no signals,
+    /// and its timings cover only the `diversity` and `weighting` stages;
+    /// the level, signals, `prediction` and `xai` are the caller's to fill.
     ///
     /// # Panics
     ///
@@ -271,15 +396,28 @@ impl Remix {
             });
         timings.weighting = stage.finish();
         RemixVerdict {
-            prediction,
-            unanimous: false,
             details,
             // The resolution math itself is level-agnostic; callers that ran
             // the XAI stage at a scaled budget overwrite this tag.
             xai_level: XaiLevel::Full,
             timings,
+            ..RemixVerdict::unweighted(prediction)
         }
     }
+}
+
+/// Regroups per-member, per-input results `per_model[m][k]` into per-input
+/// vectors in member order, moving each item through `f`.
+fn transpose<T, U>(per_model: Vec<Vec<T>>, inputs: usize, f: impl Fn(T) -> U) -> Vec<Vec<U>> {
+    let mut columns: Vec<_> = per_model.into_iter().map(Vec::into_iter).collect();
+    (0..inputs)
+        .map(|_| {
+            columns
+                .iter_mut()
+                .map(|c| f(c.next().expect("one result per input")))
+                .collect()
+        })
+        .collect()
 }
 
 impl Default for Remix {

@@ -254,9 +254,12 @@ pub fn fano_error_bound(risk: f32, num_classes: usize) -> f32 {
 /// lower index), until total cost is within `budget_units` or everything is
 /// `Skip`. Returns the number of downgrade steps applied.
 ///
-/// Purely deterministic in its inputs: the serving layer feeds it
-/// queue-order slices, so the same queue state always degrades the same
-/// requests, in contrast to the wall-clock deadline fallback.
+/// Purely deterministic in its inputs: [`Remix::predict_batch`] feeds it a
+/// batch's triaged disagreements in input order, so the same batch under the
+/// same allowance always downgrades the same inputs, in contrast to the
+/// wall-clock deadline fallback.
+///
+/// [`Remix::predict_batch`]: crate::Remix::predict_batch
 pub fn plan_downgrades(
     levels: &mut [XaiLevel],
     predicted_errors: &[f32],

@@ -1,3 +1,4 @@
+use crate::triage::TriageSignals;
 use remix_ensemble::Prediction;
 use remix_tensor::Tensor;
 use remix_xai::XaiLevel;
@@ -28,16 +29,23 @@ pub struct ModelDetail {
 ///
 /// Since the `remix-trace` integration this struct is a compatibility view:
 /// each field is the duration measured by the like-named stage span inside
-/// [`Remix::predict`](crate::Remix::predict) (`prediction`, `xai`,
-/// `diversity`, `weighting` under the `predict` root). With tracing enabled
+/// [`Remix::predict_batch`](crate::Remix::predict_batch) (`prediction`,
+/// `xai`, `diversity`, `weighting`; under the `predict` root when called
+/// through [`Remix::predict`](crate::Remix::predict)). With tracing enabled
 /// the span tree records bit-identical durations, so the two reports cannot
 /// drift apart; with tracing disabled the spans still measure (the struct
 /// stays populated) but nothing is recorded.
+///
+/// The prediction and XAI stages run once for a whole batch, so in a batch
+/// of `n` inputs `prediction` is an equal `1/n` share of the batch's
+/// prediction stage, and `xai` an equal share of the sweep of the rung group
+/// the verdict resolved in. For a batch of one both are the stage itself.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimings {
-    /// Running the constituent models.
+    /// Running the constituent models (this input's share of the batch).
     pub prediction: Duration,
-    /// Feature-space extraction (XAI), zero on the unanimous fast path.
+    /// Feature-space extraction (XAI; this input's share of its rung
+    /// group's sweep), zero when no XAI ran.
     pub xai: Duration,
     /// Pairwise feature-space diversity, zero on the fast path.
     pub diversity: Duration,
@@ -63,20 +71,49 @@ pub struct RemixVerdict {
     pub prediction: Prediction,
     /// Whether the unanimous fast path was taken (no XAI run).
     pub unanimous: bool,
-    /// Per-model evidence (empty on the fast path).
+    /// Whether the input's [deadline](crate::BatchPolicy::deadlines) had
+    /// passed when triage reached it: the prediction is the unweighted
+    /// majority vote, with no details and no signals.
+    pub degraded: bool,
+    /// Whether the batch's [allowance](crate::BatchPolicy::allowance) moved
+    /// this input below the level the scheduler assigned it. The verdict is
+    /// exactly what the lower level yields, but it reflects the batch, not
+    /// the input alone.
+    pub downgraded: bool,
+    /// The prediction-stage triage signals of a disagreement (`None` on the
+    /// fast path and for degraded verdicts, which never reach triage).
+    pub signals: Option<TriageSignals>,
+    /// Per-model evidence (empty when no XAI ran).
     pub details: Vec<ModelDetail>,
     /// The XAI budget level this verdict was produced under.
     ///
     /// [`XaiLevel::Full`] is the unscheduled pipeline; [`XaiLevel::Skip`]
     /// means no XAI ran at all — the unanimous fast path, the triage
-    /// scheduler's majority-vote admission, and the serving layer's deadline
-    /// fallback all land here.
+    /// scheduler's majority-vote admission, an allowance downgrade to the
+    /// bottom rung, and the deadline fallback all land here.
     pub xai_level: XaiLevel,
     /// Stage timing breakdown.
     pub timings: StageTimings,
 }
 
 impl RemixVerdict {
+    /// A verdict decided without XAI: `prediction` with no per-model
+    /// evidence, at [`XaiLevel::Skip`], with every flag false, no signals
+    /// and zero timings. The pipeline builds its fast-path, Skip and
+    /// degraded verdicts from this by setting the fields that differ.
+    pub fn unweighted(prediction: Prediction) -> RemixVerdict {
+        RemixVerdict {
+            prediction,
+            unanimous: false,
+            degraded: false,
+            downgraded: false,
+            signals: None,
+            details: Vec::new(),
+            xai_level: XaiLevel::Skip,
+            timings: StageTimings::default(),
+        }
+    }
+
     /// Concentration of the ω voting-weight distribution in `[0, 1]`.
     ///
     /// Computed as `1 − H(p) / ln n` where `p` is the ω vector normalized to
@@ -115,8 +152,6 @@ mod tests {
 
     fn verdict_with_weights(weights: &[f32]) -> RemixVerdict {
         RemixVerdict {
-            prediction: Prediction::Decided(0),
-            unanimous: false,
             details: weights
                 .iter()
                 .enumerate()
@@ -131,7 +166,7 @@ mod tests {
                 })
                 .collect(),
             xai_level: XaiLevel::Full,
-            timings: StageTimings::default(),
+            ..RemixVerdict::unweighted(Prediction::Decided(0))
         }
     }
 

@@ -249,8 +249,8 @@ impl Voter for StackedDynamic {
 /// strictly more than half of `total_weight`; otherwise
 /// [`Prediction::NoMajority`]. Ties between equal-weight classes break
 /// toward the lower class index, so the outcome is deterministic for any
-/// vote order. With unit weights this is plain majority voting — the
-/// serving layer's deadline-degradation fallback.
+/// vote order. With unit weights this is plain majority voting — what
+/// ReMIX returns for a Skip-level or deadline-degraded disagreement.
 ///
 /// # Panics
 ///

@@ -56,25 +56,6 @@ impl TrainedEnsemble {
             .collect()
     }
 
-    /// Every model's output for one input, with the constituent models run
-    /// on parallel threads — the paper's deployment mode ("models in the
-    /// ensembles are run in parallel during inference"). On a single-core
-    /// host this matches [`TrainedEnsemble::outputs`] up to scheduling.
-    pub fn outputs_parallel(&mut self, image: &Tensor) -> Vec<ModelOutput> {
-        self.outputs_with_threads(image, remix_parallel::num_threads())
-    }
-
-    /// Every model's output for one input, run on at most `threads` worker
-    /// threads (`0` = auto, `1` = sequential). Output order always matches
-    /// [`TrainedEnsemble::outputs`]; each model's forward pass is untouched,
-    /// so results are bit-identical for any thread count.
-    pub fn outputs_with_threads(&mut self, image: &Tensor, threads: usize) -> Vec<ModelOutput> {
-        let threads = remix_parallel::resolve_threads(threads);
-        remix_parallel::map_mut_indexed(&mut self.models, threads, |_, m| {
-            ModelOutput::from_probs(m.predict_proba(image))
-        })
-    }
-
     /// How many constituent models predict `label` for `image` — the paper's
     /// *k-correct* analysis (Fig. 3).
     pub fn count_correct(&mut self, image: &Tensor, label: usize) -> usize {
@@ -212,21 +193,6 @@ mod tests {
         assert_eq!(ens.len(), 3);
         // bag members differ (different bootstrap + init)
         assert_ne!(ens.names()[0], ens.names()[1]);
-    }
-
-    #[test]
-    fn parallel_outputs_match_sequential() {
-        let train = tiny_train();
-        let models = train_zoo(&[Arch::ConvNet, Arch::DeconvNet], &train, 2, 9);
-        let mut ens = TrainedEnsemble::new(models);
-        let img = train.images[3].clone();
-        let seq = ens.outputs(&img);
-        let par = ens.outputs_parallel(&img);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.pred, b.pred);
-            assert!((a.confidence - b.confidence).abs() < 1e-6);
-        }
     }
 
     #[test]

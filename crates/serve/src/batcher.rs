@@ -25,8 +25,8 @@ pub(crate) struct PendingRequest {
     pub image: Tensor,
     /// Content hash of the input (cache insert key and shard route).
     pub key: u64,
-    /// Absolute deadline; a disagreement still unresolved when the engine
-    /// reaches the XAI stage after this instant degrades to majority vote.
+    /// Absolute deadline; a disagreement that reaches triage in
+    /// `Remix::predict_batch` after this instant degrades to majority vote.
     pub deadline: Instant,
     /// Whether the request opted out of the verdict cache.
     pub no_cache: bool,

@@ -9,9 +9,9 @@
 //! channel; the serving path never blocks on it.
 
 use crate::server::ServeStats;
+use remix_core::RemixVerdict;
 use remix_drift::{DriftAlert, DriftDetector, DriftFeature, VerdictFeatures};
 use remix_trace::Counter;
-use remix_xai::XaiLevel;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
@@ -156,13 +156,22 @@ impl EngineDrift {
     }
 }
 
-/// The drift detector's numeric rung for an XAI ladder level.
-pub(crate) fn ladder_rung(level: XaiLevel) -> u8 {
-    match level {
-        XaiLevel::Skip => 0,
-        XaiLevel::Light => 1,
-        XaiLevel::Standard => 2,
-        XaiLevel::Full => 3,
+/// The drift detector's view of one delivered verdict: what the verdict
+/// observed, with `None` for what it never computed (a degraded verdict
+/// never reached triage; only an XAI verdict has ω weights).
+pub(crate) fn verdict_features(verdict: &RemixVerdict) -> VerdictFeatures {
+    if verdict.unanimous {
+        return VerdictFeatures::unanimous();
+    }
+    VerdictFeatures {
+        disagreement: true,
+        margin: verdict.signals.map(|s| s.margin),
+        entropy: verdict.signals.map(|s| s.entropy),
+        weight_spread: (!verdict.details.is_empty()).then(|| verdict.weight_spread()),
+        // Declaration order is ladder order: Skip = 0 … Full = 3.
+        xai_rung: verdict.xai_level as u8,
+        degraded: verdict.degraded,
+        downgraded: verdict.downgraded,
     }
 }
 
@@ -214,10 +223,79 @@ mod tests {
     }
 
     #[test]
-    fn ladder_rungs_are_monotone() {
-        assert_eq!(ladder_rung(XaiLevel::Skip), 0);
-        assert_eq!(ladder_rung(XaiLevel::Light), 1);
-        assert_eq!(ladder_rung(XaiLevel::Standard), 2);
-        assert_eq!(ladder_rung(XaiLevel::Full), 3);
+    fn features_follow_the_verdict_kind() {
+        use remix_core::{ModelDetail, TriageSignals};
+        use remix_ensemble::Prediction;
+        use remix_xai::XaiLevel;
+        let verdict = |level, signals: bool, degraded, downgraded, weights: &[f32]| {
+            let mut v = RemixVerdict::unweighted(Prediction::Decided(1));
+            (v.xai_level, v.degraded, v.downgraded) = (level, degraded, downgraded);
+            v.signals = signals.then_some(TriageSignals {
+                margin: 0.25,
+                entropy: 0.5,
+                predicted_error: 0.4,
+            });
+            v.details = weights
+                .iter()
+                .map(|&weight| ModelDetail {
+                    name: "m".into(),
+                    pred: 1,
+                    confidence: 0.9,
+                    diversity: 0.5,
+                    sparseness: 0.5,
+                    weight,
+                    feature_matrix: None,
+                })
+                .collect();
+            v
+        };
+        let mut unanimous = verdict(XaiLevel::Skip, false, false, false, &[]);
+        unanimous.unanimous = true;
+        assert_eq!(verdict_features(&unanimous), VerdictFeatures::unanimous());
+        // Degraded: no margin, entropy or spread, rung 0.
+        let degraded = verdict(XaiLevel::Skip, false, true, false, &[]);
+        let expected = VerdictFeatures {
+            disagreement: true,
+            margin: None,
+            entropy: None,
+            weight_spread: None,
+            xai_rung: 0,
+            degraded: true,
+            downgraded: false,
+        };
+        assert_eq!(verdict_features(&degraded), expected);
+        // Scheduler Skip, then pressure-downgraded Skip.
+        for downgraded in [false, true] {
+            let skip = verdict(XaiLevel::Skip, true, false, downgraded, &[]);
+            let expected = VerdictFeatures {
+                margin: Some(0.25),
+                entropy: Some(0.5),
+                degraded: false,
+                downgraded,
+                ..expected
+            };
+            assert_eq!(verdict_features(&skip), expected);
+        }
+        // Each XAI rung, downgraded or not, with the ω spread.
+        for (level, xai_rung) in [
+            (XaiLevel::Light, 1),
+            (XaiLevel::Standard, 2),
+            (XaiLevel::Full, 3),
+        ] {
+            for downgraded in [false, true] {
+                let xai = verdict(level, true, false, downgraded, &[0.6, 0.3, 0.1]);
+                let expected = VerdictFeatures {
+                    disagreement: true,
+                    margin: Some(0.25),
+                    entropy: Some(0.5),
+                    weight_spread: Some(xai.weight_spread()),
+                    xai_rung,
+                    degraded: false,
+                    downgraded,
+                };
+                assert!(xai.weight_spread() > 0.0);
+                assert_eq!(verdict_features(&xai), expected);
+            }
+        }
     }
 }

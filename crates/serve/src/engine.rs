@@ -1,42 +1,32 @@
 //! The inference engine: each shard runs one of these on its own thread,
 //! owning an ensemble replica and turning micro-batches of requests into
-//! verdicts.
+//! replies.
 //!
-//! Per batch, the engine runs the same five-stage ReMIX pipeline as
-//! [`Remix::predict`], but stage by stage *across requests*:
-//!
-//! 1. **Prediction** — each model forwards the whole batch in one
-//!    `predict_proba_batch` sweep (bit-identical to per-sample forwards).
-//! 2. **Triage** — unanimous requests take the fast path; disagreeing
-//!    requests whose deadline already passed take the degraded majority-vote
-//!    fallback; the rest proceed to XAI. The deadline is checked here, at
-//!    the last point before the expensive stage is committed to.
-//! 3. **XAI** — per model, all surviving requests' perturbations coalesce
-//!    into shared gradient sweeps via [`remix_xai::Explainer::explain_many`],
-//!    each request drawing from the same per-model RNG stream
-//!    ([`Remix::xai_rng`]) it would get from `Remix::predict`.
-//! 4. **Diversity + weighting** — per request, through
-//!    [`Remix::resolve_disagreement`], the exact code `predict` runs
-//!    (stages 4 and 5 of the pipeline are one call here).
-//!
-//! Every non-degraded verdict is therefore bit-identical to what
-//! `Remix::predict` would return for the same input — the property the
-//! bench gate asserts byte-for-byte on the wire.
+//! The ReMIX stages themselves are [`Remix::predict_batch`]'s: the engine
+//! hands it the batch's images with a [`BatchPolicy`] carrying the two
+//! decisions serving makes — each request's deadline, and the
+//! `--latency-budget` allowance priced from the engine's running cost
+//! estimate — and takes each verdict as it is delivered: it bumps the
+//! shard's stats, renders the fragment, caches it when eligible, replies,
+//! and folds the verdict's drift features. Fast-path, degraded and Skip
+//! verdicts are delivered before any XAI sweep starts, so they never wait
+//! on a batchmate's XAI. Every verdict that is neither degraded nor
+//! downgraded is bit-identical to what `Remix::predict` returns for the
+//! same input — the property the bench gate asserts byte-for-byte on the
+//! wire.
 
 use crate::batcher::{BatchQueue, EngineReply, PendingRequest};
 use crate::cache::{generation_key, VerdictCache};
-use crate::drift::{ladder_rung, EngineDrift};
+use crate::drift::{verdict_features, EngineDrift};
 use crate::protocol;
 use crate::server::ServeStats;
-use remix_core::{Remix, TriageScheduler, TriageSignals};
-use remix_drift::VerdictFeatures;
-use remix_ensemble::{majority_with_weights, ModelOutput, TrainedEnsemble};
+use remix_core::{BatchPolicy, Remix};
+use remix_ensemble::TrainedEnsemble;
 use remix_tensor::Tensor;
 use remix_trace::Counter;
-use remix_xai::XaiLevel;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Smoothing factor for the engine's running ns-per-sweep-unit estimate:
 /// each measured XAI stage contributes 30 %, so the estimate tracks load
@@ -73,14 +63,16 @@ pub(crate) struct Engine {
     pub ensemble: TrainedEnsemble,
     pub cache: Arc<VerdictCache>,
     pub stats: Arc<ServeStats>,
-    /// Wall-clock allowance for one batch's XAI stage; zero disables
-    /// pressure downgrades.
+    /// Wall-clock allowance for one batch's XAI stage, priced into the
+    /// batch's [`BatchPolicy::allowance`]; zero disables pressure
+    /// downgrades.
     pub latency_budget: Duration,
-    /// EWMA of measured nanoseconds per sweep unit (see
-    /// [`remix_xai::XaiBudget::sweep_units`]); `0.0` until first measured.
-    /// Only consulted to *price* levels — never to pick them — so verdict
-    /// content stays deterministic; only which requests get downgraded under
-    /// pressure depends on it.
+    /// EWMA of nanoseconds per sweep unit (see
+    /// [`remix_xai::XaiBudget::sweep_units`]), read from the XAI verdicts'
+    /// `timings.xai`; `0.0` until first measured. Only consulted to *price*
+    /// the allowance — never to pick levels — so verdict content stays
+    /// deterministic; only which requests get downgraded under pressure
+    /// depends on it.
     pub ns_per_unit: f64,
     /// This shard's hot-swap mailbox (shared with the coordinator).
     pub swap: Arc<SwapSlot>,
@@ -137,298 +129,68 @@ impl Engine {
         let span = remix_trace::span("serve_batch");
         self.stats.bump_batch(batch.len());
         remix_trace::incr(Counter::ServeBatches);
-        remix_trace::add(Counter::Predictions, batch.len() as u64);
-
-        // Stage 1: every model forwards the whole batch in one sweep.
         let images: Vec<Tensor> = batch.iter().map(|r| r.image.clone()).collect();
-        let stage = remix_trace::span("prediction");
-        let per_model: Vec<Vec<Tensor>> = self
-            .ensemble
-            .models
-            .iter_mut()
-            .map(|m| {
-                m.predict_proba_batch(&images)
-                    .expect("inputs validated against the model spec at accept time")
-            })
-            .collect();
-        let outputs: Vec<Vec<ModelOutput>> = (0..batch.len())
-            .map(|k| {
-                per_model
-                    .iter()
-                    .map(|probs| ModelOutput::from_probs(probs[k].clone()))
-                    .collect()
-            })
-            .collect();
-        stage.finish();
-
-        // Stage 2: triage. The deadline is evaluated once, now — after the
-        // cheap prediction stage, before committing to the XAI stage — and
-        // the scheduler (when attached) assigns every surviving disagreement
-        // its budget level from the prediction-stage signals alone.
-        let now = Instant::now();
-        // (request index, assigned level, prediction-stage signals)
-        let mut xai: Vec<(usize, XaiLevel, TriageSignals)> = Vec::new();
-        for (k, request) in batch.iter().enumerate() {
-            let outs = &outputs[k];
-            let first = outs[0].pred;
-            if self.remix.fast_path_enabled() && outs.iter().all(|o| o.pred == first) {
-                remix_trace::incr(Counter::FastPathHits);
-                let verdict = remix_core::RemixVerdict {
-                    prediction: remix_ensemble::Prediction::Decided(first),
-                    unanimous: true,
-                    details: Vec::new(),
-                    xai_level: XaiLevel::Skip,
-                    timings: remix_core::StageTimings::default(),
-                };
-                self.stats.bump_level(XaiLevel::Skip);
-                self.finish(
-                    request,
-                    protocol::verdict_fragment(&verdict),
-                    false,
-                    true,
-                    true,
-                );
-                if let Some(drift) = &mut self.drift {
-                    drift.fold(&VerdictFeatures::unanimous());
-                }
-                continue;
-            }
-            remix_trace::incr(Counter::Disagreements);
-            if now > request.deadline {
-                self.stats.bump_degraded();
+        // The allowance needs a warm cost model; the pipeline applies it only
+        // with a scheduler attached.
+        let policy = BatchPolicy {
+            deadlines: Some(batch.iter().map(|r| r.deadline).collect()),
+            allowance: (!self.latency_budget.is_zero() && self.ns_per_unit > 0.0)
+                .then(|| (self.latency_budget.as_nanos() as f64 / self.ns_per_unit) as u64),
+        };
+        let members = self.ensemble.models.len() as u64;
+        let explainer = *self.remix.explainer();
+        let (mut xai_ns, mut xai_units) = (0u128, 0u64);
+        let Engine {
+            remix,
+            ensemble,
+            cache,
+            stats,
+            artifact_hash,
+            drift,
+            ..
+        } = self;
+        remix.predict_batch(ensemble, &images, &policy, |k, verdict| {
+            let request = &batch[k];
+            stats.bump_verdict(&verdict);
+            if verdict.degraded {
                 remix_trace::incr(Counter::ServeDegraded);
-                let vote =
-                    majority_with_weights(outs.iter().map(|o| (o.pred, 1.0)), outs.len() as f32);
-                self.finish(
-                    request,
-                    protocol::degraded_fragment(&vote),
-                    true,
-                    false,
-                    false,
+            }
+            if !verdict.details.is_empty() {
+                xai_ns += verdict.timings.xai.as_nanos();
+                xai_units += explainer.sweep_units_at(verdict.xai_level) * members;
+            }
+            let fragment: Arc<str> = Arc::from(protocol::verdict_fragment(&verdict));
+            // Degraded and downgraded verdicts reflect load, not the input.
+            // Inserts are keyed under *this engine's* artifact hash — not the
+            // group's currently-published one — so a verdict prepared under
+            // version A but finishing after a flip to B can never surface on
+            // B's lookups.
+            if !verdict.degraded && !verdict.downgraded && !request.no_cache {
+                cache.insert(
+                    generation_key(request.key, *artifact_hash),
+                    request.image.data(),
+                    Arc::clone(&fragment),
                 );
-                if let Some(drift) = &mut self.drift {
-                    drift.fold(&VerdictFeatures {
-                        disagreement: true,
-                        margin: None,
-                        entropy: None,
-                        weight_spread: None,
-                        xai_rung: 0,
-                        degraded: true,
-                        downgraded: false,
-                    });
-                }
-                continue;
             }
-            let (level, signals) = match self.remix.scheduler() {
-                Some(scheduler) => scheduler.assess(outs),
-                // Without a scheduler the level is always Full; the signals
-                // are only worth computing when the drift detector will fold
-                // them (they feed nothing else on this path).
-                None if self.drift.is_some() => (XaiLevel::Full, TriageScheduler::signals(outs)),
-                None => (
-                    XaiLevel::Full,
-                    TriageSignals {
-                        margin: 0.0,
-                        entropy: 0.0,
-                        predicted_error: 0.0,
-                    },
-                ),
-            };
-            xai.push((k, level, signals));
-        }
-        if xai.is_empty() {
-            span.finish();
-            return;
-        }
-
-        // Pressure valve: when a latency budget is set and the cost model is
-        // warm, shrink the batch's XAI bill to fit by downgrading the
-        // most-confident requests one rung at a time — a continuum below the
-        // deadline cliff. Levels may only move *down* here, so a downgraded
-        // verdict is exactly what the scheduler would have produced at the
-        // lower level; it just isn't cached (the downgrade depends on queue
-        // pressure, not on the input).
-        let nmodels = self.ensemble.models.len() as u64;
-        let assigned: Vec<XaiLevel> = xai.iter().map(|&(_, level, _)| level).collect();
-        if self.remix.scheduler().is_some()
-            && !self.latency_budget.is_zero()
-            && self.ns_per_unit > 0.0
-        {
-            let budget_units = (self.latency_budget.as_nanos() as f64 / self.ns_per_unit) as u64;
-            let mut levels = assigned.clone();
-            let errors: Vec<f32> = xai.iter().map(|&(_, _, s)| s.predicted_error).collect();
-            let explainer = *self.remix.explainer();
-            remix_core::plan_downgrades(
-                &mut levels,
-                &errors,
-                |level| explainer.sweep_units_at(level) * nmodels,
-                budget_units,
-            );
-            for (entry, &level) in xai.iter_mut().zip(&levels) {
-                entry.1 = level;
+            request.reply.respond(EngineReply::verdict(
+                fragment,
+                verdict.degraded,
+                verdict.unanimous,
+            ));
+            if let Some(drift) = drift {
+                drift.fold(&verdict_features(&verdict));
             }
-        }
-        let downgraded: Vec<bool> = xai
-            .iter()
-            .zip(&assigned)
-            .map(|(&(_, level, _), &was)| level != was)
-            .collect();
-        self.stats
-            .bump_downgraded(downgraded.iter().filter(|&&d| d).count());
-
-        // Scheduler-admitted Skip: deterministic majority vote, cacheable
-        // (unlike the deadline fallback, the level is a pure function of the
-        // input) unless queue pressure forced the downgrade.
-        for (i, &(k, level, signals)) in xai.iter().enumerate() {
-            if level != XaiLevel::Skip {
-                continue;
-            }
-            let outs = &outputs[k];
-            let verdict = remix_core::RemixVerdict {
-                prediction: majority_with_weights(
-                    outs.iter().map(|o| (o.pred, 1.0)),
-                    outs.len() as f32,
-                ),
-                unanimous: false,
-                details: Vec::new(),
-                xai_level: XaiLevel::Skip,
-                timings: remix_core::StageTimings::default(),
-            };
-            self.stats.bump_level(XaiLevel::Skip);
-            self.finish(
-                &batch[k],
-                protocol::verdict_fragment(&verdict),
-                false,
-                false,
-                !downgraded[i],
-            );
-            if let Some(drift) = &mut self.drift {
-                drift.fold(&VerdictFeatures {
-                    disagreement: true,
-                    margin: Some(signals.margin),
-                    entropy: Some(signals.entropy),
-                    weight_spread: None,
-                    xai_rung: 0,
-                    degraded: false,
-                    downgraded: downgraded[i],
-                });
-            }
-        }
-
-        // Stage 3: coalesced XAI, one group per remaining ladder level — for
-        // each model, one explain_many call covering the group, each request
-        // with its own copy of the model's deterministic RNG stream
-        // (identical to what `Remix::predict` would draw at that level).
-        // Stages 4+5 resolve each group's verdicts through the shared path.
-        let stage = remix_trace::span("xai");
-        let xai_started = Instant::now();
-        let mut stage_units = 0u64;
-        for level in [XaiLevel::Light, XaiLevel::Standard, XaiLevel::Full] {
-            let group: Vec<usize> = xai
-                .iter()
-                .enumerate()
-                .filter(|&(_, &(_, l, _))| l == level)
-                .map(|(i, _)| i)
-                .collect();
-            if group.is_empty() {
-                continue;
-            }
-            let explainer = self.remix.explainer().at_level(level);
-            let level_span = remix_trace::span(match level {
-                XaiLevel::Light => "xai_light",
-                XaiLevel::Standard => "xai_standard",
-                _ => "xai_full",
-            });
-            let mut matrices: Vec<Vec<Tensor>> =
-                vec![Vec::with_capacity(nmodels as usize); group.len()];
-            for (m, model) in self.ensemble.models.iter_mut().enumerate() {
-                let items: Vec<(&Tensor, usize)> = group
-                    .iter()
-                    .map(|&i| {
-                        let k = xai[i].0;
-                        (&batch[k].image, outputs[k][m].pred)
-                    })
-                    .collect();
-                let mut rngs: Vec<_> = group
-                    .iter()
-                    .map(|_| self.remix.xai_rng(&model.name))
-                    .collect();
-                for (slot, matrix) in matrices
-                    .iter_mut()
-                    .zip(explainer.explain_many(model, &items, &mut rngs))
-                {
-                    slot.push(matrix);
-                }
-            }
-            level_span.finish();
-            stage_units += group.len() as u64
-                * explainer.config.budget.sweep_units(explainer.technique)
-                * nmodels;
-            for (g, &i) in group.iter().enumerate() {
-                let (k, _, signals) = xai[i];
-                let mut verdict =
-                    self.remix
-                        .resolve_disagreement(&self.ensemble, &outputs[k], &matrices[g]);
-                verdict.xai_level = level;
-                self.stats.bump_level(level);
-                let weight_spread = verdict.weight_spread();
-                self.finish(
-                    &batch[k],
-                    protocol::verdict_fragment(&verdict),
-                    false,
-                    false,
-                    !downgraded[i],
-                );
-                if let Some(drift) = &mut self.drift {
-                    drift.fold(&VerdictFeatures {
-                        disagreement: true,
-                        margin: Some(signals.margin),
-                        entropy: Some(signals.entropy),
-                        weight_spread: Some(weight_spread),
-                        xai_rung: ladder_rung(level),
-                        degraded: false,
-                        downgraded: downgraded[i],
-                    });
-                }
-            }
-        }
-        // Refresh the cost model from what the stage actually took. Prices
-        // future downgrade decisions only; never the verdicts themselves.
-        if stage_units > 0 {
-            let measured = xai_started.elapsed().as_nanos() as f64 / stage_units as f64;
+        });
+        // Refresh the cost model from what the sweeps took. It prices future
+        // allowances only, never the verdicts themselves.
+        if xai_units > 0 {
+            let measured = xai_ns as f64 / xai_units as f64;
             self.ns_per_unit = if self.ns_per_unit > 0.0 {
                 COST_EWMA_ALPHA * measured + (1.0 - COST_EWMA_ALPHA) * self.ns_per_unit
             } else {
                 measured
             };
         }
-        stage.finish();
         span.finish();
-    }
-
-    /// Caches (when eligible) and delivers one reply.
-    fn finish(
-        &self,
-        request: &PendingRequest,
-        fragment: String,
-        degraded: bool,
-        unanimous: bool,
-        cacheable: bool,
-    ) {
-        let fragment: Arc<str> = Arc::from(fragment);
-        if cacheable && !degraded && !request.no_cache {
-            // Key the insert under *this engine's* artifact hash — not the
-            // group's currently-published one — so a verdict prepared under
-            // version A but finishing after a flip to B can never surface
-            // on B's lookups.
-            self.cache.insert(
-                generation_key(request.key, self.artifact_hash),
-                request.image.data(),
-                Arc::clone(&fragment),
-            );
-        }
-        request
-            .reply
-            .respond(EngineReply::verdict(fragment, degraded, unanimous));
     }
 }

@@ -11,8 +11,11 @@
 //!
 //! * **Dynamic micro-batching** ([`ServeConfig::max_batch`],
 //!   [`ServeConfig::batch_window`]) — concurrently arriving requests
-//!   coalesce into shared lane-major prediction and XAI sweeps, time-or-size
-//!   triggered. Verdicts stay bit-identical to [`remix_core::Remix::predict`]
+//!   coalesce, time-or-size triggered, into one
+//!   [`remix_core::Remix::predict_batch`] call: shared lane-major prediction
+//!   and XAI sweeps. The engine adds only each request's deadline and the
+//!   latency-budget allowance ([`remix_core::BatchPolicy`]). Verdicts stay
+//!   bit-identical to [`remix_core::Remix::predict`], a batch of one,
 //!   because batching only re-chunks work the pipeline is chunk-invariant
 //!   over.
 //! * **Verdict cache** ([`VerdictCache`]) — a sharded LRU keyed by input
@@ -79,7 +82,7 @@ mod sys;
 pub use cache::{content_key, generation_key, VerdictCache};
 pub use client::{Client, ClientReply};
 pub use drift::DriftAction;
-pub use protocol::{degraded_fragment, verdict_fragment, PredictRequest};
+pub use protocol::{verdict_fragment, PredictRequest};
 // Re-exported so configuring `ServeConfig::drift` needs no direct
 // `remix-drift` dependency.
 pub use remix_drift::{DriftAlert, DriftConfig, DriftFeature};

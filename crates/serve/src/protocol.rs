@@ -13,7 +13,6 @@
 
 use remix_core::RemixVerdict;
 use remix_ensemble::Prediction;
-use remix_xai::XaiLevel;
 use serde::Value;
 use std::fmt::Write as _;
 
@@ -105,15 +104,19 @@ pub fn parse_swap(body: &[u8]) -> Result<Option<String>, String> {
     }
 }
 
-/// Renders the full ReMIX verdict fragment (non-degraded path).
+/// Renders a verdict fragment. A degraded verdict (deadline expired) renders
+/// as the plain majority-vote decision with `"degraded":true`, no per-model
+/// evidence and the [`XaiLevel::Skip`](remix_xai::XaiLevel::Skip) tag,
+/// because the XAI stage never ran.
 pub fn verdict_fragment(verdict: &RemixVerdict) -> String {
     let mut out = String::with_capacity(128 + verdict.details.len() * 96);
     out.push('{');
     push_prediction(&mut out, &verdict.prediction);
     let _ = write!(
         out,
-        ",\"unanimous\":{},\"degraded\":false,\"xai_level\":\"{}\",\"details\":[",
+        ",\"unanimous\":{},\"degraded\":{},\"xai_level\":\"{}\",\"details\":[",
         verdict.unanimous,
+        verdict.degraded,
         verdict.xai_level.as_str(),
     );
     for (i, d) in verdict.details.iter().enumerate() {
@@ -132,21 +135,6 @@ pub fn verdict_fragment(verdict: &RemixVerdict) -> String {
         );
     }
     out.push_str("]}");
-    out
-}
-
-/// Renders the degraded (deadline-expired) verdict fragment: the plain
-/// majority-vote decision, with no per-model evidence because the XAI stage
-/// never ran — which is also why the level tag is [`XaiLevel::Skip`].
-pub fn degraded_fragment(prediction: &Prediction) -> String {
-    let mut out = String::with_capacity(96);
-    out.push('{');
-    push_prediction(&mut out, prediction);
-    let _ = write!(
-        out,
-        ",\"unanimous\":false,\"degraded\":true,\"xai_level\":\"{}\",\"details\":[]}}",
-        XaiLevel::Skip.as_str(),
-    );
     out
 }
 
@@ -269,14 +257,20 @@ mod tests {
         assert!(parse_predict(br#"{"image":[1],"model":7}"#).is_err());
     }
 
+    fn degraded_fragment(prediction: Prediction) -> String {
+        let mut verdict = RemixVerdict::unweighted(prediction);
+        verdict.degraded = true;
+        verdict_fragment(&verdict)
+    }
+
     #[test]
     fn fragments_are_valid_json_and_distinguish_paths() {
-        let degraded = degraded_fragment(&Prediction::Decided(4));
+        let degraded = degraded_fragment(Prediction::Decided(4));
         assert_eq!(
             degraded,
             r#"{"prediction":4,"decided":true,"unanimous":false,"degraded":true,"xai_level":"skip","details":[]}"#
         );
-        let none = degraded_fragment(&Prediction::NoMajority);
+        let none = degraded_fragment(Prediction::NoMajority);
         assert!(none.contains("\"prediction\":null,\"decided\":false"));
         // Fragments and envelopes must re-parse through the shim.
         let body = envelope(&degraded, true, 17);

@@ -37,7 +37,7 @@ use crate::drift::{DriftAction, DriftStatus, DriftTrigger, EngineDrift};
 use crate::engine::{Engine, PendingSwap, SwapSlot};
 use crate::http::{error_status, read_request, write_response, HttpRequest};
 use crate::protocol;
-use remix_core::Remix;
+use remix_core::{Remix, RemixVerdict};
 use remix_drift::{DriftConfig, DriftDetector, DriftFeature};
 use remix_ensemble::TrainedEnsemble;
 use remix_registry::{Registry, RegistryError};
@@ -178,23 +178,19 @@ impl ServeStats {
             .fetch_add(occupancy as u64, Ordering::Relaxed);
     }
 
-    pub(crate) fn bump_degraded(&self) {
-        self.degraded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn bump_level(&self, level: XaiLevel) {
-        let counter = match level {
+    /// Counts one delivered verdict: exactly one of its XAI level or
+    /// `degraded`, plus `downgraded` when the allowance moved it.
+    pub(crate) fn bump_verdict(&self, verdict: &RemixVerdict) {
+        let outcome = match verdict.xai_level {
+            _ if verdict.degraded => &self.degraded,
             XaiLevel::Skip => &self.xai_skip,
             XaiLevel::Light => &self.xai_light,
             XaiLevel::Standard => &self.xai_standard,
             XaiLevel::Full => &self.xai_full,
         };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn bump_downgraded(&self, count: usize) {
-        if count > 0 {
-            self.downgraded.fetch_add(count as u64, Ordering::Relaxed);
+        outcome.fetch_add(1, Ordering::Relaxed);
+        if verdict.downgraded {
+            self.downgraded.fetch_add(1, Ordering::Relaxed);
         }
     }
 }

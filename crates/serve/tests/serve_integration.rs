@@ -116,6 +116,16 @@ fn split_inputs(ensemble: &mut TrainedEnsemble, images: &[Tensor]) -> (Tensor, T
     )
 }
 
+/// Every batched request bumps exactly one outcome counter: its XAI level,
+/// or `degraded`.
+fn assert_counters_reconcile(stats: &remix_serve::StatsSnapshot) {
+    assert_eq!(
+        stats.xai_skip + stats.xai_light + stats.xai_standard + stats.xai_full + stats.degraded,
+        stats.batched_requests,
+        "outcome counters must sum to the batched requests: {stats:?}"
+    );
+}
+
 #[test]
 fn cached_reply_is_byte_identical_to_the_cold_run() {
     let (ensemble, images) = setup();
@@ -146,6 +156,7 @@ fn cached_reply_is_byte_identical_to_the_cold_run() {
     assert_eq!(stats.cache_hits, 1);
     // The bypass request never consulted the cache, so exactly one miss.
     assert_eq!(stats.cache_misses, 1);
+    assert_counters_reconcile(&stats);
 }
 
 #[test]
@@ -202,6 +213,7 @@ fn zero_deadline_disagreement_degrades_to_majority_vote() {
     let stats = server.stats();
     assert_eq!(stats.degraded, 2);
     assert_eq!(stats.cache_hits, 0);
+    assert_counters_reconcile(&stats);
 }
 
 #[test]
@@ -420,6 +432,7 @@ fn sharded_server_stays_byte_identical_and_aggregates_stats() {
     assert_eq!(stats.xai_standard, 0);
     assert_eq!(stats.downgraded, 0);
     assert_eq!(stats.degraded, 0);
+    assert_counters_reconcile(&stats);
 
     let wire = client.stats().unwrap();
     let pairs = wire.as_object().expect("/stats is a JSON object");
@@ -582,6 +595,59 @@ fn latency_pressure_downgrades_instead_of_degrading() {
     assert_eq!(stats.degraded, 0);
     assert_eq!(stats.xai_full, 1);
     assert!(stats.xai_skip >= 1);
+    assert_counters_reconcile(&stats);
+}
+
+#[test]
+fn threaded_server_matches_single_threaded_predict() {
+    // `.threads(2)` fans each batch's members across two threads in the
+    // prediction and XAI stages; the bytes must not move. Concurrent
+    // clients and a wide window put the inputs in shared batches.
+    let (ensemble, images) = setup();
+    let (mut local, _) = setup();
+    let server = Server::start(
+        ensemble,
+        Remix::builder().seed(7).threads(2).build(),
+        ServeConfig {
+            shards: 1,
+            max_batch: 8,
+            batch_window: Duration::from_millis(50),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let inputs: Vec<Tensor> = images.iter().take(8).cloned().collect();
+    let handles: Vec<_> = inputs
+        .iter()
+        .map(|image| {
+            let pixels = image.data().to_vec();
+            thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                client.predict(&pixels, Some(10_000), true).unwrap()
+            })
+        })
+        .collect();
+    let reference = remix();
+    let mut disagreements = 0;
+    for (image, handle) in inputs.iter().zip(handles) {
+        let reply = handle.join().unwrap();
+        assert_eq!(reply.status, 200);
+        assert!(!reply.degraded);
+        disagreements += usize::from(!reply.unanimous);
+        let expected = verdict_fragment(&reference.predict(&mut local, image));
+        assert_eq!(
+            reply.verdict_json, expected,
+            "a threads(2) server must answer with threads(1) Remix::predict bytes"
+        );
+    }
+    assert!(disagreements >= 1, "the inputs must include a disagreement");
+    let stats = server.stats();
+    assert!(
+        stats.batches < 8,
+        "some inputs must share a batch: {stats:?}"
+    );
+    assert_counters_reconcile(&stats);
 }
 
 #[test]
