@@ -1,23 +1,20 @@
-//! CI perf-regression gate: compares fresh bench records (gemm, inference,
-//! serve, xai_sched, swap, drift) against the committed baselines and exits
-//! nonzero
-//! on a >20 % wall-time regression, any bitwise-verdict divergence, or a
-//! dropped request during hot swaps. See `remix_bench::check` for the policy
-//! (within-run ratios, so the gate is robust to CI machine speed).
+//! CI perf-regression gate: walks the gate table `remix_bench::check::BENCHES`,
+//! comparing each fresh bench record (gemm, inference, serve, xai_sched,
+//! swap, drift) against its committed baseline, prints one `ok` or `FAIL`
+//! line per check, and exits nonzero if any check fails. See
+//! `remix_bench::check` for the policy (within-run ratios, so the gate is
+//! robust to CI machine speed).
 //!
 //! ```text
-//! bench_check [--baseline-dir DIR] [--fresh-dir DIR] [--tolerance F] [--self-test]
+//! bench_check [--baseline-dir DIR] [--fresh-dir DIR] [--self-test]
 //! ```
 //!
-//! `--self-test` skips the fresh records entirely: it doctors copies of the
-//! committed baselines (a synthetic 50 % wall-time regression, then a flipped
-//! verdict flag) and exits nonzero unless the gate catches both — proving the
-//! gate can fail before trusting it to pass.
+//! `--self-test` reads no fresh record. Each baseline must pass against
+//! itself; then, for every gate on every row, a copy doctored at that one
+//! value must fail that gate — proving each gate can fail before trusting it
+//! to pass.
 
-use remix_bench::check::{
-    check_drift, check_gemm, check_inference, check_serve, check_swap, check_xai_sched,
-    flip_verdict_flags, scale_speedups, GateReport, DEFAULT_TOLERANCE,
-};
+use remix_bench::check::{check, self_test, BENCHES, TOLERANCE};
 use serde::Value;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -28,160 +25,73 @@ fn load(path: &Path) -> Result<Value, String> {
     serde_json::from_str(&text).map_err(|e| format!("parsing {}: {e}", path.display()))
 }
 
-fn print_report(report: &GateReport) {
-    for line in &report.checks {
-        println!("{line}");
+/// Every bench's record from `dir`, in table order; `None` (after printing
+/// each error) when any is unreadable.
+fn load_all(dir: &Path) -> Option<Vec<Value>> {
+    let loaded: Vec<_> = BENCHES.iter().map(|b| load(&dir.join(b.file))).collect();
+    for err in loaded.iter().filter_map(|r| r.as_ref().err()) {
+        eprintln!("error: {err}");
     }
-    for line in &report.failures {
-        println!("{line}");
-    }
-}
-
-/// Doctors a baseline record and returns true iff the gate catches it.
-fn self_test_record(
-    name: &str,
-    baseline: &Value,
-    gate: impl Fn(&Value, &Value) -> GateReport,
-) -> bool {
-    let mut ok = true;
-    let clean = gate(baseline, baseline);
-    if !clean.passed() {
-        println!("self-test FAIL: {name} baseline does not pass against itself:");
-        print_report(&clean);
-        ok = false;
-    }
-    let mut slow = baseline.clone();
-    scale_speedups(&mut slow, 1.0 / 1.5); // 50 % synthetic wall regression
-    if gate(baseline, &slow).passed() {
-        println!("self-test FAIL: {name} gate missed a 50 % synthetic regression");
-        ok = false;
-    }
-    let mut diverged = baseline.clone();
-    flip_verdict_flags(&mut diverged);
-    if gate(baseline, &diverged).passed() {
-        println!("self-test FAIL: {name} gate missed a verdict divergence");
-        ok = false;
-    }
-    if ok {
-        println!("self-test ok: {name} gate passes clean, catches regression + divergence");
-    }
-    ok
+    loaded.into_iter().collect::<Result<_, _>>().ok()
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
+    let dir = |name: &str, default: &str| {
+        let position = args.iter().position(|a| a == name);
+        PathBuf::from(
+            position
+                .and_then(|i| args.get(i + 1))
+                .map_or(default, String::as_str),
+        )
     };
-    let baseline_dir =
-        PathBuf::from(flag("--baseline-dir").unwrap_or_else(|| "crates/bench/baselines".into()));
-    let fresh_dir = PathBuf::from(flag("--fresh-dir").unwrap_or_else(|| "results".into()));
-    let tolerance: f64 = match flag("--tolerance").map(|t| t.parse()) {
-        None => DEFAULT_TOLERANCE,
-        Some(Ok(t)) => t,
-        Some(Err(e)) => {
-            eprintln!("error: --tolerance: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(baselines) = load_all(&dir("--baseline-dir", "crates/bench/baselines")) else {
+        return ExitCode::FAILURE;
     };
-    let self_test = args.iter().any(|a| a == "--self-test");
 
-    let (base_gemm, base_inference, base_serve, base_xai_sched, base_swap, base_drift) = match (
-        load(&baseline_dir.join("bench_gemm.json")),
-        load(&baseline_dir.join("bench_inference.json")),
-        load(&baseline_dir.join("bench_serve.json")),
-        load(&baseline_dir.join("bench_xai_sched.json")),
-        load(&baseline_dir.join("bench_swap.json")),
-        load(&baseline_dir.join("bench_drift.json")),
-    ) {
-        (Ok(g), Ok(i), Ok(s), Ok(x), Ok(w), Ok(d)) => (g, i, s, x, w, d),
-        (g, i, s, x, w, d) => {
-            for err in [g.err(), i.err(), s.err(), x.err(), w.err(), d.err()]
-                .into_iter()
-                .flatten()
-            {
-                eprintln!("error: {err}");
+    if args.iter().any(|a| a == "--self-test") {
+        let mut ok = true;
+        for (bench, baseline) in BENCHES.iter().zip(&baselines) {
+            match self_test(bench, baseline) {
+                Ok(gates) => println!(
+                    "self-test ok: {} passes against itself, and each of its {gates} gates \
+                     fails on its doctored value",
+                    bench.file
+                ),
+                Err(problems) => {
+                    ok = false;
+                    for problem in problems {
+                        println!("self-test FAIL: {}: {problem}", bench.file);
+                    }
+                }
             }
-            return ExitCode::FAILURE;
         }
-    };
-
-    if self_test {
-        let gemm_ok =
-            self_test_record("bench_gemm", &base_gemm, |b, f| check_gemm(b, f, tolerance));
-        let inference_ok = self_test_record("bench_inference", &base_inference, |b, f| {
-            check_inference(b, f, tolerance)
-        });
-        let serve_ok = self_test_record("bench_serve", &base_serve, |b, f| {
-            check_serve(b, f, tolerance)
-        });
-        let xai_sched_ok = self_test_record("bench_xai_sched", &base_xai_sched, |b, f| {
-            check_xai_sched(b, f, tolerance)
-        });
-        let swap_ok =
-            self_test_record("bench_swap", &base_swap, |b, f| check_swap(b, f, tolerance));
-        let drift_ok = self_test_record("bench_drift", &base_drift, |b, f| {
-            check_drift(b, f, tolerance)
-        });
-        return if gemm_ok && inference_ok && serve_ok && xai_sched_ok && swap_ok && drift_ok {
+        return if ok {
             ExitCode::SUCCESS
         } else {
             ExitCode::FAILURE
         };
     }
 
-    let (fresh_gemm, fresh_inference, fresh_serve, fresh_xai_sched, fresh_swap, fresh_drift) =
-        match (
-            load(&fresh_dir.join("bench_gemm.json")),
-            load(&fresh_dir.join("bench_inference.json")),
-            load(&fresh_dir.join("bench_serve.json")),
-            load(&fresh_dir.join("bench_xai_sched.json")),
-            load(&fresh_dir.join("bench_swap.json")),
-            load(&fresh_dir.join("bench_drift.json")),
-        ) {
-            (Ok(g), Ok(i), Ok(s), Ok(x), Ok(w), Ok(d)) => (g, i, s, x, w, d),
-            (g, i, s, x, w, d) => {
-                for err in [g.err(), i.err(), s.err(), x.err(), w.err(), d.err()]
-                    .into_iter()
-                    .flatten()
-                {
-                    eprintln!("error: {err}");
-                }
-                return ExitCode::FAILURE;
-            }
-        };
-
-    let mut report = check_gemm(&base_gemm, &fresh_gemm, tolerance);
-    report.merge(check_inference(
-        &base_inference,
-        &fresh_inference,
-        tolerance,
-    ));
-    report.merge(check_serve(&base_serve, &fresh_serve, tolerance));
-    report.merge(check_xai_sched(
-        &base_xai_sched,
-        &fresh_xai_sched,
-        tolerance,
-    ));
-    report.merge(check_swap(&base_swap, &fresh_swap, tolerance));
-    report.merge(check_drift(&base_drift, &fresh_drift, tolerance));
-    print_report(&report);
-    if report.passed() {
+    let Some(fresh) = load_all(&dir("--fresh-dir", "results")) else {
+        return ExitCode::FAILURE;
+    };
+    let (mut checks, mut failures) = (0, 0);
+    for ((bench, baseline), fresh) in BENCHES.iter().zip(&baselines).zip(&fresh) {
+        for outcome in check(bench, baseline, fresh) {
+            checks += 1;
+            failures += usize::from(outcome.is_err());
+            println!("{}", outcome.unwrap_or_else(|line| line));
+        }
+    }
+    if failures == 0 {
         println!(
-            "bench_check: {} checks passed (tolerance {:.0} %)",
-            report.checks.len(),
-            tolerance * 100.0
+            "bench_check: {checks} checks passed (tolerance {:.0} %)",
+            TOLERANCE * 100.0
         );
         ExitCode::SUCCESS
     } else {
-        println!(
-            "bench_check: {} of {} checks FAILED",
-            report.failures.len(),
-            report.checks.len() + report.failures.len()
-        );
+        println!("bench_check: {failures} of {checks} checks FAILED");
         ExitCode::FAILURE
     }
 }

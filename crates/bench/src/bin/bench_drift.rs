@@ -22,168 +22,51 @@
 //! * **closed-loop recovery** — the trip must promote v2 through the hot-swap
 //!   coordinator with zero dropped requests (`swap_promoted`,
 //!   `swap_status == 200`), reset the detector (`detector_reset_after_swap`),
-//!   and post-swap verdicts must match a local [`Remix::predict`] over v2
+//!   and post-swap verdicts must match a local
+//!   [`Remix::predict`](remix_core::Remix::predict) over v2
 //!   (`post_swap_identical`).
 //!
 //! Writes `results/bench_drift.json`; `bench_check` gates every flag, the
 //! zero-counters, and the detection budget against the committed baseline.
 
-use rand::{rngs::StdRng, Rng, SeedableRng};
-use remix_core::Remix;
-use remix_data::SyntheticSpec;
+use remix_bench::soak::{self, MODEL};
+use remix_bench::{round, write_record, Scale};
 use remix_ensemble::TrainedEnsemble;
 use remix_faults::pattern;
-use remix_nn::layers::{Dense, Flatten, Relu};
-use remix_nn::{InputSpec, Model, Sequential, Trainer, TrainerConfig};
-use remix_registry::{EnsembleArtifact, Registry};
-use remix_serve::{
-    verdict_fragment, Client, DriftAction, DriftConfig, NamedModel, ServeConfig, Server,
-};
+use remix_serve::{verdict_fragment, Client, DriftAction, DriftConfig, ServeConfig};
 use remix_tensor::Tensor;
-use remix_xai::{ExplainerConfig, XaiBudget};
-use serde::Value;
-use std::io::Write;
+use serde::{Serialize, Value};
 use std::time::{Duration, Instant};
 
-const MODEL: &str = "tabular-mlp";
-
 /// Verdict budget the detector must trip within after injection; mirrored by
-/// the `check_drift` gate.
+/// the `drift/detection_latency` gate.
 const DETECTION_BUDGET: u64 = remix_bench::check::DRIFT_MAX_DETECTION_VERDICTS as u64;
 
-/// Stream profile; `REMIX_SCALE=paper` lengthens every phase.
-struct LoadScale {
-    name: &'static str,
-    /// Clean verdicts before injection (reference window + armed prefix).
+#[derive(Serialize)]
+struct Record {
+    benchmark: &'static str,
+    scale: &'static str,
+    model: &'static str,
+    host_cores: usize,
     clean_requests: usize,
-    /// Clean verdicts streamed after the swap completes.
+    clean_false_trips: u64,
+    detector_verdicts_identical: bool,
+    shift_pool: usize,
+    injected_at: u64,
+    tripped_feature: String,
+    detection_verdicts: u64,
+    detection_budget: u64,
+    detected_within_budget: bool,
+    detection_headroom: f64,
+    swap_promoted: bool,
+    swap_status: u64,
+    post_swap_version: String,
+    detector_reset_after_swap: bool,
     recovery_requests: usize,
-}
-
-impl LoadScale {
-    fn from_env() -> Self {
-        match std::env::var("REMIX_SCALE").as_deref() {
-            Ok("paper") => LoadScale {
-                name: "paper",
-                clean_requests: 512,
-                recovery_requests: 512,
-            },
-            _ => LoadScale {
-                name: "quick",
-                clean_requests: 384,
-                recovery_requests: 320,
-            },
-        }
-    }
-}
-
-fn corrupt_labels(labels: &[usize], num_classes: usize, fraction: f32, seed: u64) -> Vec<usize> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    labels
-        .iter()
-        .map(|&label| {
-            if rng.gen::<f32>() < fraction {
-                rng.gen_range(0..num_classes)
-            } else {
-                label
-            }
-        })
-        .collect()
-}
-
-/// Trains the three-MLP ensemble with per-member label noise `fraction` —
-/// the same structure either way, so v1 (30 % mislabelled) and v2
-/// (re-cleaned) publish as two versions of one model. Fully seeded.
-fn trained(noise: f32) -> (TrainedEnsemble, remix_data::Dataset, remix_data::Dataset) {
-    let (train, test) = SyntheticSpec::tabular_like()
-        .train_size(400)
-        .test_size(128)
-        .generate();
-    let spec = InputSpec {
-        channels: 1,
-        size: 4,
-        num_classes: train.num_classes,
-    };
-    let hidden: [&[usize]; 3] = [&[128], &[96, 64], &[96]];
-    let models = hidden
-        .iter()
-        .enumerate()
-        .map(|(i, hidden)| {
-            let mut init = StdRng::seed_from_u64(i as u64 + 1);
-            let mut net = Sequential::new();
-            net.push(Flatten::new());
-            let mut dim = spec.channels * spec.size * spec.size;
-            for &h in *hidden {
-                net.push(Dense::new(dim, h, &mut init));
-                net.push(Relu::new());
-                dim = h;
-            }
-            net.push(Dense::new(dim, train.num_classes, &mut init));
-            let mut model = Model::named(net, spec, format!("MLP-{i}"));
-            let labels = corrupt_labels(&train.labels, train.num_classes, noise, 70 + i as u64);
-            Trainer::new(TrainerConfig {
-                epochs: 8,
-                lr: 0.03,
-                seed: i as u64,
-                ..TrainerConfig::default()
-            })
-            .fit(&mut model, &train.images, &labels);
-            model
-        })
-        .collect();
-    (TrainedEnsemble::new(models), train, test)
-}
-
-/// The ReMIX configuration served and replicated locally — identical on
-/// both sides so byte-identity comparisons are fair.
-fn remix() -> Remix {
-    let config = ExplainerConfig {
-        budget: XaiBudget {
-            sg_samples: 8,
-            batch_size: 64,
-            ..XaiBudget::default()
-        },
-        ..ExplainerConfig::default()
-    };
-    Remix::builder()
-        .seed(11)
-        .threads(1)
-        .explainer_config(config)
-        .build()
-}
-
-/// Captures an ensemble as a registry artifact for `MODEL`.
-fn capture(version: &str, spec: InputSpec, ensemble: &mut TrainedEnsemble) -> EnsembleArtifact {
-    let archs: Vec<String> = (0..ensemble.models.len())
-        .map(|i| format!("MLP-{i}"))
-        .collect();
-    let weights = vec![1.0f32; ensemble.models.len()];
-    EnsembleArtifact::capture(
-        MODEL,
-        version,
-        spec,
-        ensemble,
-        archs,
-        weights,
-        XaiBudget::default(),
-    )
-}
-
-/// Loads `MODEL@version` applied onto a clone of `template` — the exact path
-/// the server's swap coordinator takes, so local references are bit-identical
-/// to what the server serves under that version.
-fn load_into(
-    registry: &Registry,
-    version: &str,
-    template: &TrainedEnsemble,
-) -> (TrainedEnsemble, u64) {
-    let loaded = registry.load(MODEL, Some(version)).expect(version);
-    let mut ensemble = template.clone();
-    loaded
-        .artifact
-        .apply_to(&mut ensemble)
-        .expect("same structure");
-    (ensemble, loaded.hash)
+    post_swap_false_trips: u64,
+    post_swap_identical: bool,
+    dropped_requests: u64,
+    errored_requests: u64,
 }
 
 /// Builds the shifted stream: inputs blended 50/50 across the most-confusable
@@ -238,40 +121,10 @@ fn shifted_pool(
     (pool, class_a, class_b)
 }
 
-/// Field lookup helpers over the shim's ordered-pairs JSON objects.
-fn field<'a>(value: &'a Value, name: &str) -> Option<&'a Value> {
-    value
-        .as_object()?
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-}
-
-fn field_u64(value: &Value, name: &str) -> Option<u64> {
-    match field(value, name)? {
-        Value::UInt(u) => Some(*u),
-        Value::Int(i) if *i >= 0 => Some(*i as u64),
-        _ => None,
-    }
-}
-
-fn field_bool(value: &Value, name: &str) -> Option<bool> {
-    match field(value, name)? {
-        Value::Bool(b) => Some(*b),
-        _ => None,
-    }
-}
-
-fn field_str<'a>(value: &'a Value, name: &str) -> Option<&'a str> {
-    match field(value, name)? {
-        Value::Str(s) => Some(s),
-        _ => None,
-    }
-}
-
 /// The single drift-enabled group from a parsed `GET /drift` body.
 fn drift_group(drift: &Value) -> Value {
-    field(drift, "models")
+    drift
+        .get("models")
         .and_then(Value::as_array)
         .and_then(|models| models.first())
         .cloned()
@@ -279,46 +132,29 @@ fn drift_group(drift: &Value) -> Value {
 }
 
 fn main() {
-    let scale = LoadScale::from_env();
-    println!(
-        "bench_drift [{}]: {} clean + <= {DETECTION_BUDGET} shifted + {} recovery verdicts",
-        scale.name, scale.clean_requests, scale.recovery_requests
-    );
-
-    // v1: trained on 30 % mislabelled labels; v2: the re-cleaned retrain.
-    let (mut v1, train, test) = trained(0.3);
-    let (mut v2, _, _) = trained(0.0);
-    let spec = InputSpec {
-        channels: 1,
-        size: 4,
-        num_classes: train.num_classes,
+    let scale = Scale::from_env().name;
+    // Clean verdicts before injection (reference window + armed prefix), and
+    // clean verdicts streamed after the swap completes.
+    let (clean_requests, recovery_requests) = if scale == "paper" {
+        (512, 512)
+    } else {
+        (384, 320)
     };
-    let registry_root =
-        std::env::temp_dir().join(format!("remix_bench_drift_{}", std::process::id()));
-    std::fs::remove_dir_all(&registry_root).ok();
-    let registry = Registry::open(&registry_root);
-    let v1_info = registry
-        .publish(&capture("1.0.0", spec, &mut v1))
-        .expect("publish v1");
-    let v2_info = registry
-        .publish(&capture("2.0.0", spec, &mut v2))
-        .expect("publish v2");
     println!(
-        "published {MODEL} 1.0.0 (hash {:016x}) and 2.0.0 (hash {:016x}) to {}",
-        v1_info.hash,
-        v2_info.hash,
-        registry_root.display()
+        "bench_drift [{scale}]: {clean_requests} clean + <= {DETECTION_BUDGET} shifted + \
+         {recovery_requests} recovery verdicts"
     );
 
-    let (mut local_v1, hash_v1) = load_into(&registry, "1.0.0", &v1);
-    let (mut local_v2, _) = load_into(&registry, "2.0.0", &v1);
-    let reference = remix();
+    let versions = soak::Versions::publish("drift");
+    let [mut local_v1, mut local_v2] = versions.local.clone();
+    let (train, test) = (&versions.v1.train, &versions.v1.test);
+    let reference = soak::remix();
 
     // The clean stream cycles the natural test set: mostly unanimous with a
     // stationary disagreement rate — exactly what the reference window should
     // learn. The shifted stream is the label-flip-shaped blend.
     let clean_pool: Vec<Vec<f32>> = test.images.iter().map(|t| t.data().to_vec()).collect();
-    let (shift_pool, class_a, class_b) = shifted_pool(&train, &test, &mut local_v1);
+    let (shift_pool, class_a, class_b) = shifted_pool(train, test, &mut local_v1);
     assert!(
         shift_pool.len() >= 8,
         "only {} shifted disagreement blends — retune the ensemble",
@@ -341,29 +177,16 @@ fn main() {
 
     // Server A: detector on, closed loop armed at v2. Server B: detector
     // off, otherwise identical — the bit-identity control.
-    let serve_config = |drift: Option<DriftConfig>, action: DriftAction| ServeConfig {
-        max_batch: 16,
-        batch_window: Duration::from_micros(200),
-        queue_capacity: 4096,
-        shards: 1,
-        drift,
-        drift_action: action,
-        ..ServeConfig::default()
-    };
-    let start_server = |drift: Option<DriftConfig>, action: DriftAction| {
-        let (served, _) = load_into(&registry, "1.0.0", &v1);
-        Server::start_models(
-            vec![NamedModel {
-                name: MODEL.to_string(),
-                version: "1.0.0".to_string(),
-                hash: hash_v1,
-                ensemble: served,
-            }],
-            Some(Registry::open(&registry_root)),
-            remix(),
-            serve_config(drift, action),
-        )
-        .expect("start server")
+    let start_server = |drift: Option<DriftConfig>, drift_action: DriftAction| {
+        versions.serve_v1(ServeConfig {
+            max_batch: 16,
+            batch_window: Duration::from_micros(200),
+            queue_capacity: 4096,
+            shards: 1,
+            drift,
+            drift_action,
+            ..ServeConfig::default()
+        })
     };
     let server_on = start_server(
         Some(DriftConfig::default()),
@@ -382,7 +205,7 @@ fn main() {
     // Clean phase: the same stream to both servers, bytes compared per reply.
     let clean_started = Instant::now();
     let mut detector_verdicts_identical = true;
-    for r in 0..scale.clean_requests {
+    for r in 0..clean_requests {
         let image = &clean_pool[(r * 7) % clean_pool.len()];
         let on = client_on.predict(image, Some(60_000), true);
         let off = client_off.predict(image, Some(60_000), true);
@@ -396,8 +219,14 @@ fn main() {
     }
     let clean_drift = control.drift().expect("GET /drift");
     let clean_group = drift_group(&clean_drift);
-    let clean_false_trips = field_u64(&clean_group, "alerts").unwrap_or(u64::MAX);
-    let clean_verdicts = field_u64(&clean_group, "verdicts").unwrap_or(0);
+    let clean_false_trips = clean_group
+        .get("alerts")
+        .and_then(Value::as_u64)
+        .unwrap_or(u64::MAX);
+    let clean_verdicts = clean_group
+        .get("verdicts")
+        .and_then(Value::as_u64)
+        .unwrap_or(0);
     println!(
         "clean: {} verdicts in {:?}, false trips {clean_false_trips}, \
          detector-on == detector-off: {detector_verdicts_identical}",
@@ -427,7 +256,12 @@ fn main() {
             // reset would teach the fresh detector the shifted distribution
             // as its reference.
             let drift = control.drift().expect("GET /drift");
-            if field_u64(&drift_group(&drift), "alerts").unwrap_or(0) >= 1 {
+            if drift_group(&drift)
+                .get("alerts")
+                .and_then(Value::as_u64)
+                .unwrap_or(0)
+                >= 1
+            {
                 tripped = true;
                 break;
             }
@@ -437,11 +271,15 @@ fn main() {
     // before the next poll); the retained last-trip metadata is the record.
     let shifted_drift = control.drift().expect("GET /drift");
     let shifted_group = drift_group(&shifted_drift);
-    let last_trip = field(&shifted_group, "last_trip")
+    let last_trip = shifted_group
+        .get("last_trip")
         .cloned()
         .unwrap_or(Value::Null);
     tripped |= !matches!(last_trip, Value::Null);
-    let verdicts_at_trip = field_u64(&last_trip, "verdicts_at_trip").unwrap_or(0);
+    let verdicts_at_trip = last_trip
+        .get("verdicts_at_trip")
+        .and_then(Value::as_u64)
+        .unwrap_or(0);
     let detection_verdicts = if tripped {
         verdicts_at_trip.saturating_sub(injected_at).max(1)
     } else {
@@ -449,7 +287,9 @@ fn main() {
     };
     let detected_within_budget = tripped && detection_verdicts <= DETECTION_BUDGET;
     let detection_headroom = DETECTION_BUDGET as f64 / detection_verdicts as f64;
-    let tripped_feature = field_str(&last_trip, "feature")
+    let tripped_feature = last_trip
+        .get("feature")
+        .and_then(Value::as_str)
         .unwrap_or("none")
         .to_string();
     println!(
@@ -463,74 +303,99 @@ fn main() {
     while Instant::now() < deadline {
         let drift = control.drift().expect("GET /drift");
         let group = drift_group(&drift);
-        if field_u64(&group, "drift_swaps") == Some(1) {
-            swap_status = field_u64(&group, "swap_status").unwrap_or(0);
+        if group.get("drift_swaps").and_then(Value::as_u64) == Some(1) {
+            swap_status = group
+                .get("swap_status")
+                .and_then(Value::as_u64)
+                .unwrap_or(0);
             swap_promoted = swap_status == 200;
             break;
         }
         std::thread::sleep(Duration::from_millis(50));
     }
     let models = control.models().expect("GET /models");
-    let post_swap_version = field(&models, "models")
+    let post_swap_version = models
+        .get("models")
         .and_then(Value::as_array)
         .and_then(|models| models.first())
-        .and_then(|m| field_str(m, "version").map(str::to_string))
-        .unwrap_or_default();
+        .and_then(|m| m.get("version").and_then(Value::as_str))
+        .unwrap_or_default()
+        .to_string();
     println!(
         "swap: promoted {swap_promoted} (status {swap_status}), serving {MODEL}@{post_swap_version}"
     );
 
     // Recovery: clean traffic against the promoted v2 — byte-identical to
     // the local reference, and the re-learned detector must stay quiet.
-    let mut post_swap_identical = true;
-    for r in 0..scale.recovery_requests {
-        let idx = (r * 7) % recovery_pool.len();
-        match client_on.predict(&recovery_pool[idx], Some(60_000), true) {
-            Ok(reply) if reply.status == 200 => {
-                post_swap_identical &= !reply.degraded && reply.verdict_json == ref_v2[idx];
-            }
-            Ok(_) => dropped_requests += 1,
-            Err(_) => errored_requests += 1,
-        }
-    }
+    let recovery = soak::load(
+        server_on.addr(),
+        &recovery_pool,
+        1,
+        recovery_requests,
+        Some(60_000),
+        true,
+    );
+    let post_swap_identical = soak::served_references(&recovery.replies, &ref_v2);
+    dropped_requests += recovery.dropped;
+    errored_requests += recovery.errored;
     let recovery_drift = control.drift().expect("GET /drift");
     if std::env::var("REMIX_DRIFT_DEBUG").is_ok() {
         println!("debug shifted /drift: {shifted_drift:?}");
         println!("debug recovery /drift: {recovery_drift:?}");
     }
     let recovery_group = drift_group(&recovery_drift);
-    let total_alerts = field_u64(&recovery_group, "alerts").unwrap_or(u64::MAX);
+    let total_alerts = recovery_group
+        .get("alerts")
+        .and_then(Value::as_u64)
+        .unwrap_or(u64::MAX);
     let post_swap_false_trips = total_alerts.saturating_sub(1);
     // The engine adopts the pending swap (and resets its detector) between
     // batches, which needs traffic — so the reset is observable only after
     // the recovery stream has flowed, not at swap-completion time.
-    let detector_reset_after_swap = field_u64(&recovery_group, "resets").unwrap_or(0) >= 1
-        && field_bool(&recovery_group, "tripped") == Some(false);
+    let detector_reset_after_swap = recovery_group
+        .get("resets")
+        .and_then(Value::as_u64)
+        .unwrap_or(0)
+        >= 1
+        && recovery_group.get("tripped").and_then(Value::as_bool) == Some(false);
     println!(
         "recovery: {} verdicts, post-swap identical: {post_swap_identical}, \
          new alerts: {post_swap_false_trips}, detector reset: {detector_reset_after_swap}",
-        scale.recovery_requests
+        recovery_requests
     );
     println!("dropped: {dropped_requests}, errored: {errored_requests}");
 
-    let host_cores = remix_parallel::num_threads();
-    let record = format!(
-        "{{\n  \"benchmark\": \"bench_drift\",\n  \"scale\": \"{}\",\n  \"model\": \"{MODEL}\",\n  \"host_cores\": {host_cores},\n  \"clean_requests\": {},\n  \"clean_false_trips\": {clean_false_trips},\n  \"detector_verdicts_identical\": {detector_verdicts_identical},\n  \"shift_pool\": {},\n  \"injected_at\": {injected_at},\n  \"tripped_feature\": \"{tripped_feature}\",\n  \"detection_verdicts\": {detection_verdicts},\n  \"detection_budget\": {DETECTION_BUDGET},\n  \"detected_within_budget\": {detected_within_budget},\n  \"detection_headroom\": {detection_headroom:.3},\n  \"swap_promoted\": {swap_promoted},\n  \"swap_status\": {swap_status},\n  \"post_swap_version\": \"{post_swap_version}\",\n  \"detector_reset_after_swap\": {detector_reset_after_swap},\n  \"recovery_requests\": {},\n  \"post_swap_false_trips\": {post_swap_false_trips},\n  \"post_swap_identical\": {post_swap_identical},\n  \"dropped_requests\": {dropped_requests},\n  \"errored_requests\": {errored_requests}\n}}\n",
-        scale.name,
-        scale.clean_requests,
-        shift_pool.len(),
-        scale.recovery_requests,
+    write_record(
+        "bench_drift.json",
+        &Record {
+            benchmark: "bench_drift",
+            scale,
+            model: MODEL,
+            host_cores: remix_parallel::num_threads(),
+            clean_requests,
+            clean_false_trips,
+            detector_verdicts_identical,
+            shift_pool: shift_pool.len(),
+            injected_at,
+            tripped_feature,
+            detection_verdicts,
+            detection_budget: DETECTION_BUDGET,
+            detected_within_budget,
+            detection_headroom: round(detection_headroom, 3),
+            swap_promoted,
+            swap_status,
+            post_swap_version: post_swap_version.clone(),
+            detector_reset_after_swap,
+            recovery_requests,
+            post_swap_false_trips,
+            post_swap_identical,
+            dropped_requests,
+            errored_requests,
+        },
     );
-    std::fs::create_dir_all("results").expect("create results dir");
-    let mut file =
-        std::fs::File::create("results/bench_drift.json").expect("create results/bench_drift.json");
-    file.write_all(record.as_bytes())
-        .expect("write results/bench_drift.json");
-    println!("Record written to results/bench_drift.json");
 
     drop(server_on);
     drop(server_off);
-    std::fs::remove_dir_all(&registry_root).ok();
 
     assert_eq!(clean_false_trips, 0, "detector tripped on the clean prefix");
     assert!(

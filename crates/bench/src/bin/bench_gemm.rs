@@ -14,13 +14,33 @@
 //! CI can fail on it. Results land in `results/bench_gemm.json`.
 
 use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
+use remix_bench::{print_rows, round, write_record};
 use remix_nn::{
     cross_entropy, zoo, Arch, InputSpec, Layer, Mode, Model, Optimizer, Sgd, Trainer,
     TrainerConfig, Wants,
 };
 use remix_tensor::{im2row_batch_into, row2im_batch, Conv2dGeometry, PackedOperand, Tensor};
-use std::io::Write;
+use serde::Serialize;
 use std::time::{Duration, Instant};
+
+/// `results/bench_gemm.json`.
+#[derive(Serialize)]
+struct Record {
+    benchmark: &'static str,
+    threads: usize,
+    gemm: Vec<GemmRow>,
+    prepack_sweep: Vec<SweepRow>,
+    prepack_sweep_aggregate_speedup: f64,
+    prepack_dense_aggregate_speedup: f64,
+    xai_sweep: XaiSweepRow,
+    conv_lowering: Vec<ConvRow>,
+    conv_lowering_identical: bool,
+    conv_lowering_aggregate_speedup: f64,
+    lane_sweep: Vec<LaneRow>,
+    lane_sweep_identical: bool,
+    lane_sweep_aggregate_speedup: f64,
+    training: Vec<TrainRow>,
+}
 
 /// One zoo-derived GEMM shape: `[m,k] × [k,n]`.
 struct GemmShape {
@@ -74,13 +94,16 @@ const SHAPES: &[GemmShape] = &[
     },
 ];
 
-struct GemmResult {
-    name: &'static str,
+#[derive(Serialize)]
+struct GemmRow {
+    shape: &'static str,
     m: usize,
     k: usize,
     n: usize,
-    reference_secs: f64,
-    blocked_secs: f64,
+    macs: usize,
+    reference_secs_per_iter: f64,
+    blocked_secs_per_iter: f64,
+    speedup: f64,
     bit_identical: bool,
 }
 
@@ -184,30 +207,35 @@ const SWEEP_SHAPES: &[SweepShape] = &[
     },
 ];
 
-struct SweepResult {
-    name: &'static str,
+#[derive(Serialize)]
+struct SweepRow {
+    shape: &'static str,
     /// GEMM output rows / inner dim / output cols (not the weight layout).
     m: usize,
     k: usize,
     n: usize,
     /// True for the dense-stack rows, which form the gated dense aggregate.
     dense: bool,
-    fresh_secs: f64,
-    prepacked_secs: f64,
+    fresh_secs_per_iter: f64,
+    prepacked_secs_per_iter: f64,
+    speedup: f64,
     prepack_identical: bool,
 }
 
 /// End-to-end frozen-vs-unfrozen XAI sweep on a real model: wall time, output
 /// bits, and the deterministic pack-traffic counters.
-struct XaiSweepResult {
+#[derive(Serialize)]
+struct XaiSweepRow {
     model: &'static str,
     batch: usize,
-    unfrozen_secs: f64,
-    frozen_secs: f64,
-    bit_identical: bool,
-    pack_bytes_unfrozen: u64,
-    pack_bytes_frozen: u64,
-    prepack_hits: u64,
+    unfrozen_secs_per_sweep: f64,
+    frozen_secs_per_sweep: f64,
+    speedup: f64,
+    prepack_identical: bool,
+    pack_bytes_per_sweep_unfrozen: u64,
+    pack_bytes_per_sweep_frozen: u64,
+    pack_bytes_eliminated_fraction: f64,
+    prepack_hits_per_sweep: u64,
 }
 
 /// One distinct `Conv2d` geometry of the GTSRB serving members (ConvNet,
@@ -359,12 +387,19 @@ const CONV_SHAPES: &[ConvShape] = &[
     },
 ];
 
-struct ConvResult {
-    name: &'static str,
-    geo: Conv2dGeometry,
+#[derive(Serialize)]
+struct ConvRow {
+    shape: &'static str,
+    channels: usize,
+    size: usize,
     filters: usize,
-    unfolded_secs: f64,
-    panel_secs: f64,
+    kernel: usize,
+    stride: usize,
+    pad: usize,
+    batch: usize,
+    unfolded_secs_per_iter: f64,
+    panel_secs_per_iter: f64,
+    speedup: f64,
     lowering_identical: bool,
 }
 
@@ -438,43 +473,28 @@ const LANE_SWEEP_MODELS: &[(Arch, &str)] = &[
 /// Images per lane sweep: the noisy copies of one SmoothGrad sweep.
 const LANE_SWEEP_BATCH: usize = 16;
 
-struct LaneSweepResult {
+#[derive(Serialize)]
+struct LaneRow {
     model: &'static str,
-    per_sample_secs: f64,
-    lanes_secs: f64,
+    batch: usize,
+    per_sample_secs_per_iter: f64,
+    lanes_secs_per_iter: f64,
+    speedup: f64,
     lanes_identical: bool,
 }
 
-/// Per-sample `Trainer::fit` wall times measured at the commit preceding
-/// this optimization (the per-call-scoped GEMM + column-layout conv tree),
-/// same box, same seeds/dataset (96 samples × 2 epochs, batch 32, 1 thread).
-/// These anchor the `speedup_vs_baseline` field in the JSON record so the
-/// training-throughput claim is against the pre-PR engine, not merely
-/// against this tree's per-sample path.
-const BASELINE_FIT_SECS: &[(&str, usize, f64)] = &[
-    ("ConvNet", 16, 0.030073),
-    ("ConvNet", 32, 0.130948),
-    ("MobileNet", 16, 0.108079),
-    ("MobileNet", 32, 0.390580),
-];
-
-/// Pre-PR fit seconds for a model/size pair (panics if the pair is missing
-/// from the baseline table).
-fn baseline_fit_secs(model: &str, size: usize) -> f64 {
-    BASELINE_FIT_SECS
-        .iter()
-        .find(|(m, s, _)| *m == model && *s == size)
-        .map(|&(_, _, secs)| secs)
-        .expect("baseline entry for every benched model/size")
-}
-
-struct TrainResult {
+#[derive(Serialize)]
+struct TrainRow {
     model: &'static str,
-    size: usize,
+    input_size: usize,
     samples: usize,
     epochs: usize,
+    batch_size: usize,
     per_sample_secs: f64,
     batched_secs: f64,
+    per_sample_samples_per_sec: f64,
+    batched_samples_per_sec: f64,
+    speedup: f64,
     weights_bit_identical: bool,
 }
 
@@ -483,192 +503,89 @@ fn main() {
     // isolates the kernel, and the training gate is specified single-thread.
     std::env::set_var("REMIX_THREADS", "1");
 
-    let gemm_results: Vec<GemmResult> = SHAPES.iter().map(bench_shape).collect();
     println!("GEMM kernel — blocked vs reference (1 thread)\n");
-    println!(
-        "{:<20} {:>16} {:>12} {:>12} {:>9}  bits",
-        "shape", "m×k×n", "reference", "blocked", "speedup"
-    );
-    for r in &gemm_results {
-        println!(
-            "{:<20} {:>16} {:>12} {:>12} {:>8.2}x  {}",
-            r.name,
-            format!("{}×{}×{}", r.m, r.k, r.n),
-            format!("{:.1}µs", r.reference_secs * 1e6),
-            format!("{:.1}µs", r.blocked_secs * 1e6),
-            r.reference_secs / r.blocked_secs,
-            if r.bit_identical { "=" } else { "DIVERGED" }
-        );
-    }
-    let largest = gemm_results
-        .iter()
-        .max_by_key(|r| r.m * r.k * r.n)
-        .expect("non-empty shape list");
-    let largest_speedup = largest.reference_secs / largest.blocked_secs;
-    println!(
-        "\nLargest zoo shape ({}): {:.2}x (target ≥ 1.5x)",
-        largest.name, largest_speedup
-    );
+    let gemm: Vec<GemmRow> = SHAPES.iter().map(bench_shape).collect();
+    print_rows(&gemm);
 
     println!(
         "\nPrepacked weights — frozen vs per-call packing (XAI-sweep scale, batch {SWEEP_BATCH})\n"
     );
-    let sweep_results: Vec<SweepResult> = SWEEP_SHAPES.iter().map(bench_sweep_shape).collect();
-    println!(
-        "{:<12} {:>14} {:>12} {:>12} {:>9}  bits",
-        "shape", "m×k×n", "per-call", "prepacked", "speedup"
-    );
-    for r in &sweep_results {
-        println!(
-            "{:<12} {:>14} {:>12} {:>12} {:>8.2}x  {}",
-            r.name,
-            format!("{}×{}×{}", r.m, r.k, r.n),
-            format!("{:.2}µs", r.fresh_secs * 1e6),
-            format!("{:.2}µs", r.prepacked_secs * 1e6),
-            r.fresh_secs / r.prepacked_secs,
-            if r.prepack_identical { "=" } else { "DIVERGED" }
-        );
-    }
-    let aggregate = |rows: &[&SweepResult]| -> f64 {
-        let fresh: f64 = rows.iter().map(|r| r.fresh_secs).sum();
-        let pre: f64 = rows.iter().map(|r| r.prepacked_secs).sum();
-        fresh / pre
-    };
-    let sweep_aggregate = aggregate(&sweep_results.iter().collect::<Vec<_>>());
-    let dense_rows: Vec<&SweepResult> = sweep_results.iter().filter(|r| r.dense).collect();
-    let dense_aggregate = aggregate(&dense_rows);
+    let prepack_sweep: Vec<SweepRow> = SWEEP_SHAPES.iter().map(bench_sweep_shape).collect();
+    print_rows(&prepack_sweep);
+    let secs = |r: &&SweepRow| (r.fresh_secs_per_iter, r.prepacked_secs_per_iter);
+    let sweep_aggregate = aggregate(prepack_sweep.iter(), secs);
+    let dense_aggregate = aggregate(prepack_sweep.iter().filter(|r| r.dense), secs);
     println!(
         "\nAggregate sweep GEMM time: {sweep_aggregate:.2}x; dense stack alone: \
          {dense_aggregate:.2}x (target ≥ 1.1x)"
     );
 
+    println!("\nXAI sweep — frozen vs unfrozen model, with per-sweep pack traffic\n");
     let xai = bench_xai_sweep();
-    let pack_eliminated = 1.0 - xai.pack_bytes_frozen as f64 / xai.pack_bytes_unfrozen as f64;
-    println!(
-        "\nXAI sweep ({} ×{}): unfrozen {:.1}µs, frozen {:.1}µs ({:.2}x); pack traffic \
-         {} → {} bytes/sweep ({:.0} % eliminated, {} prepack hits)  {}",
-        xai.model,
-        xai.batch,
-        xai.unfrozen_secs * 1e6,
-        xai.frozen_secs * 1e6,
-        xai.unfrozen_secs / xai.frozen_secs,
-        xai.pack_bytes_unfrozen,
-        xai.pack_bytes_frozen,
-        pack_eliminated * 100.0,
-        xai.prepack_hits,
-        if xai.bit_identical {
-            "bit-identical"
-        } else {
-            "DIVERGED"
-        }
-    );
+    print_rows(std::slice::from_ref(&xai));
 
     println!(
         "\nConv lowering — image panels + fused fold vs unfolded rows + row2im \
          (frozen, forward + input gradient, batch {CONV_BATCH})\n"
     );
-    let conv_results: Vec<ConvResult> = CONV_SHAPES.iter().map(bench_conv_shape).collect();
-    println!(
-        "{:<28} {:>12} {:>12} {:>9}  bits",
-        "shape", "unfolded", "panels", "speedup"
-    );
-    for r in &conv_results {
-        println!(
-            "{:<28} {:>12} {:>12} {:>8.2}x  {}",
-            r.name,
-            format!("{:.1}µs", r.unfolded_secs * 1e6),
-            format!("{:.1}µs", r.panel_secs * 1e6),
-            r.unfolded_secs / r.panel_secs,
-            if r.lowering_identical {
-                "="
-            } else {
-                "DIVERGED"
-            }
-        );
-    }
-    let conv_aggregate = conv_results.iter().map(|r| r.unfolded_secs).sum::<f64>()
-        / conv_results.iter().map(|r| r.panel_secs).sum::<f64>();
+    let conv_lowering: Vec<ConvRow> = CONV_SHAPES.iter().map(bench_conv_shape).collect();
+    print_rows(&conv_lowering);
+    let conv_aggregate = aggregate(conv_lowering.iter(), |r| {
+        (r.unfolded_secs_per_iter, r.panel_secs_per_iter)
+    });
     println!("\nAggregate conv lowering time: {conv_aggregate:.2}x");
 
     println!(
         "\nLane sweep — one lane-major input_gradient_batch vs per-sample input_gradient \
          (frozen, 3×16×16, batch {LANE_SWEEP_BATCH})\n"
     );
-    let lane_results: Vec<LaneSweepResult> = LANE_SWEEP_MODELS
+    let lane_sweep: Vec<LaneRow> = LANE_SWEEP_MODELS
         .iter()
         .map(|&(arch, name)| bench_lane_sweep(arch, name))
         .collect();
-    println!(
-        "{:<12} {:>12} {:>12} {:>9}  bits",
-        "model", "per-sample", "lanes", "speedup"
-    );
-    for r in &lane_results {
-        println!(
-            "{:<12} {:>12} {:>12} {:>8.2}x  {}",
-            r.model,
-            format!("{:.1}µs", r.per_sample_secs * 1e6),
-            format!("{:.1}µs", r.lanes_secs * 1e6),
-            r.per_sample_secs / r.lanes_secs,
-            if r.lanes_identical { "=" } else { "DIVERGED" }
-        );
-    }
-    let lane_aggregate = lane_results.iter().map(|r| r.per_sample_secs).sum::<f64>()
-        / lane_results.iter().map(|r| r.lanes_secs).sum::<f64>();
+    print_rows(&lane_sweep);
+    let lane_aggregate = aggregate(lane_sweep.iter(), |r| {
+        (r.per_sample_secs_per_iter, r.lanes_secs_per_iter)
+    });
     println!("\nAggregate lane sweep time: {lane_aggregate:.2}x");
 
     println!(
         "\nTraining — lane-major Trainer::fit vs one-lane steps per sample (batch 32, 1 thread)\n"
     );
-    let train_results = vec![
+    let training = vec![
         bench_training(Arch::ConvNet, "ConvNet", 16),
         bench_training(Arch::ConvNet, "ConvNet", 32),
         bench_training(Arch::MobileNet, "MobileNet", 16),
         bench_training(Arch::MobileNet, "MobileNet", 32),
     ];
-    println!(
-        "{:<12} {:>5} {:>12} {:>12} {:>9} {:>9}  weights",
-        "model", "size", "per-sample", "batched", "speedup", "vs-seed"
+    print_rows(&training);
+
+    let identical = gemm.iter().all(|r| r.bit_identical)
+        && prepack_sweep.iter().all(|r| r.prepack_identical)
+        && xai.prepack_identical
+        && conv_lowering.iter().all(|r| r.lowering_identical)
+        && lane_sweep.iter().all(|r| r.lanes_identical)
+        && training.iter().all(|r| r.weights_bit_identical);
+    write_record(
+        "bench_gemm.json",
+        &Record {
+            benchmark: "bench_gemm",
+            threads: 1,
+            gemm,
+            prepack_sweep,
+            prepack_sweep_aggregate_speedup: round(sweep_aggregate, 3),
+            prepack_dense_aggregate_speedup: round(dense_aggregate, 3),
+            xai_sweep: xai,
+            conv_lowering_identical: conv_lowering.iter().all(|r| r.lowering_identical),
+            conv_lowering,
+            conv_lowering_aggregate_speedup: round(conv_aggregate, 3),
+            lane_sweep_identical: lane_sweep.iter().all(|r| r.lanes_identical),
+            lane_sweep,
+            lane_sweep_aggregate_speedup: round(lane_aggregate, 3),
+            training,
+        },
     );
-    for r in &train_results {
-        println!(
-            "{:<12} {:>5} {:>12} {:>12} {:>8.2}x {:>8.2}x  {}",
-            r.model,
-            format!("{}px", r.size),
-            format!("{:.3}s", r.per_sample_secs),
-            format!("{:.3}s", r.batched_secs),
-            r.per_sample_secs / r.batched_secs,
-            baseline_fit_secs(r.model, r.size) / r.batched_secs,
-            if r.weights_bit_identical {
-                "bit-identical"
-            } else {
-                "DIVERGED"
-            }
-        );
-    }
-
-    write_bench_json(
-        &gemm_results,
-        largest.name,
-        largest_speedup,
-        &sweep_results,
-        sweep_aggregate,
-        dense_aggregate,
-        &xai,
-        &conv_results,
-        conv_aggregate,
-        &lane_results,
-        lane_aggregate,
-        &train_results,
-    )
-    .expect("write results/bench_gemm.json");
-    println!("\nRecord written to results/bench_gemm.json");
-
-    let gemm_ok = gemm_results.iter().all(|r| r.bit_identical);
-    let prepack_ok = sweep_results.iter().all(|r| r.prepack_identical) && xai.bit_identical;
-    let conv_ok = conv_results.iter().all(|r| r.lowering_identical);
-    let lanes_ok = lane_results.iter().all(|r| r.lanes_identical);
-    let train_ok = train_results.iter().all(|r| r.weights_bit_identical);
-    if !gemm_ok || !prepack_ok || !conv_ok || !lanes_ok || !train_ok {
+    if !identical {
         eprintln!(
             "ERROR: blocked/prepacked/panel-lowered/lane-major/batched path diverged bitwise \
              from the reference path"
@@ -677,11 +594,20 @@ fn main() {
     }
 }
 
+/// Summed reference seconds over summed optimized seconds, where `secs`
+/// reads a row's `(reference, optimized)` pair.
+fn aggregate<T>(rows: impl Iterator<Item = T>, secs: impl Fn(&T) -> (f64, f64)) -> f64 {
+    let (reference, optimized) = rows
+        .map(|r| secs(&r))
+        .fold((0.0, 0.0), |(a, b), (x, y)| (a + x, b + y));
+    reference / optimized
+}
+
 /// Times one shape: the retained reference kernel (which allocates its
 /// output per call, as the pre-blocking `matmul` did) against the blocked
 /// kernel driven through `matmul_into` with reused scratch (the batched
 /// engine's steady state). Also checks the results are bit-identical.
-fn bench_shape(shape: &GemmShape) -> GemmResult {
+fn bench_shape(shape: &GemmShape) -> GemmRow {
     let (m, k, n) = (shape.m, shape.k, shape.n);
     let mut rng = StdRng::seed_from_u64(7);
     let a = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng);
@@ -710,13 +636,15 @@ fn bench_shape(shape: &GemmShape) -> GemmResult {
         },
     );
 
-    GemmResult {
-        name: shape.name,
+    GemmRow {
+        shape: shape.name,
         m,
         k,
         n,
-        reference_secs,
-        blocked_secs,
+        macs: m * k * n,
+        reference_secs_per_iter: round(reference_secs, 9),
+        blocked_secs_per_iter: round(blocked_secs, 9),
+        speedup: round(reference_secs / blocked_secs, 3),
         bit_identical,
     }
 }
@@ -750,10 +678,10 @@ fn timed_pair(
 
 /// Times one sweep shape through its serve-path entry point, per-call-packed
 /// vs prepacked, with a bitwise gate on the outputs.
-fn bench_sweep_shape(s: &SweepShape) -> SweepResult {
+fn bench_sweep_shape(s: &SweepShape) -> SweepRow {
     let mut rng = StdRng::seed_from_u64(13);
     let w = Tensor::rand_uniform(&[s.wm, s.wk], -1.0, 1.0, &mut rng);
-    let ((m, k, n), dense, (fresh_secs, prepacked_secs, prepack_identical)) = match s.op {
+    let ((m, k, n), (fresh_secs, prepacked_secs, prepack_identical)) = match s.op {
         SweepOp::DenseFwd => {
             let x = Tensor::rand_uniform(&[s.wk, s.n], -1.0, 1.0, &mut rng);
             let pw = w.prepack_a().expect("weights are rank 2");
@@ -761,9 +689,9 @@ fn bench_sweep_shape(s: &SweepShape) -> SweepResult {
                 |o, p| w.matmul_into(&x, o, p).expect("shapes agree"),
                 |o, p| pw.matmul_prepacked_into(&x, o, p).expect("shapes agree"),
             );
-            ((s.wm, s.wk, s.n), true, timed)
+            ((s.wm, s.wk, s.n), timed)
         }
-        SweepOp::DenseDx => {
+        SweepOp::DenseDx | SweepOp::ConvDx => {
             let g = Tensor::rand_uniform(&[s.wm, s.n], -1.0, 1.0, &mut rng);
             let pw = w.prepack_at().expect("weights are rank 2");
             let timed = timed_pair(
@@ -773,7 +701,7 @@ fn bench_sweep_shape(s: &SweepShape) -> SweepResult {
                         .expect("shapes agree")
                 },
             );
-            ((s.wk, s.wm, s.n), true, timed)
+            ((s.wk, s.wm, s.n), timed)
         }
         SweepOp::ConvFwd { channels, size } => {
             let geo = Conv2dGeometry {
@@ -798,29 +726,18 @@ fn bench_sweep_shape(s: &SweepShape) -> SweepResult {
                         .expect("shapes agree")
                 },
             );
-            ((s.wm, s.wk, s.n), false, timed)
-        }
-        SweepOp::ConvDx => {
-            let g = Tensor::rand_uniform(&[s.wm, s.n], -1.0, 1.0, &mut rng);
-            let pw = w.prepack_at().expect("weights are rank 2");
-            let timed = timed_pair(
-                |o, p| w.matmul_at_b_into(&g, o, p).expect("shapes agree"),
-                |o, p| {
-                    pw.matmul_at_b_prepacked_into(&g, o, p)
-                        .expect("shapes agree")
-                },
-            );
-            ((s.wk, s.wm, s.n), false, timed)
+            ((s.wm, s.wk, s.n), timed)
         }
     };
-    SweepResult {
-        name: s.name,
+    SweepRow {
+        shape: s.name,
         m,
         k,
         n,
-        dense,
-        fresh_secs,
-        prepacked_secs,
+        dense: matches!(s.op, SweepOp::DenseFwd | SweepOp::DenseDx),
+        fresh_secs_per_iter: round(fresh_secs, 9),
+        prepacked_secs_per_iter: round(prepacked_secs, 9),
+        speedup: round(fresh_secs / prepacked_secs, 3),
         prepack_identical,
     }
 }
@@ -828,7 +745,7 @@ fn bench_sweep_shape(s: &SweepShape) -> SweepResult {
 /// Times one conv shape through both frozen lowerings — forward plus input
 /// gradient, as one SmoothGrad sweep runs them — and bit-compares the
 /// forward products and the folded input gradients.
-fn bench_conv_shape(s: &ConvShape) -> ConvResult {
+fn bench_conv_shape(s: &ConvShape) -> ConvRow {
     let geo = Conv2dGeometry {
         in_channels: s.channels,
         in_h: s.size,
@@ -902,12 +819,18 @@ fn bench_conv_shape(s: &ConvShape) -> ConvResult {
             std::hint::black_box(panels.run());
         },
     );
-    ConvResult {
-        name: s.name,
-        geo,
+    ConvRow {
+        shape: s.name,
+        channels: s.channels,
+        size: s.size,
         filters: s.filters,
-        unfolded_secs,
-        panel_secs,
+        kernel: s.kernel,
+        stride: s.stride,
+        pad: s.pad,
+        batch: CONV_BATCH,
+        unfolded_secs_per_iter: round(unfolded_secs, 9),
+        panel_secs_per_iter: round(panel_secs, 9),
+        speedup: round(unfolded_secs / panel_secs, 3),
         lowering_identical,
     }
 }
@@ -916,7 +839,7 @@ fn bench_conv_shape(s: &ConvShape) -> ConvResult {
 /// `input_gradient` calls against one lane-major `input_gradient_batch`,
 /// each side on its own copy of the model, with a bitwise gate on the
 /// gradients.
-fn bench_lane_sweep(arch: Arch, name: &'static str) -> LaneSweepResult {
+fn bench_lane_sweep(arch: Arch, name: &'static str) -> LaneRow {
     let spec = InputSpec {
         channels: 3,
         size: 16,
@@ -953,10 +876,12 @@ fn bench_lane_sweep(arch: Arch, name: &'static str) -> LaneSweepResult {
             std::hint::black_box(batched(&mut lanes));
         },
     );
-    LaneSweepResult {
+    LaneRow {
         model: name,
-        per_sample_secs,
-        lanes_secs,
+        batch: LANE_SWEEP_BATCH,
+        per_sample_secs_per_iter: round(per_sample_secs, 9),
+        lanes_secs_per_iter: round(lanes_secs, 9),
+        speedup: round(per_sample_secs / lanes_secs, 3),
         lanes_identical,
     }
 }
@@ -1014,7 +939,7 @@ fn time_interleaved(plan: Windows, mut a: impl FnMut(), mut b: impl FnMut()) -> 
 /// wall time per sweep, output bits, and — via the deterministic trace
 /// counters, read outside the timed loops — the per-sweep GEMM pack traffic
 /// each side pays.
-fn bench_xai_sweep() -> XaiSweepResult {
+fn bench_xai_sweep() -> XaiSweepRow {
     let spec = InputSpec {
         channels: 3,
         size: 16,
@@ -1066,15 +991,20 @@ fn bench_xai_sweep() -> XaiSweepResult {
             std::hint::black_box(sweep(&mut frozen));
         },
     );
-    XaiSweepResult {
+    XaiSweepRow {
         model: "ConvNet",
         batch: SWEEP_BATCH,
-        unfrozen_secs,
-        frozen_secs,
-        bit_identical,
-        pack_bytes_unfrozen,
-        pack_bytes_frozen,
-        prepack_hits,
+        unfrozen_secs_per_sweep: round(unfrozen_secs, 9),
+        frozen_secs_per_sweep: round(frozen_secs, 9),
+        speedup: round(unfrozen_secs / frozen_secs, 3),
+        prepack_identical: bit_identical,
+        pack_bytes_per_sweep_unfrozen: pack_bytes_unfrozen,
+        pack_bytes_per_sweep_frozen: pack_bytes_frozen,
+        pack_bytes_eliminated_fraction: round(
+            1.0 - pack_bytes_frozen as f64 / pack_bytes_unfrozen as f64,
+            4,
+        ),
+        prepack_hits_per_sweep: prepack_hits,
     }
 }
 
@@ -1090,7 +1020,7 @@ const TRAIN_WINDOWS: Windows = Windows {
 /// forward/backward, against [`fit_per_sample`] on identically-seeded
 /// copies of `arch` at GTSRB scale, in alternating windows, and compares
 /// their final weight bits.
-fn bench_training(arch: Arch, name: &'static str, size: usize) -> TrainResult {
+fn bench_training(arch: Arch, name: &'static str, size: usize) -> TrainRow {
     let spec = InputSpec {
         channels: 3,
         size,
@@ -1138,13 +1068,18 @@ fn bench_training(arch: Arch, name: &'static str, size: usize) -> TrainResult {
             std::hint::black_box(lanes());
         },
     );
-    TrainResult {
+    let trained = (samples * epochs) as f64;
+    TrainRow {
         model: name,
-        size,
+        input_size: size,
         samples,
         epochs,
-        per_sample_secs,
-        batched_secs,
+        batch_size: config.batch_size,
+        per_sample_secs: round(per_sample_secs, 6),
+        batched_secs: round(batched_secs, 6),
+        per_sample_samples_per_sec: round(trained / per_sample_secs, 3),
+        batched_samples_per_sec: round(trained / batched_secs, 3),
+        speedup: round(per_sample_secs / batched_secs, 3),
         weights_bit_identical,
     }
 }
@@ -1185,177 +1120,4 @@ fn fit_per_sample(config: &TrainerConfig, model: &mut Model, images: &[Tensor], 
             optimizer.step(net, scale);
         }
     }
-}
-
-/// Hand-formatted JSON record (the vendored serde_json has no pretty
-/// printer) of the kernel, prepacked-weight, XAI-sweep, conv-lowering,
-/// lane-sweep and training comparisons.
-#[allow(clippy::too_many_arguments)]
-fn write_bench_json(
-    gemm: &[GemmResult],
-    largest_name: &str,
-    largest_speedup: f64,
-    sweep: &[SweepResult],
-    sweep_aggregate: f64,
-    dense_aggregate: f64,
-    xai: &XaiSweepResult,
-    conv: &[ConvResult],
-    conv_aggregate: f64,
-    lanes: &[LaneSweepResult],
-    lane_aggregate: f64,
-    training: &[TrainResult],
-) -> std::io::Result<()> {
-    std::fs::create_dir_all("results")?;
-    let mut f = std::fs::File::create("results/bench_gemm.json")?;
-    let gemm_entries: Vec<String> = gemm
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\n      \"shape\": \"{}\",\n      \"m\": {},\n      \"k\": {},\n      \
-                 \"n\": {},\n      \"macs\": {},\n      \"reference_secs_per_iter\": {:.9},\n      \
-                 \"blocked_secs_per_iter\": {:.9},\n      \"speedup\": {:.3},\n      \
-                 \"bit_identical\": {}\n    }}",
-                r.name,
-                r.m,
-                r.k,
-                r.n,
-                r.m * r.k * r.n,
-                r.reference_secs,
-                r.blocked_secs,
-                r.reference_secs / r.blocked_secs,
-                r.bit_identical
-            )
-        })
-        .collect();
-    let sweep_entries: Vec<String> = sweep
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\n      \"shape\": \"{}\",\n      \"m\": {},\n      \"k\": {},\n      \
-                 \"n\": {},\n      \"dense\": {},\n      \"fresh_secs_per_iter\": {:.9},\n      \
-                 \"prepacked_secs_per_iter\": {:.9},\n      \"speedup\": {:.3},\n      \
-                 \"prepack_identical\": {}\n    }}",
-                r.name,
-                r.m,
-                r.k,
-                r.n,
-                r.dense,
-                r.fresh_secs,
-                r.prepacked_secs,
-                r.fresh_secs / r.prepacked_secs,
-                r.prepack_identical
-            )
-        })
-        .collect();
-    let xai_entry = format!(
-        "  \"xai_sweep\": {{\n    \"model\": \"{}\",\n    \"batch\": {},\n    \
-         \"unfrozen_secs_per_sweep\": {:.9},\n    \"frozen_secs_per_sweep\": {:.9},\n    \
-         \"speedup\": {:.3},\n    \"prepack_identical\": {},\n    \
-         \"pack_bytes_per_sweep_unfrozen\": {},\n    \"pack_bytes_per_sweep_frozen\": {},\n    \
-         \"pack_bytes_eliminated_fraction\": {:.4},\n    \"prepack_hits_per_sweep\": {}\n  }}",
-        xai.model,
-        xai.batch,
-        xai.unfrozen_secs,
-        xai.frozen_secs,
-        xai.unfrozen_secs / xai.frozen_secs,
-        xai.bit_identical,
-        xai.pack_bytes_unfrozen,
-        xai.pack_bytes_frozen,
-        1.0 - xai.pack_bytes_frozen as f64 / xai.pack_bytes_unfrozen as f64,
-        xai.prepack_hits,
-    );
-    let conv_entries: Vec<String> = conv
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\n      \"shape\": \"{}\",\n      \"channels\": {},\n      \
-                 \"size\": {},\n      \"filters\": {},\n      \"kernel\": {},\n      \
-                 \"stride\": {},\n      \"pad\": {},\n      \"batch\": {CONV_BATCH},\n      \
-                 \"unfolded_secs_per_iter\": {:.9},\n      \
-                 \"panel_secs_per_iter\": {:.9},\n      \"speedup\": {:.3},\n      \
-                 \"lowering_identical\": {}\n    }}",
-                r.name,
-                r.geo.in_channels,
-                r.geo.in_h,
-                r.filters,
-                r.geo.kernel,
-                r.geo.stride,
-                r.geo.pad,
-                r.unfolded_secs,
-                r.panel_secs,
-                r.unfolded_secs / r.panel_secs,
-                r.lowering_identical
-            )
-        })
-        .collect();
-    let lane_entries: Vec<String> = lanes
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\n      \"model\": \"{}\",\n      \"batch\": {LANE_SWEEP_BATCH},\n      \
-                 \"per_sample_secs_per_iter\": {:.9},\n      \
-                 \"lanes_secs_per_iter\": {:.9},\n      \"speedup\": {:.3},\n      \
-                 \"lanes_identical\": {}\n    }}",
-                r.model,
-                r.per_sample_secs,
-                r.lanes_secs,
-                r.per_sample_secs / r.lanes_secs,
-                r.lanes_identical
-            )
-        })
-        .collect();
-    let train_entries: Vec<String> = training
-        .iter()
-        .map(|r| {
-            let trained = (r.samples * r.epochs) as f64;
-            let baseline = baseline_fit_secs(r.model, r.size);
-            format!(
-                "    {{\n      \"model\": \"{}\",\n      \"input_size\": {},\n      \
-                 \"samples\": {},\n      \
-                 \"epochs\": {},\n      \"batch_size\": 32,\n      \
-                 \"per_sample_secs\": {:.6},\n      \"batched_secs\": {:.6},\n      \
-                 \"per_sample_samples_per_sec\": {:.3},\n      \
-                 \"batched_samples_per_sec\": {:.3},\n      \"speedup\": {:.3},\n      \
-                 \"baseline_per_sample_secs\": {:.6},\n      \
-                 \"speedup_vs_baseline\": {:.3},\n      \
-                 \"weights_bit_identical\": {}\n    }}",
-                r.model,
-                r.size,
-                r.samples,
-                r.epochs,
-                r.per_sample_secs,
-                r.batched_secs,
-                trained / r.per_sample_secs,
-                trained / r.batched_secs,
-                r.per_sample_secs / r.batched_secs,
-                baseline,
-                baseline / r.batched_secs,
-                r.weights_bit_identical
-            )
-        })
-        .collect();
-    writeln!(
-        f,
-        "{{\n  \"benchmark\": \"bench_gemm\",\n  \"threads\": 1,\n  \
-         \"gemm\": [\n{}\n  ],\n  \"largest_shape\": \"{largest_name}\",\n  \
-         \"largest_shape_speedup\": {largest_speedup:.3},\n  \
-         \"prepack_sweep\": [\n{}\n  ],\n  \
-         \"prepack_sweep_aggregate_speedup\": {sweep_aggregate:.3},\n  \
-         \"prepack_dense_aggregate_speedup\": {dense_aggregate:.3},\n{},\n  \
-         \"conv_lowering\": [\n{}\n  ],\n  \
-         \"conv_lowering_identical\": {},\n  \
-         \"conv_lowering_aggregate_speedup\": {conv_aggregate:.3},\n  \
-         \"lane_sweep\": [\n{}\n  ],\n  \
-         \"lane_sweep_identical\": {},\n  \
-         \"lane_sweep_aggregate_speedup\": {lane_aggregate:.3},\n  \
-         \"training\": [\n{}\n  ]\n}}",
-        gemm_entries.join(",\n"),
-        sweep_entries.join(",\n"),
-        xai_entry,
-        conv_entries.join(",\n"),
-        conv.iter().all(|r| r.lowering_identical),
-        lane_entries.join(",\n"),
-        lanes.iter().all(|r| r.lanes_identical),
-        train_entries.join(",\n"),
-    )
 }

@@ -10,9 +10,9 @@
 //!   complete with 200 and serve bytes that are *exactly* v1's or v2's
 //!   reference verdict (`dropped_requests == 0`, `errored_requests == 0`);
 //! * **byte identity** — steady-state verdicts match a local
-//!   [`Remix::predict`] over the same registry round-trip, before the first
-//!   swap (`v1_identical`), after swapping to v2 (`v2_identical`), and
-//!   across a no-op swap (`noop_identical`);
+//!   [`Remix::predict`](remix_core::Remix::predict) over the same registry
+//!   round-trip, before the first swap (`v1_identical`), after swapping to
+//!   v2 (`v2_identical`), and across a no-op swap (`noop_identical`);
 //! * **cache generations** — a verdict cached under v1 must be unreachable
 //!   under v2 and reachable again (original bytes, no recompute) after
 //!   swapping back (`cache_generation_isolated`);
@@ -27,210 +27,48 @@
 //! zero-drop counters, the flip-stall p99, and the churn ratio against the
 //! committed baseline.
 
-use rand::{rngs::StdRng, Rng, SeedableRng};
-use remix_core::Remix;
-use remix_data::SyntheticSpec;
-use remix_ensemble::TrainedEnsemble;
-use remix_nn::layers::{Dense, Flatten, Relu};
-use remix_nn::{InputSpec, Model, Sequential, Trainer, TrainerConfig};
-use remix_registry::{EnsembleArtifact, Registry};
-use remix_serve::{verdict_fragment, Client, ClientReply, NamedModel, ServeConfig, Server};
-use remix_tensor::Tensor;
-use remix_xai::{ExplainerConfig, XaiBudget};
-use serde::Value;
-use std::io::Write;
+use remix_bench::soak::{self, MODEL};
+use remix_bench::{round, write_record, Scale};
+use remix_serve::{verdict_fragment, Client, ClientReply, ServeConfig};
+use serde::{Serialize, Value};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-const MODEL: &str = "tabular-mlp";
-
-/// Load profile; `REMIX_SCALE=paper` doubles the stream.
-struct LoadScale {
-    name: &'static str,
+#[derive(Serialize)]
+struct Record {
+    benchmark: &'static str,
+    scale: &'static str,
+    model: &'static str,
+    pool_inputs: usize,
     concurrency: usize,
-    requests_per_client: usize,
     rounds: usize,
+    requests_per_phase: usize,
+    host_cores: usize,
+    swaps: usize,
+    steady: Throughput,
+    churn: Throughput,
+    speedup_churn_vs_steady: f64,
+    swap_prepare_p50_us: f64,
+    swap_prepare_p99_us: f64,
+    swap_flip_p50_us: f64,
+    swap_flip_p99_us: f64,
+    dropped_requests: u64,
+    errored_requests: u64,
+    noop_identical: bool,
+    v1_identical: bool,
+    v2_identical: bool,
+    churn_identical: bool,
+    cache_generation_isolated: bool,
 }
 
-impl LoadScale {
-    fn from_env() -> Self {
-        match std::env::var("REMIX_SCALE").as_deref() {
-            Ok("paper") => LoadScale {
-                name: "paper",
-                concurrency: 8,
-                requests_per_client: 40,
-                rounds: 6,
-            },
-            _ => LoadScale {
-                name: "quick",
-                concurrency: 6,
-                requests_per_client: 20,
-                rounds: 4,
-            },
-        }
-    }
+#[derive(Serialize)]
+struct Throughput {
+    wall_secs: f64,
+    rps: f64,
 }
 
-fn corrupt_labels(labels: &[usize], num_classes: usize, fraction: f32, seed: u64) -> Vec<usize> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    labels
-        .iter()
-        .map(|&label| {
-            if rng.gen::<f32>() < fraction {
-                rng.gen_range(0..num_classes)
-            } else {
-                label
-            }
-        })
-        .collect()
-}
-
-/// Trains the three-MLP ensemble with per-member label noise `fraction`:
-/// the same structure regardless of noise, so v1 (30 % mislabelled) and v2
-/// (re-cleaned, 0 %) publish as two versions of one model. Fully seeded.
-fn trained(noise: f32) -> (TrainedEnsemble, Vec<Tensor>) {
-    let (train, test) = SyntheticSpec::tabular_like()
-        .train_size(400)
-        .test_size(128)
-        .generate();
-    let spec = InputSpec {
-        channels: 1,
-        size: 4,
-        num_classes: train.num_classes,
-    };
-    let hidden: [&[usize]; 3] = [&[128], &[96, 64], &[96]];
-    let models = hidden
-        .iter()
-        .enumerate()
-        .map(|(i, hidden)| {
-            let mut init = StdRng::seed_from_u64(i as u64 + 1);
-            let mut net = Sequential::new();
-            net.push(Flatten::new());
-            let mut dim = spec.channels * spec.size * spec.size;
-            for &h in *hidden {
-                net.push(Dense::new(dim, h, &mut init));
-                net.push(Relu::new());
-                dim = h;
-            }
-            net.push(Dense::new(dim, train.num_classes, &mut init));
-            let mut model = Model::named(net, spec, format!("MLP-{i}"));
-            let labels = corrupt_labels(&train.labels, train.num_classes, noise, 70 + i as u64);
-            Trainer::new(TrainerConfig {
-                epochs: 8,
-                lr: 0.03,
-                seed: i as u64,
-                ..TrainerConfig::default()
-            })
-            .fit(&mut model, &train.images, &labels);
-            model
-        })
-        .collect();
-    (TrainedEnsemble::new(models), test.images)
-}
-
-/// The ReMIX configuration served and replicated locally — identical on
-/// both sides so byte-identity comparisons are fair.
-fn remix() -> Remix {
-    let config = ExplainerConfig {
-        budget: XaiBudget {
-            sg_samples: 8,
-            batch_size: 64,
-            ..XaiBudget::default()
-        },
-        ..ExplainerConfig::default()
-    };
-    Remix::builder()
-        .seed(11)
-        .threads(1)
-        .explainer_config(config)
-        .build()
-}
-
-/// Captures an ensemble as a registry artifact for `MODEL`.
-fn capture(version: &str, spec: InputSpec, ensemble: &mut TrainedEnsemble) -> EnsembleArtifact {
-    let archs: Vec<String> = (0..ensemble.models.len())
-        .map(|i| format!("MLP-{i}"))
-        .collect();
-    let weights = vec![1.0f32; ensemble.models.len()];
-    EnsembleArtifact::capture(
-        MODEL,
-        version,
-        spec,
-        ensemble,
-        archs,
-        weights,
-        XaiBudget::default(),
-    )
-}
-
-/// Loads `MODEL@version` and applies it onto a clone of `template` — the
-/// exact path the server's swap coordinator takes, so the result is
-/// bit-identical to what the server serves after swapping to `version`.
-fn load_into(
-    registry: &Registry,
-    version: &str,
-    template: &TrainedEnsemble,
-) -> (TrainedEnsemble, u64) {
-    let loaded = registry.load(MODEL, Some(version)).expect(version);
-    let mut ensemble = template.clone();
-    loaded
-        .artifact
-        .apply_to(&mut ensemble)
-        .expect("same structure");
-    (ensemble, loaded.hash)
-}
-
-/// One load phase: `concurrency` keep-alive clients, each sending
-/// `requests_per_client` requests round-robin over the pool, all with
-/// `no_cache` so every reply is a fresh computation. Unlike `bench_serve`
-/// this never panics on a bad reply — failures are *the measurement*:
-/// returns `(wall, ok_replies, dropped, errored)` where `dropped` counts
-/// non-200 replies and `errored` counts transport failures.
-#[allow(clippy::type_complexity)]
-fn run_phase(
-    addr: std::net::SocketAddr,
-    pool: &[Vec<f32>],
-    concurrency: usize,
-    requests_per_client: usize,
-) -> (Duration, Vec<(usize, ClientReply)>, u64, u64) {
-    let started = Instant::now();
-    let workers: Vec<_> = (0..concurrency)
-        .map(|c| {
-            let pool = pool.to_vec();
-            thread::spawn(move || {
-                let mut replies = Vec::with_capacity(requests_per_client);
-                let mut dropped = 0u64;
-                let mut errored = 0u64;
-                let mut client = match Client::connect(addr) {
-                    Ok(client) => client,
-                    Err(_) => return (replies, dropped, requests_per_client as u64),
-                };
-                for r in 0..requests_per_client {
-                    let idx = (c + r * 7) % pool.len();
-                    match client.predict(&pool[idx], Some(60_000), true) {
-                        Ok(reply) if reply.status == 200 => replies.push((idx, reply)),
-                        Ok(_) => dropped += 1,
-                        Err(_) => errored += 1,
-                    }
-                }
-                (replies, dropped, errored)
-            })
-        })
-        .collect();
-    let mut replies = Vec::new();
-    let mut dropped = 0u64;
-    let mut errored = 0u64;
-    for worker in workers {
-        let (r, d, e) = worker.join().expect("bench client panicked");
-        replies.extend(r);
-        dropped += d;
-        errored += e;
-    }
-    (started.elapsed(), replies, dropped, errored)
-}
-
-/// Issues one swap and returns the server-measured `(prepare_us, flip_us)`.
-fn swap_to(client: &mut Client, version: &str) -> (f64, f64) {
+/// Issues one swap and records the server-measured `(prepare_us, flip_us)`.
+fn swap_to(client: &mut Client, version: &str, swaps: &mut Vec<(f64, f64)>) {
     let reply = client.swap(MODEL, Some(version)).expect("swap request");
     assert_eq!(
         reply.status, 200,
@@ -238,76 +76,37 @@ fn swap_to(client: &mut Client, version: &str) -> (f64, f64) {
         reply.body
     );
     let report: Value = serde_json::from_str(&reply.body).expect("swap report parses");
-    let field = |name: &str| -> f64 {
+    let field = |name: &str| {
         report
-            .as_object()
-            .and_then(|pairs| pairs.iter().find(|(k, _)| k == name).map(|(_, v)| v))
-            .and_then(|v| match v {
-                Value::UInt(u) => Some(*u as f64),
-                Value::Int(i) => Some(*i as f64),
-                Value::Float(f) => Some(*f),
-                _ => None,
-            })
+            .get(name)
+            .and_then(Value::as_f64)
             .unwrap_or_else(|| panic!("swap report missing {name}: {}", reply.body))
     };
-    (field("prepare_us"), field("flip_us"))
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-fn fmt_f(v: f64) -> String {
-    format!("{v:.3}")
+    swaps.push((field("prepare_us"), field("flip_us")));
 }
 
 fn main() {
-    let scale = LoadScale::from_env();
-    println!(
-        "bench_swap [{}]: {} clients x {} requests x {} rounds",
-        scale.name, scale.concurrency, scale.requests_per_client, scale.rounds
-    );
-
-    // v1: trained on 30 % mislabelled labels; v2: the re-cleaned retrain.
-    let (mut v1, test_images) = trained(0.3);
-    let (mut v2, _) = trained(0.0);
-    let spec = InputSpec {
-        channels: 1,
-        size: 4,
-        num_classes: 6,
+    let scale = Scale::from_env().name;
+    let (concurrency, per_client, rounds) = if scale == "paper" {
+        (8, 40, 6)
+    } else {
+        (6, 20, 4)
     };
-    let registry_root =
-        std::env::temp_dir().join(format!("remix_bench_swap_{}", std::process::id()));
-    std::fs::remove_dir_all(&registry_root).ok();
-    let registry = Registry::open(&registry_root);
-    let v1_info = registry
-        .publish(&capture("1.0.0", spec, &mut v1))
-        .expect("publish v1");
-    let v2_info = registry
-        .publish(&capture("2.0.0", spec, &mut v2))
-        .expect("publish v2");
     println!(
-        "published {MODEL} 1.0.0 (hash {:016x}) and 2.0.0 (hash {:016x}) to {}",
-        v1_info.hash,
-        v2_info.hash,
-        registry_root.display()
+        "bench_swap [{scale}]: {concurrency} clients x {per_client} requests x {rounds} rounds"
     );
 
-    // Local references over the same registry round-trip the server takes.
-    let (mut local_v1, hash_v1) = load_into(&registry, "1.0.0", &v1);
-    let (mut local_v2, _) = load_into(&registry, "2.0.0", &v1);
-    let reference = remix();
+    let versions = soak::Versions::publish("swap");
+    let [mut local_v1, mut local_v2] = versions.local.clone();
+    let test_images = &versions.v1.test.images;
+    let reference = soak::remix();
 
     // Pool: inputs v1's constituents disagree on — they pay the XAI cost, so
     // the stream actually exercises the engines the swap must not stall.
     let mut pool: Vec<Vec<f32>> = Vec::new();
     let mut ref_v1: Vec<String> = Vec::new();
     let mut ref_v2: Vec<String> = Vec::new();
-    for image in &test_images {
+    for image in test_images {
         let outs = local_v1.outputs(image);
         let first = outs[0].pred;
         if outs.iter().all(|o| o.pred == first) {
@@ -329,34 +128,16 @@ fn main() {
         test_images.len()
     );
 
-    let (served, _) = load_into(&registry, "1.0.0", &v1);
-    let config = ServeConfig {
+    let server = versions.serve_v1(ServeConfig {
         max_batch: 16,
         batch_window: Duration::from_micros(500),
         queue_capacity: 4096,
         shards: 2,
         ..ServeConfig::default()
-    };
-    let server = Server::start_models(
-        vec![NamedModel {
-            name: MODEL.to_string(),
-            version: "1.0.0".to_string(),
-            hash: hash_v1,
-            ensemble: served,
-        }],
-        Some(Registry::open(&registry_root)),
-        remix(),
-        config,
-    )
-    .expect("start swap server");
+    });
     let addr = server.addr();
     let mut control = Client::connect(addr).expect("control connection");
 
-    let matches_v1 = |replies: &[(usize, ClientReply)]| {
-        replies
-            .iter()
-            .all(|(idx, r)| !r.degraded && r.verdict_json == ref_v1[*idx])
-    };
     let matches_either = |replies: &[(usize, ClientReply)]| {
         replies.iter().all(|(idx, r)| {
             !r.degraded && (r.verdict_json == ref_v1[*idx] || r.verdict_json == ref_v2[*idx])
@@ -365,8 +146,7 @@ fn main() {
 
     let mut dropped_requests = 0u64;
     let mut errored_requests = 0u64;
-    let mut prepare_us: Vec<f64> = Vec::new();
-    let mut flip_us: Vec<f64> = Vec::new();
+    let mut swaps = Vec::new();
 
     // Byte-identity gates before any churn.
     // No-op swap: same version; the verdict bytes before and after must be
@@ -374,9 +154,7 @@ fn main() {
     // allowed to change).
     let probe = pool[0].clone();
     let before = control.predict(&probe, Some(60_000), true).expect("probe");
-    let (p, f) = swap_to(&mut control, "1.0.0");
-    prepare_us.push(p);
-    flip_us.push(f);
+    swap_to(&mut control, "1.0.0", &mut swaps);
     let after = control.predict(&probe, Some(60_000), true).expect("probe");
     let noop_identical = before.status == 200
         && after.status == 200
@@ -389,13 +167,9 @@ fn main() {
     // entry must be reachable again — a hit replaying the original bytes).
     let cold = control.predict(&probe, Some(60_000), false).expect("probe");
     let warm = control.predict(&probe, Some(60_000), false).expect("probe");
-    let (p, f) = swap_to(&mut control, "2.0.0");
-    prepare_us.push(p);
-    flip_us.push(f);
+    swap_to(&mut control, "2.0.0", &mut swaps);
     let crossed = control.predict(&probe, Some(60_000), false).expect("probe");
-    let (p, f) = swap_to(&mut control, "1.0.0");
-    prepare_us.push(p);
-    flip_us.push(f);
+    swap_to(&mut control, "1.0.0", &mut swaps);
     let revived = control.predict(&probe, Some(60_000), false).expect("probe");
     let cache_generation_isolated = !cold.cached
         && warm.cached
@@ -410,19 +184,18 @@ fn main() {
     // wall is the churn phase's denominator.
     let mut steady_wall = Duration::ZERO;
     let mut v1_identical = true;
-    for _ in 0..scale.rounds {
-        let (wall, replies, dropped, errored) =
-            run_phase(addr, &pool, scale.concurrency, scale.requests_per_client);
-        v1_identical &= matches_v1(&replies);
-        steady_wall += wall;
-        dropped_requests += dropped;
-        errored_requests += errored;
+    for _ in 0..rounds {
+        let load = soak::load(addr, &pool, concurrency, per_client, Some(60_000), true);
+        v1_identical &= soak::served_references(&load.replies, &ref_v1);
+        steady_wall += load.wall;
+        dropped_requests += load.dropped;
+        errored_requests += load.errored;
     }
-    let phase_requests = (scale.concurrency * scale.requests_per_client * scale.rounds) as f64;
-    let steady_rps = phase_requests / steady_wall.as_secs_f64();
+    let phase_requests = concurrency * per_client * rounds;
+    let steady_rps = phase_requests as f64 / steady_wall.as_secs_f64();
     println!(
-        "steady: {} requests in {steady_wall:?} = {steady_rps:.1} rps, v1-identical: {v1_identical}",
-        phase_requests as u64
+        "steady: {phase_requests} requests in {steady_wall:?} = {steady_rps:.1} rps, \
+         v1-identical: {v1_identical}"
     );
 
     // Churn phase: the same stream, but every round runs with a concurrent
@@ -432,90 +205,96 @@ fn main() {
     // nothing in between exists.
     let mut churn_wall = Duration::ZERO;
     let mut churn_identical = true;
-    for _ in 0..scale.rounds {
-        let load = {
-            let pool = pool.clone();
-            let (concurrency, per_client) = (scale.concurrency, scale.requests_per_client);
-            thread::spawn(move || run_phase(addr, &pool, concurrency, per_client))
-        };
-        let (p, f) = swap_to(&mut control, "2.0.0");
-        prepare_us.push(p);
-        flip_us.push(f);
-        let (p, f) = swap_to(&mut control, "1.0.0");
-        prepare_us.push(p);
-        flip_us.push(f);
-        let (wall, replies, dropped, errored) = load.join().expect("churn load panicked");
-        churn_identical &= matches_either(&replies);
-        churn_wall += wall;
-        dropped_requests += dropped;
-        errored_requests += errored;
+    for _ in 0..rounds {
+        let load = thread::scope(|scope| {
+            let load = scope
+                .spawn(|| soak::load(addr, &pool, concurrency, per_client, Some(60_000), true));
+            for version in ["2.0.0", "1.0.0"] {
+                swap_to(&mut control, version, &mut swaps);
+            }
+            load.join().expect("churn load panicked")
+        });
+        churn_identical &= matches_either(&load.replies);
+        churn_wall += load.wall;
+        dropped_requests += load.dropped;
+        errored_requests += load.errored;
     }
-    let churn_rps = phase_requests / churn_wall.as_secs_f64();
+    let churn_rps = phase_requests as f64 / churn_wall.as_secs_f64();
     let speedup_churn_vs_steady = churn_rps / steady_rps;
     println!(
-        "churn:  {} requests in {churn_wall:?} = {churn_rps:.1} rps \
-         ({:.2}x of steady), every reply a published version: {churn_identical}",
-        phase_requests as u64, speedup_churn_vs_steady
+        "churn:  {phase_requests} requests in {churn_wall:?} = {churn_rps:.1} rps \
+         ({speedup_churn_vs_steady:.2}x of steady), every reply a published version: \
+         {churn_identical}"
     );
 
     // Post-churn: the server is back on v1; swap to v2 and verify
     // steady-state v2 byte-identity against the local reference.
-    let (p, f) = swap_to(&mut control, "2.0.0");
-    prepare_us.push(p);
-    flip_us.push(f);
-    let (_, replies, dropped, errored) = run_phase(
+    swap_to(&mut control, "2.0.0", &mut swaps);
+    let load = soak::load(
         addr,
         &pool,
-        scale.concurrency.min(4),
-        scale.requests_per_client,
+        concurrency.min(4),
+        per_client,
+        Some(60_000),
+        true,
     );
-    let v2_identical = !replies.is_empty()
-        && replies
-            .iter()
-            .all(|(idx, r)| !r.degraded && r.verdict_json == ref_v2[*idx]);
-    dropped_requests += dropped;
-    errored_requests += errored;
+    let v2_identical = !load.replies.is_empty() && soak::served_references(&load.replies, &ref_v2);
+    dropped_requests += load.dropped;
+    errored_requests += load.errored;
     println!("post-swap v2 byte-identical: {v2_identical}");
 
+    let (mut prepare_us, mut flip_us): (Vec<f64>, Vec<f64>) = swaps.into_iter().unzip();
     prepare_us.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     flip_us.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let swaps = flip_us.len();
+    let [prepare_p50, prepare_p99, flip_p50, flip_p99] = [
+        soak::percentile(&prepare_us, 0.50),
+        soak::percentile(&prepare_us, 0.99),
+        soak::percentile(&flip_us, 0.50),
+        soak::percentile(&flip_us, 0.99),
+    ];
     println!(
-        "{swaps} swaps: prepare p50 {:.0} us / p99 {:.0} us, flip p50 {:.0} us / p99 {:.0} us",
-        percentile(&prepare_us, 0.50),
-        percentile(&prepare_us, 0.99),
-        percentile(&flip_us, 0.50),
-        percentile(&flip_us, 0.99),
+        "{swaps} swaps: prepare p50 {prepare_p50:.0} us / p99 {prepare_p99:.0} us, \
+         flip p50 {flip_p50:.0} us / p99 {flip_p99:.0} us"
     );
     println!("dropped: {dropped_requests}, errored: {errored_requests}");
 
-    let host_cores = remix_parallel::num_threads();
-    let record = format!(
-        "{{\n  \"benchmark\": \"bench_swap\",\n  \"scale\": \"{}\",\n  \"model\": \"{MODEL}\",\n  \"pool_inputs\": {},\n  \"concurrency\": {},\n  \"rounds\": {},\n  \"requests_per_phase\": {},\n  \"host_cores\": {host_cores},\n  \"swaps\": {swaps},\n  \"steady\": {{\"wall_secs\": {}, \"rps\": {}}},\n  \"churn\": {{\"wall_secs\": {}, \"rps\": {}}},\n  \"speedup_churn_vs_steady\": {},\n  \"swap_prepare_p50_us\": {},\n  \"swap_prepare_p99_us\": {},\n  \"swap_flip_p50_us\": {},\n  \"swap_flip_p99_us\": {},\n  \"dropped_requests\": {dropped_requests},\n  \"errored_requests\": {errored_requests},\n  \"noop_identical\": {noop_identical},\n  \"v1_identical\": {v1_identical},\n  \"v2_identical\": {v2_identical},\n  \"churn_identical\": {churn_identical},\n  \"cache_generation_isolated\": {cache_generation_isolated}\n}}\n",
-        scale.name,
-        pool.len(),
-        scale.concurrency,
-        scale.rounds,
-        phase_requests as u64,
-        fmt_f(steady_wall.as_secs_f64()),
-        fmt_f(steady_rps),
-        fmt_f(churn_wall.as_secs_f64()),
-        fmt_f(churn_rps),
-        fmt_f(speedup_churn_vs_steady),
-        fmt_f(percentile(&prepare_us, 0.50)),
-        fmt_f(percentile(&prepare_us, 0.99)),
-        fmt_f(percentile(&flip_us, 0.50)),
-        fmt_f(percentile(&flip_us, 0.99)),
+    write_record(
+        "bench_swap.json",
+        &Record {
+            benchmark: "bench_swap",
+            scale,
+            model: MODEL,
+            pool_inputs: pool.len(),
+            concurrency,
+            rounds,
+            requests_per_phase: phase_requests,
+            host_cores: remix_parallel::num_threads(),
+            swaps,
+            steady: Throughput {
+                wall_secs: round(steady_wall.as_secs_f64(), 3),
+                rps: round(steady_rps, 3),
+            },
+            churn: Throughput {
+                wall_secs: round(churn_wall.as_secs_f64(), 3),
+                rps: round(churn_rps, 3),
+            },
+            speedup_churn_vs_steady: round(speedup_churn_vs_steady, 3),
+            swap_prepare_p50_us: prepare_p50,
+            swap_prepare_p99_us: prepare_p99,
+            swap_flip_p50_us: flip_p50,
+            swap_flip_p99_us: flip_p99,
+            dropped_requests,
+            errored_requests,
+            noop_identical,
+            v1_identical,
+            v2_identical,
+            churn_identical,
+            cache_generation_isolated,
+        },
     );
-    std::fs::create_dir_all("results").expect("create results dir");
-    let mut file =
-        std::fs::File::create("results/bench_swap.json").expect("create results/bench_swap.json");
-    file.write_all(record.as_bytes())
-        .expect("write results/bench_swap.json");
-    println!("Record written to results/bench_swap.json");
 
     drop(server);
-    std::fs::remove_dir_all(&registry_root).ok();
 
     assert_eq!(dropped_requests, 0, "requests dropped during swaps");
     assert_eq!(errored_requests, 0, "transport errors during swaps");

@@ -29,106 +29,55 @@
 //!
 //! Writes `results/bench_xai_sched.json`.
 
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use remix_bench::{round, soak, write_record, Scale};
 use remix_core::{Remix, TriageScheduler};
-use remix_data::SyntheticSpec;
+use remix_ensemble::metrics::balanced_accuracy;
 use remix_ensemble::{Prediction, TrainedEnsemble};
-use remix_nn::layers::{Dense, Flatten, Relu};
-use remix_nn::{InputSpec, Model, Sequential, Trainer, TrainerConfig};
 use remix_serve::verdict_fragment;
 use remix_tensor::Tensor;
 use remix_xai::XaiLevel;
-use std::io::Write;
+use serde::Serialize;
 use std::time::Instant;
-
-/// Workload size; `REMIX_SCALE=paper` doubles the stream.
-struct LoadScale {
-    name: &'static str,
-    test_size: usize,
-}
-
-impl LoadScale {
-    fn from_env() -> Self {
-        match std::env::var("REMIX_SCALE").as_deref() {
-            Ok("paper") => LoadScale {
-                name: "paper",
-                test_size: 512,
-            },
-            _ => LoadScale {
-                name: "quick",
-                test_size: 256,
-            },
-        }
-    }
-}
 
 /// Per-request best-of rounds: the tail must reflect the work level, not a
 /// descheduled thread.
 const ROUNDS: usize = 3;
 
-fn corrupt_labels(labels: &[usize], num_classes: usize, fraction: f32, seed: u64) -> Vec<usize> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    labels
-        .iter()
-        .map(|&label| {
-            if rng.gen::<f32>() < fraction {
-                rng.gen_range(0..num_classes)
-            } else {
-                label
-            }
-        })
-        .collect()
+#[derive(Serialize)]
+struct Record {
+    benchmark: &'static str,
+    scale: &'static str,
+    models: usize,
+    requests: usize,
+    rounds: usize,
+    num_classes: usize,
+    disagreements: usize,
+    ladder: Vec<Rung>,
+    adaptive_levels: Levels,
+    balanced_accuracy_full: f64,
+    balanced_accuracy_adaptive: f64,
+    ba_cost_pts: f64,
+    speedup_p99_adaptive_vs_full: f64,
+    full_pinned_identical: bool,
 }
 
-/// Same faulty-training-data zoo as `bench_serve`, but keeping the clean
-/// test labels for the accuracy axis of the Pareto sweep.
-fn trained_ensemble(test_size: usize) -> (TrainedEnsemble, Vec<Tensor>, Vec<usize>, usize) {
-    let (train, test) = SyntheticSpec::tabular_like()
-        .train_size(400)
-        .test_size(test_size)
-        .generate();
-    let spec = InputSpec {
-        channels: 1,
-        size: 4,
-        num_classes: train.num_classes,
-    };
-    let configs: [(&str, &[usize], f32); 3] = [
-        ("MLP-wide", &[128], 0.0),
-        ("MLP-deep", &[96, 64], 0.3),
-        ("MLP-drop", &[96], 0.5),
-    ];
-    let models = configs
-        .iter()
-        .enumerate()
-        .map(|(i, (name, hidden, noise))| {
-            let mut init = StdRng::seed_from_u64(i as u64 + 1);
-            let mut net = Sequential::new();
-            net.push(Flatten::new());
-            let mut dim = spec.channels * spec.size * spec.size;
-            for &h in *hidden {
-                net.push(Dense::new(dim, h, &mut init));
-                net.push(Relu::new());
-                dim = h;
-            }
-            net.push(Dense::new(dim, train.num_classes, &mut init));
-            let mut model = Model::named(net, spec, *name);
-            let labels = corrupt_labels(&train.labels, train.num_classes, *noise, 70 + i as u64);
-            Trainer::new(TrainerConfig {
-                epochs: 8,
-                lr: 0.03,
-                seed: i as u64,
-                ..TrainerConfig::default()
-            })
-            .fit(&mut model, &train.images, &labels);
-            model
-        })
-        .collect();
-    (
-        TrainedEnsemble::new(models),
-        test.images,
-        test.labels,
-        test.num_classes,
-    )
+#[derive(Serialize)]
+struct Rung {
+    level: &'static str,
+    p50_us: f64,
+    p99_us: f64,
+    balanced_accuracy: f64,
+    sweep_units_per_model: Option<u64>,
+    levels: Levels,
+}
+
+/// Verdicts per XAI level.
+#[derive(Serialize, Clone, Copy)]
+struct Levels {
+    skip: u64,
+    light: u64,
+    standard: u64,
+    full: u64,
 }
 
 /// A production-weight XAI budget (32 SmoothGrad samples, the regime where
@@ -151,33 +100,6 @@ fn remix_with(scheduler: Option<TriageScheduler>) -> Remix {
         Some(s) => builder.scheduler(s).build(),
         None => builder.build(),
     }
-}
-
-/// Mean per-class recall; `Undecided` (safe disengagement) counts as a miss
-/// for the class it was supposed to hit.
-fn balanced_accuracy(predictions: &[Prediction], labels: &[usize], num_classes: usize) -> f64 {
-    let mut hits = vec![0usize; num_classes];
-    let mut totals = vec![0usize; num_classes];
-    for (pred, &label) in predictions.iter().zip(labels) {
-        totals[label] += 1;
-        if matches!(pred, Prediction::Decided(c) if *c == label) {
-            hits[label] += 1;
-        }
-    }
-    let mut recall_sum = 0.0;
-    let mut classes = 0usize;
-    for (h, t) in hits.iter().zip(&totals) {
-        if *t > 0 {
-            recall_sum += *h as f64 / *t as f64;
-            classes += 1;
-        }
-    }
-    recall_sum / classes.max(1) as f64
-}
-
-fn percentile_us(sorted_ns: &[u64], q: f64) -> f64 {
-    let idx = ((sorted_ns.len() as f64 - 1.0) * q).round() as usize;
-    sorted_ns[idx] as f64 / 1_000.0
 }
 
 /// One sweep of the stream under one scheduling policy: per-request
@@ -216,18 +138,24 @@ fn sweep(remix: &Remix, ensemble: &mut TrainedEnsemble, images: &[Tensor]) -> Sw
     }
 }
 
-fn fmt_f(v: f64) -> String {
-    format!("{v:.4}")
-}
-
 fn main() {
-    let scale = LoadScale::from_env();
-    println!(
-        "bench_xai_sched [{}]: {} requests x {} rounds",
-        scale.name, scale.test_size, ROUNDS
-    );
+    let scale = Scale::from_env().name;
+    let test_size = if scale == "paper" { 512 } else { 256 };
+    println!("bench_xai_sched [{scale}]: {test_size} requests x {ROUNDS} rounds");
 
-    let (mut ensemble, images, labels, num_classes) = trained_ensemble(scale.test_size);
+    // The faulty-training-data zoo of `bench_serve`, keeping the clean test
+    // labels for the accuracy axis of the Pareto sweep.
+    let trained = || {
+        soak::tabular(
+            [0.0, 0.3, 0.5],
+            ["MLP-wide", "MLP-deep", "MLP-drop"],
+            test_size,
+        )
+    };
+    let soak::Tabular {
+        mut ensemble, test, ..
+    } = trained();
+    let (images, labels, num_classes) = (test.images, test.labels, test.num_classes);
     let plain = remix_with(None);
     let disagreements = images
         .iter()
@@ -277,19 +205,23 @@ fn main() {
         ("full", Some(TriageScheduler::pinned(XaiLevel::Full))),
         ("adaptive", Some(TriageScheduler::adaptive())),
     ];
-    let mut rows = Vec::new();
+    let mut ladder = Vec::new();
     let mut p99_by_name = std::collections::BTreeMap::new();
     let mut ba_by_name = std::collections::BTreeMap::new();
-    let mut adaptive_levels = [0u64; 4];
+    let mut adaptive_levels = None;
     let mut full_fragments = Vec::new();
     for (name, scheduler) in policies {
         let remix = remix_with(scheduler);
         let result = sweep(&remix, &mut ensemble, &images);
-        let mut sorted = result.latencies_ns.clone();
-        sorted.sort_unstable();
-        let p50 = percentile_us(&sorted, 0.50);
-        let p99 = percentile_us(&sorted, 0.99);
-        let ba = balanced_accuracy(&result.predictions, &labels, num_classes);
+        let mut sorted: Vec<f64> = result
+            .latencies_ns
+            .iter()
+            .map(|&ns| ns as f64 / 1_000.0)
+            .collect();
+        sorted.sort_by(f64::total_cmp);
+        let p50 = soak::percentile(&sorted, 0.50);
+        let p99 = soak::percentile(&sorted, 0.99);
+        let ba = f64::from(balanced_accuracy(&result.predictions, &labels, num_classes));
         let units = match name {
             "adaptive" => None,
             _ => Some(
@@ -304,36 +236,35 @@ fn main() {
             ba * 100.0,
             result.level_counts
         );
+        let [skip, light, standard, full] = result.level_counts;
+        let levels = Levels {
+            skip,
+            light,
+            standard,
+            full,
+        };
         if name == "adaptive" {
-            adaptive_levels = result.level_counts;
+            adaptive_levels = Some(levels);
         }
         if name == "full" {
             full_fragments = result.fragments.clone();
         }
         p99_by_name.insert(name, p99);
         ba_by_name.insert(name, ba);
-        rows.push(format!(
-            "    {{\"level\": \"{name}\", \"p50_us\": {}, \"p99_us\": {}, \
-             \"balanced_accuracy\": {}, \"sweep_units_per_model\": {}, \
-             \"levels\": {{\"skip\": {}, \"light\": {}, \"standard\": {}, \"full\": {}}}}}",
-            fmt_f(p50),
-            fmt_f(p99),
-            fmt_f(ba),
-            units.map_or("null".into(), |u| u.to_string()),
-            result.level_counts[0],
-            result.level_counts[1],
-            result.level_counts[2],
-            result.level_counts[3],
-        ));
+        ladder.push(Rung {
+            level: name,
+            p50_us: round(p50, 4),
+            p99_us: round(p99, 4),
+            balanced_accuracy: round(ba, 4),
+            sweep_units_per_model: units,
+            levels,
+        });
     }
 
     // Bit-identity: the Full-pinned rung must reproduce the scheduler-less
     // pipeline byte-for-byte (fragments carry `xai_level`, which is `full`
     // on both sides for disagreements and `skip` on both for unanimity).
-    let mut local = {
-        let (ensemble, _, _, _) = trained_ensemble(scale.test_size);
-        ensemble
-    };
+    let mut local = trained().ensemble;
     let full_pinned_identical = images
         .iter()
         .zip(&full_fragments)
@@ -347,26 +278,25 @@ fn main() {
          balanced-accuracy cost {ba_cost_pts:.2} pts"
     );
 
-    let record = format!(
-        "{{\n  \"benchmark\": \"bench_xai_sched\",\n  \"scale\": \"{}\",\n  \"models\": 3,\n  \"requests\": {},\n  \"rounds\": {ROUNDS},\n  \"num_classes\": {num_classes},\n  \"disagreements\": {disagreements},\n  \"ladder\": [\n{}\n  ],\n  \"adaptive_levels\": {{\"skip\": {}, \"light\": {}, \"standard\": {}, \"full\": {}}},\n  \"balanced_accuracy_full\": {},\n  \"balanced_accuracy_adaptive\": {},\n  \"ba_cost_pts\": {},\n  \"speedup_p99_adaptive_vs_full\": {},\n  \"full_pinned_identical\": {full_pinned_identical}\n}}\n",
-        scale.name,
-        images.len(),
-        rows.join(",\n"),
-        adaptive_levels[0],
-        adaptive_levels[1],
-        adaptive_levels[2],
-        adaptive_levels[3],
-        fmt_f(ba_by_name["full"]),
-        fmt_f(ba_by_name["adaptive"]),
-        fmt_f(ba_cost_pts),
-        fmt_f(speedup_p99),
+    write_record(
+        "bench_xai_sched.json",
+        &Record {
+            benchmark: "bench_xai_sched",
+            scale,
+            models: 3,
+            requests: images.len(),
+            rounds: ROUNDS,
+            num_classes,
+            disagreements,
+            ladder,
+            adaptive_levels: adaptive_levels.expect("adaptive rung swept"),
+            balanced_accuracy_full: round(ba_by_name["full"], 4),
+            balanced_accuracy_adaptive: round(ba_by_name["adaptive"], 4),
+            ba_cost_pts: round(ba_cost_pts, 4),
+            speedup_p99_adaptive_vs_full: round(speedup_p99, 4),
+            full_pinned_identical,
+        },
     );
-    std::fs::create_dir_all("results").expect("create results dir");
-    let mut file = std::fs::File::create("results/bench_xai_sched.json")
-        .expect("create results/bench_xai_sched.json");
-    file.write_all(record.as_bytes())
-        .expect("write results/bench_xai_sched.json");
-    println!("Record written to results/bench_xai_sched.json");
 
     assert!(
         full_pinned_identical,

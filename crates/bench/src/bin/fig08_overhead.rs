@@ -11,27 +11,51 @@
 //! `--threads 1` run that posted work to the worker pool, exits nonzero so
 //! CI can gate on it.
 
-use rand::{rngs::StdRng, SeedableRng};
-use remix_bench::{FaultSetting, Scale, TrainedStack};
+use remix_bench::{round, write_record, FaultSetting, Scale, TrainedStack};
 use remix_core::{Remix, RemixVerdict, RemixVoter, StageTimings};
 use remix_data::SyntheticSpec;
 use remix_ensemble::{
     BestIndividual, StackedDynamic, StaticWeighted, UniformAverage, UniformMajority, Voter,
 };
 use remix_faults::{pattern, FaultConfig, FaultType};
-use std::io::Write;
+use serde::Serialize;
 use std::time::{Duration, Instant};
 
-/// PR 1 recorded this single-thread quick-scale wall for the breakdown loop;
-/// the batched engine is benchmarked against it.
-const PR1_BASELINE_SECS: f64 = 2.231;
+/// `results/bench_inference.json`.
+#[derive(Serialize)]
+struct Record {
+    benchmark: &'static str,
+    scale: &'static str,
+    inputs: usize,
+    disagreement_inputs: u32,
+    threads: usize,
+    stack_train_secs: f64,
+    engines: Engines,
+    speedup_batched_vs_per_sample: f64,
+    verdicts_identical: bool,
+}
 
-/// Wall seconds of the `TrainedStack::train` call below at quick scale on
-/// one thread, recorded at the commit preceding the blocked-GEMM batched
-/// training step (the faster of two baseline runs, so the speedup claim is
-/// conservative). The training wall measured by this runner is compared
-/// against it.
-const SEED_STACK_TRAIN_SECS: f64 = 61.843;
+#[derive(Serialize)]
+struct Engines {
+    per_sample: Engine,
+    batched: Engine,
+}
+
+#[derive(Serialize)]
+struct Engine {
+    batch_size: usize,
+    wall_secs: f64,
+    stages_secs: Stages,
+    explanations_per_sec: f64,
+}
+
+#[derive(Serialize)]
+struct Stages {
+    prediction: f64,
+    xai: f64,
+    diversity: f64,
+    weighting: f64,
+}
 
 /// One batched-vs-per-sample measurement: stage sums over the disagreement
 /// inputs, total wall, and the full verdict list for bitwise comparison.
@@ -41,6 +65,28 @@ struct EngineRun {
     stage: StageTimings,
     disagreements: u32,
     verdicts: Vec<RemixVerdict>,
+}
+
+impl EngineRun {
+    /// This run's entry under `engines` in the record.
+    fn record(&self) -> Engine {
+        let secs = |d: Duration| round(d.as_secs_f64(), 6);
+        Engine {
+            batch_size: self.batch_size,
+            wall_secs: secs(self.wall),
+            stages_secs: Stages {
+                prediction: secs(self.stage.prediction),
+                xai: secs(self.stage.xai),
+                diversity: secs(self.stage.diversity),
+                weighting: secs(self.stage.weighting),
+            },
+            // one explanation per (disagreement input × constituent model)
+            explanations_per_sec: round(
+                f64::from(self.disagreements * 3) / self.stage.xai.as_secs_f64().max(1e-9),
+                3,
+            ),
+        }
+    }
 }
 
 fn main() {
@@ -76,14 +122,7 @@ fn main() {
     let train_start = Instant::now();
     let mut stack = TrainedStack::train(&train, &pat, &setting, 3, &scale, 100);
     let stack_train_secs = train_start.elapsed().as_secs_f64();
-    println!(
-        "Stack training: {:.3}s wall (pre-GEMM-blocking baseline {:.3}s, {:.2}x)\n",
-        stack_train_secs,
-        SEED_STACK_TRAIN_SECS,
-        SEED_STACK_TRAIN_SECS / stack_train_secs
-    );
-    let mut rng = StdRng::seed_from_u64(1);
-    let _ = &mut rng;
+    println!("Stack training: {stack_train_secs:.3}s wall\n");
     // best-individual baseline time
     let mut best = BestIndividual::fit(&mut stack.ensemble, &stack.validation);
     let measure = |name: &str, f: &mut dyn FnMut(&remix_tensor::Tensor)| {
@@ -222,16 +261,23 @@ fn main() {
             "DIVERGED"
         }
     );
-    write_bench_json(
-        per_sample,
-        batched,
-        speedup,
-        verdicts_identical,
-        stack_train_secs,
-        &test,
-    )
-    .expect("write results/bench_inference.json");
-    println!("Record written to results/bench_inference.json");
+    write_record(
+        "bench_inference.json",
+        &Record {
+            benchmark: "fig08_overhead",
+            scale: scale.name,
+            inputs: test.len(),
+            disagreement_inputs: batched.disagreements,
+            threads: batched.stage.threads,
+            stack_train_secs: round(stack_train_secs, 6),
+            engines: Engines {
+                per_sample: per_sample.record(),
+                batched: batched.record(),
+            },
+            speedup_batched_vs_per_sample: round(speedup, 3),
+            verdicts_identical,
+        },
+    );
     println!("\nPaper: ReMIX ≈ 1.15× D-WMaj, ≈ 4.5× UMaj/UAvg/S-WMaj/Bagging, ≈ 6× Best.");
     if !verdicts_identical {
         eprintln!("ERROR: batched verdicts diverged from the per-sample path");
@@ -383,59 +429,4 @@ fn verdicts_bit_equal(a: &RemixVerdict, b: &RemixVerdict) -> bool {
                 && x.sparseness.to_bits() == y.sparseness.to_bits()
                 && x.weight.to_bits() == y.weight.to_bits()
         })
-}
-
-/// Hand-formatted JSON record (the vendored serde_json has no pretty
-/// printer) of the per-sample vs batched engine comparison.
-fn write_bench_json(
-    per_sample: &EngineRun,
-    batched: &EngineRun,
-    speedup: f64,
-    verdicts_identical: bool,
-    stack_train_secs: f64,
-    test: &remix_data::Dataset,
-) -> std::io::Result<()> {
-    std::fs::create_dir_all("results")?;
-    let mut f = std::fs::File::create("results/bench_inference.json")?;
-    let scale = match std::env::var("REMIX_SCALE").as_deref() {
-        Ok("paper") => "paper",
-        _ => "quick",
-    };
-    let engine_json = |run: &EngineRun| {
-        format!(
-            "{{\n      \"batch_size\": {},\n      \"wall_secs\": {:.6},\n      \
-             \"stages_secs\": {{\n        \"prediction\": {:.6},\n        \
-             \"xai\": {:.6},\n        \"diversity\": {:.6},\n        \
-             \"weighting\": {:.6}\n      }},\n      \
-             \"explanations_per_sec\": {:.3}\n    }}",
-            run.batch_size,
-            run.wall.as_secs_f64(),
-            run.stage.prediction.as_secs_f64(),
-            run.stage.xai.as_secs_f64(),
-            run.stage.diversity.as_secs_f64(),
-            run.stage.weighting.as_secs_f64(),
-            // one explanation per (disagreement input × constituent model)
-            f64::from(run.disagreements * 3) / run.stage.xai.as_secs_f64().max(1e-9),
-        )
-    };
-    writeln!(
-        f,
-        "{{\n  \"benchmark\": \"fig08_overhead\",\n  \"scale\": \"{scale}\",\n  \
-         \"inputs\": {},\n  \"disagreement_inputs\": {},\n  \"threads\": {},\n  \
-         \"pr1_baseline_wall_secs\": {PR1_BASELINE_SECS},\n  \
-         \"stack_train_secs\": {stack_train_secs:.6},\n  \
-         \"seed_stack_train_secs\": {SEED_STACK_TRAIN_SECS},\n  \
-         \"stack_train_speedup_vs_seed\": {:.3},\n  \
-         \"engines\": {{\n    \"per_sample\": {},\n    \"batched\": {}\n  }},\n  \
-         \"speedup_batched_vs_per_sample\": {speedup:.3},\n  \
-         \"speedup_batched_vs_pr1_baseline\": {:.3},\n  \
-         \"verdicts_identical\": {verdicts_identical}\n}}",
-        test.len(),
-        batched.disagreements,
-        batched.stage.threads,
-        SEED_STACK_TRAIN_SECS / stack_train_secs,
-        engine_json(per_sample),
-        engine_json(batched),
-        PR1_BASELINE_SECS / batched.wall.as_secs_f64(),
-    )
 }

@@ -16,8 +16,9 @@ pub mod check;
 pub mod report;
 pub mod runner;
 pub mod scale;
+pub mod soak;
 pub mod viz;
 
-pub use report::{print_table, write_csv, Row};
+pub use report::{print_rows, print_table, round, write_csv, write_record, Row};
 pub use runner::{run_technique_sweep, FaultSetting, Technique, TrainedStack};
 pub use scale::Scale;

@@ -1,6 +1,6 @@
-//! Result rows, console tables and CSV emission.
+//! Result rows, console tables, CSV emission and bench records.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::io::Write;
 use std::path::Path;
 
@@ -65,6 +65,59 @@ pub fn write_csv(path: impl AsRef<Path>, rows: &[Row]) -> std::io::Result<()> {
     }
     eprintln!("wrote {}", path.display());
     Ok(())
+}
+
+/// Prints serialized rows as an aligned console table, one column per key of
+/// the first row.
+pub fn print_rows<T: Serialize>(rows: &[T]) {
+    let rows: Vec<Value> = rows.iter().map(Serialize::to_value).collect();
+    let Some(header) = rows.first().and_then(Value::as_object) else {
+        return;
+    };
+    let mut table = vec![header.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>()];
+    for row in rows.iter().filter_map(Value::as_object) {
+        table.push(
+            row.iter()
+                .map(|(_, v)| match v {
+                    Value::Str(s) => s.clone(),
+                    v => serde_json::to_string(v).expect("shim serialization cannot fail"),
+                })
+                .collect(),
+        );
+    }
+    for row in &table {
+        let cells: Vec<String> = row
+            .iter()
+            .enumerate()
+            .map(|(c, cell)| {
+                let width = table.iter().map(|r| r[c].len()).max().unwrap_or(0);
+                format!("{cell:>width$}")
+            })
+            .collect();
+        println!("{}", cells.join("  "));
+    }
+}
+
+/// Writes a bench record as pretty JSON to `results/{file}` — the one writer
+/// of every record `bench_check` gates.
+///
+/// # Panics
+///
+/// Panics when `results/` cannot be created or written: a bench that cannot
+/// leave its record must not look like it passed.
+pub fn write_record<T: Serialize>(file: &str, record: &T) {
+    let text = serde_json::to_string_pretty(record).expect("shim serialization cannot fail");
+    let path = Path::new("results").join(file);
+    std::fs::create_dir_all("results").expect("create results/");
+    std::fs::write(&path, text + "\n").unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("Record written to {}", path.display());
+}
+
+/// `value` rounded to `places` decimals, so a record shows the precision
+/// its measurement carries.
+pub fn round(value: f64, places: i32) -> f64 {
+    let scale = 10f64.powi(places);
+    (value * scale).round() / scale
 }
 
 #[cfg(test)]

@@ -3,6 +3,8 @@
 /// Dataset/training sizes for one experiment run.
 #[derive(Debug, Clone)]
 pub struct Scale {
+    /// Profile name, `"quick"` or `"paper"`; the soaks size their streams by it.
+    pub name: &'static str,
     /// Training samples for the GTSRB/CIFAR analogues.
     pub train_size: usize,
     /// Test samples evaluated.
@@ -19,6 +21,7 @@ impl Scale {
     /// Fast profile: a full figure regenerates in minutes on one core.
     pub fn quick() -> Self {
         Self {
+            name: "quick",
             train_size: 860,
             test_size: 250,
             epochs: 8,
@@ -31,6 +34,7 @@ impl Scale {
     /// multiple seeds).
     pub fn paper() -> Self {
         Self {
+            name: "paper",
             train_size: 1290,
             test_size: 430,
             epochs: 14,

@@ -55,6 +55,58 @@ impl Value {
         }
     }
 
+    /// The value under `key`, if this is an object that has it.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.as_object()?
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+    }
+
+    /// Mutable access to the value under `key`, if this is an object that
+    /// has it.
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
+        match self {
+            Value::Object(pairs) => pairs.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Any number, as `f64`.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::UInt(u) => Some(*u as f64),
+            Value::Int(i) => Some(*i as f64),
+            Value::Float(f) => Some(*f),
+            _ => None,
+        }
+    }
+
+    /// A non-negative integer, as `u64`.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::UInt(u) => Some(*u),
+            Value::Int(i) => u64::try_from(*i).ok(),
+            _ => None,
+        }
+    }
+
+    /// The boolean, if this is one.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The string, if this is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
     /// Short name of the variant, for error messages.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -340,6 +392,33 @@ mod tests {
         let err = u64::from_value(&Value::Str("x".into())).unwrap_err();
         assert!(err.to_string().contains("string"));
         assert!(bool::from_value(&Value::UInt(1)).is_err());
+    }
+
+    #[test]
+    fn accessors_follow_upstream() {
+        let mut record = Value::Object(vec![
+            ("n".into(), Value::UInt(3)),
+            ("neg".into(), Value::Int(-2)),
+            ("x".into(), Value::Float(0.5)),
+            ("ok".into(), Value::Bool(true)),
+            ("name".into(), Value::Str("gemm".into())),
+        ]);
+        let get = |key| record.get(key).expect("present");
+        assert_eq!((get("n").as_u64(), get("n").as_f64()), (Some(3), Some(3.0)));
+        assert_eq!(
+            (get("neg").as_u64(), get("neg").as_f64()),
+            (None, Some(-2.0))
+        );
+        assert_eq!((get("x").as_u64(), get("x").as_f64()), (None, Some(0.5)));
+        assert_eq!(
+            (get("ok").as_bool(), get("name").as_str()),
+            (Some(true), Some("gemm"))
+        );
+        assert_eq!((get("name").as_bool(), get("ok").as_str()), (None, None));
+        assert!(record.get("missing").is_none() && Value::UInt(1).get("n").is_none());
+        *record.get_mut("ok").expect("present") = Value::Bool(false);
+        assert_eq!(record.get("ok"), Some(&Value::Bool(false)));
+        assert!(record.get_mut("missing").is_none());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Offline drop-in for the `serde_json` subset this workspace uses:
-//! [`to_string`] and [`from_str`], implemented as a writer and a
-//! recursive-descent parser over the shim `serde::Value` model.
+//! [`to_string`], [`to_string_pretty`] and [`from_str`], implemented as a
+//! writer and a recursive-descent parser over the shim `serde::Value` model.
 //!
 //! Numbers without a `.`, `e`, or `E` parse as integers (preserving full
 //! `u64` precision for seeds); everything else parses as `f64`. Non-finite
@@ -18,7 +18,21 @@ pub use serde::Error;
 /// signature.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out);
+    write_value(&value.to_value(), None, &mut out);
+    Ok(out)
+}
+
+/// Serializes a value to an indented JSON string in upstream's layout: two
+/// spaces per level, one member per line, `": "` after keys, and `[]` / `{}`
+/// for empty containers.
+///
+/// # Errors
+///
+/// Never fails for the shim value model; the `Result` mirrors the upstream
+/// signature.
+pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+    let mut out = String::new();
+    write_value(&value.to_value(), Some(0), &mut out);
     Ok(out)
 }
 
@@ -44,7 +58,9 @@ pub fn from_str<'de, T: Deserialize<'de>>(text: &str) -> Result<T, Error> {
     T::from_value(&value)
 }
 
-fn write_value(value: &Value, out: &mut String) {
+/// Writes `value` compactly (`indent: None`), or in the pretty layout at
+/// nesting depth `depth` (`indent: Some(depth)`).
+fn write_value(value: &Value, indent: Option<usize>, out: &mut String) {
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
@@ -65,29 +81,46 @@ fn write_value(value: &Value, out: &mut String) {
             }
         }
         Value::Str(s) => write_string(s, out),
-        Value::Array(items) => {
-            out.push('[');
-            for (idx, item) in items.iter().enumerate() {
-                if idx > 0 {
-                    out.push(',');
-                }
-                write_value(item, out);
-            }
-            out.push(']');
-        }
+        Value::Array(items) => write_members(items.iter().map(|v| (None, v)), "[]", indent, out),
         Value::Object(pairs) => {
-            out.push('{');
-            for (idx, (key, item)) in pairs.iter().enumerate() {
-                if idx > 0 {
-                    out.push(',');
-                }
-                write_string(key, out);
-                out.push(':');
-                write_value(item, out);
-            }
-            out.push('}');
+            let members = pairs.iter().map(|(k, v)| (Some(k.as_str()), v));
+            write_members(members, "{}", indent, out);
         }
     }
+}
+
+/// Writes an array's (`key: None`) or an object's members between the two
+/// `brackets`; pretty members go one per line, indented a level deeper.
+fn write_members<'v>(
+    members: impl Iterator<Item = (Option<&'v str>, &'v Value)>,
+    brackets: &str,
+    indent: Option<usize>,
+    out: &mut String,
+) {
+    let newline = |out: &mut String, depth: usize| {
+        out.push('\n');
+        out.extend(std::iter::repeat_n("  ", depth));
+    };
+    out.push_str(&brackets[..1]);
+    let mut empty = true;
+    for (key, item) in members {
+        if !empty {
+            out.push(',');
+        }
+        empty = false;
+        if let Some(depth) = indent {
+            newline(out, depth + 1);
+        }
+        if let Some(key) = key {
+            write_string(key, out);
+            out.push_str(if indent.is_some() { ": " } else { ":" });
+        }
+        write_value(item, indent.map(|depth| depth + 1), out);
+    }
+    if let (Some(depth), false) = (indent, empty) {
+        newline(out, depth);
+    }
+    out.push_str(&brackets[1..]);
 }
 
 fn write_string(s: &str, out: &mut String) {
@@ -332,7 +365,7 @@ mod tests {
             ("flag".into(), Value::Bool(true)),
         ]);
         let mut text = String::new();
-        write_value(&value, &mut text);
+        write_value(&value, None, &mut text);
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
@@ -357,7 +390,7 @@ mod tests {
     #[test]
     fn floats_reparse_as_floats() {
         let mut out = String::new();
-        write_value(&Value::Float(2.0), &mut out);
+        write_value(&Value::Float(2.0), None, &mut out);
         assert_eq!(out, "2.0");
         let mut parser = Parser {
             bytes: out.as_bytes(),
@@ -371,6 +404,36 @@ mod tests {
         assert!(from_str::<f64>("[1, 2").is_err());
         assert!(from_str::<f64>("1 2").is_err());
         assert!(from_str::<String>("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn pretty_output_uses_upstream_layout_and_compact_output_is_unchanged() {
+        let value = Value::Object(vec![
+            ("name".into(), Value::Str("bench \"gemm\"".into())),
+            ("seed".into(), Value::UInt(u64::MAX)),
+            ("speedup".into(), Value::Float(1.5)),
+            ("units".into(), Value::Null),
+            (
+                "rows".into(),
+                Value::Array(vec![
+                    Value::Object(vec![("ok".into(), Value::Bool(true))]),
+                    Value::Array(vec![]),
+                    Value::Object(vec![]),
+                ]),
+            ),
+        ]);
+        let pretty = to_string_pretty(&value).unwrap();
+        assert_eq!(
+            pretty,
+            "{\n  \"name\": \"bench \\\"gemm\\\"\",\n  \"seed\": 18446744073709551615,\n  \
+             \"speedup\": 1.5,\n  \"units\": null,\n  \"rows\": [\n    {\n      \"ok\": true\n    },\n    \
+             [],\n    {}\n  ]\n}"
+        );
+        assert_eq!(from_str::<Value>(&pretty).unwrap(), value);
+        assert_eq!(
+            to_string(&value).unwrap(),
+            r#"{"name":"bench \"gemm\"","seed":18446744073709551615,"speedup":1.5,"units":null,"rows":[{"ok":true},[],{}]}"#
+        );
     }
 
     #[test]
