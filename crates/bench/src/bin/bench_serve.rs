@@ -278,10 +278,12 @@ fn main() {
 
     // Phase 5: shard scaling — the batched stream against 1 engine shard vs
     // N shards (N capped at 4: the gate asks for *measurable* scaling, not
-    // a saturation study), compared like phases 1+2. The core
-    // budget honors REMIX_THREADS (CI pins it to the runner's core count) so
-    // the recorded `host_cores` states what the run actually had to scale on.
-    let host_cores = remix_parallel::num_threads();
+    // a saturation study), compared like phases 1+2. The recorded
+    // `host_cores` is what the run actually had to scale on: the
+    // REMIX_THREADS budget, but never more than the cores the host has, so
+    // a 4-thread budget on a 2-core host records 2 and starts 2 shards.
+    let host_cores = remix_parallel::num_threads()
+        .min(std::thread::available_parallelism().map_or(1, |n| n.get()));
     let shard_count = host_cores.clamp(2, 4);
     let shard_config = |shards| ServeConfig {
         max_batch: 16,

@@ -172,9 +172,7 @@ impl Client {
     ///
     /// Returns I/O errors and malformed server replies.
     pub fn models(&mut self) -> io::Result<Value> {
-        let reply = self.roundtrip("GET", "/models", "")?;
-        serde_json::from_str(&reply.body)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))
+        self.get_json("/models")
     }
 
     /// Requests a hot-swap of the named model group to `version` (`None`
@@ -256,9 +254,7 @@ impl Client {
     ///
     /// Returns I/O errors and malformed server replies.
     pub fn stats(&mut self) -> io::Result<Value> {
-        let reply = self.roundtrip("GET", "/stats", "")?;
-        serde_json::from_str(&reply.body)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))
+        self.get_json("/stats")
     }
 
     /// Fetches `GET /drift`, parsed: the detector's enabled/action state
@@ -269,7 +265,11 @@ impl Client {
     ///
     /// Returns I/O errors and malformed server replies.
     pub fn drift(&mut self) -> io::Result<Value> {
-        let reply = self.roundtrip("GET", "/drift", "")?;
+        self.get_json("/drift")
+    }
+
+    fn get_json(&mut self, path: &str) -> io::Result<Value> {
+        let reply = self.roundtrip("GET", path, "")?;
         serde_json::from_str(&reply.body)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))
     }

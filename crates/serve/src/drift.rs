@@ -8,10 +8,10 @@
 //! target group nudges the off-request-path swap coordinator through a
 //! channel; the serving path never blocks on it.
 
-use crate::server::ServeStats;
+use crate::metrics::ShardCounters;
+use crate::protocol;
 use remix_core::RemixVerdict;
 use remix_drift::{DriftAlert, DriftDetector, DriftFeature, VerdictFeatures};
-use remix_trace::Counter;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
@@ -56,7 +56,8 @@ impl DriftAction {
 }
 
 /// One shard's published detector state: written by the engine thread with
-/// relaxed stores, read lock-free by `GET /drift` / `GET /stats`.
+/// relaxed stores, read lock-free by `GET /drift` and `GET /models`. Alerts
+/// are counted once, in the shard's `drift_alerts` counter.
 ///
 /// `tripped` holds the currently-latched feature id
 /// ([`DriftFeature::id`]; 0 = not tripped) and clears when a hot-swap resets
@@ -66,8 +67,6 @@ impl DriftAction {
 pub(crate) struct DriftStatus {
     /// Verdicts folded since the last reset.
     pub verdicts: AtomicU64,
-    /// Alerts raised since startup (never reset).
-    pub alerts: AtomicU64,
     /// Currently-latched feature id, 0 when not tripped.
     pub tripped: AtomicU32,
     /// Feature id of the most recent trip (retained across resets).
@@ -86,7 +85,6 @@ pub(crate) struct DriftStatus {
 
 impl DriftStatus {
     fn publish_trip(&self, alert: &DriftAlert) {
-        self.alerts.fetch_add(1, Ordering::Relaxed);
         self.last_feature
             .store(alert.feature.id(), Ordering::Relaxed);
         self.last_magnitude
@@ -99,6 +97,21 @@ impl DriftStatus {
         // Written last: a reader that sees `tripped` nonzero sees the
         // matching metadata (Release pairs with the Acquire in readers).
         self.tripped.store(alert.feature.id(), Ordering::Release);
+    }
+
+    /// The most recent trip, if any: the detector's verdict count at the
+    /// trip, and the trip rendered as `/drift`'s `last_trip` object.
+    pub(crate) fn last_trip(&self) -> Option<(u64, String)> {
+        let feature = DriftFeature::from_id(self.last_feature.load(Ordering::Acquire))?;
+        let at = self.last_trip_verdicts.load(Ordering::Relaxed);
+        let trip = format!(
+            "{{\"feature\":{},\"magnitude\":{},\"threshold\":{},\"window\":{},\"verdicts_at_trip\":{at}}}",
+            protocol::json_string(feature.name()),
+            protocol::fmt_f32(f32::from_bits(self.last_magnitude.load(Ordering::Relaxed))),
+            protocol::fmt_f32(f32::from_bits(self.last_threshold.load(Ordering::Relaxed))),
+            self.last_window.load(Ordering::Relaxed),
+        );
+        Some((at, trip))
     }
 
     /// The latched feature, if this shard is currently tripped.
@@ -120,20 +133,17 @@ pub(crate) struct DriftTrigger {
 pub(crate) struct EngineDrift {
     pub detector: DriftDetector,
     pub status: Arc<DriftStatus>,
-    /// This shard's always-on counters (`drift_alerts` feeds `/stats`).
-    pub stats: Arc<ServeStats>,
     pub trigger: Option<DriftTrigger>,
 }
 
 impl EngineDrift {
-    /// Folds one verdict's features and publishes the updated state. Called
-    /// after the verdict has been formed and delivered — the detector is
-    /// strictly passive and cannot influence the reply bytes.
-    pub(crate) fn fold(&mut self, features: &VerdictFeatures) {
-        remix_trace::incr(Counter::ServeDriftVerdicts);
+    /// Folds one verdict's features and publishes the updated state,
+    /// counting an alert in the shard's `drift_alerts`. Called after the
+    /// verdict has been formed and delivered — the detector is strictly
+    /// passive and cannot influence the reply bytes.
+    pub(crate) fn fold(&mut self, features: &VerdictFeatures, counters: &ShardCounters) {
         if let Some(alert) = self.detector.observe(features) {
-            remix_trace::incr(Counter::ServeDriftAlerts);
-            self.stats.drift_alerts.fetch_add(1, Ordering::Relaxed);
+            counters.drift_alerts.fetch_add(1, Ordering::Relaxed);
             self.status.publish_trip(&alert);
             if let Some(trigger) = &self.trigger {
                 // The coordinator may already be gone during shutdown; a
@@ -198,6 +208,7 @@ mod tests {
     fn status_publishes_and_retains_last_trip() {
         let status = DriftStatus::default();
         assert_eq!(status.tripped_feature(), None);
+        assert_eq!(status.last_trip(), None);
         let alert = DriftAlert {
             feature: DriftFeature::Entropy,
             magnitude: 42.5,
@@ -207,7 +218,6 @@ mod tests {
         };
         status.publish_trip(&alert);
         assert_eq!(status.tripped_feature(), Some(DriftFeature::Entropy));
-        assert_eq!(status.alerts.load(Ordering::Relaxed), 1);
         assert_eq!(
             f32::from_bits(status.last_magnitude.load(Ordering::Relaxed)),
             42.5
@@ -220,6 +230,9 @@ mod tests {
             Some(DriftFeature::Entropy)
         );
         assert_eq!(status.last_trip_verdicts.load(Ordering::Relaxed), 910);
+        let rendered = "{\"feature\":\"entropy\",\"magnitude\":42.5,\"threshold\":40,\
+                        \"window\":32,\"verdicts_at_trip\":910}";
+        assert_eq!(status.last_trip(), Some((910, rendered.to_string())));
     }
 
     #[test]

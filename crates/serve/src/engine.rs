@@ -7,7 +7,7 @@
 //! decisions serving makes — each request's deadline, and the
 //! `--latency-budget` allowance priced from the engine's running cost
 //! estimate — and takes each verdict as it is delivered: it bumps the
-//! shard's stats, renders the fragment, caches it when eligible, replies,
+//! shard's counters, renders the fragment, caches it when eligible, replies,
 //! and folds the verdict's drift features. Fast-path, degraded and Skip
 //! verdicts are delivered before any XAI sweep starts, so they never wait
 //! on a batchmate's XAI. Every verdict that is neither degraded nor
@@ -18,12 +18,11 @@
 use crate::batcher::{BatchQueue, EngineReply, PendingRequest};
 use crate::cache::{generation_key, VerdictCache};
 use crate::drift::{verdict_features, EngineDrift};
+use crate::metrics::ShardCounters;
 use crate::protocol;
-use crate::server::ServeStats;
 use remix_core::{BatchPolicy, Remix};
 use remix_ensemble::TrainedEnsemble;
 use remix_tensor::Tensor;
-use remix_trace::Counter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -62,7 +61,7 @@ pub(crate) struct Engine {
     pub remix: Remix,
     pub ensemble: TrainedEnsemble,
     pub cache: Arc<VerdictCache>,
-    pub stats: Arc<ServeStats>,
+    pub counters: Arc<ShardCounters>,
     /// Wall-clock allowance for one batch's XAI stage, priced into the
     /// batch's [`BatchPolicy::allowance`]; zero disables pressure
     /// downgrades.
@@ -127,8 +126,7 @@ impl Engine {
 
     fn process(&mut self, batch: Vec<PendingRequest>) {
         let span = remix_trace::span("serve_batch");
-        self.stats.bump_batch(batch.len());
-        remix_trace::incr(Counter::ServeBatches);
+        self.counters.bump_batch(batch.len());
         let images: Vec<Tensor> = batch.iter().map(|r| r.image.clone()).collect();
         // The allowance needs a warm cost model; the pipeline applies it only
         // with a scheduler attached.
@@ -144,17 +142,14 @@ impl Engine {
             remix,
             ensemble,
             cache,
-            stats,
+            counters,
             artifact_hash,
             drift,
             ..
         } = self;
         remix.predict_batch(ensemble, &images, &policy, |k, verdict| {
             let request = &batch[k];
-            stats.bump_verdict(&verdict);
-            if verdict.degraded {
-                remix_trace::incr(Counter::ServeDegraded);
-            }
+            counters.bump_verdict(&verdict);
             if !verdict.details.is_empty() {
                 xai_ns += verdict.timings.xai.as_nanos();
                 xai_units += explainer.sweep_units_at(verdict.xai_level) * members;
@@ -178,7 +173,7 @@ impl Engine {
                 verdict.unanimous,
             ));
             if let Some(drift) = drift {
-                drift.fold(&verdict_features(&verdict));
+                drift.fold(&verdict_features(&verdict), counters);
             }
         });
         // Refresh the cost model from what the sweeps took. It prices future

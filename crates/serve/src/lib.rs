@@ -24,10 +24,11 @@
 //!   disagreement falls back from ReMIX weighting to plain majority vote,
 //!   tagged `"degraded":true` on the wire; plus a bounded queue that sheds
 //!   excess load with `429` instead of queueing without bound.
-//! * **Telemetry** — per-request/per-batch `remix-trace` spans, serve
-//!   counters, queue-depth and batch-occupancy histograms, and per-verdict
-//!   latency histograms, all inert unless tracing is enabled; `/stats`
-//!   serves always-on counters.
+//! * **Telemetry** — `/stats` serves always-on counters, each declared once
+//!   in one table ([`StatsSnapshot`] lists them) and kept per shard;
+//!   per-request/per-batch `remix-trace` spans plus queue-depth,
+//!   batch-occupancy and per-verdict latency histograms are inert unless
+//!   tracing is enabled.
 //! * **Streaming drift detection** (DESIGN.md §6k) — with
 //!   [`ServeConfig::drift`] set, every shard folds per-verdict features
 //!   (disagreement, margin, entropy, ω spread, XAI mix, degraded/downgraded
@@ -72,6 +73,7 @@ pub mod client;
 mod drift;
 mod engine;
 pub mod http;
+mod metrics;
 pub mod protocol;
 #[cfg(target_os = "linux")]
 mod reactor;
@@ -82,8 +84,9 @@ mod sys;
 pub use cache::{content_key, generation_key, VerdictCache};
 pub use client::{Client, ClientReply};
 pub use drift::DriftAction;
+pub use metrics::StatsSnapshot;
 pub use protocol::{verdict_fragment, PredictRequest};
 // Re-exported so configuring `ServeConfig::drift` needs no direct
 // `remix-drift` dependency.
 pub use remix_drift::{DriftAlert, DriftConfig, DriftFeature};
-pub use server::{NamedModel, ServeConfig, Server, StatsSnapshot};
+pub use server::{NamedModel, ServeConfig, Server};

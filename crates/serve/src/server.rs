@@ -5,7 +5,7 @@
 //! each a full sharded backend: N engine workers per group (default =
 //! available parallelism), each owning a [`TrainedEnsemble`] replica, its
 //! own bounded [`BatchQueue`], its own slice of the verdict cache, and its
-//! own [`ServeStats`] atomics. A `/predict` carries an optional `model`
+//! own [`ShardCounters`] atomics. A `/predict` carries an optional `model`
 //! field that routes it to the matching group (the first group is the
 //! default); within a group, requests route to the shard chosen by content
 //! hash ([`ModelGroup::shard_of`]), so every cache slice is touched by
@@ -36,18 +36,17 @@ use crate::cache::{content_key, generation_key, VerdictCache};
 use crate::drift::{DriftAction, DriftStatus, DriftTrigger, EngineDrift};
 use crate::engine::{Engine, PendingSwap, SwapSlot};
 use crate::http::{error_status, read_request, write_response, HttpRequest};
+use crate::metrics::{ShardCounters, StatsSnapshot};
 use crate::protocol;
-use remix_core::{Remix, RemixVerdict};
+use remix_core::Remix;
 use remix_drift::{DriftConfig, DriftDetector, DriftFeature};
 use remix_ensemble::TrainedEnsemble;
 use remix_registry::{Registry, RegistryError};
 use remix_tensor::Tensor;
-use remix_trace::Counter;
-use remix_xai::XaiLevel;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -132,162 +131,12 @@ pub struct NamedModel {
     pub ensemble: TrainedEnsemble,
 }
 
-/// Always-on request accounting for one engine shard (independent of
-/// `remix-trace`, which is opt-in; `/stats` must work on an untraced
-/// server). Shards count independently; [`StatsSnapshot`] is the sum.
-#[derive(Default)]
-pub struct ServeStats {
-    /// Accepted `/predict` requests (shed requests included).
-    pub requests: AtomicU64,
-    /// Requests answered from the verdict cache.
-    pub cache_hits: AtomicU64,
-    /// Requests that missed the cache and ran inference.
-    pub cache_misses: AtomicU64,
-    /// Requests rejected with `429` because the queue was full.
-    pub shed: AtomicU64,
-    /// Requests resolved by the degraded majority-vote fallback.
-    pub degraded: AtomicU64,
-    /// Engine micro-batches executed.
-    pub batches: AtomicU64,
-    /// Requests carried by those micro-batches (mean occupancy =
-    /// `batched_requests / batches`).
-    pub batched_requests: AtomicU64,
-    /// Verdicts produced at [`XaiLevel::Skip`]: the unanimous fast path and
-    /// the scheduler's majority-vote admissions (degraded verdicts count in
-    /// `degraded` only).
-    pub xai_skip: AtomicU64,
-    /// Verdicts produced at the quarter budget.
-    pub xai_light: AtomicU64,
-    /// Verdicts produced at the half budget.
-    pub xai_standard: AtomicU64,
-    /// Verdicts produced at the full budget (the only populated level when
-    /// no scheduler is attached).
-    pub xai_full: AtomicU64,
-    /// Requests served below their scheduler-assigned level because the
-    /// batch's XAI bill exceeded the latency budget.
-    pub downgraded: AtomicU64,
-    /// Drift alerts raised by this shard's streaming detector (zero when
-    /// drift detection is disabled).
-    pub drift_alerts: AtomicU64,
-}
-
-impl ServeStats {
-    pub(crate) fn bump_batch(&self, occupancy: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_requests
-            .fetch_add(occupancy as u64, Ordering::Relaxed);
-    }
-
-    /// Counts one delivered verdict: exactly one of its XAI level or
-    /// `degraded`, plus `downgraded` when the allowance moved it.
-    pub(crate) fn bump_verdict(&self, verdict: &RemixVerdict) {
-        let outcome = match verdict.xai_level {
-            _ if verdict.degraded => &self.degraded,
-            XaiLevel::Skip => &self.xai_skip,
-            XaiLevel::Light => &self.xai_light,
-            XaiLevel::Standard => &self.xai_standard,
-            XaiLevel::Full => &self.xai_full,
-        };
-        outcome.fetch_add(1, Ordering::Relaxed);
-        if verdict.downgraded {
-            self.downgraded.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// One point-in-time view of the server's counters, summed across every
-/// engine shard of every model group (the per-shard atomics are read with
-/// relaxed ordering, so the snapshot is a sum of individually-consistent
-/// counters, not a global atomic cut — fine for monitoring, which is all
-/// `/stats` is for).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Accepted `/predict` requests (shed requests included).
-    pub requests: u64,
-    /// Requests answered from the verdict cache.
-    pub cache_hits: u64,
-    /// Requests that missed the cache and ran inference.
-    pub cache_misses: u64,
-    /// Requests rejected with `429` because a shard queue was full.
-    pub shed: u64,
-    /// Requests resolved by the degraded majority-vote fallback.
-    pub degraded: u64,
-    /// Engine micro-batches executed.
-    pub batches: u64,
-    /// Requests carried by those micro-batches.
-    pub batched_requests: u64,
-    /// Verdicts produced at [`XaiLevel::Skip`] (fast path + admissions).
-    pub xai_skip: u64,
-    /// Verdicts produced at the quarter budget.
-    pub xai_light: u64,
-    /// Verdicts produced at the half budget.
-    pub xai_standard: u64,
-    /// Verdicts produced at the full budget.
-    pub xai_full: u64,
-    /// Requests served below their assigned level under latency pressure.
-    pub downgraded: u64,
-    /// Verdicts currently held across all cache slices.
-    pub cached_verdicts: u64,
-    /// Number of engine shards serving (all groups).
-    pub shards: u64,
-    /// Drift alerts raised by the streaming detectors (all shards).
-    pub drift_alerts: u64,
-    /// Hot-swaps triggered by drift alerts (all groups).
-    pub drift_swaps: u64,
-}
-
-impl StatsSnapshot {
-    /// Every field of the snapshot, in the order `GET /stats` renders them.
-    /// The docs-sync test uses this list to fail the build when a field is
-    /// missing from the README's documented stats list.
-    pub const FIELD_NAMES: [&'static str; 16] = [
-        "requests",
-        "cache_hits",
-        "cache_misses",
-        "shed",
-        "degraded",
-        "batches",
-        "batched_requests",
-        "xai_skip",
-        "xai_light",
-        "xai_standard",
-        "xai_full",
-        "downgraded",
-        "cached_verdicts",
-        "shards",
-        "drift_alerts",
-        "drift_swaps",
-    ];
-
-    fn body(&self) -> String {
-        format!(
-            "{{\"requests\":{},\"cache_hits\":{},\"cache_misses\":{},\"shed\":{},\"degraded\":{},\"batches\":{},\"batched_requests\":{},\"xai_skip\":{},\"xai_light\":{},\"xai_standard\":{},\"xai_full\":{},\"downgraded\":{},\"cached_verdicts\":{},\"shards\":{},\"drift_alerts\":{},\"drift_swaps\":{}}}",
-            self.requests,
-            self.cache_hits,
-            self.cache_misses,
-            self.shed,
-            self.degraded,
-            self.batches,
-            self.batched_requests,
-            self.xai_skip,
-            self.xai_light,
-            self.xai_standard,
-            self.xai_full,
-            self.downgraded,
-            self.cached_verdicts,
-            self.shards,
-            self.drift_alerts,
-            self.drift_swaps,
-        )
-    }
-}
-
 /// One engine shard's server-side handles (the engine thread owns the
 /// ensemble replica itself).
 pub(crate) struct Shard {
     pub queue: Arc<BatchQueue>,
     pub cache: Arc<VerdictCache>,
-    pub stats: Arc<ServeStats>,
+    pub counters: Arc<ShardCounters>,
     /// Hot-swap mailbox shared with this shard's engine.
     pub swap: Arc<SwapSlot>,
     /// Published state of this shard's drift detector (`None` when drift
@@ -300,13 +149,17 @@ pub(crate) struct Shard {
 pub(crate) struct GroupMeta {
     pub version: String,
     pub swaps: u64,
-    /// Hot-swaps triggered by the drift coordinator (at most one per group
-    /// per server lifetime).
-    pub drift_swaps: u64,
     /// HTTP status of the drift-triggered swap, once it has run (`200` on
     /// promotion; a 4xx/5xx records a failed attempt — the trigger is not
-    /// retried).
+    /// retried, so a group sees at most one drift swap per server lifetime).
     pub drift_swap_status: Option<u16>,
+}
+
+impl GroupMeta {
+    /// Hot-swaps the drift coordinator has run for this group: 0 or 1.
+    fn drift_swaps(&self) -> u64 {
+        u64::from(self.drift_swap_status.is_some())
+    }
 }
 
 /// One named model's complete sharded backend.
@@ -335,11 +188,32 @@ impl ModelGroup {
         ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) % self.shards.len() as u64) as usize
     }
 
-    fn requests(&self) -> u64 {
+    /// Locks this group's bookkeeping, recovering a poisoned lock (the
+    /// fields stay meaningful whatever panicked while holding it).
+    fn lock_meta(&self) -> MutexGuard<'_, GroupMeta> {
+        self.meta.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// This group's fold of the stats table: every shard's counters plus
+    /// the `read` rows. Takes the `meta` lock, so callers must not hold it.
+    fn stats(&self) -> StatsSnapshot {
+        let mut sum = StatsSnapshot {
+            shards: self.shards.len() as u64,
+            drift_swaps: self.lock_meta().drift_swaps(),
+            ..StatsSnapshot::default()
+        };
+        for shard in &self.shards {
+            shard.counters.add_to(&mut sum);
+            sum.cached_verdicts += shard.cache.len() as u64;
+        }
+        sum
+    }
+
+    /// The drift feature some shard of this group is latched on, if any.
+    fn tripped_feature(&self) -> Option<DriftFeature> {
         self.shards
             .iter()
-            .map(|s| s.stats.requests.load(Ordering::Relaxed))
-            .sum()
+            .find_map(|s| s.drift.as_ref()?.tripped_feature())
     }
 }
 
@@ -369,32 +243,8 @@ impl Shared {
     }
 
     fn snapshot(&self) -> StatsSnapshot {
-        let mut sum = StatsSnapshot::default();
-        for group in &self.groups {
-            sum.shards += group.shards.len() as u64;
-            for shard in &group.shards {
-                sum.requests += shard.stats.requests.load(Ordering::Relaxed);
-                sum.cache_hits += shard.stats.cache_hits.load(Ordering::Relaxed);
-                sum.cache_misses += shard.stats.cache_misses.load(Ordering::Relaxed);
-                sum.shed += shard.stats.shed.load(Ordering::Relaxed);
-                sum.degraded += shard.stats.degraded.load(Ordering::Relaxed);
-                sum.batches += shard.stats.batches.load(Ordering::Relaxed);
-                sum.batched_requests += shard.stats.batched_requests.load(Ordering::Relaxed);
-                sum.xai_skip += shard.stats.xai_skip.load(Ordering::Relaxed);
-                sum.xai_light += shard.stats.xai_light.load(Ordering::Relaxed);
-                sum.xai_standard += shard.stats.xai_standard.load(Ordering::Relaxed);
-                sum.xai_full += shard.stats.xai_full.load(Ordering::Relaxed);
-                sum.downgraded += shard.stats.downgraded.load(Ordering::Relaxed);
-                sum.drift_alerts += shard.stats.drift_alerts.load(Ordering::Relaxed);
-                sum.cached_verdicts += shard.cache.len() as u64;
-            }
-            sum.drift_swaps += group
-                .meta
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .drift_swaps;
-        }
-        sum
+        let groups = self.groups.iter().map(ModelGroup::stats);
+        groups.fold(StatsSnapshot::default(), StatsSnapshot::plus)
     }
 
     fn models_body(&self) -> String {
@@ -403,22 +253,18 @@ impl Shared {
             if i > 0 {
                 out.push(',');
             }
-            let meta = group.meta.lock().unwrap_or_else(|e| e.into_inner());
-            let drift_tripped = group.shards.iter().any(|s| {
-                s.drift
-                    .as_ref()
-                    .is_some_and(|d| d.tripped_feature().is_some())
-            });
+            let requests = group.stats().requests;
+            let meta = group.lock_meta();
             out.push_str(&format!(
                 "{{\"name\":{},\"version\":{},\"hash\":\"{:016x}\",\"requests\":{},\"swaps\":{},\"shards\":{},\"drift_tripped\":{},\"drift_swaps\":{},\"drift_swap_status\":{}}}",
                 protocol::json_string(&group.name),
                 protocol::json_string(&meta.version),
                 group.active_hash.load(Ordering::Acquire),
-                group.requests(),
+                requests,
                 meta.swaps,
                 group.shards.len(),
-                drift_tripped,
-                meta.drift_swaps,
+                group.tripped_feature().is_some(),
+                meta.drift_swaps(),
                 meta.drift_swap_status
                     .map_or("null".to_string(), |s| s.to_string()),
             ));
@@ -430,80 +276,44 @@ impl Shared {
     /// Renders `GET /drift`: the configured action plus, per model group,
     /// the shard-aggregated alert state and the most recent trip's metadata.
     fn drift_body(&self) -> String {
+        let target = match &self.drift_action {
+            DriftAction::Swap { target } => protocol::json_string(target),
+            DriftAction::Observe => "null".to_string(),
+        };
         let mut out = format!(
-            "{{\"enabled\":{},\"action\":{}",
+            "{{\"enabled\":{},\"action\":{},\"target\":{target},\"models\":[",
             self.drift_enabled,
             protocol::json_string(self.drift_action.name()),
         );
-        match &self.drift_action {
-            DriftAction::Swap { target } => {
-                out.push_str(&format!(",\"target\":{}", protocol::json_string(target)));
-            }
-            DriftAction::Observe => out.push_str(",\"target\":null"),
-        }
-        out.push_str(",\"models\":[");
         if self.drift_enabled {
             for (i, group) in self.groups.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                let mut verdicts = 0u64;
-                let mut alerts = 0u64;
-                let mut resets = 0u64;
-                let mut tripped: Option<DriftFeature> = None;
+                let alerts = group.stats().drift_alerts;
+                let tripped = group.tripped_feature();
+                let (mut verdicts, mut resets) = (0u64, 0u64);
                 // The most recent trip across the group's shards, picked by
                 // verdict count at trip (shards count independently, so this
                 // is a heuristic "latest", which is all monitoring needs).
-                let mut last: Option<(DriftFeature, f32, f32, u64, u64)> = None;
-                for shard in &group.shards {
-                    let Some(status) = shard.drift.as_ref() else {
-                        continue;
-                    };
+                let mut last: Option<(u64, String)> = None;
+                for status in group.shards.iter().filter_map(|s| s.drift.as_deref()) {
                     verdicts += status.verdicts.load(Ordering::Relaxed);
-                    alerts += status.alerts.load(Ordering::Relaxed);
                     resets += status.resets.load(Ordering::Relaxed);
-                    if tripped.is_none() {
-                        tripped = status.tripped_feature();
-                    }
-                    let feature =
-                        DriftFeature::from_id(status.last_feature.load(Ordering::Acquire));
-                    if let Some(feature) = feature {
-                        let at = status.last_trip_verdicts.load(Ordering::Relaxed);
-                        if last.is_none_or(|(_, _, _, _, prev)| at > prev) {
-                            last = Some((
-                                feature,
-                                f32::from_bits(status.last_magnitude.load(Ordering::Relaxed)),
-                                f32::from_bits(status.last_threshold.load(Ordering::Relaxed)),
-                                status.last_window.load(Ordering::Relaxed),
-                                at,
-                            ));
+                    if let Some(trip) = status.last_trip() {
+                        if last.as_ref().is_none_or(|(prev, _)| trip.0 > *prev) {
+                            last = Some(trip);
                         }
                     }
                 }
-                let meta = group.meta.lock().unwrap_or_else(|e| e.into_inner());
+                let meta = group.lock_meta();
                 out.push_str(&format!(
-                    "{{\"name\":{},\"verdicts\":{},\"alerts\":{},\"resets\":{},\"tripped\":{},\"tripped_feature\":{}",
+                    "{{\"name\":{},\"verdicts\":{verdicts},\"alerts\":{alerts},\"resets\":{resets},\"tripped\":{},\"tripped_feature\":{},\"last_trip\":{},\"drift_swaps\":{},\"swap_status\":{}}}",
                     protocol::json_string(&group.name),
-                    verdicts,
-                    alerts,
-                    resets,
                     tripped.is_some(),
                     tripped.map_or("null".to_string(), |f| protocol::json_string(f.name())),
-                ));
-                match last {
-                    Some((feature, magnitude, threshold, window, at)) => out.push_str(&format!(
-                        ",\"last_trip\":{{\"feature\":{},\"magnitude\":{},\"threshold\":{},\"window\":{},\"verdicts_at_trip\":{}}}",
-                        protocol::json_string(feature.name()),
-                        protocol::fmt_f32(magnitude),
-                        protocol::fmt_f32(threshold),
-                        window,
-                        at,
-                    )),
-                    None => out.push_str(",\"last_trip\":null"),
-                }
-                out.push_str(&format!(
-                    ",\"drift_swaps\":{},\"swap_status\":{}}}",
-                    meta.drift_swaps,
+                    last.map_or("null".to_string(), |(_, trip)| trip),
+                    meta.drift_swaps(),
                     meta.drift_swap_status
                         .map_or("null".to_string(), |s| s.to_string()),
                 ));
@@ -624,16 +434,14 @@ fn prepare_predict(body: &[u8], shared: &Shared) -> Routed {
     let key = content_key(&request.image);
     let shard_index = group.shard_of(key);
     let shard = &group.shards[shard_index];
-    shard.stats.requests.fetch_add(1, Ordering::Relaxed);
-    remix_trace::incr(Counter::ServeRequests);
+    shard.counters.requests.fetch_add(1, Ordering::Relaxed);
     if shard.cache.enabled() && !request.no_cache {
         // Look up under the group's *published* generation: entries written
         // by a not-yet-swapped-out engine stay invisible the instant the
         // hash flips.
         let lookup = generation_key(key, group.active_hash.load(Ordering::Acquire));
         if let Some(fragment) = shard.cache.get(lookup, &request.image) {
-            shard.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            remix_trace::incr(Counter::ServeCacheHits);
+            shard.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
             let latency = started.elapsed();
             remix_trace::record_duration("serve_verdict_cached", latency);
             return Routed::Immediate(
@@ -641,8 +449,7 @@ fn prepare_predict(body: &[u8], shared: &Shared) -> Routed {
                 protocol::envelope(&fragment, true, latency.as_micros() as u64),
             );
         }
-        shard.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-        remix_trace::incr(Counter::ServeCacheMisses);
+        shard.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
     let deadline = started
         + request
@@ -681,8 +488,7 @@ pub(crate) fn enqueue(
     match shard.queue.push(pending) {
         Ok(()) => Ok(()),
         Err(PushError::Shed) => {
-            shard.stats.shed.fetch_add(1, Ordering::Relaxed);
-            remix_trace::incr(Counter::ServeShed);
+            shard.counters.shed.fetch_add(1, Ordering::Relaxed);
             Err((429, protocol::error_body("overloaded: queue full")))
         }
         Err(PushError::Closed) => Err((503, protocol::error_body("server is shutting down"))),
@@ -768,7 +574,7 @@ pub(crate) fn perform_swap(shared: &Shared, swap: &PreparedSwap) -> (u16, String
 
     let to_version = loaded.version.to_string();
     let from_version = {
-        let mut meta = group.meta.lock().unwrap_or_else(|e| e.into_inner());
+        let mut meta = group.lock_meta();
         meta.swaps += 1;
         std::mem::replace(&mut meta.version, to_version.clone())
     };
@@ -919,7 +725,7 @@ impl Server {
                     config.batch_window,
                 ));
                 let cache = Arc::new(VerdictCache::new(cache_per_shard, config.cache_shards));
-                let stats = Arc::new(ServeStats::default());
+                let counters = Arc::new(ShardCounters::default());
                 let swap = Arc::new(SwapSlot::default());
                 // Each shard owns a frozen replica: the weights are prepacked
                 // once at startup and every request on this shard reuses the
@@ -931,7 +737,6 @@ impl Server {
                 let engine_drift = config.drift.map(|drift_config| EngineDrift {
                     detector: DriftDetector::new(drift_config),
                     status: Arc::clone(drift_status.as_ref().expect("built together")),
-                    stats: Arc::clone(&stats),
                     trigger: drift_channel.as_ref().map(|(tx, _)| DriftTrigger {
                         group: group_index,
                         sender: tx.clone(),
@@ -941,7 +746,7 @@ impl Server {
                     remix: remix.clone(),
                     ensemble: replica,
                     cache: Arc::clone(&cache),
-                    stats: Arc::clone(&stats),
+                    counters: Arc::clone(&counters),
                     latency_budget: config.latency_budget,
                     ns_per_unit: 0.0,
                     swap: Arc::clone(&swap),
@@ -958,7 +763,7 @@ impl Server {
                 shards.push(Shard {
                     queue,
                     cache,
-                    stats,
+                    counters,
                     swap,
                     drift: drift_status,
                 });
@@ -972,7 +777,6 @@ impl Server {
                 meta: Mutex::new(GroupMeta {
                     version: model.version,
                     swaps: 0,
-                    drift_swaps: 0,
                     drift_swap_status: None,
                 }),
                 template: Mutex::new(model.ensemble),
@@ -1009,14 +813,8 @@ impl Server {
                         };
                         while let Ok(group_index) = rx.recv() {
                             let group = &coordinator_shared.groups[group_index];
-                            if group.name != target_name {
+                            if group.name != target_name || group.lock_meta().drift_swaps() > 0 {
                                 continue;
-                            }
-                            {
-                                let meta = group.meta.lock().unwrap_or_else(|e| e.into_inner());
-                                if meta.drift_swaps > 0 {
-                                    continue;
-                                }
                             }
                             let (status, _body) = perform_swap(
                                 &coordinator_shared,
@@ -1025,9 +823,7 @@ impl Server {
                                     version: target_version.clone(),
                                 },
                             );
-                            let mut meta = group.meta.lock().unwrap_or_else(|e| e.into_inner());
-                            meta.drift_swaps += 1;
-                            meta.drift_swap_status = Some(status);
+                            group.lock_meta().drift_swap_status = Some(status);
                         }
                     })?,
             );
@@ -1201,31 +997,63 @@ fn blocking_predict(shared: &Shared, prepared: PreparedPredict) -> (u16, String)
 mod tests {
     use super::*;
 
-    /// `FIELD_NAMES` is the contract the docs-sync test (and the README)
-    /// verify against; this pins it to the actual rendered body so the two
-    /// cannot drift apart silently.
+    /// The rendered body is the table's fields, in table order, each under
+    /// its own key: with all sixteen values distinct, a row rendered under
+    /// the wrong key changes the string.
     #[test]
     fn stats_body_renders_exactly_the_declared_fields() {
-        let body = StatsSnapshot::default().body();
-        let parsed: serde::Value = serde_json::from_str(&body).expect("body is valid JSON");
-        let pairs = parsed.as_object().expect("body is a JSON object");
-        let rendered: Vec<&str> = pairs.iter().map(|(key, _)| key.as_str()).collect();
+        let snapshot = StatsSnapshot {
+            requests: 101,
+            cache_hits: 102,
+            cache_misses: 103,
+            shed: 104,
+            degraded: 105,
+            batches: 106,
+            batched_requests: 107,
+            xai_skip: 108,
+            xai_light: 109,
+            xai_standard: 110,
+            xai_full: 111,
+            downgraded: 112,
+            cached_verdicts: 113,
+            shards: 114,
+            drift_alerts: 115,
+            drift_swaps: 116,
+        };
         assert_eq!(
-            rendered,
-            StatsSnapshot::FIELD_NAMES.to_vec(),
-            "StatsSnapshot::FIELD_NAMES must list every rendered stats field in order"
+            snapshot.body(),
+            "{\"requests\":101,\"cache_hits\":102,\"cache_misses\":103,\"shed\":104,\
+             \"degraded\":105,\"batches\":106,\"batched_requests\":107,\"xai_skip\":108,\
+             \"xai_light\":109,\"xai_standard\":110,\"xai_full\":111,\"downgraded\":112,\
+             \"cached_verdicts\":113,\"shards\":114,\"drift_alerts\":115,\"drift_swaps\":116}"
         );
+        let parsed: serde::Value = serde_json::from_str(&snapshot.body()).expect("valid JSON");
+        let keys: Vec<&str> = parsed
+            .as_object()
+            .expect("body is a JSON object")
+            .iter()
+            .map(|(key, _)| key.as_str())
+            .collect();
+        assert_eq!(keys, StatsSnapshot::FIELDS);
     }
 
-    /// Docs-sync: the README must name every stats field the server renders.
-    /// Adding a `StatsSnapshot` field without documenting it fails here.
+    /// Docs-sync: the `/stats` table of the operator runbook must name every
+    /// field the server renders. Adding a table row without documenting it
+    /// fails here.
     #[test]
-    fn readme_documents_every_stats_field() {
-        let readme = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"));
-        for name in StatsSnapshot::FIELD_NAMES {
+    fn operations_guide_documents_every_stats_field() {
+        let guide = include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../docs/OPERATIONS.md"
+        ));
+        let section = guide
+            .split("\n## ")
+            .find(|s| s.starts_with("`GET /stats`"))
+            .expect("docs/OPERATIONS.md has a `GET /stats` section");
+        for name in StatsSnapshot::FIELDS {
             assert!(
-                readme.contains(&format!("`{name}`")),
-                "README.md does not document the stats field `{name}`"
+                section.contains(&format!("`{name}`")),
+                "docs/OPERATIONS.md's `GET /stats` table does not document `{name}`"
             );
         }
     }

@@ -19,7 +19,7 @@ use remix_data::SyntheticSpec;
 use remix_ensemble::{majority_with_weights, Prediction, TrainedEnsemble};
 use remix_nn::layers::{Dense, Flatten, Relu};
 use remix_nn::{InputSpec, Model, Sequential, Trainer, TrainerConfig};
-use remix_serve::{verdict_fragment, Client, ServeConfig, Server};
+use remix_serve::{verdict_fragment, Client, DriftConfig, ServeConfig, Server};
 use remix_tensor::Tensor;
 use remix_xai::XaiLevel;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -116,9 +116,16 @@ fn split_inputs(ensemble: &mut TrainedEnsemble, images: &[Tensor]) -> (Tensor, T
     )
 }
 
-/// Every batched request bumps exactly one outcome counter: its XAI level,
-/// or `degraded`.
+/// The identities an idle server's counters satisfy: every admitted
+/// `/predict` is answered from the cache, shed with 429, or carried by
+/// exactly one batch; and every batched request bumps exactly one outcome
+/// counter, its XAI level or `degraded`.
 fn assert_counters_reconcile(stats: &remix_serve::StatsSnapshot) {
+    assert_eq!(
+        stats.requests,
+        stats.cache_hits + stats.shed + stats.batched_requests,
+        "every admitted request is a cache hit, shed, or batched: {stats:?}"
+    );
     assert_eq!(
         stats.xai_skip + stats.xai_light + stats.xai_standard + stats.xai_full + stats.degraded,
         stats.batched_requests,
@@ -250,7 +257,9 @@ fn full_queue_sheds_with_429() {
 
     let held = holder.join().unwrap();
     assert_eq!(held.status, 200, "the queued request still completes");
-    assert_eq!(server.stats().shed, 1);
+    let stats = server.stats();
+    assert_eq!(stats.shed, 1);
+    assert_counters_reconcile(&stats);
 }
 
 /// Reads exactly one HTTP response (status, headers, `Content-Length` body)
@@ -721,4 +730,108 @@ fn health_stats_and_error_paths() {
     assert_eq!(get("cache_misses"), 1);
     assert_eq!(get("cached_verdicts"), 1);
     assert_eq!(get("shed"), 0);
+}
+
+/// The keys of a JSON object, in order.
+fn keys(value: &serde::Value) -> Vec<&str> {
+    let pairs = value.as_object().expect("a JSON object");
+    pairs.iter().map(|(key, _)| key.as_str()).collect()
+}
+
+#[test]
+fn drift_reports_the_trip_and_counts_each_alert_once() {
+    let (ensemble, images) = setup();
+    let (mut local, _) = setup();
+    let (unanimous, split) = split_inputs(&mut local, &images);
+    // A 32-verdict reference of unanimous verdicts arms the disagreement
+    // feature at mean 0; disagreements then trip it within a few verdicts.
+    let config = ServeConfig {
+        shards: 1,
+        drift: Some(DriftConfig {
+            reference_window: 32,
+            ..DriftConfig::default()
+        }),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(ensemble, remix(), config).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let (clean, shifted) = (32u64, 8u64);
+    for (image, count) in [(&unanimous, clean), (&split, shifted)] {
+        for _ in 0..count {
+            let reply = client.predict(image.data(), Some(10_000), true).unwrap();
+            assert_eq!(reply.status, 200);
+        }
+    }
+    let delivered = clean + shifted;
+    // The engine folds a verdict into the detector just after replying, so
+    // wait for the last fold before reading the rest of the body.
+    let started = std::time::Instant::now();
+    let drift = loop {
+        let drift = client.drift().unwrap();
+        let group = &drift.get("models").and_then(|m| m.as_array()).unwrap()[0];
+        if group.get("verdicts").and_then(|v| v.as_u64()) == Some(delivered) {
+            break drift;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "the detector never folded all {delivered} verdicts: {drift:?}"
+        );
+        thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(keys(&drift), ["enabled", "action", "target", "models"]);
+    assert_eq!(drift.get("enabled").and_then(|v| v.as_bool()), Some(true));
+    let groups = drift.get("models").and_then(|m| m.as_array()).unwrap();
+    assert_eq!(groups.len(), 1);
+    let group = &groups[0];
+    assert_eq!(
+        keys(group),
+        [
+            "name",
+            "verdicts",
+            "alerts",
+            "resets",
+            "tripped",
+            "tripped_feature",
+            "last_trip",
+            "drift_swaps",
+            "swap_status"
+        ]
+    );
+    assert_eq!(group.get("tripped").and_then(|v| v.as_bool()), Some(true));
+    assert!(group
+        .get("tripped_feature")
+        .and_then(|v| v.as_str())
+        .is_some());
+    let last_trip = group.get("last_trip").unwrap();
+    assert_eq!(
+        keys(last_trip),
+        [
+            "feature",
+            "magnitude",
+            "threshold",
+            "window",
+            "verdicts_at_trip"
+        ]
+    );
+    let at_trip = last_trip.get("verdicts_at_trip").and_then(|v| v.as_u64());
+    assert!(at_trip.is_some_and(|at| at > clean && at <= delivered));
+    // The trip latches until a swap resets the detector: one alert.
+    let alerts = group.get("alerts").and_then(|v| v.as_u64()).unwrap();
+    assert_eq!(alerts, 1, "{drift:?}");
+    let stats = server.stats();
+    assert_eq!(alerts, stats.drift_alerts, "one alert, one count");
+    assert_eq!(stats.batched_requests, delivered);
+    assert_counters_reconcile(&stats);
+
+    // A server without the detector reports exactly that, and nothing else.
+    let (ensemble, _) = setup();
+    let plain = Server::start(ensemble, remix(), ServeConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(plain.addr()).unwrap();
+    write!(stream, "GET /drift HTTP/1.1\r\n\r\n").unwrap();
+    let (status, _, body) = read_one_response(&mut BufReader::new(stream));
+    assert_eq!(status, 200);
+    assert_eq!(
+        body,
+        "{\"enabled\":false,\"action\":\"observe\",\"target\":null,\"models\":[]}"
+    );
 }

@@ -781,10 +781,10 @@ pub fn gemm_accum_ab(
 /// Which operand slot and read orientation a [`PackedOperand`] was built for.
 ///
 /// The lhs roles (`A`, `At`) store interleaved `[m.div_ceil(MR)][kc][MR]`
-/// A blocks; the rhs roles (`B`, `Bt`) store `[n.div_ceil(NR)][kc][NR]`
-/// B panels. The two orientations per slot differ only in how the *source*
-/// tensor was read during packing — the stored layout (and therefore the
-/// kernel consuming it) is identical.
+/// A blocks; the rhs role (`B`) stores `[n.div_ceil(NR)][kc][NR]` B panels.
+/// The two lhs orientations differ only in how the *source* tensor was read
+/// during packing — the stored layout (and therefore the kernel consuming
+/// it) is identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PackedRole {
     /// Left operand read row-major: source `[m, k]`, serves
@@ -797,9 +797,6 @@ pub enum PackedRole {
     /// Right operand read row-major: source `[k, n]`, serves
     /// [`PackedOperand::matmul_at_b_rhs_prepacked_into`].
     B,
-    /// Right operand read transposed: source `[n, k]`, serves
-    /// [`PackedOperand::matmul_a_bt_rhs_prepacked_into`].
-    Bt,
 }
 
 /// A persistent prepacked GEMM operand: the weight side of a weight-static
@@ -1034,40 +1031,6 @@ impl PackedOperand {
         reset_buf(out, m * n);
         gemm_dispatch(
             &|i0, h, dst| pack_at_rows(a, m, k, i0, h, dst),
-            m,
-            k,
-            n,
-            &self.data,
-            out,
-        );
-        Ok(())
-    }
-
-    /// `lhs · Pᵀ` for a pack built by [`Tensor::prepack_bt`] from `[n, k]`
-    /// and `lhs: [m, k]` → `out: [m, n]`; bit-identical to
-    /// `lhs.matmul_a_bt_into(source, ..)`. As with
-    /// [`PackedOperand::matmul_at_b_rhs_prepacked_into`], only the stored B
-    /// panels are reused.
-    ///
-    /// # Errors
-    ///
-    /// Same shape errors as [`Tensor::matmul`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pack's role is not [`PackedRole::Bt`].
-    pub fn matmul_a_bt_rhs_prepacked_into(&self, lhs: &Tensor, out: &mut Vec<f32>) -> Result<()> {
-        self.expect_role(PackedRole::Bt, "matmul_a_bt_rhs_prepacked_into");
-        check_rank2(lhs, "matmul_a_bt")?;
-        let (m, k2) = (lhs.shape()[0], lhs.shape()[1]);
-        self.check_inner_dim(lhs, k2)?;
-        remix_trace::incr(remix_trace::Counter::PrepackHits);
-        let a = lhs.data();
-        let (k, n) = (self.kc, self.dim);
-        let window = 0..k;
-        reset_buf(out, m * n);
-        gemm_dispatch(
-            &|i0, h, dst| pack_a_rows(a, k, &window, i0, h, dst),
             m,
             k,
             n,
@@ -1405,28 +1368,6 @@ impl Tensor {
         })
     }
 
-    /// Packs `self: [n, k]` once as the transpose-read right operand of
-    /// [`Tensor::matmul_a_bt`] products ([`PackedRole::Bt`]). Consume via
-    /// [`PackedOperand::matmul_a_bt_rhs_prepacked_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] unless `self` is rank 2.
-    pub fn prepack_bt(&self) -> Result<PackedOperand> {
-        check_rank2(self, "prepack_bt")?;
-        let (n, k) = (self.shape()[0], self.shape()[1]);
-        let mut data = Vec::new();
-        let window = 0..k;
-        pack_bt(self.data(), n, k, &window, &mut data);
-        Ok(PackedOperand {
-            role: PackedRole::Bt,
-            dim: n,
-            kc: k,
-            src: [n, k],
-            data,
-        })
-    }
-
     /// Pre-blocking reference matmul (the PR 1 ikj kernel, zero-skip
     /// included), kept public so proptests and `bench_gemm` can pin the
     /// blocked kernel's bit-exactness and speedup against it.
@@ -1742,13 +1683,6 @@ mod tests {
                 bits(&out),
                 bits(at.matmul_at_b(&b).unwrap().data()),
                 "matmul_at_b rhs {m}x{k}x{n}"
-            );
-            let pbt = bt.prepack_bt().unwrap();
-            pbt.matmul_a_bt_rhs_prepacked_into(&a, &mut out).unwrap();
-            assert_eq!(
-                bits(&out),
-                bits(a.matmul_a_bt(&bt).unwrap().data()),
-                "matmul_a_bt rhs {m}x{k}x{n}"
             );
         }
     }

@@ -164,16 +164,11 @@ proptest! {
         let fresh = a.matmul_a_bt(&bt).unwrap();
         prop_assert_eq!(bits(&out), bits(fresh.data()), "matmul_a_bt_prepacked ({m},{k},{n})");
 
-        // rhs prepacked: Aᵀ·P and A·Pᵀ against the same fresh products
+        // rhs prepacked: Aᵀ·P against the same fresh product
         let pb = b.prepack_b().unwrap();
         pb.matmul_at_b_rhs_prepacked_into(&at, &mut out).unwrap();
         let fresh = at.matmul_at_b(&b).unwrap();
         prop_assert_eq!(bits(&out), bits(fresh.data()), "matmul_at_b_rhs_prepacked ({m},{k},{n})");
-
-        let pbt = bt.prepack_bt().unwrap();
-        pbt.matmul_a_bt_rhs_prepacked_into(&a, &mut out).unwrap();
-        let fresh = a.matmul_a_bt(&bt).unwrap();
-        prop_assert_eq!(bits(&out), bits(fresh.data()), "matmul_a_bt_rhs_prepacked ({m},{k},{n})");
     }
 }
 

@@ -6,114 +6,63 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The discrete events the pipeline tallies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum Counter {
+/// Generates [`Counter`], [`Counter::ALL`] and [`Counter::name`] from one
+/// list of `Variant => "exported_name"` rows.
+macro_rules! counters {
+    ($($(#[$doc:meta])+ $variant:ident => $name:literal,)+) => {
+        /// The discrete events the pipeline tallies.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(usize)]
+        pub enum Counter {
+            $($(#[$doc])+ $variant,)+
+        }
+
+        impl Counter {
+            /// Every counter, in declaration order.
+            pub const ALL: [Counter; [$($name),+].len()] = [$(Counter::$variant),+];
+
+            /// Stable snake_case name used in exported records.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => $name,)+
+                }
+            }
+        }
+    };
+}
+
+counters! {
     /// GEMM kernel invocations (`matmul` family entry points).
-    GemmCalls,
+    GemmCalls => "gemm_calls",
     /// Multiply-accumulate operations dispatched to the GEMM kernels.
-    GemmMacs,
+    GemmMacs => "gemm_macs",
     /// Bytes written into packed GEMM operand layouts (A blocks + B panels),
     /// including one-time `prepack_*` packs. Prepacked entry points skip the
     /// weight-side pack, so this counter makes the saving observable.
-    GemmPackBytes,
+    GemmPackBytes => "gemm_pack_bytes",
     /// GEMM calls served from a persistent prepacked operand
     /// (`remix_tensor::PackedOperand`) instead of re-packing the weight side.
-    PrepackHits,
+    PrepackHits => "prepack_hits",
     /// Jobs posted to the persistent worker pool.
-    PoolJobs,
+    PoolJobs => "pool_jobs",
     /// Tasks fanned out across pool jobs (claimed by workers or the poster).
-    PoolTasks,
+    PoolTasks => "pool_tasks",
     /// Perturbed inputs evaluated by the XAI batched engine.
-    XaiPerturbations,
+    XaiPerturbations => "xai_perturbations",
     /// Batched model sweeps the XAI engine issued.
-    XaiBatches,
+    XaiBatches => "xai_batches",
     /// `Remix::predict` calls.
-    Predictions,
+    Predictions => "predictions",
     /// Predictions resolved by the unanimous fast path (no XAI run).
-    FastPathHits,
+    FastPathHits => "fast_path_hits",
     /// Predictions that disagreed and ran the full five-stage pipeline.
-    Disagreements,
+    Disagreements => "disagreements",
     /// Mini-batches processed by `Trainer::fit`.
-    TrainBatches,
+    TrainBatches => "train_batches",
     /// Training samples processed by `Trainer::fit` (sum of batch sizes).
-    TrainSamples,
+    TrainSamples => "train_samples",
     /// Span records discarded because the registry hit its size cap.
-    SpansDropped,
-    /// Prediction requests accepted by the serving layer.
-    ServeRequests,
-    /// Requests answered straight from the verdict cache.
-    ServeCacheHits,
-    /// Requests that missed the verdict cache and ran inference.
-    ServeCacheMisses,
-    /// Micro-batches executed by the serving engine.
-    ServeBatches,
-    /// Requests whose disagreement was resolved by the degraded
-    /// majority-vote fallback after the deadline expired.
-    ServeDegraded,
-    /// Requests rejected (429) because the inference queue was full.
-    ServeShed,
-    /// Verdicts folded into the streaming drift detector.
-    ServeDriftVerdicts,
-    /// Drift alerts raised by the streaming detector (across all shards).
-    ServeDriftAlerts,
-}
-
-impl Counter {
-    /// Every counter, in declaration order.
-    pub const ALL: [Counter; 22] = [
-        Counter::GemmCalls,
-        Counter::GemmMacs,
-        Counter::GemmPackBytes,
-        Counter::PrepackHits,
-        Counter::PoolJobs,
-        Counter::PoolTasks,
-        Counter::XaiPerturbations,
-        Counter::XaiBatches,
-        Counter::Predictions,
-        Counter::FastPathHits,
-        Counter::Disagreements,
-        Counter::TrainBatches,
-        Counter::TrainSamples,
-        Counter::SpansDropped,
-        Counter::ServeRequests,
-        Counter::ServeCacheHits,
-        Counter::ServeCacheMisses,
-        Counter::ServeBatches,
-        Counter::ServeDegraded,
-        Counter::ServeShed,
-        Counter::ServeDriftVerdicts,
-        Counter::ServeDriftAlerts,
-    ];
-
-    /// Stable snake_case name used in exported records.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::GemmCalls => "gemm_calls",
-            Counter::GemmMacs => "gemm_macs",
-            Counter::GemmPackBytes => "gemm_pack_bytes",
-            Counter::PrepackHits => "prepack_hits",
-            Counter::PoolJobs => "pool_jobs",
-            Counter::PoolTasks => "pool_tasks",
-            Counter::XaiPerturbations => "xai_perturbations",
-            Counter::XaiBatches => "xai_batches",
-            Counter::Predictions => "predictions",
-            Counter::FastPathHits => "fast_path_hits",
-            Counter::Disagreements => "disagreements",
-            Counter::TrainBatches => "train_batches",
-            Counter::TrainSamples => "train_samples",
-            Counter::SpansDropped => "spans_dropped",
-            Counter::ServeRequests => "serve_requests",
-            Counter::ServeCacheHits => "serve_cache_hits",
-            Counter::ServeCacheMisses => "serve_cache_misses",
-            Counter::ServeBatches => "serve_batches",
-            Counter::ServeDegraded => "serve_degraded",
-            Counter::ServeShed => "serve_shed",
-            Counter::ServeDriftVerdicts => "serve_drift_verdicts",
-            Counter::ServeDriftAlerts => "serve_drift_alerts",
-        }
-    }
+    SpansDropped => "spans_dropped",
 }
 
 const NCOUNTERS: usize = Counter::ALL.len();
