@@ -339,9 +339,13 @@ pub fn serve(args: &Args) -> Result<(), String> {
     let config = ServeConfig {
         addr: args.get_or("addr", "127.0.0.1:8484").to_string(),
         max_batch: args.get_num("max-batch", 0usize)?,
-        batch_window: Duration::from_micros(args.get_num("batch-window-us", 500u64)?),
+        batch_window: Duration::from_micros(
+            args.get_num("batch-window-us", defaults.batch_window.as_micros() as u64)?,
+        ),
         queue_capacity: args.get_num("queue-cap", defaults.queue_capacity)?,
-        default_deadline: Duration::from_millis(args.get_num("deadline-ms", 50u64)?),
+        default_deadline: Duration::from_millis(
+            args.get_num("deadline-ms", defaults.default_deadline.as_millis() as u64)?,
+        ),
         cache_capacity: args.get_num("cache-cap", defaults.cache_capacity)?,
         cache_shards: defaults.cache_shards,
         shards: args.get_num("shards", 0usize)?,

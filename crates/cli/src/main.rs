@@ -61,7 +61,9 @@ USAGE:
       --addr            bind address                          [127.0.0.1:8484]
       --max-batch       requests per engine micro-batch; 0 derives it from
                         the XAI batch size                    [0]
-      --batch-window-us micro-batch formation window, µs; 0 = no batching [500]
+      --batch-window-us micro-batch formation window, µs; 0 stops
+                        the wait but still batches queued requests
+                        up to --max-batch                     [500]
       --queue-cap       queued requests before shedding 429   [256]
       --deadline-ms     default per-request deadline; past it a disagreement
                         degrades to plain majority vote       [50]

@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 
 mod remix;
+mod streams;
 mod triage;
 mod verdict;
 mod voter;

@@ -1,9 +1,10 @@
+use crate::streams::XaiStreams;
 use crate::triage::{plan_downgrades, TriageScheduler, TriageSignals};
 use crate::verdict::{ModelDetail, RemixVerdict, StageTimings};
-use rand::{rngs::StdRng, SeedableRng};
+use rand::rngs::StdRng;
 use remix_diversity::{sparseness_with_threshold, DiversityMetric};
 use remix_ensemble::{majority_with_weights, ModelOutput, Prediction, TrainedEnsemble};
-use remix_tensor::{fnv1a64, splitmix64, Tensor};
+use remix_tensor::Tensor;
 use remix_trace::Counter;
 use remix_xai::{Explainer, ExplainerConfig, XaiLevel, XaiTechnique};
 use std::time::{Duration, Instant};
@@ -23,8 +24,8 @@ pub struct Remix {
     majority_threshold: f32,
     keep_feature_matrices: bool,
     fast_path: bool,
-    seed: u64,
     threads: usize,
+    streams: XaiStreams,
 }
 
 /// The two per-batch decisions a caller of [`Remix::predict_batch`] makes
@@ -86,9 +87,12 @@ impl Remix {
     /// every other model's stream — the prerequisite for running XAI in
     /// parallel and for verdicts that don't depend on model order. Every
     /// input in a batch starts its own copy of the stream, so a verdict does
-    /// not depend on its batchmates either.
+    /// not depend on its batchmates either. SmoothGrad reads only the
+    /// stream's first standard-normal draws, so this `Remix` (and its
+    /// clones) draws them once per model name and every input reads a
+    /// prefix.
     pub fn xai_rng(&self, model_name: &str) -> StdRng {
-        StdRng::seed_from_u64(splitmix64(self.seed ^ fnv1a64(model_name.as_bytes())))
+        self.streams.rng(model_name)
     }
 
     /// Freezes an ensemble for steady-state serving: every model's weight
@@ -144,7 +148,9 @@ impl Remix {
     /// 3. **Per rung**, Skip to Full — Skip resolves to the unweighted
     ///    majority vote; on the XAI rungs each member explains the group in
     ///    one [`Explainer::explain_many`] call, each input drawing its own
-    ///    copy of the member's [`Remix::xai_rng`] stream, and
+    ///    copy of the member's [`Remix::xai_rng`] stream (SmoothGrad reads
+    ///    the stream's memoised draws through
+    ///    [`Explainer::explain_many_with_draws`] instead), and
     ///    [`Remix::resolve_disagreement`] weighs and votes per input.
     ///
     /// So fast-path, degraded and Skip verdicts are all delivered before any
@@ -269,15 +275,30 @@ impl Remix {
                     XaiLevel::Standard => "xai_standard",
                     _ => "xai_full",
                 });
+                // Every input would draw the same prefix of its member's
+                // stream, so SmoothGrad members read the memoised draws.
+                let draws: Option<Vec<_>> = explainer.noise_draws(images[0].len()).map(|count| {
+                    let names = ensemble.models.iter().map(|m| &m.name);
+                    names
+                        .map(|name| self.streams.normals(name, count))
+                        .collect()
+                });
                 let per_model =
                     remix_parallel::map_mut_indexed(&mut ensemble.models, threads, |m, model| {
                         let items: Vec<(&Tensor, usize)> = group
                             .iter()
                             .map(|&i| (&images[triaged[i].0], outputs[triaged[i].0][m].pred))
                             .collect();
-                        let mut rngs: Vec<StdRng> =
-                            group.iter().map(|_| self.xai_rng(&model.name)).collect();
-                        explainer.explain_many(model, &items, &mut rngs)
+                        match &draws {
+                            Some(draws) => {
+                                explainer.explain_many_with_draws(model, &items, &draws[m])
+                            }
+                            None => {
+                                let mut rngs: Vec<StdRng> =
+                                    group.iter().map(|_| self.xai_rng(&model.name)).collect();
+                                explainer.explain_many(model, &items, &mut rngs)
+                            }
+                        }
                     });
                 rung.finish();
                 (per_model, stage.finish() / group.len() as u32)
@@ -594,8 +615,8 @@ impl RemixBuilder {
             majority_threshold: self.majority_threshold,
             keep_feature_matrices: self.keep_feature_matrices,
             fast_path: self.fast_path,
-            seed: self.seed,
             threads: self.threads,
+            streams: XaiStreams::new(self.seed),
         }
     }
 }
@@ -603,6 +624,7 @@ impl RemixBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
     use remix_data::SyntheticSpec;
     use remix_ensemble::train_zoo;
     use remix_nn::Arch;
@@ -884,5 +906,152 @@ mod tests {
             assert_eq!(sequential.prediction, parallel.prediction);
             assert_details_bitwise_equal(&sequential, &parallel);
         }
+    }
+
+    /// Three untrained, frozen zoo members named `a`, `b` and `c`, at one
+    /// input size.
+    fn named_members(channels: usize, size: usize) -> TrainedEnsemble {
+        let spec = remix_nn::InputSpec {
+            channels,
+            size,
+            num_classes: 5,
+        };
+        let mut rng = StdRng::seed_from_u64(size as u64);
+        let models = [
+            ("a", Arch::ConvNet),
+            ("b", Arch::MobileNet),
+            ("c", Arch::ResNet18),
+        ]
+        .into_iter()
+        .map(|(name, arch)| {
+            let net = remix_nn::zoo::build(arch, spec, &mut rng);
+            remix_nn::Model::named(net, spec, name)
+        })
+        .collect();
+        let mut ensemble = TrainedEnsemble::new(models);
+        ensemble.freeze_for_inference();
+        ensemble
+    }
+
+    fn inputs(channels: usize, size: usize, n: usize) -> Vec<Tensor> {
+        let mut rng = StdRng::seed_from_u64(31);
+        (0..n)
+            .map(|_| Tensor::rand_uniform(&[channels, size, size], 0.0, 1.0, &mut rng))
+            .collect()
+    }
+
+    /// Every bit of a verdict's evidence, feature matrices included.
+    fn evidence_bits(verdict: &RemixVerdict) -> Vec<u32> {
+        verdict
+            .details
+            .iter()
+            .flat_map(|d| {
+                let matrix = d.feature_matrix.as_ref().expect("kept matrices");
+                [d.weight, d.diversity, d.sparseness]
+                    .into_iter()
+                    .chain(matrix.data().iter().copied())
+                    .map(f32::to_bits)
+            })
+            .collect()
+    }
+
+    fn xai_everywhere(seed: u64) -> RemixBuilder {
+        Remix::builder()
+            .seed(seed)
+            .fast_path(false)
+            .keep_feature_matrices(true)
+    }
+
+    #[test]
+    fn memoised_noise_gives_a_fresh_remix_bits_at_every_rung_in_any_order() {
+        let mut ensemble = named_members(3, 16);
+        let images = inputs(3, 16, 2);
+        let shared = xai_everywhere(5).build();
+        for level in [XaiLevel::Light, XaiLevel::Full, XaiLevel::Standard] {
+            let pinned = Some(TriageScheduler::pinned(level));
+            // A clone shares the memo, which the earlier rungs have grown.
+            let reused = Remix {
+                scheduler: pinned,
+                ..shared.clone()
+            };
+            let fresh = xai_everywhere(5)
+                .scheduler(TriageScheduler::pinned(level))
+                .build();
+            for image in &images {
+                let a = reused.predict(&mut ensemble, image);
+                let b = fresh.predict(&mut ensemble, image);
+                assert_eq!(a.xai_level, level);
+                assert_eq!(evidence_bits(&a), evidence_bits(&b), "{level}");
+            }
+        }
+    }
+
+    #[test]
+    fn same_named_members_at_two_sizes_match_the_rng_path() {
+        let mut small = named_members(1, 8);
+        let mut large = named_members(3, 16);
+        let remix = xai_everywhere(8).build();
+        let explainer = *remix.explainer();
+        // Small, then large (the tables grow), then small again (a prefix).
+        for (large_input, n) in [(false, 2), (true, 2), (false, 3)] {
+            let (ensemble, images) = if large_input {
+                (&mut large, inputs(3, 16, n))
+            } else {
+                (&mut small, inputs(1, 8, n))
+            };
+            for image in &images {
+                let verdict = remix.predict(ensemble, image);
+                for (model, detail) in ensemble.models.iter_mut().zip(&verdict.details) {
+                    let mut rng = remix.xai_rng(&model.name);
+                    let expected = explainer.explain(model, image, detail.pred, &mut rng);
+                    assert_eq!(
+                        detail.feature_matrix.as_ref().map(Tensor::data),
+                        Some(expected.data()),
+                        "{} at {:?}",
+                        model.name,
+                        image.shape()
+                    );
+                }
+            }
+        }
+        // One table per member name, as long as the largest input's Full
+        // budget asks.
+        let full = explainer.noise_draws(3 * 16 * 16).expect("SmoothGrad");
+        let lengths = remix.streams.lengths();
+        assert_eq!(lengths.len(), 3);
+        assert!(lengths.values().all(|&len| len == full), "{lengths:?}");
+    }
+
+    #[test]
+    fn predict_batch_is_bit_identical_across_threads_and_remix_clones() {
+        let mut ensemble = named_members(3, 16);
+        let images = inputs(3, 16, 4);
+        let run = |remix: &Remix, ensemble: &mut TrainedEnsemble| {
+            let mut bits = vec![Vec::new(); images.len()];
+            remix.predict_batch(ensemble, &images, &BatchPolicy::default(), |k, v| {
+                bits[k] = evidence_bits(&v)
+            });
+            bits
+        };
+        let serial = xai_everywhere(2).threads(1).build();
+        let expected = run(&serial, &mut ensemble);
+        for threads in [1, 3] {
+            let clone = Remix {
+                threads,
+                ..serial.clone()
+            };
+            let fresh = xai_everywhere(2).threads(threads).build();
+            assert_eq!(
+                run(&clone, &mut ensemble),
+                expected,
+                "clone, {threads} threads"
+            );
+            assert_eq!(
+                run(&fresh, &mut ensemble),
+                expected,
+                "fresh, {threads} threads"
+            );
+        }
+        assert_eq!(serial.streams.lengths().len(), ensemble.len());
     }
 }

@@ -131,7 +131,7 @@ impl Model {
 
     /// Gradient of the `class` logit with respect to the input image
     /// (`[C, H, W]`, same shape as the input): a one-lane
-    /// [`Model::input_gradient_batch`].
+    /// [`Model::input_gradient_lanes`].
     ///
     /// This is the primitive behind the gradient-based XAI techniques:
     /// SmoothGrad averages it over noisy inputs, Integrated Gradients
@@ -144,25 +144,16 @@ impl Model {
     /// Panics if the image does not match the network's input shape or
     /// `class` is out of range.
     pub fn input_gradient(&mut self, image: &Tensor, class: usize) -> Tensor {
-        let logits = self
-            .net
-            .forward_lanes(image.one_lane(), Mode::Inference)
-            .expect("image matches the model's input shape");
-        let mut seed = Tensor::zeros(logits.shape());
-        seed.data_mut()[class] = 1.0;
-        self.net
-            .backward_lanes(seed, Wants::Input)
+        self.input_gradient_lanes(image.one_lane(), &[class])
             .and_then(Tensor::only_lane)
-            .expect("seed matches the logits")
+            .expect("image matches the model's input shape")
     }
 
     /// Per-image input gradients for a batch: `classes[i]` selects the logit
-    /// differentiated for `images[i]`.
-    ///
-    /// The whole batch runs through one lane-major forward/backward sweep
-    /// ([`Layer::forward_lanes`], [`Layer::backward_lanes`] with
-    /// [`Wants::Input`]; convolutions as single large matmuls),
-    /// bit-identical to per-image [`Model::input_gradient`] calls.
+    /// differentiated for `images[i]`. The images are stacked into lanes
+    /// ([`Tensor::stack_lanes`]) for one [`Model::input_gradient_lanes`]
+    /// sweep, and the gradients unstacked, bit-identical to per-image
+    /// [`Model::input_gradient`] calls.
     ///
     /// # Errors
     ///
@@ -183,15 +174,40 @@ impl Model {
         if images.is_empty() {
             return Ok(Vec::new());
         }
-        let logits = self
-            .net
-            .forward_lanes(Tensor::stack_lanes(images)?, Mode::Inference)?;
-        let mut seed = Tensor::zeros(logits.shape());
-        let lanes = classes.len();
-        for (b, &c) in classes.iter().enumerate() {
-            seed.data_mut()[c * lanes + b] = 1.0;
+        let grads = self.input_gradient_lanes(Tensor::stack_lanes(images)?, classes)?;
+        Ok(grads.unstack_lanes())
+    }
+
+    /// Input gradients of a lane-major batch: `lanes` is `[C, H, W, B]`,
+    /// `classes[b]` selects the logit differentiated for lane `b`, and the
+    /// result is the `[C, H, W, B]` gradient, lane for lane.
+    ///
+    /// The batch runs through one lane-major forward/backward sweep
+    /// ([`Layer::forward_lanes`], [`Layer::backward_lanes`] with
+    /// [`Wants::Input`]; convolutions as single large matmuls). Each lane's
+    /// gradient is bit-identical to [`Model::input_gradient`] on that lane
+    /// alone. A caller that builds its batch in lanes and reads the gradient
+    /// there skips [`Model::input_gradient_batch`]'s stack and unstack.
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error if the lane count is not `classes.len()`, or
+    /// the first layer validation error.
+    pub fn input_gradient_lanes(&mut self, lanes: Tensor, classes: &[usize]) -> Result<Tensor> {
+        if lanes.shape().last() != Some(&classes.len()) {
+            return Err(TensorError::ShapeMismatch {
+                left: lanes.shape().to_vec(),
+                right: vec![classes.len()],
+                op: "input_gradient_lanes",
+            });
         }
-        Ok(self.net.backward_lanes(seed, Wants::Input)?.unstack_lanes())
+        let logits = self.net.forward_lanes(lanes, Mode::Inference)?;
+        let mut seed = Tensor::zeros(logits.shape());
+        let width = classes.len();
+        for (b, &c) in classes.iter().enumerate() {
+            seed.data_mut()[c * width + b] = 1.0;
+        }
+        self.net.backward_lanes(seed, Wants::Input)
     }
 
     /// Freezes the network for steady-state serving: every layer prepacks its

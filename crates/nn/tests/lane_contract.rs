@@ -293,6 +293,8 @@ fn mismatched_batches_are_rejected() {
     let image = Tensor::zeros(&[ZOO.channels, ZOO.size, ZOO.size]);
     let batch = vec![image.clone(), image.clone(), image];
     assert!(model.input_gradient_batch(&batch, &[0, 1]).is_err());
+    let lanes = Tensor::stack_lanes(&batch).expect("same shapes");
+    assert!(model.input_gradient_lanes(lanes, &[0, 1]).is_err());
     assert!(model
         .try_logits(&Tensor::zeros(&[ZOO.channels, ZOO.size, ZOO.size + 1]))
         .is_err());

@@ -315,6 +315,17 @@ mod tests {
     }
 
     #[test]
+    fn zero_window_still_drains_every_waiting_request() {
+        // A zero window stops the wait for company, not the batching: an
+        // open queue hands over everything already waiting, up to max_batch.
+        let queue = BatchQueue::new(16, 8, Duration::ZERO);
+        for _ in 0..3 {
+            queue.push(request()).unwrap();
+        }
+        assert_eq!(queue.next_batch().unwrap().len(), 3);
+    }
+
+    #[test]
     fn full_queue_sheds_and_closed_queue_rejects() {
         let queue = BatchQueue::new(2, 8, Duration::ZERO);
         queue.push(request()).unwrap();

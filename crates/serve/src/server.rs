@@ -62,8 +62,10 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// How long a forming batch waits for company before dispatching
     /// (the *time* half of the time-or-size trigger), measured from the
-    /// oldest waiting request's arrival. Zero dispatches every request
-    /// alone — the serial baseline.
+    /// oldest waiting request's arrival. Zero does not wait at all, but
+    /// still batches: each dispatch drains up to `max_batch` requests that
+    /// are already waiting. Only `max_batch: 1` serves requests one at a
+    /// time.
     pub batch_window: Duration,
     /// Bound on queued requests *per shard*; beyond it, requests are shed
     /// with `429`.

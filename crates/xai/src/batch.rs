@@ -1,11 +1,12 @@
 //! Shared batched-evaluation helpers for the XAI techniques.
 //!
-//! Every technique follows the same two-phase shape: **materialize** all
+//! The techniques follow the same two-phase shape: **materialize** all
 //! perturbed inputs up front (consuming the RNG in exactly the order the
 //! per-sample implementation would), then **evaluate** them through the
 //! model in batches of `XaiBudget::batch_size`. The model's batched paths
 //! are bit-identical to its per-sample paths, so the feature matrices do not
-//! depend on the batch size.
+//! depend on the batch size. SmoothGrad draws its noise the same way but
+//! builds and folds its sweeps lane-major itself (see `smoothgrad`).
 
 use remix_nn::Model;
 use remix_tensor::Tensor;
@@ -31,38 +32,21 @@ pub(crate) fn class_probs(
 }
 
 /// Input gradient of the `class` logit for every input, evaluated
-/// `batch_size` at a time.
+/// `batch_size` at a time. Each lane backpropagates independently, so the
+/// chunking cannot change any result bit.
 pub(crate) fn class_gradients(
     model: &mut Model,
     inputs: &[Tensor],
     class: usize,
     batch_size: usize,
 ) -> Vec<Tensor> {
-    let classes = vec![class; inputs.len()];
-    class_gradients_multi(model, inputs, &classes, batch_size)
-}
-
-/// Input gradient of each input's own class logit, evaluated `batch_size` at
-/// a time. The per-input gradient depends only on that input and its class
-/// (each batch column backpropagates independently), so chunk composition —
-/// including mixing inputs from different requests — cannot change any
-/// result bit. That invariance is what lets the serving layer coalesce
-/// concurrent requests into shared sweeps.
-pub(crate) fn class_gradients_multi(
-    model: &mut Model,
-    inputs: &[Tensor],
-    classes: &[usize],
-    batch_size: usize,
-) -> Vec<Tensor> {
-    assert_eq!(inputs.len(), classes.len(), "one class per input");
     remix_trace::add(remix_trace::Counter::XaiPerturbations, inputs.len() as u64);
     let mut out = Vec::with_capacity(inputs.len());
-    let chunk_len = batch_size.max(1);
-    for (chunk, chunk_classes) in inputs.chunks(chunk_len).zip(classes.chunks(chunk_len)) {
+    for chunk in inputs.chunks(batch_size.max(1)) {
         remix_trace::incr(remix_trace::Counter::XaiBatches);
         out.extend(
             model
-                .input_gradient_batch(chunk, chunk_classes)
+                .input_gradient_batch(chunk, &vec![class; chunk.len()])
                 .expect("perturbed inputs match the model spec"),
         );
     }

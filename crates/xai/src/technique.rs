@@ -328,24 +328,18 @@ impl Explainer {
         rng: &mut impl Rng,
     ) -> Tensor {
         assert!(class < model.num_classes(), "class out of range");
-        let span = remix_trace::span(self.technique.abbrev());
-        let matrix = self.dispatch(model, image, class, rng);
-        // Zero when tracing is disabled, in which case record_duration is a
-        // no-op too — the whole block is inert.
-        let elapsed = span.finish();
-        remix_trace::record_duration(self.technique.abbrev(), elapsed);
-        matrix
+        self.traced(|| self.dispatch(model, image, class, rng))
     }
 
     /// Extracts feature matrices for several `(image, class)` items against
     /// the same model, with one independent `rng` per item.
     ///
     /// Every per-item result is bit-identical to calling [`Explainer::explain`]
-    /// with that item's rng. For [`XaiTechnique::SmoothGrad`] the items'
-    /// perturbations are coalesced into shared gradient sweeps — the serving
-    /// layer's micro-batching lever — which only re-chunks the flattened
-    /// inputs; the gradient math is chunk-invariant. Other techniques run
-    /// item by item.
+    /// with that item's rng. For [`XaiTechnique::SmoothGrad`] each item draws
+    /// its noise from its own rng, in item order, and the items' noisy copies
+    /// share lane-major gradient sweeps — the serving layer's micro-batching
+    /// lever — which only re-chunks the copies; the gradient math is
+    /// chunk-invariant. Other techniques run item by item.
     ///
     /// # Panics
     ///
@@ -358,23 +352,81 @@ impl Explainer {
         rngs: &mut [R],
     ) -> Vec<Tensor> {
         assert_eq!(items.len(), rngs.len(), "one rng per item");
-        if self.technique != XaiTechnique::SmoothGrad || items.len() <= 1 {
+        if self.technique != XaiTechnique::SmoothGrad {
             return items
                 .iter()
                 .zip(rngs.iter_mut())
                 .map(|((image, class), rng)| self.explain(model, image, *class, rng))
                 .collect();
         }
-        for (_, class) in items {
-            assert!(*class < model.num_classes(), "class out of range");
-        }
+        self.traced(|| {
+            let draws: Vec<Vec<f32>> = items
+                .iter()
+                .zip(rngs.iter_mut())
+                .map(|((image, _), rng)| self.draw_noise(image.len(), rng))
+                .collect();
+            let draws: Vec<&[f32]> = draws.iter().map(Vec::as_slice).collect();
+            smoothgrad::sweep(model, items, &draws, &self.config)
+        })
+    }
+
+    /// The standard-normal draws one [`XaiTechnique::SmoothGrad`] item of
+    /// `image_len` values reads, `sg_samples × image_len`, or `None` for the
+    /// other techniques, whose rng use is not a fixed run of such draws.
+    ///
+    /// Every SmoothGrad item reads the *first* draws of its rng, so the
+    /// draws for a smaller budget or a smaller input are a prefix of those
+    /// for a larger one; [`Explainer::explain_many_with_draws`] takes them.
+    pub fn noise_draws(&self, image_len: usize) -> Option<usize> {
+        (self.technique == XaiTechnique::SmoothGrad)
+            .then(|| self.config.budget.sg_samples.max(1) * image_len)
+    }
+
+    /// SmoothGrad feature matrices for several `(image, class)` items that
+    /// all read the same standard-normal `draws`, in shared lane-major
+    /// gradient sweeps.
+    ///
+    /// If `draws` starts with the first [`Explainer::noise_draws`] values of
+    /// [`remix_tensor::Tensor::randn`] (σ = 1) from an rng, every result is
+    /// bit-identical to [`Explainer::explain`] on that item with a fresh copy
+    /// of the rng: an item's draws are a pure function of its rng, so a
+    /// caller that gives every item the same stream can draw it once.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the technique is [`XaiTechnique::SmoothGrad`], if
+    /// `draws` is shorter than [`Explainer::noise_draws`] asks, or if any
+    /// item fails the [`Explainer::explain`] preconditions.
+    pub fn explain_many_with_draws(
+        &self,
+        model: &mut Model,
+        items: &[(&Tensor, usize)],
+        draws: &[f32],
+    ) -> Vec<Tensor> {
+        assert_eq!(
+            self.technique,
+            XaiTechnique::SmoothGrad,
+            "only SmoothGrad reads shared draws"
+        );
+        self.traced(|| smoothgrad::sweep(model, items, &vec![draws; items.len()], &self.config))
+    }
+
+    /// Runs one call's model work under a span named after the technique,
+    /// and records its duration: one histogram sample per call, whether it
+    /// explains one item or a coalesced group.
+    fn traced<T>(&self, work: impl FnOnce() -> T) -> T {
         let span = remix_trace::span(self.technique.abbrev());
-        let matrices = smoothgrad::explain_coalesced(model, items, rngs, &self.config);
-        // One histogram sample for the whole coalesced sweep: the span is the
-        // unit of model work, matching the per-call samples of `explain`.
-        let elapsed = span.finish();
-        remix_trace::record_duration(self.technique.abbrev(), elapsed);
-        matrices
+        let out = work();
+        // Zero when tracing is disabled, in which case record_duration is a
+        // no-op too — the whole block is inert.
+        remix_trace::record_duration(self.technique.abbrev(), span.finish());
+        out
+    }
+
+    /// One SmoothGrad item's standard-normal draws from `rng`.
+    fn draw_noise(&self, image_len: usize, rng: &mut impl Rng) -> Vec<f32> {
+        let count = self.noise_draws(image_len).expect("a SmoothGrad explainer");
+        Tensor::randn(&[count], 1.0, rng).into_vec()
     }
 
     fn dispatch(
@@ -385,7 +437,12 @@ impl Explainer {
         rng: &mut impl Rng,
     ) -> Tensor {
         match self.technique {
-            XaiTechnique::SmoothGrad => smoothgrad::explain(model, image, class, &self.config, rng),
+            XaiTechnique::SmoothGrad => {
+                let draws = self.draw_noise(image.len(), rng);
+                smoothgrad::sweep(model, &[(image, class)], &[&draws], &self.config)
+                    .pop()
+                    .expect("one matrix per item")
+            }
             XaiTechnique::IntegratedGradients => {
                 intgrad::explain(model, image, class, &self.config)
             }
