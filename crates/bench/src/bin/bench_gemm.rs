@@ -28,6 +28,9 @@ use std::time::{Duration, Instant};
 struct Record {
     benchmark: &'static str,
     threads: usize,
+    /// The SIMD level the dispatched kernels ran at
+    /// (`remix_tensor::simd_level`).
+    simd_level: &'static str,
     gemm: Vec<GemmRow>,
     prepack_sweep: Vec<SweepRow>,
     prepack_sweep_aggregate_speedup: f64,
@@ -571,6 +574,7 @@ fn main() {
         &Record {
             benchmark: "bench_gemm",
             threads: 1,
+            simd_level: remix_tensor::simd_level().name(),
             gemm,
             prepack_sweep,
             prepack_sweep_aggregate_speedup: round(sweep_aggregate, 3),

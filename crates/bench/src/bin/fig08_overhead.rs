@@ -29,6 +29,9 @@ struct Record {
     inputs: usize,
     disagreement_inputs: u32,
     threads: usize,
+    /// The SIMD level the dispatched kernels ran at
+    /// (`remix_tensor::simd_level`).
+    simd_level: &'static str,
     stack_train_secs: f64,
     engines: Engines,
     speedup_batched_vs_per_sample: f64,
@@ -269,6 +272,7 @@ fn main() {
             inputs: test.len(),
             disagreement_inputs: batched.disagreements,
             threads: batched.stage.threads,
+            simd_level: remix_tensor::simd_level().name(),
             stack_train_secs: round(stack_train_secs, 6),
             engines: Engines {
                 per_sample: per_sample.record(),

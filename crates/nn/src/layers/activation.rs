@@ -1,5 +1,9 @@
+//! Activations. ReLU's lane loops are the kernels [`relu_forward`] and
+//! [`relu_backward`], compiled at every SIMD level and run at the widest
+//! this CPU reports (`remix_tensor::simd_kernel!`).
+
 use crate::{Layer, Mode, Wants};
-use remix_tensor::{Result, Tensor, TensorError};
+use remix_tensor::{simd_kernel, Result, Tensor, TensorError};
 
 /// Checks that a backward call matches the cached state of the preceding
 /// forward (elements of a lane-major batch).
@@ -34,9 +38,9 @@ impl Layer for Relu {
     }
 
     fn forward_lanes(&mut self, mut input: Tensor, _mode: Mode) -> Result<Tensor> {
-        self.mask.clear();
-        self.mask.extend(input.data().iter().map(|&v| v > 0.0));
-        input.map_inplace(|v| v.max(0.0));
+        // Every slot of the mask is written below.
+        self.mask.resize(input.len(), false);
+        relu_forward(input.data_mut(), &mut self.mask);
         Ok(input)
     }
 
@@ -45,15 +49,35 @@ impl Layer for Relu {
             return Ok(Tensor::default());
         }
         check_batch(grad_out.len(), self.mask.len(), "relu backward_lanes")?;
-        // A select, not a conditional store: it stays branch-free.
-        for (g, &m) in grad_out.data_mut().iter_mut().zip(&self.mask) {
-            *g = if m { *g } else { 0.0 };
-        }
+        relu_backward(grad_out.data_mut(), &self.mask);
         Ok(grad_out)
     }
 
     fn name(&self) -> &'static str {
         "ReLU"
+    }
+}
+
+simd_kernel! {
+    /// ReLU forward in place, recording which inputs were positive. `-0.0`
+    /// and NaN inputs come out `+0.0` at every level (`f32::max` may pick
+    /// either zero per target; the unit tests pin this one).
+    fn relu_forward(x: &mut [f32], mask: &mut [bool]) {
+        for (v, m) in x.iter_mut().zip(mask) {
+            *m = *v > 0.0;
+            *v = v.max(0.0);
+        }
+    }
+}
+
+simd_kernel! {
+    /// ReLU backward in place: the gradient where the input was positive,
+    /// `+0.0` elsewhere. A select, not a conditional store: it stays
+    /// branch-free.
+    fn relu_backward(grad: &mut [f32], mask: &[bool]) {
+        for (g, &m) in grad.iter_mut().zip(mask) {
+            *g = if m { *g } else { 0.0 };
+        }
     }
 }
 
@@ -144,7 +168,53 @@ impl Layer for TanhLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{backward_one, forward_one};
+    use crate::layers::{assert_levels_agree, backward_one, edge_values, forward_one, TEST_LANES};
+    use remix_tensor::SimdLevel;
+
+    #[test]
+    fn relu_kernels_agree_bitwise_at_every_simd_level() {
+        for lanes in TEST_LANES {
+            let len = 13 * lanes;
+            let x = edge_values(len, 1);
+            let forward = |level| {
+                let (mut x, mut mask) = (x.clone(), vec![false; len]);
+                relu_forward::at(level, &mut x, &mut mask);
+                x.extend(mask.iter().map(|&m| f32::from(u8::from(m))));
+                x
+            };
+            assert_levels_agree(&format!("relu_forward x{lanes}"), forward);
+            let mask: Vec<bool> = x.iter().map(|&v| v > 0.0).collect();
+            let backward = |level| {
+                let mut g = edge_values(len, 2);
+                relu_backward::at(level, &mut g, &mask);
+                g
+            };
+            assert_levels_agree(&format!("relu_backward x{lanes}"), backward);
+        }
+    }
+
+    #[test]
+    fn relu_maps_negative_zero_and_nan_to_positive_zero_at_every_level() {
+        // `f32::max` may return either zero for ±0.0 operands; whichever
+        // LLVM picks, every level must pick +0.0, the portable result.
+        for level in SimdLevel::ALL
+            .into_iter()
+            .filter(|&l| l <= remix_tensor::simd_level())
+        {
+            for len in [1, 7, 16, 17, 40] {
+                let mut x: Vec<f32> = (0..len)
+                    .map(|i| [-0.0, f32::NAN, 0.0, -f32::NAN][i % 4])
+                    .collect();
+                let mut mask = vec![true; len];
+                relu_forward::at(level, &mut x, &mut mask);
+                assert!(
+                    x.iter().all(|v| v.to_bits() == 0),
+                    "{level:?} x{len}: {x:?}"
+                );
+                assert!(mask.iter().all(|&m| !m), "{level:?} x{len}");
+            }
+        }
+    }
 
     #[test]
     fn relu_forward_backward() {

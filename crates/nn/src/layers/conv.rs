@@ -2,7 +2,7 @@ use super::{check_cached, lanes_of};
 use crate::{Layer, Mode, Wants};
 use rand::Rng;
 use remix_tensor::{
-    gemm_accum_ab, im2row_batch_into, Conv2dGeometry, PackedOperand, Result, Tensor,
+    gemm_accum_ab, im2row_batch_into, simd_kernel, Conv2dGeometry, PackedOperand, Result, Tensor,
 };
 
 /// 2-D convolution over lane-major `[C, H, W, B]` batches, lowered to
@@ -52,6 +52,19 @@ struct ConvScratch {
     dx: Vec<f32>,        // zero-padded input gradient
     rows: Vec<f32>,      // one lane's patch rows for its dW GEMM
     dw_packed: Vec<f32>, // packed patch-row panels for the dW GEMM
+}
+
+simd_kernel! {
+    /// The bias pass of the forward: `v + b` over each filter's output row
+    /// of `out`, `[F, n]` for the `F = bias.len()` biases.
+    fn add_bias(out: &mut [f32], bias: &[f32]) {
+        let n = out.len() / bias.len();
+        for (row, &b) in out.chunks_exact_mut(n.max(1)).zip(bias) {
+            for v in row {
+                *v += b;
+            }
+        }
+    }
 }
 
 impl Conv2d {
@@ -162,11 +175,7 @@ impl Layer for Conv2d {
         }
         let (f, oh, ow) = self.out_shape();
         let n = out.len() / f;
-        for (row, &b) in out.chunks_exact_mut(n.max(1)).zip(self.bias.data()) {
-            for v in row {
-                *v += b;
-            }
-        }
+        add_bias(&mut out, self.bias.data());
         self.cached_input = if mode == Mode::Inference {
             Tensor::default()
         } else {
@@ -226,8 +235,22 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{backward_one, forward_one};
+    use crate::layers::{assert_levels_agree, backward_one, edge_values, forward_one, TEST_LANES};
     use rand::{rngs::StdRng, SeedableRng};
+
+    #[test]
+    fn bias_kernel_agrees_bitwise_at_every_simd_level() {
+        let bias = edge_values(5, 1);
+        for lanes in TEST_LANES {
+            let out = edge_values(5 * 9 * lanes, 2);
+            let run = |level| {
+                let mut out = out.clone();
+                add_bias::at(level, &mut out, &bias);
+                out
+            };
+            assert_levels_agree(&format!("add_bias x{lanes}"), run);
+        }
+    }
 
     #[test]
     fn forward_matches_manual_convolution() {

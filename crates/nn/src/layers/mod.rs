@@ -148,6 +148,43 @@ pub(crate) fn check_cached(cached: &Tensor, lanes: usize, op: &'static str) -> R
     }
 }
 
+/// Lane counts the cross-level kernel tests run at: one sample, a pair,
+/// odd counts, and a full 16-lane group with and without a remainder.
+#[cfg(test)]
+pub(crate) const TEST_LANES: [usize; 6] = [1, 2, 3, 8, 16, 17];
+
+/// `len` values from `seed` that stress a kernel's bits — ±0.0,
+/// subnormals and large magnitudes — among ordinary ones.
+#[cfg(test)]
+pub(crate) fn edge_values(len: usize, seed: u64) -> Vec<f32> {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len)
+        .map(|_| match rng.gen_range(0..8u32) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::from_bits(rng.gen_range(1..0x0080_0000u32) | (rng.gen_range(0..2u32) << 31)),
+            3 => rng.gen_range(-1.0f32..1.0) * 1e15,
+            _ => rng.gen_range(-2.0..2.0),
+        })
+        .collect()
+}
+
+/// Runs `run` at every SIMD level this CPU supports and asserts that each
+/// level's output has the portable level's bits.
+#[cfg(test)]
+pub(crate) fn assert_levels_agree(what: &str, run: impl Fn(remix_tensor::SimdLevel) -> Vec<f32>) {
+    use remix_tensor::SimdLevel;
+    let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+    let portable = bits(run(SimdLevel::Portable));
+    for level in SimdLevel::ALL
+        .into_iter()
+        .filter(|&l| l <= remix_tensor::simd_level())
+    {
+        assert_eq!(bits(run(level)), portable, "{what} at {level:?}");
+    }
+}
+
 /// One sample through `layer` as a one-lane batch.
 #[cfg(test)]
 pub(crate) fn forward_one(layer: &mut dyn crate::Layer, x: &Tensor, mode: crate::Mode) -> Tensor {

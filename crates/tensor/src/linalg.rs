@@ -14,8 +14,8 @@
 //! additions within one element, so blocked, serial, and row-parallel paths
 //! are all bit-identical. See DESIGN.md §6f.
 
-use crate::conv::{check_lanes, ConvFold, ConvPanels};
-use crate::{Conv2dGeometry, Result, Tensor, TensorError};
+use crate::conv::{check_lanes, fold_tile, ConvFold, ConvPanels};
+use crate::{simd_kernel, Conv2dGeometry, Result, Tensor, TensorError};
 use std::ops::Range;
 
 /// Register-block height: rows of A handled per micro-kernel call.
@@ -180,9 +180,11 @@ fn pack_at_rows(a: &[f32], m: usize, k: usize, i0: usize, h: usize, dst: &mut [f
 ///
 /// The inner loops have fixed trip counts (MR, NR) and no branches, so the
 /// compiler unrolls and vectorizes them; each accumulator element's additions
-/// run in ascending-p order from 0.0, preserving the reference chain.
+/// run in ascending-p order from 0.0, preserving the reference chain. It
+/// inlines into the GEMM row loops below, which are [`simd_kernel!`]s, so it
+/// runs at their SIMD level.
 #[inline(always)]
-fn micro_tile_body(apack: &[f32], panel: &[f32], kc: usize) -> [[f32; NR]; MR] {
+fn micro_tile(apack: &[f32], panel: &[f32], kc: usize) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
     for (av, bv) in apack.chunks_exact(MR).zip(panel.chunks_exact(NR)).take(kc) {
         for (r, accr) in acc.iter_mut().enumerate() {
@@ -193,49 +195,6 @@ fn micro_tile_body(apack: &[f32], panel: &[f32], kc: usize) -> [[f32; NR]; MR] {
         }
     }
     acc
-}
-
-/// Micro-kernel function type; called through a pointer picked once per run.
-type MicroKernel = unsafe fn(&[f32], &[f32], usize) -> [[f32; NR]; MR];
-
-/// Picks the widest SIMD compilation of the micro-kernel this CPU supports.
-///
-/// All variants compile the *same* scalar body — the `target_feature` gates
-/// only change the vector width LLVM autovectorizes with, never the order or
-/// rounding of the float operations (Rust does not contract `mul + add` into
-/// FMA), so every variant is bit-identical to the portable one.
-#[cfg(target_arch = "x86_64")]
-fn micro_kernel() -> MicroKernel {
-    use std::sync::OnceLock;
-    #[target_feature(enable = "avx512f")]
-    unsafe fn avx512(apack: &[f32], panel: &[f32], kc: usize) -> [[f32; NR]; MR] {
-        micro_tile_body(apack, panel, kc)
-    }
-    #[target_feature(enable = "avx2")]
-    unsafe fn avx2(apack: &[f32], panel: &[f32], kc: usize) -> [[f32; NR]; MR] {
-        micro_tile_body(apack, panel, kc)
-    }
-    unsafe fn portable(apack: &[f32], panel: &[f32], kc: usize) -> [[f32; NR]; MR] {
-        micro_tile_body(apack, panel, kc)
-    }
-    static KERNEL: OnceLock<MicroKernel> = OnceLock::new();
-    *KERNEL.get_or_init(|| {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            avx512
-        } else if std::arch::is_x86_feature_detected!("avx2") {
-            avx2
-        } else {
-            portable
-        }
-    })
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn micro_kernel() -> MicroKernel {
-    unsafe fn portable(apack: &[f32], panel: &[f32], kc: usize) -> [[f32; NR]; MR] {
-        micro_tile_body(apack, panel, kc)
-    }
-    portable
 }
 
 /// Writes (with `ACCUM`, adds) the top `h` rows and first `w` columns of a
@@ -266,14 +225,14 @@ fn store_tile<const ACCUM: bool>(
     }
 }
 
-/// Computes output rows `rows` of a GEMM against pre-packed B panels.
-///
-/// `pack_a(i0, h, dst)` fills an interleaved `[kc][MR]` block for source rows
-/// `i0..i0+h`. `out` holds `rows.len() * n` elements (row `rows.start` first).
-/// With `ACCUM` the tile is added into `out` (`+=` of a register-complete
-/// chain, for windowed accumulation); otherwise it overwrites.
-fn gemm_rows<const ACCUM: bool>(
-    pack_a: &(dyn Fn(usize, usize, &mut [f32]) + Sync),
+/// Fills an interleaved `[kc][MR]` A block for source rows `i0..i0+h`:
+/// `(i0, h, dst)`.
+type PackAFn<'a> = dyn Fn(usize, usize, &mut [f32]) + Sync + 'a;
+
+/// The loop of [`gemm_rows`] for one `ACCUM`.
+#[inline(always)]
+fn gemm_rows_tiles<const ACCUM: bool>(
+    pack_a: &PackAFn<'_>,
     rows: Range<usize>,
     kc: usize,
     n: usize,
@@ -282,7 +241,6 @@ fn gemm_rows<const ACCUM: bool>(
 ) {
     let mut apack = vec![0.0f32; kc * MR];
     let panels = n.div_ceil(NR);
-    let kernel = micro_kernel();
     let mut i = rows.start;
     while i < rows.end {
         let h = MR.min(rows.end - i);
@@ -291,12 +249,35 @@ fn gemm_rows<const ACCUM: bool>(
             let j0 = pj * NR;
             let w = NR.min(n - j0);
             let panel = &packed_b[pj * kc * NR..(pj + 1) * kc * NR];
-            // SAFETY: `micro_kernel` only returns a feature-gated variant
-            // when the CPU reports that feature.
-            let acc = unsafe { kernel(&apack, panel, kc) };
+            let acc = micro_tile(&apack, panel, kc);
             store_tile::<ACCUM>(&acc, h, w, out, (i - rows.start) * n + j0, n);
         }
         i += h;
+    }
+}
+
+simd_kernel! {
+    /// Computes output rows `rows` of a GEMM against pre-packed B panels.
+    ///
+    /// `pack_a(i0, h, dst)` fills an interleaved `[kc][MR]` block for source
+    /// rows `i0..i0+h`. `out` holds `rows.len() * n` elements (row
+    /// `rows.start` first). With `accum` the tile is added into `out` (`+=`
+    /// of a register-complete chain, for windowed accumulation); otherwise it
+    /// overwrites.
+    fn gemm_rows(
+        pack_a: &PackAFn<'_>,
+        rows: Range<usize>,
+        kc: usize,
+        n: usize,
+        packed_b: &[f32],
+        out: &mut [f32],
+        accum: bool,
+    ) {
+        if accum {
+            gemm_rows_tiles::<true>(pack_a, rows, kc, n, packed_b, out);
+        } else {
+            gemm_rows_tiles::<false>(pack_a, rows, kc, n, packed_b, out);
+        }
     }
 }
 
@@ -306,7 +287,7 @@ fn gemm_rows<const ACCUM: bool>(
 /// the same `gemm_rows` kernel, so parallel and serial results are
 /// bit-identical.
 fn gemm_dispatch(
-    pack_a: &(dyn Fn(usize, usize, &mut [f32]) + Sync),
+    pack_a: &PackAFn<'_>,
     m: usize,
     kc: usize,
     n: usize,
@@ -322,49 +303,57 @@ fn gemm_dispatch(
         let rows_per_span = m.div_ceil(threads.min(m));
         remix_parallel::for_each_span_mut(out, rows_per_span * n, |span, orows| {
             let row0 = span * rows_per_span;
-            gemm_rows::<false>(pack_a, row0..row0 + orows.len() / n, kc, n, packed_b, orows);
+            gemm_rows(
+                pack_a,
+                row0..row0 + orows.len() / n,
+                kc,
+                n,
+                packed_b,
+                orows,
+                false,
+            );
         });
     } else {
-        gemm_rows::<false>(pack_a, 0..m, kc, n, packed_b, out);
+        gemm_rows(pack_a, 0..m, kc, n, packed_b, out, false);
     }
 }
 
-/// Computes output rows `rows` of a GEMM whose A blocks were packed ahead of
-/// time: `ablocks` holds `m.div_ceil(MR)` interleaved `[kc][MR]` blocks (the
-/// exact buffers the per-call `pack_a` closure would produce, tail rows
-/// zero-padded), so the micro-kernel consumes identical inputs and the
-/// outputs are bit-identical to [`gemm_rows`] by construction.
-///
-/// `rows.start` must sit on an `MR` boundary so the span reads whole blocks.
-fn gemm_rows_prepacked<const ACCUM: bool>(
-    ablocks: &[f32],
-    rows: Range<usize>,
-    kc: usize,
-    n: usize,
-    packed_b: &[f32],
-    out: &mut [f32],
-) {
-    debug_assert!(
-        rows.start.is_multiple_of(MR),
-        "prepacked spans must start on an MR boundary"
-    );
-    let panels = n.div_ceil(NR);
-    let kernel = micro_kernel();
-    let block_len = kc * MR;
-    let mut i = rows.start;
-    while i < rows.end {
-        let h = MR.min(rows.end - i);
-        let apack = &ablocks[(i / MR) * block_len..(i / MR) * block_len + block_len];
-        for pj in 0..panels {
-            let j0 = pj * NR;
-            let w = NR.min(n - j0);
-            let panel = &packed_b[pj * kc * NR..(pj + 1) * kc * NR];
-            // SAFETY: `micro_kernel` only returns a feature-gated variant
-            // when the CPU reports that feature.
-            let acc = unsafe { kernel(apack, panel, kc) };
-            store_tile::<ACCUM>(&acc, h, w, out, (i - rows.start) * n + j0, n);
+simd_kernel! {
+    /// Computes output rows `rows` of a GEMM whose A blocks were packed ahead
+    /// of time: `ablocks` holds `m.div_ceil(MR)` interleaved `[kc][MR]` blocks
+    /// (the exact buffers the per-call `pack_a` closure would produce, tail
+    /// rows zero-padded), so the micro-kernel consumes identical inputs and
+    /// the outputs are bit-identical to [`gemm_rows`] by construction.
+    ///
+    /// `rows.start` must sit on an `MR` boundary so the span reads whole
+    /// blocks.
+    fn gemm_rows_prepacked(
+        ablocks: &[f32],
+        rows: Range<usize>,
+        kc: usize,
+        n: usize,
+        packed_b: &[f32],
+        out: &mut [f32],
+    ) {
+        debug_assert!(
+            rows.start.is_multiple_of(MR),
+            "prepacked spans must start on an MR boundary"
+        );
+        let panels = n.div_ceil(NR);
+        let block_len = kc * MR;
+        let mut i = rows.start;
+        while i < rows.end {
+            let h = MR.min(rows.end - i);
+            let apack = &ablocks[(i / MR) * block_len..(i / MR) * block_len + block_len];
+            for pj in 0..panels {
+                let j0 = pj * NR;
+                let w = NR.min(n - j0);
+                let panel = &packed_b[pj * kc * NR..(pj + 1) * kc * NR];
+                let acc = micro_tile(apack, panel, kc);
+                store_tile::<false>(&acc, h, w, out, (i - rows.start) * n + j0, n);
+            }
+            i += h;
         }
-        i += h;
     }
 }
 
@@ -390,7 +379,7 @@ fn gemm_dispatch_prepacked(
         let rows_per_span = m.div_ceil(threads.min(m)).next_multiple_of(MR);
         remix_parallel::for_each_span_mut(out, rows_per_span * n, |span, orows| {
             let row0 = span * rows_per_span;
-            gemm_rows_prepacked::<false>(
+            gemm_rows_prepacked(
                 ablocks,
                 row0..row0 + orows.len() / n,
                 kc,
@@ -400,65 +389,63 @@ fn gemm_dispatch_prepacked(
             );
         });
     } else {
-        gemm_rows_prepacked::<false>(ablocks, 0..m, kc, n, packed_b, out);
+        gemm_rows_prepacked(ablocks, 0..m, kc, n, packed_b, out);
     }
 }
 
-/// Fills the `[kc][NR]` B panel of the `width` columns `j0..`:
-/// `(j0, width, dst)`.
-type PanelFn<'a> = dyn Fn(usize, usize, &mut [f32]) + Sync + 'a;
-
-/// Computes output rows `rows` of a GEMM against stored A blocks (as in
-/// [`gemm_rows_prepacked`]) whose B panels are produced one at a time:
-/// `pack_panel(j0, width, dst)` fills the `[kc][NR]` panel of the `width`
-/// columns `j0..`, and every A block of the span multiplies it while it is
-/// still in L1, so the packed B operand is never materialized as a whole.
-/// The micro-kernel sees the same blocks and panels as over a fully packed
-/// operand — only the order in which tiles are computed changes — so the
-/// results are bit-identical.
-fn gemm_rows_panelwise(
-    ablocks: &[f32],
-    rows: Range<usize>,
-    kc: usize,
-    n: usize,
-    pack_panel: &PanelFn<'_>,
-    out: &mut [f32],
-) {
-    debug_assert!(
-        rows.start.is_multiple_of(MR),
-        "prepacked spans must start on an MR boundary"
-    );
-    let kernel = micro_kernel();
-    let block_len = kc * MR;
-    let mut panel = vec![0.0f32; kc * NR];
-    for j0 in (0..n).step_by(NR) {
-        let w = NR.min(n - j0);
-        pack_panel(j0, w, &mut panel);
-        let mut i = rows.start;
-        while i < rows.end {
-            let h = MR.min(rows.end - i);
-            let apack = &ablocks[(i / MR) * block_len..][..block_len];
-            // SAFETY: `micro_kernel` only returns a feature-gated variant
-            // when the CPU reports that feature.
-            let acc = unsafe { kernel(apack, &panel, kc) };
-            store_tile::<false>(&acc, h, w, out, (i - rows.start) * n + j0, n);
-            i += h;
+simd_kernel! {
+    /// Computes output rows `rows` of a conv GEMM against stored A blocks
+    /// (as in [`gemm_rows_prepacked`]) whose B panels `panels` produces one
+    /// at a time: each `[kc][NR]` panel of `NR` columns is packed, and every
+    /// A block of the span multiplies it while it is still in L1, so the
+    /// packed B operand is never materialized as a whole. The micro-kernel
+    /// sees the same blocks and panels as over a fully packed operand —
+    /// only the order in which tiles are computed changes — so the results
+    /// are bit-identical.
+    fn gemm_rows_panelwise(
+        ablocks: &[f32],
+        rows: Range<usize>,
+        kc: usize,
+        panels: &ConvPanels<'_>,
+        out: &mut [f32],
+    ) {
+        debug_assert!(
+            rows.start.is_multiple_of(MR),
+            "prepacked spans must start on an MR boundary"
+        );
+        let n = panels.cols();
+        let block_len = kc * MR;
+        let mut panel = vec![0.0f32; kc * NR];
+        for j0 in (0..n).step_by(NR) {
+            let w = NR.min(n - j0);
+            panels.pack(j0, w, &mut panel);
+            let mut i = rows.start;
+            while i < rows.end {
+                let h = MR.min(rows.end - i);
+                let apack = &ablocks[(i / MR) * block_len..][..block_len];
+                let acc = micro_tile(apack, &panel, kc);
+                store_tile::<false>(&acc, h, w, out, (i - rows.start) * n + j0, n);
+                i += h;
+            }
         }
     }
 }
 
-/// [`gemm_dispatch_prepacked`] with B panels produced per span by
-/// `pack_panel` (see [`gemm_rows_panelwise`]). Parallel spans each produce
-/// every panel for their own rows. Callers count their A-side traffic: a
-/// prepack hit, or the A blocks they packed.
-fn gemm_dispatch_panelwise(
+/// The conv GEMM `W · patchesᵀ` of the A blocks `ablocks` (`m` rows, inner
+/// dimension `kc`) with the B panels `panels` packs, into `out`:
+/// `[m, panels.cols()]`. As [`gemm_dispatch_prepacked`], with B panels
+/// produced per span (see [`gemm_rows_panelwise`]): parallel spans each
+/// produce every panel for their own rows. Callers count their A-side
+/// traffic: a prepack hit, or the A blocks they packed.
+fn conv_gemm_panels(
     ablocks: &[f32],
     m: usize,
     kc: usize,
-    n: usize,
-    pack_panel: &PanelFn<'_>,
-    out: &mut [f32],
+    panels: &ConvPanels<'_>,
+    out: &mut Vec<f32>,
 ) {
+    let n = panels.cols();
+    reset_buf(out, m * n);
     remix_trace::incr(remix_trace::Counter::GemmCalls);
     remix_trace::add(remix_trace::Counter::GemmMacs, (m * kc * n) as u64);
     trace_pack_bytes(n.div_ceil(NR) * kc * NR);
@@ -468,39 +455,11 @@ fn gemm_dispatch_panelwise(
         let rows_per_span = m.div_ceil(threads.min(m)).next_multiple_of(MR);
         remix_parallel::for_each_span_mut(out, rows_per_span * n, |span, orows| {
             let row0 = span * rows_per_span;
-            gemm_rows_panelwise(
-                ablocks,
-                row0..row0 + orows.len() / n,
-                kc,
-                n,
-                pack_panel,
-                orows,
-            );
+            gemm_rows_panelwise(ablocks, row0..row0 + orows.len() / n, kc, panels, orows);
         });
     } else {
-        gemm_rows_panelwise(ablocks, 0..m, kc, n, pack_panel, out);
+        gemm_rows_panelwise(ablocks, 0..m, kc, panels, out);
     }
-}
-
-/// The conv GEMM `W · patchesᵀ` of the A blocks `ablocks` (`m` rows, inner
-/// dimension `kc`) with the B panels `panels` packs, into `out`:
-/// `[m, panels.cols()]`.
-fn conv_gemm_panels(
-    ablocks: &[f32],
-    m: usize,
-    kc: usize,
-    panels: &ConvPanels<'_>,
-    out: &mut Vec<f32>,
-) {
-    reset_buf(out, m * panels.cols());
-    gemm_dispatch_panelwise(
-        ablocks,
-        m,
-        kc,
-        panels.cols(),
-        &|j0, width, dst| panels.pack(j0, width, dst),
-        out,
-    );
 }
 
 /// Convolution input gradients, fused: the `[C·k·k, n]` product `Wᵀ · G`
@@ -617,45 +576,44 @@ impl ConvGradSpan<'_> {
         let plane = self.fold.plane_len();
         for (i, dst) in dst.chunks_mut(self.block * plane).enumerate() {
             let c0 = chans.start + i * self.block;
-            self.run_block(c0..c0 + dst.len() / plane, dst);
+            conv_grad_block(self, c0..c0 + dst.len() / plane, dst);
         }
     }
+}
 
-    /// Every panel, its tile rows of the patch elements of channels `chans`
-    /// folded onto `dst`, their padded planes, in ascending panel order.
-    /// Blocks own disjoint planes, so their order is free.
-    fn run_block(&self, chans: Range<usize>, dst: &mut [f32]) {
-        let kc = self.kc;
-        let kernel = micro_kernel();
-        let rows = chans.start * self.kk..chans.end * self.kk;
-        let blocks = &self.ablocks[rows.start / MR * kc * MR..rows.end.div_ceil(MR) * kc * MR];
-        let cols = self.grads.cols();
-        if self.packed.is_empty() {
+simd_kernel! {
+    /// Every panel of `span`, its tile rows of the patch elements of
+    /// channels `chans` folded onto `dst`, their padded planes, in ascending
+    /// panel order. Blocks own disjoint planes, so their order is free.
+    fn conv_grad_block(span: &ConvGradSpan<'_>, chans: Range<usize>, dst: &mut [f32]) {
+        let kc = span.kc;
+        let rows = chans.start * span.kk..chans.end * span.kk;
+        let blocks = &span.ablocks[rows.start / MR * kc * MR..rows.end.div_ceil(MR) * kc * MR];
+        let cols = span.grads.cols();
+        if span.packed.is_empty() {
             trace_pack_bytes(cols.div_ceil(NR) * kc * NR);
         }
         let mut own = vec![0.0f32; kc * NR];
         let mut tile = vec![0.0f32; blocks.len() / kc * NR];
         for j0 in (0..cols).step_by(NR) {
             let width = NR.min(cols - j0);
-            let panel = if self.packed.is_empty() {
-                self.grads.pack(j0, width, &mut own);
+            let panel = if span.packed.is_empty() {
+                span.grads.pack(j0, width, &mut own);
                 &own[..]
             } else {
-                &self.packed[j0 / NR * kc * NR..][..kc * NR]
+                &span.packed[j0 / NR * kc * NR..][..kc * NR]
             };
             for (ablock, rows) in blocks
                 .chunks_exact(kc * MR)
                 .zip(tile.chunks_exact_mut(MR * NR))
             {
-                // SAFETY: `micro_kernel` only returns a feature-gated variant
-                // when the CPU reports that feature.
-                let acc = unsafe { kernel(ablock, panel, kc) };
+                let acc = micro_tile(ablock, panel, kc);
                 for (row, accr) in rows.chunks_exact_mut(NR).zip(&acc) {
                     let row: &mut [f32; NR] = row.try_into().expect("NR-wide tile row");
                     *row = *accr;
                 }
             }
-            self.fold.fold(&tile, chans.clone(), j0, width, dst);
+            fold_tile(span.fold, &tile, chans.clone(), j0, width, dst);
         }
     }
 }
@@ -768,13 +726,14 @@ pub fn gemm_accum_ab(
     trace_pack_a_bytes(m, kc);
     pack_b(b, kc, n, packed);
     let window = 0..kc;
-    gemm_rows::<true>(
+    gemm_rows(
         &|i0, h, dst| pack_a_rows(a, kc, &window, i0, h, dst),
         0..m,
         kc,
         n,
         packed,
         out,
+        true,
     );
 }
 
@@ -1450,6 +1409,7 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::testing::{assert_levels_agree, edge_values, TEST_LANES};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
@@ -1728,6 +1688,107 @@ mod tests {
         let mut out = Vec::new();
         let mut scratch = Vec::new();
         let _ = pa.matmul_at_b_prepacked_into(&Tensor::zeros(&[4, 3]), &mut out, &mut scratch);
+    }
+
+    #[test]
+    fn gemm_row_loops_agree_bitwise_at_every_simd_level() {
+        let (m, kc) = (7, 13);
+        let a = edge_values(m * kc, 1);
+        let ablocks = pack_a_blocks(&a, m, kc);
+        let window = 0..kc;
+        let pack_a = |i0, h, dst: &mut [f32]| pack_a_rows(&a, kc, &window, i0, h, dst);
+        for n in TEST_LANES {
+            let mut packed = Vec::new();
+            pack_b(&edge_values(kc * n, 2), kc, n, &mut packed);
+            for accum in [false, true] {
+                let run = |level| {
+                    let mut out = edge_values(m * n, 3);
+                    gemm_rows::at(level, &pack_a, 0..m, kc, n, &packed, &mut out, accum);
+                    out
+                };
+                assert_levels_agree(&format!("gemm_rows n{n} accum {accum}"), run);
+            }
+            let run = |level| {
+                let mut out = vec![0.0; m * n];
+                gemm_rows_prepacked::at(level, &ablocks, 0..m, kc, n, &packed, &mut out);
+                out
+            };
+            assert_levels_agree(&format!("gemm_rows_prepacked n{n}"), run);
+        }
+    }
+
+    #[test]
+    fn conv_gemm_loops_agree_bitwise_at_every_simd_level() {
+        let filters = 5;
+        for (kernel, stride, pad) in [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0)] {
+            let geo = Conv2dGeometry {
+                in_channels: 3,
+                in_h: 5,
+                in_w: 6,
+                kernel,
+                stride,
+                pad,
+            };
+            let (patch, kk) = (geo.patch_len(), kernel * kernel);
+            let weight = edge_values(filters * patch, 1);
+            let (fwd_blocks, bwd_blocks) = (
+                pack_a_blocks(&weight, filters, patch),
+                pack_at_blocks(&weight, filters, patch),
+            );
+            for lanes in TEST_LANES {
+                let what = format!("k{kernel} s{stride} p{pad} x{lanes}");
+                let shape = [3, 5, 6, lanes];
+                let batch = Tensor::from_vec(edge_values(90 * lanes, 2), &shape).unwrap();
+                let mut padded = Vec::new();
+                let panels = ConvPanels::new(&batch, lanes, &geo, &mut padded);
+                let run = |level| {
+                    let mut out = vec![0.0; filters * panels.cols()];
+                    gemm_rows_panelwise::at(
+                        level,
+                        &fwd_blocks,
+                        0..filters,
+                        patch,
+                        &panels,
+                        &mut out,
+                    );
+                    out
+                };
+                assert_levels_agree(&format!("gemm_rows_panelwise {what}"), run);
+
+                let gshape = [filters, geo.out_h(), geo.out_w(), lanes];
+                let len = gshape.iter().product();
+                let grads = Tensor::from_vec(edge_values(len, 3), &gshape).unwrap();
+                let mut unpadded = Vec::new();
+                let gpanels =
+                    ConvPanels::new(&grads, lanes, &grad_geometry(filters, &geo), &mut unpadded);
+                let fold = ConvFold::new(&geo, lanes);
+                let span = ConvGradSpan {
+                    ablocks: &bwd_blocks,
+                    kc: filters,
+                    kk,
+                    block: 3,
+                    grads: &gpanels,
+                    packed: &[],
+                    fold: &fold,
+                };
+                let run = |level| {
+                    let mut dst = vec![0.0; fold.image_len()];
+                    conv_grad_block::at(level, &span, 0..3, &mut dst);
+                    dst
+                };
+                assert_levels_agree(&format!("conv_grad_block {what}"), run);
+                let tile = edge_values(patch.next_multiple_of(MR) * NR, 4);
+                let run = |level| {
+                    let mut dst = edge_values(fold.image_len(), 5);
+                    for j0 in (0..gpanels.cols()).step_by(NR) {
+                        let width = NR.min(gpanels.cols() - j0);
+                        fold_tile::at(level, &fold, &tile, 0..3, j0, width, &mut dst);
+                    }
+                    dst
+                };
+                assert_levels_agree(&format!("fold_tile {what}"), run);
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,16 @@
 //! Elementwise and scalar arithmetic on tensors.
 
-use crate::{Result, Tensor, TensorError};
+use crate::{simd_kernel, Result, Tensor, TensorError};
+
+simd_kernel! {
+    /// `a += b`, element by element: the residual sum of the lane-major
+    /// sweeps.
+    fn add_into(a: &mut [f32], b: &[f32]) {
+        for (a, &b) in a.iter_mut().zip(b) {
+            *a += b;
+        }
+    }
+}
 
 impl Tensor {
     fn zip_with(
@@ -74,9 +84,7 @@ impl Tensor {
                 op: "add_assign",
             });
         }
-        for (a, &b) in self.data_mut().iter_mut().zip(other.data()) {
-            *a += b;
-        }
+        add_into(self.data_mut(), other.data());
         Ok(())
     }
 
@@ -188,6 +196,20 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::testing::{assert_levels_agree, edge_values, TEST_LANES};
+
+    #[test]
+    fn add_kernel_agrees_bitwise_at_every_simd_level() {
+        for lanes in TEST_LANES {
+            let (a, b) = (edge_values(9 * lanes, 1), edge_values(9 * lanes, 2));
+            let run = |level| {
+                let mut a = a.clone();
+                add_into::at(level, &mut a, &b);
+                a
+            };
+            assert_levels_agree(&format!("add_into x{lanes}"), run);
+        }
+    }
 
     fn t(v: &[f32]) -> Tensor {
         Tensor::from_slice(v)

@@ -190,6 +190,85 @@ fn signed_zero_tensor(shape: &[usize], rng: &mut StdRng) -> Tensor {
     Tensor::from_vec(data, shape).unwrap()
 }
 
+/// The fresh and prepacked conv GEMMs of `batch` lanes through `geo` with
+/// `filters` filters, drawn from `seed`, against the unfolded patch rows
+/// through the transpose-free GEMM; sample b owns columns b·spatial.. of
+/// that product.
+fn check_lane_conv_gemm(geo: Conv2dGeometry, batch: usize, filters: usize, seed: u64) {
+    let (c, h, w) = (geo.in_channels, geo.in_h, geo.in_w);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let weight = signed_zero_tensor(&[filters, geo.patch_len()], &mut rng);
+    let inputs: Vec<Tensor> = (0..batch)
+        .map(|_| signed_zero_tensor(&[c, h, w], &mut rng))
+        .collect();
+    let spatial = geo.out_h() * geo.out_w();
+    let mut rows = Vec::new();
+    im2row_batch_into(&inputs, &geo, &mut rows).unwrap();
+    let rows = Tensor::from_vec(rows, &[batch * spatial, geo.patch_len()]).unwrap();
+    let reference = weight.matmul_a_bt(&rows).unwrap();
+    let lanes = Tensor::stack_lanes(&inputs).unwrap();
+    let expect: Vec<u32> = (0..filters * spatial)
+        .flat_map(|fp| {
+            let (f, p) = (fp / spatial, fp % spatial);
+            let data = reference.data();
+            (0..batch).map(move |b| data[f * batch * spatial + b * spatial + p].to_bits())
+        })
+        .collect();
+
+    let (mut out, mut padded) = (Vec::new(), Vec::new());
+    weight
+        .conv_gemm_into(&lanes, &geo, &mut out, &mut padded)
+        .unwrap();
+    prop_assert_eq!(bits(&out), expect.clone(), "fresh {:?} x{}", geo, batch);
+    let frozen = weight.prepack_a().unwrap();
+    frozen
+        .conv_gemm_prepacked_into(&lanes, &geo, &mut out, &mut padded)
+        .unwrap();
+    prop_assert_eq!(bits(&out), expect, "prepacked {:?} x{}", geo, batch);
+}
+
+/// The fresh and prepacked fused conv input gradients of `batch` lanes of
+/// output gradients through `geo` with `filters` filters, drawn from
+/// `seed`, against the gᵀ·W patch rows of the concatenated per-sample
+/// gradients through the row fold.
+fn check_lane_conv_input_grads(geo: Conv2dGeometry, batch: usize, filters: usize, seed: u64) {
+    let (c, h, w) = (geo.in_channels, geo.in_h, geo.in_w);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xf01d);
+    let (oh, ow) = (geo.out_h(), geo.out_w());
+    let weight = signed_zero_tensor(&[filters, geo.patch_len()], &mut rng);
+    let grads: Vec<Tensor> = (0..batch)
+        .map(|_| signed_zero_tensor(&[filters, oh, ow], &mut rng))
+        .collect();
+    let cols = batch * oh * ow;
+    let concat: Vec<f32> = (0..filters)
+        .flat_map(|f| {
+            grads
+                .iter()
+                .flat_map(move |g| g.data()[f * oh * ow..][..oh * ow].to_vec())
+        })
+        .collect();
+    let concat = Tensor::from_vec(concat, &[filters, cols]).unwrap();
+    let reference = row2im_batch(&concat.matmul_at_b(&weight).unwrap(), &geo, batch).unwrap();
+    let expect = bits(Tensor::stack_lanes(&reference).unwrap().data());
+
+    let lanes = Tensor::stack_lanes(&grads).unwrap();
+    let mut scratch = Vec::new();
+    let fused = weight.conv_input_grads(&lanes, &geo, &mut scratch).unwrap();
+    prop_assert_eq!(fused.shape(), &[c, h, w, batch][..]);
+    prop_assert_eq!(
+        bits(fused.data()),
+        expect.clone(),
+        "fresh {:?} x{}",
+        geo,
+        batch
+    );
+    let frozen = weight.prepack_at().unwrap();
+    let fused = frozen
+        .conv_input_grads_prepacked(&lanes, &geo, &mut scratch)
+        .unwrap();
+    prop_assert_eq!(bits(fused.data()), expect, "prepacked {:?} x{}", geo, batch);
+}
+
 // Conv lowering contracts over lane-major batches of small geometries:
 // C 1–4, H/W 1–9, k 1–3, stride 1–2, pad 0–1, batch 1–33, at the default
 // thread count. Output rows shorter than a 16-lane panel and batches that
@@ -208,32 +287,7 @@ proptest! {
         if !geo.is_valid() {
             continue;
         }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let weight = signed_zero_tensor(&[filters, geo.patch_len()], &mut rng);
-        let inputs: Vec<Tensor> =
-            (0..batch).map(|_| signed_zero_tensor(&[c, h, w], &mut rng)).collect();
-        // Reference: unfold the patch rows, then the transpose-free GEMM;
-        // sample b owns columns b·spatial.. of the product.
-        let spatial = geo.out_h() * geo.out_w();
-        let mut rows = Vec::new();
-        im2row_batch_into(&inputs, &geo, &mut rows).unwrap();
-        let rows = Tensor::from_vec(rows, &[batch * spatial, geo.patch_len()]).unwrap();
-        let reference = weight.matmul_a_bt(&rows).unwrap();
-        let lanes = Tensor::stack_lanes(&inputs).unwrap();
-        let expect: Vec<u32> = (0..filters * spatial)
-            .flat_map(|fp| {
-                let (f, p) = (fp / spatial, fp % spatial);
-                let data = reference.data();
-                (0..batch).map(move |b| data[f * batch * spatial + b * spatial + p].to_bits())
-            })
-            .collect();
-
-        let (mut out, mut padded) = (Vec::new(), Vec::new());
-        weight.conv_gemm_into(&lanes, &geo, &mut out, &mut padded).unwrap();
-        prop_assert_eq!(bits(&out), expect.clone(), "fresh {:?} x{}", geo, batch);
-        let frozen = weight.prepack_a().unwrap();
-        frozen.conv_gemm_prepacked_into(&lanes, &geo, &mut out, &mut padded).unwrap();
-        prop_assert_eq!(bits(&out), expect, "prepacked {:?} x{}", geo, batch);
+        check_lane_conv_gemm(geo, batch, filters, seed);
     }
 
     #[test]
@@ -246,29 +300,44 @@ proptest! {
         if !geo.is_valid() {
             continue;
         }
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xf01d);
-        let (oh, ow) = (geo.out_h(), geo.out_w());
-        let weight = signed_zero_tensor(&[filters, geo.patch_len()], &mut rng);
-        let grads: Vec<Tensor> =
-            (0..batch).map(|_| signed_zero_tensor(&[filters, oh, ow], &mut rng)).collect();
-        // Reference: gᵀ·W patch rows of the concatenated per-sample
-        // gradients through the row fold.
-        let cols = batch * oh * ow;
-        let concat: Vec<f32> = (0..filters)
-            .flat_map(|f| grads.iter().flat_map(move |g| g.data()[f * oh * ow..][..oh * ow].to_vec()))
-            .collect();
-        let concat = Tensor::from_vec(concat, &[filters, cols]).unwrap();
-        let reference = row2im_batch(&concat.matmul_at_b(&weight).unwrap(), &geo, batch).unwrap();
-        let expect = bits(Tensor::stack_lanes(&reference).unwrap().data());
+        check_lane_conv_input_grads(geo, batch, filters, seed);
+    }
+}
 
-        let lanes = Tensor::stack_lanes(&grads).unwrap();
-        let mut scratch = Vec::new();
-        let fused = weight.conv_input_grads(&lanes, &geo, &mut scratch).unwrap();
-        prop_assert_eq!(fused.shape(), &[c, h, w, batch][..]);
-        prop_assert_eq!(bits(fused.data()), expect.clone(), "fresh {:?} x{}", geo, batch);
-        let frozen = weight.prepack_at().unwrap();
-        let fused = frozen.conv_input_grads_prepacked(&lanes, &geo, &mut scratch).unwrap();
-        prop_assert_eq!(bits(fused.data()), expect, "prepacked {:?} x{}", geo, batch);
+/// The conv geometries the zoo serves at 3×16×16 — ConvNet's, MobileNet's
+/// and ResNet18's 3×3 convs, their 1×1 projections and pointwise convs —
+/// as `(channels, size, filters, kernel, stride, pad)`.
+const SERVED_CONVS: [(usize, usize, usize, usize, usize, usize); 12] = [
+    (3, 16, 8, 3, 1, 1),
+    (8, 16, 8, 3, 1, 1),
+    (8, 16, 16, 3, 2, 1),
+    (16, 8, 16, 3, 1, 1),
+    (16, 8, 32, 3, 2, 1),
+    (32, 4, 32, 3, 1, 1),
+    (8, 16, 16, 1, 2, 0),
+    (16, 8, 32, 1, 2, 0),
+    (8, 16, 16, 1, 1, 0),
+    (16, 8, 16, 1, 1, 0),
+    (16, 8, 32, 1, 1, 0),
+    (32, 4, 32, 1, 1, 0),
+];
+
+#[test]
+fn served_conv_shapes_are_bit_identical_to_the_unfolded_references() {
+    for (i, &(c, size, filters, k, stride, pad)) in SERVED_CONVS.iter().enumerate() {
+        let geo = Conv2dGeometry {
+            in_channels: c,
+            in_h: size,
+            in_w: size,
+            kernel: k,
+            stride,
+            pad,
+        };
+        for batch in [1, 2, 16, 17] {
+            let seed = (i * 64 + batch) as u64;
+            check_lane_conv_gemm(geo, batch, filters, seed);
+            check_lane_conv_input_grads(geo, batch, filters, seed);
+        }
     }
 }
 
