@@ -402,6 +402,9 @@ struct ConvRow {
     batch: usize,
     unfolded_secs_per_iter: f64,
     panel_secs_per_iter: f64,
+    /// The panel side's forward and input gradient, timed apart (ungated).
+    panel_fwd_secs_per_iter: f64,
+    panel_dx_secs_per_iter: f64,
     speedup: f64,
     lowering_identical: bool,
 }
@@ -440,27 +443,38 @@ impl UnfoldedConv<'_> {
     }
 }
 
-/// The frozen conv serve path: B panels packed straight from the lane-major
-/// batch, and the input gradient `Wᵀ · G` folded onto the lane-major
-/// gradient panel by panel.
-struct PanelConv<'a> {
+/// The frozen conv serve path's forward: B panels read or packed straight
+/// from the lane-major batch.
+struct PanelForward<'a> {
     geo: Conv2dGeometry,
     images: &'a Tensor,
-    grads: &'a Tensor,
-    fwd: PackedOperand,
-    dx: PackedOperand,
-    packed: Vec<f32>,
+    weights: PackedOperand,
+    padded: Vec<f32>,
     out: Vec<f32>,
-    dx_scratch: Vec<f32>,
 }
 
-impl PanelConv<'_> {
-    fn run(&mut self) -> Tensor {
-        self.fwd
-            .conv_gemm_prepacked_into(self.images, &self.geo, &mut self.out, &mut self.packed)
+impl PanelForward<'_> {
+    fn run(&mut self) -> &[f32] {
+        self.weights
+            .conv_gemm_prepacked_into(self.images, &self.geo, &mut self.out, &mut self.padded)
             .expect("images match");
-        self.dx
-            .conv_input_grads_prepacked(self.grads, &self.geo, &mut self.dx_scratch)
+        &self.out
+    }
+}
+
+/// The frozen conv serve path's input gradient: `Wᵀ · G` folded onto the
+/// lane-major gradient panel by panel.
+struct PanelInputGrads<'a> {
+    geo: Conv2dGeometry,
+    grads: &'a Tensor,
+    weights: PackedOperand,
+    scratch: Vec<f32>,
+}
+
+impl PanelInputGrads<'_> {
+    fn run(&mut self) -> Tensor {
+        self.weights
+            .conv_input_grads_prepacked(self.grads, &self.geo, &mut self.scratch)
             .expect("gradients match")
     }
 }
@@ -788,19 +802,22 @@ fn bench_conv_shape(s: &ConvShape) -> ConvRow {
     };
     let lane_images = Tensor::stack_lanes(&images).expect("same-shape images");
     let lane_grads = Tensor::stack_lanes(&per_sample).expect("same-shape gradients");
-    let mut panels = PanelConv {
+    let mut forward = PanelForward {
         geo,
         images: &lane_images,
-        grads: &lane_grads,
-        fwd: w.prepack_a().expect("weights are rank 2"),
-        dx: w.prepack_at().expect("weights are rank 2"),
-        packed: Vec::new(),
+        weights: w.prepack_a().expect("weights are rank 2"),
+        padded: Vec::new(),
         out: Vec::new(),
-        dx_scratch: Vec::new(),
+    };
+    let mut input_grads = PanelInputGrads {
+        geo,
+        grads: &lane_grads,
+        weights: w.prepack_at().expect("weights are rank 2"),
+        scratch: Vec::new(),
     };
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
     let dx_unfolded = unfolded.run();
-    let dx_panels = panels.run();
+    let dx_panels = input_grads.run();
     // The unfolded product holds sample b in columns b·spatial..; the
     // lane-major one holds it in lane b of every output position.
     let spatial = oh * ow;
@@ -812,7 +829,7 @@ fn bench_conv_shape(s: &ConvShape) -> ConvRow {
         })
         .collect();
     let dx_as_lanes = Tensor::stack_lanes(&dx_unfolded).expect("same-shape gradients");
-    let lowering_identical = bits(&out_as_lanes) == bits(&panels.out)
+    let lowering_identical = bits(&out_as_lanes) == bits(forward.run())
         && bits(dx_as_lanes.data()) == bits(dx_panels.data());
     let (unfolded_secs, panel_secs) = time_interleaved(
         PHASE_WINDOWS,
@@ -820,7 +837,19 @@ fn bench_conv_shape(s: &ConvShape) -> ConvRow {
             std::hint::black_box(unfolded.run());
         },
         || {
-            std::hint::black_box(panels.run());
+            std::hint::black_box(forward.run().last());
+            std::hint::black_box(input_grads.run());
+        },
+    );
+    // Which half of the panel side moved: its forward and input gradient
+    // in alternating windows of their own.
+    let (panel_fwd_secs, panel_dx_secs) = time_interleaved(
+        PHASE_WINDOWS,
+        || {
+            std::hint::black_box(forward.run().last());
+        },
+        || {
+            std::hint::black_box(input_grads.run());
         },
     );
     ConvRow {
@@ -834,6 +863,8 @@ fn bench_conv_shape(s: &ConvShape) -> ConvRow {
         batch: CONV_BATCH,
         unfolded_secs_per_iter: round(unfolded_secs, 9),
         panel_secs_per_iter: round(panel_secs, 9),
+        panel_fwd_secs_per_iter: round(panel_fwd_secs, 9),
+        panel_dx_secs_per_iter: round(panel_dx_secs, 9),
         speedup: round(unfolded_secs / panel_secs, 3),
         lowering_identical,
     }

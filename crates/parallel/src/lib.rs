@@ -16,11 +16,11 @@
 //! core (or an empty pool) degrades to plain sequential execution.
 //!
 //! Thread-count resolution is centralized in [`num_threads`] /
-//! [`resolve_threads`], honoring the `REMIX_THREADS` environment variable so
-//! benchmarks and CI can pin parallelism without code changes. The pool is
-//! sized from the machine's parallelism (or `REMIX_THREADS`, whichever is
-//! larger at first use); callers control the *effective* concurrency of each
-//! job through how many tasks they split it into.
+//! [`resolve_threads`], honoring the `REMIX_THREADS` environment variable,
+//! read once on first use, so benchmarks and CI can pin parallelism without
+//! code changes. The pool is sized from the machine's parallelism (or
+//! `REMIX_THREADS`, whichever is larger); callers control the *effective*
+//! concurrency of each job through how many tasks they split it into.
 
 #![warn(missing_docs)]
 
@@ -30,15 +30,20 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Default worker count: the `REMIX_THREADS` environment variable when set to
 /// a positive integer, otherwise the machine's available parallelism.
+///
+/// Resolved once per process, on first use: the GEMM dispatchers ask for it
+/// on every product, and `available_parallelism` reads the affinity mask and
+/// cgroup files on every call. A program that pins `REMIX_THREADS` must set
+/// it before anything reaches this function; later changes are not seen.
 pub fn num_threads() -> usize {
-    if let Ok(raw) = std::env::var("REMIX_THREADS") {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::env::var("REMIX_THREADS")
+            .ok()
+            .and_then(|raw| raw.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
 }
 
 /// Resolves a user-facing thread setting: `0` means "auto" ([`num_threads`]),

@@ -1,8 +1,8 @@
-//! Patch lowering for 2-D convolution over lane-major batches: the
-//! batch-to-panel packer behind the conv GEMM entries, the fold of their
-//! input gradients, and the `im2row` / `row2im` / `im2col` per-sample
-//! unfolds and folds (rows for the weight gradient, the rest as
-//! references).
+//! Patch lowering for 2-D convolution over lane-major batches: where the
+//! conv GEMM entries find their B panels (read in place from the padded
+//! batch, or packed from it), where their input gradients fold, and the
+//! `im2row` / `row2im` / `im2col` per-sample unfolds and folds (rows for the
+//! weight gradient, the rest as references).
 
 use crate::linalg::{reset_buf, NR};
 use crate::{simd_kernel, Result, Tensor, TensorError};
@@ -211,6 +211,28 @@ impl PaddedLayout {
         }
     }
 
+    /// Offset of lane `b` of output position `(oy, ox)`'s window corner.
+    fn corner(&self, oy: usize, ox: usize, b: usize) -> usize {
+        (oy * self.stride * self.wp + ox * self.stride) * self.lanes + b
+    }
+
+    /// The corner of the `width` columns `j0..` when they are one
+    /// contiguous run of `NR` lanes: a full panel that stays within one
+    /// output position, or, unless `one_position`, within one output row
+    /// at stride 1. Patch element `p` of the panel is then the run
+    /// `corner + taps[p]..` of `NR` floats.
+    fn run(&self, j0: usize, width: usize, one_position: bool) -> Option<usize> {
+        let (pos, b) = (j0 / self.lanes, j0 % self.lanes);
+        let (oy, ox) = (pos / self.ow, pos % self.ow);
+        let end = if self.stride == 1 && !one_position {
+            self.ow
+        } else {
+            ox + 1
+        };
+        (width == NR && ox * self.lanes + b + NR <= end * self.lanes)
+            .then(|| self.corner(oy, ox, b))
+    }
+
     /// Where the `width` columns `j0..` sit. The lanes of one output
     /// position are contiguous, and at stride 1 so are the positions of one
     /// output row: a panel of a 16-lane batch is a single run at any
@@ -221,24 +243,18 @@ impl PaddedLayout {
     /// folded, so any in-bounds slot will do.
     fn lanes(&self, j0: usize, width: usize) -> Lanes {
         let mut corners = [0; NR];
-        let (pos, mut b) = (j0 / self.lanes, j0 % self.lanes);
-        let (mut oy, mut ox) = (pos / self.ow, pos % self.ow);
-        let corner = |oy: usize, ox: usize, b: usize| {
-            (oy * self.stride * self.wp + ox * self.stride) * self.lanes + b
-        };
-        // The common case, one contiguous run: the panel stays within one
-        // output position, or within one output row at stride 1.
-        let row_end = if self.stride == 1 { self.ow } else { ox + 1 };
-        if width == NR && ox * self.lanes + b + NR <= row_end * self.lanes {
-            corners[0] = corner(oy, ox, b);
+        if let Some(corner) = self.run(j0, width, false) {
+            corners[0] = corner;
             return Lanes::Runs {
                 corners,
                 len: NR,
                 step: 1,
             };
         }
+        let (pos, mut b) = (j0 / self.lanes, j0 % self.lanes);
+        let (mut oy, mut ox) = (pos / self.ow, pos % self.ow);
         for c in corners.iter_mut().take(width) {
-            *c = corner(oy, ox, b);
+            *c = self.corner(oy, ox, b);
             b += 1;
             if b == self.lanes {
                 b = 0;
@@ -337,11 +353,19 @@ macro_rules! with_run_len {
 /// these panels is the product one over the unfolded rows computes, and
 /// neither the rows nor the full set of panels is ever built.
 ///
-/// A padded batch is copied once, zero-padded, into caller scratch; an
-/// unpadded batch packs from the batch in place.
+/// A padded batch is copied once, zero-padded, into caller scratch, and a
+/// panel whose columns are one contiguous run of that copy is read where it
+/// lies ([`ConvPanels::rows_in_place`]): row `p` is the very slice
+/// [`ConvPanels::pack`] would copy. Other panels are packed. An unpadded
+/// batch always packs, from the batch itself: its channel planes sit a
+/// multiple of 4 KiB apart at the served sizes, and read in place the
+/// 1×1 convs over them measured up to 59 % slower.
 pub(crate) struct ConvPanels<'a> {
     layout: PaddedLayout,
     padded: &'a [f32],
+    /// Whether `padded` is the zero-padded copy, whose runs are read in
+    /// place.
+    in_place: bool,
 }
 
 impl<'a> ConvPanels<'a> {
@@ -358,6 +382,7 @@ impl<'a> ConvPanels<'a> {
             return ConvPanels {
                 layout,
                 padded: batch.data(),
+                in_place: false,
             };
         }
         reset_buf(scratch, layout.image);
@@ -366,12 +391,31 @@ impl<'a> ConvPanels<'a> {
         ConvPanels {
             layout,
             padded: scratch,
+            in_place: true,
         }
     }
 
     /// GEMM columns: output positions × lanes.
     pub(crate) fn cols(&self) -> usize {
         self.layout.cols
+    }
+
+    /// The rows of the panel of the `width` columns `j0..`, in order of
+    /// `p`, read in place from the padded copy when they are one
+    /// contiguous run of it (see [`PaddedLayout::run`]); `None` when the
+    /// panel must be packed.
+    #[inline(always)]
+    pub(crate) fn rows_in_place(
+        &self,
+        j0: usize,
+        width: usize,
+    ) -> Option<impl Iterator<Item = &[f32]> + Clone> {
+        if !self.in_place {
+            return None;
+        }
+        let corner = self.layout.run(j0, width, false)?;
+        let padded = &self.padded[corner..];
+        Some(self.layout.taps.iter().map(move |&t| &padded[t..][..NR]))
     }
 
     /// Fills `panel` (`[C·k·k][NR]`) with the `width` GEMM columns `j0..`;
@@ -419,6 +463,13 @@ impl<'a> ConvPanels<'a> {
 /// lanes) step is one slice-add whose elements land on distinct input
 /// slots.
 ///
+/// A panel whose columns are `NR` lanes of one output position needs no
+/// tile ([`ConvFold::position_slots`]): its patch elements land on
+/// distinct slots, so each register tile is added straight onto them after
+/// its k-loop, in any order of the A blocks, and every element still
+/// receives its contributions in ascending output-position order, panel by
+/// panel. [`fold_tile`] folds the panels that span several positions.
+///
 /// A fold covers a range of input channels, whose padded planes it owns
 /// outright, so disjoint ranges fold in parallel.
 pub(crate) struct ConvFold {
@@ -432,6 +483,23 @@ impl ConvFold {
             layout: PaddedLayout::new(geo, lanes),
             geo: *geo,
         }
+    }
+
+    /// When the `width` columns `j0..` are `NR` lanes of one output
+    /// position, where each patch element's gradient lands in the padded
+    /// planes of channels `c0..`: row `p` (a patch element of those
+    /// channels) adds onto the `NR` floats from `slot(p)`, and no two rows
+    /// share a slot. `None` for a panel that spans several positions.
+    #[inline(always)]
+    pub(crate) fn position_slots(
+        &self,
+        j0: usize,
+        width: usize,
+        c0: usize,
+    ) -> Option<impl Fn(usize) -> usize + '_> {
+        let corner = self.layout.run(j0, width, true)?;
+        let base = c0 * self.layout.plane;
+        Some(move |p: usize| self.layout.taps[p] - base + corner)
     }
 
     /// Floats per padded input-gradient channel plane, and in all.
@@ -457,7 +525,9 @@ simd_kernel! {
     /// Adds the tile rows of the patch elements of channels `chans` — row
     /// `(c − chans.start)·k·k + (ky·k + kx)`, rows past them ignored — for
     /// the `width` columns `j0..` onto `dst`, the padded planes of `chans`,
-    /// as [`ConvFold`] lays them out.
+    /// as [`ConvFold`] lays them out. The fused input gradient calls it
+    /// for the panels that span several output positions, and for ragged
+    /// ones; the others fold from registers.
     ///
     /// It is its own kernel, not inlined into the GEMM kernel that calls
     /// it: inlined there, the fused input gradient of 16-lane batches

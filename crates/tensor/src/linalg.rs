@@ -52,9 +52,11 @@ pub(crate) fn matmul_row_reference(arow: &[f32], b: &[f32], orow: &mut [f32], n:
 ///
 /// The pooled dispatch in `remix-parallel` costs ~2 µs (one mutex post plus a
 /// condvar wake of already-running workers), versus ~10 µs per *spawned*
-/// thread before the persistent pool. At roughly 1 GMAC/s/core for the
-/// blocked kernel, 2^16 MACs ≈ 65 µs of work — comfortably above the
-/// dispatch cost, so the threshold drops from the spawn-era 2^18.
+/// thread before the persistent pool. The blocked kernel runs at 30–100
+/// GMAC/s per core on the served shapes (a 2-vCPU AVX-512 host), so 2^16
+/// MACs are about 0.7–2 µs of work: no more than the dispatch itself. The
+/// threshold was sized for roughly 1 GMAC/s per core, and stays until the
+/// GEMM's share of the process's threads is budgeted as a whole.
 const PARALLEL_MATMUL_MACS: usize = 1 << 16;
 
 /// Packs columns `j0..j0+w` (`w <= NR`) of row-major `b` (`[k, n]`) into a
@@ -176,7 +178,11 @@ fn pack_at_rows(a: &[f32], m: usize, k: usize, i0: usize, h: usize, dst: &mut [f
 }
 
 /// The register-blocked micro-kernel: multiplies a packed `[kc][MR]` A block
-/// by a packed `[kc][NR]` B panel into an `MR x NR` accumulator tile.
+/// by the `kc` rows of `NR` floats of a B panel, row `p` the `p`-th item of
+/// `brows`, into an `MR x NR` accumulator tile. The rows are those of a
+/// packed `[kc][NR]` panel (`panel.chunks_exact(NR)`) or, for the conv
+/// forward, runs of the padded batch read in place
+/// ([`ConvPanels::rows_in_place`]); the body is the same.
 ///
 /// The inner loops have fixed trip counts (MR, NR) and no branches, so the
 /// compiler unrolls and vectorizes them; each accumulator element's additions
@@ -184,9 +190,13 @@ fn pack_at_rows(a: &[f32], m: usize, k: usize, i0: usize, h: usize, dst: &mut [f
 /// inlines into the GEMM row loops below, which are [`simd_kernel!`]s, so it
 /// runs at their SIMD level.
 #[inline(always)]
-fn micro_tile(apack: &[f32], panel: &[f32], kc: usize) -> [[f32; NR]; MR] {
+fn micro_tile<'b>(
+    apack: &[f32],
+    brows: impl Iterator<Item = &'b [f32]>,
+    kc: usize,
+) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
-    for (av, bv) in apack.chunks_exact(MR).zip(panel.chunks_exact(NR)).take(kc) {
+    for (av, bv) in apack.chunks_exact(MR).zip(brows).take(kc) {
         for (r, accr) in acc.iter_mut().enumerate() {
             let ar = av[r];
             for (c, &b) in accr.iter_mut().zip(bv) {
@@ -249,7 +259,7 @@ fn gemm_rows_tiles<const ACCUM: bool>(
             let j0 = pj * NR;
             let w = NR.min(n - j0);
             let panel = &packed_b[pj * kc * NR..(pj + 1) * kc * NR];
-            let acc = micro_tile(&apack, panel, kc);
+            let acc = micro_tile(&apack, panel.chunks_exact(NR), kc);
             store_tile::<ACCUM>(&acc, h, w, out, (i - rows.start) * n + j0, n);
         }
         i += h;
@@ -349,7 +359,7 @@ simd_kernel! {
                 let j0 = pj * NR;
                 let w = NR.min(n - j0);
                 let panel = &packed_b[pj * kc * NR..(pj + 1) * kc * NR];
-                let acc = micro_tile(apack, panel, kc);
+                let acc = micro_tile(apack, panel.chunks_exact(NR), kc);
                 store_tile::<false>(&acc, h, w, out, (i - rows.start) * n + j0, n);
             }
             i += h;
@@ -393,50 +403,88 @@ fn gemm_dispatch_prepacked(
     }
 }
 
+/// Every A block of rows `rows` (as in [`gemm_rows_prepacked`]) times one B
+/// panel, whose rows `brows` yields, into columns `cols` of `out`, rows `n`
+/// apart.
+#[inline(always)]
+fn panel_tiles<'b>(
+    ablocks: &[f32],
+    rows: &Range<usize>,
+    kc: usize,
+    brows: impl Iterator<Item = &'b [f32]> + Clone,
+    cols: Range<usize>,
+    n: usize,
+    out: &mut [f32],
+) {
+    let block_len = kc * MR;
+    let mut i = rows.start;
+    while i < rows.end {
+        let h = MR.min(rows.end - i);
+        let apack = &ablocks[(i / MR) * block_len..][..block_len];
+        let acc = micro_tile(apack, brows.clone(), kc);
+        store_tile::<false>(
+            &acc,
+            h,
+            cols.len(),
+            out,
+            (i - rows.start) * n + cols.start,
+            n,
+        );
+        i += h;
+    }
+}
+
 simd_kernel! {
     /// Computes output rows `rows` of a conv GEMM against stored A blocks
     /// (as in [`gemm_rows_prepacked`]) whose B panels `panels` produces one
-    /// at a time: each `[kc][NR]` panel of `NR` columns is packed, and every
-    /// A block of the span multiplies it while it is still in L1, so the
-    /// packed B operand is never materialized as a whole. The micro-kernel
-    /// sees the same blocks and panels as over a fully packed operand —
-    /// only the order in which tiles are computed changes — so the results
-    /// are bit-identical.
+    /// at a time, and every A block of the span multiplies each panel while
+    /// it is still in L1, so the B operand is never materialized as a
+    /// whole. A panel that is one contiguous run of the padded batch is
+    /// read in place; any other is packed into an `[kc][NR]` buffer. The
+    /// micro-kernel sees the same blocks and the same panel rows as over a
+    /// fully packed operand — only the order in which tiles are computed
+    /// changes — so the results are bit-identical.
+    ///
+    /// With `tally`, the bytes packed are counted on `gemm_pack_bytes`.
     fn gemm_rows_panelwise(
         ablocks: &[f32],
         rows: Range<usize>,
         kc: usize,
         panels: &ConvPanels<'_>,
         out: &mut [f32],
+        tally: bool,
     ) {
         debug_assert!(
             rows.start.is_multiple_of(MR),
             "prepacked spans must start on an MR boundary"
         );
         let n = panels.cols();
-        let block_len = kc * MR;
-        let mut panel = vec![0.0f32; kc * NR];
+        let mut panel = Vec::new();
+        let mut packed = 0;
         for j0 in (0..n).step_by(NR) {
-            let w = NR.min(n - j0);
-            panels.pack(j0, w, &mut panel);
-            let mut i = rows.start;
-            while i < rows.end {
-                let h = MR.min(rows.end - i);
-                let apack = &ablocks[(i / MR) * block_len..][..block_len];
-                let acc = micro_tile(apack, &panel, kc);
-                store_tile::<false>(&acc, h, w, out, (i - rows.start) * n + j0, n);
-                i += h;
+            let cols = j0..(j0 + NR).min(n);
+            if let Some(brows) = panels.rows_in_place(j0, cols.len()) {
+                panel_tiles(ablocks, &rows, kc, brows, cols, n, out);
+            } else {
+                reset_buf(&mut panel, kc * NR);
+                panels.pack(j0, cols.len(), &mut panel);
+                packed += panel.len();
+                panel_tiles(ablocks, &rows, kc, panel.chunks_exact(NR), cols, n, out);
             }
+        }
+        if tally {
+            trace_pack_bytes(packed);
         }
     }
 }
 
 /// The conv GEMM `W · patchesᵀ` of the A blocks `ablocks` (`m` rows, inner
-/// dimension `kc`) with the B panels `panels` packs, into `out`:
+/// dimension `kc`) with the B panels `panels` produces, into `out`:
 /// `[m, panels.cols()]`. As [`gemm_dispatch_prepacked`], with B panels
 /// produced per span (see [`gemm_rows_panelwise`]): parallel spans each
-/// produce every panel for their own rows. Callers count their A-side
-/// traffic: a prepack hit, or the A blocks they packed.
+/// produce every panel for their own rows, and the first span's packs are
+/// counted, so the count is the serial run's at any thread count. Callers
+/// count their A-side traffic: a prepack hit, or the A blocks they packed.
 fn conv_gemm_panels(
     ablocks: &[f32],
     m: usize,
@@ -448,17 +496,17 @@ fn conv_gemm_panels(
     reset_buf(out, m * n);
     remix_trace::incr(remix_trace::Counter::GemmCalls);
     remix_trace::add(remix_trace::Counter::GemmMacs, (m * kc * n) as u64);
-    trace_pack_bytes(n.div_ceil(NR) * kc * NR);
     let _span = remix_trace::span("gemm");
     let threads = remix_parallel::num_threads();
     if threads > 1 && m > 1 && m * kc * n >= PARALLEL_MATMUL_MACS {
         let rows_per_span = m.div_ceil(threads.min(m)).next_multiple_of(MR);
         remix_parallel::for_each_span_mut(out, rows_per_span * n, |span, orows| {
             let row0 = span * rows_per_span;
-            gemm_rows_panelwise(ablocks, row0..row0 + orows.len() / n, kc, panels, orows);
+            let rows = row0..row0 + orows.len() / n;
+            gemm_rows_panelwise(ablocks, rows, kc, panels, orows, span == 0);
         });
     } else {
-        gemm_rows_panelwise(ablocks, 0..m, kc, panels, out);
+        gemm_rows_panelwise(ablocks, 0..m, kc, panels, out, true);
     }
 }
 
@@ -466,8 +514,10 @@ fn conv_gemm_panels(
 /// of the `Wᵀ` A blocks `ablocks` (`m = C·k·k` rows, inner dimension
 /// `kc = F`) with the output gradients whose B panels `grads` packs is never
 /// materialized. For each `NR`-column panel of `G`, every row block's
-/// register tile lands in an L1-sized `[C·k·k][NR]` tile that `fold` adds
-/// onto `images`, the zeroed padded input gradient, before the next panel.
+/// register tile is added onto `images`, the zeroed padded input gradient,
+/// before the next panel: straight from registers when the panel's columns
+/// are lanes of one output position, otherwise through an L1-sized
+/// `[C·k·k][NR]` tile that `fold` adds (see [`conv_grad_block`]).
 ///
 /// Each tile element is the exact value `matmul_at_b` computes (same A
 /// blocks, same panels, same kernel), and panels fold in ascending column
@@ -585,6 +635,11 @@ simd_kernel! {
     /// Every panel of `span`, its tile rows of the patch elements of
     /// channels `chans` folded onto `dst`, their padded planes, in ascending
     /// panel order. Blocks own disjoint planes, so their order is free.
+    ///
+    /// A panel of `NR` lanes of one output position folds from registers:
+    /// each A block's tile rows are added onto their distinct slots right
+    /// after its k-loop. Any other panel's rows go through a tile buffer
+    /// and [`fold_tile`], which orders the adds of the slots it shares.
     fn conv_grad_block(span: &ConvGradSpan<'_>, chans: Range<usize>, dst: &mut [f32]) {
         let kc = span.kc;
         let rows = chans.start * span.kk..chans.end * span.kk;
@@ -593,21 +648,35 @@ simd_kernel! {
         if span.packed.is_empty() {
             trace_pack_bytes(cols.div_ceil(NR) * kc * NR);
         }
-        let mut own = vec![0.0f32; kc * NR];
-        let mut tile = vec![0.0f32; blocks.len() / kc * NR];
+        let (mut own, mut tile) = (Vec::new(), Vec::new());
         for j0 in (0..cols).step_by(NR) {
             let width = NR.min(cols - j0);
             let panel = if span.packed.is_empty() {
+                reset_buf(&mut own, kc * NR);
                 span.grads.pack(j0, width, &mut own);
                 &own[..]
             } else {
                 &span.packed[j0 / NR * kc * NR..][..kc * NR]
             };
+            if let Some(slot) = span.fold.position_slots(j0, width, chans.start) {
+                for (row0, ablock) in rows.clone().step_by(MR).zip(blocks.chunks_exact(kc * MR)) {
+                    let acc = micro_tile(ablock, panel.chunks_exact(NR), kc);
+                    for (p, accr) in (row0..rows.end).zip(&acc) {
+                        let run: &mut [f32; NR] =
+                            (&mut dst[slot(p)..][..NR]).try_into().expect("NR-wide slot run");
+                        for (d, &v) in run.iter_mut().zip(accr) {
+                            *d += v;
+                        }
+                    }
+                }
+                continue;
+            }
+            reset_buf(&mut tile, blocks.len() / kc * NR);
             for (ablock, rows) in blocks
                 .chunks_exact(kc * MR)
                 .zip(tile.chunks_exact_mut(MR * NR))
             {
-                let acc = micro_tile(ablock, panel, kc);
+                let acc = micro_tile(ablock, panel.chunks_exact(NR), kc);
                 for (row, accr) in rows.chunks_exact_mut(NR).zip(&acc) {
                     let row: &mut [f32; NR] = row.try_into().expect("NR-wide tile row");
                     *row = *accr;
@@ -1750,6 +1819,7 @@ mod tests {
                         patch,
                         &panels,
                         &mut out,
+                        false,
                     );
                     out
                 };

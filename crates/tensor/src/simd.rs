@@ -180,9 +180,9 @@ pub(crate) mod testing {
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     /// Lane counts the cross-level kernel tests run at: one sample, a
-    /// pair, odd counts, and a full 16-lane group with and without a
-    /// remainder.
-    pub(crate) const TEST_LANES: [usize; 6] = [1, 2, 3, 8, 16, 17];
+    /// pair, odd counts, a full 16-lane group with and without a
+    /// remainder, and two 16-lane groups per output position.
+    pub(crate) const TEST_LANES: [usize; 7] = [1, 2, 3, 8, 16, 17, 32];
 
     /// `len` values from `seed` that stress a kernel's bits — ±0.0,
     /// subnormals and large magnitudes — among ordinary ones.

@@ -333,7 +333,7 @@ fn served_conv_shapes_are_bit_identical_to_the_unfolded_references() {
             stride,
             pad,
         };
-        for batch in [1, 2, 16, 17] {
+        for batch in [1, 2, 8, 16, 17, 32] {
             let seed = (i * 64 + batch) as u64;
             check_lane_conv_gemm(geo, batch, filters, seed);
             check_lane_conv_input_grads(geo, batch, filters, seed);
