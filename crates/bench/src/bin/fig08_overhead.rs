@@ -5,11 +5,10 @@
 //!
 //! The runner additionally benchmarks the batched XAI inference engine
 //! against the per-sample path (`--threads N` pins the process's worker
-//! count, kernels included, default auto), asserts the verdicts are
-//! bit-identical, and writes a machine-readable record to
-//! `results/bench_inference.json`. A verdict mismatch, or a traced
-//! `--threads 1` run that posted work to the worker pool, exits nonzero so
-//! CI can gate on it.
+//! count, default auto), asserts the verdicts are bit-identical, and writes
+//! a machine-readable record to `results/bench_inference.json`. A verdict
+//! mismatch, or a traced `--threads 1` run that posted work to the worker
+//! pool, exits nonzero so CI can gate on it.
 
 use remix_bench::{round, write_record, FaultSetting, Scale, TrainedStack};
 use remix_core::{Remix, RemixVerdict, RemixVoter, StageTimings};
@@ -100,9 +99,9 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(0);
-    // `--threads N` is the process budget, not only the pipeline's: the GEMM
-    // and fold kernels size their splits from `REMIX_THREADS`, so pin it
-    // before anything reaches the pool.
+    // `--threads N` is the process budget, not only the pipeline's: it
+    // pins `REMIX_THREADS`, which sizes the worker pool, before anything
+    // reaches the pool.
     if threads > 0 {
         std::env::set_var("REMIX_THREADS", threads.to_string());
     }

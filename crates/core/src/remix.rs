@@ -356,22 +356,18 @@ impl Remix {
             ..StageTimings::default()
         };
         let stage = remix_trace::stage_span("diversity");
-        // (2) Feature-space Diversity: mean pairwise diversity per model.
-        // Distances are computed in parallel but summed serially in the same
-        // (i, j) order as the sequential double loop, keeping the float
-        // accumulation — and thus the weights — bit-identical.
+        // (2) Feature-space Diversity: mean pairwise diversity per model,
+        // summed in (i, j) order on this thread. A verdict's few pairs cost
+        // less than one pool post.
         let n = matrices.len();
         let mut diversity = vec![0.0f32; n];
         if n > 1 {
-            let pairs: Vec<(usize, usize)> = (0..n)
-                .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
-                .collect();
-            let distances = remix_parallel::map_indexed(&pairs, threads, |_, &(i, j)| {
-                self.metric.diversity(&matrices[i], &matrices[j])
-            });
-            for (&(i, j), &d) in pairs.iter().zip(&distances) {
-                diversity[i] += d;
-                diversity[j] += d;
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    let d = self.metric.diversity(&matrices[i], &matrices[j]);
+                    diversity[i] += d;
+                    diversity[j] += d;
+                }
             }
             for d in &mut diversity {
                 *d /= (n - 1) as f32;

@@ -1,9 +1,7 @@
 //! Lane counts that fill, straddle and overflow the GEMM's 16-wide panels:
 //! for every zoo archetype, frozen and unfrozen, `logits_batch` and
 //! `input_gradient_batch` over a lane-major batch of `B` images equal the
-//! per-sample `logits` and `input_gradient` bit for bit. Runs at the default
-//! thread count, which takes the pooled GEMM and fold partitions on any
-//! multi-core host.
+//! per-sample `logits` and `input_gradient` bit for bit.
 
 use rand::{rngs::StdRng, SeedableRng};
 use remix_nn::{zoo, Arch, InputSpec, Model};

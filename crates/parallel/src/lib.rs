@@ -8,12 +8,13 @@
 //!
 //! Workers are spawned **once**, on the first parallel call, and then reused
 //! for the life of the process ([`pool_threads_spawned`] exposes the lifetime
-//! spawn count so tests can assert reuse). Dispatching a job costs one mutex
-//! lock plus a condvar broadcast (~2 µs), versus ~10 µs *per thread* for the
-//! `std::thread::scope` spawns this replaced — which matters because the GEMM
-//! kernel in `remix-tensor` dispatches here for every large matrix product.
-//! The caller always participates in its own job, so a machine reporting one
-//! core (or an empty pool) degrades to plain sequential execution.
+//! spawn count). Dispatching a job costs one mutex lock plus a condvar
+//! broadcast (~2 µs), versus ~10 µs *per thread* for the `std::thread::scope`
+//! spawns this replaced. The callers fan out large, independent units — the
+//! members of an ensemble, the shards of a test set — while every tensor
+//! kernel runs on its caller's thread. The caller always participates in its
+//! own job, so a machine reporting one core (or an empty pool) degrades to
+//! plain sequential execution.
 //!
 //! Thread-count resolution is centralized in [`num_threads`] /
 //! [`resolve_threads`], honoring the `REMIX_THREADS` environment variable,
@@ -31,10 +32,10 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 /// Default worker count: the `REMIX_THREADS` environment variable when set to
 /// a positive integer, otherwise the machine's available parallelism.
 ///
-/// Resolved once per process, on first use: the GEMM dispatchers ask for it
-/// on every product, and `available_parallelism` reads the affinity mask and
-/// cgroup files on every call. A program that pins `REMIX_THREADS` must set
-/// it before anything reaches this function; later changes are not seen.
+/// Resolved once per process, on first use: `available_parallelism` reads
+/// the affinity mask and cgroup files on every call. A program that pins
+/// `REMIX_THREADS` must set it before anything reaches this function; later
+/// changes are not seen.
 pub fn num_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
@@ -71,27 +72,6 @@ pub fn shard_ranges(len: usize, shards: usize) -> Vec<Range<usize>> {
         let size = base + usize::from(s < extra);
         ranges.push(start..start + size);
         start += size;
-    }
-    ranges
-}
-
-/// Splits `0..len` into contiguous batches of at most `batch_size` items.
-///
-/// Unlike [`shard_ranges`] (which balances a fixed *number* of shards), this
-/// fixes the batch *size*: every range has exactly `batch_size` elements
-/// except possibly the last, which holds the ragged remainder. This is the
-/// unit of work for the batched inference engine — each batch becomes one
-/// multi-column matmul sweep.
-///
-/// A `batch_size` of 0 is treated as 1.
-pub fn batch_ranges(len: usize, batch_size: usize) -> Vec<Range<usize>> {
-    let batch_size = batch_size.max(1);
-    let mut ranges = Vec::with_capacity(len.div_ceil(batch_size));
-    let mut start = 0;
-    while start < len {
-        let end = (start + batch_size).min(len);
-        ranges.push(start..end);
-        start = end;
     }
     ranges
 }
@@ -318,8 +298,8 @@ pub fn pool_execute(ntasks: usize, f: &(dyn Fn(usize) + Sync)) {
 }
 
 /// Worker threads the process-wide pool has spawned (0 before its first
-/// parallel call). Flat across repeated parallel calls — the probe tests use
-/// this to assert the pool is actually reused rather than respawned.
+/// parallel call). Flat across repeated parallel calls, because the pool is
+/// reused rather than respawned.
 pub fn pool_threads_spawned() -> usize {
     GLOBAL_POOL
         .get()
@@ -415,40 +395,6 @@ where
     })
 }
 
-/// Runs `f(span_index, span)` for each consecutive `span`-element chunk of
-/// `data` (the final chunk may be shorter), fanned out across the pool.
-///
-/// Callers pick `span` so the chunk count matches their desired parallelism;
-/// contiguous chunks keep writes disjoint without synchronization.
-///
-/// # Panics
-///
-/// Panics if `span` is zero.
-pub fn for_each_span_mut<T, F>(data: &mut [T], span: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(span > 0, "span must be positive");
-    let len = data.len();
-    if len <= span {
-        if len > 0 {
-            f(0, data);
-        }
-        return;
-    }
-    let nchunks = len.div_ceil(span);
-    let base = SendPtr(data.as_mut_ptr());
-    pool_execute(nchunks, &|idx| {
-        let start = idx * span;
-        let n = span.min(len - start);
-        // SAFETY: chunk `idx` covers `start..start + n`; chunks are disjoint
-        // and each task index runs exactly once, so no slice aliases another.
-        let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), n) };
-        f(idx, chunk);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,35 +445,9 @@ mod tests {
     }
 
     #[test]
-    fn for_each_span_mut_covers_all_chunks() {
-        let mut data = vec![0u32; 25];
-        for_each_span_mut(&mut data, 7, |idx, chunk| {
-            for v in chunk {
-                *v = idx as u32 + 1;
-            }
-        });
-        assert!(data.iter().all(|&v| v > 0));
-        assert_eq!(data[0], 1);
-        assert_eq!(data[24], 4); // 25 = 7+7+7+4 -> four chunks
-    }
-
-    #[test]
     fn resolve_threads_treats_zero_as_auto() {
         assert!(resolve_threads(0) >= 1);
         assert_eq!(resolve_threads(3), 3);
-    }
-
-    #[test]
-    fn batch_ranges_fixes_size_with_ragged_tail() {
-        assert_eq!(batch_ranges(0, 32), vec![]);
-        assert_eq!(batch_ranges(7, 3), vec![0..3, 3..6, 6..7]);
-        assert_eq!(batch_ranges(6, 3), vec![0..3, 3..6]);
-        assert_eq!(batch_ranges(2, 32), vec![0..2]);
-        // zero batch size degrades to one-at-a-time instead of looping forever
-        assert_eq!(batch_ranges(3, 0), vec![0..1, 1..2, 2..3]);
-        // every index covered exactly once, in order
-        let covered: Vec<usize> = batch_ranges(103, 10).into_iter().flatten().collect();
-        assert_eq!(covered, (0..103).collect::<Vec<_>>());
     }
 
     #[test]

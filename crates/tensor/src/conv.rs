@@ -471,7 +471,7 @@ impl<'a> ConvPanels<'a> {
 /// panel. [`fold_tile`] folds the panels that span several positions.
 ///
 /// A fold covers a range of input channels, whose padded planes it owns
-/// outright, so disjoint ranges fold in parallel.
+/// outright, so disjoint ranges fold independently, in any order.
 pub(crate) struct ConvFold {
     layout: PaddedLayout,
     geo: Conv2dGeometry,

@@ -11,8 +11,10 @@
 //! ascending-p order as a single chain starting from 0.0 — exactly the chain
 //! of the retained reference kernel ([`matmul_row_reference`]). Tiling only
 //! reorders *which* output elements are computed when, never the order of
-//! additions within one element, so blocked, serial, and row-parallel paths
-//! are all bit-identical. See DESIGN.md §6f.
+//! additions within one element, so the blocked kernel is bit-identical to
+//! the reference. Every kernel runs on its caller's thread: parallelism
+//! lives a level up, where whole members and inputs fan out. See DESIGN.md
+//! §6f.
 
 use crate::conv::{check_lanes, fold_tile, ConvFold, ConvPanels};
 use crate::{simd_kernel, Conv2dGeometry, Result, Tensor, TensorError};
@@ -47,17 +49,6 @@ pub(crate) fn matmul_row_reference(arow: &[f32], b: &[f32], orow: &mut [f32], n:
         }
     }
 }
-
-/// Below this many multiply-adds (`m·k·n`) a matmul runs sequentially.
-///
-/// The pooled dispatch in `remix-parallel` costs ~2 µs (one mutex post plus a
-/// condvar wake of already-running workers), versus ~10 µs per *spawned*
-/// thread before the persistent pool. The blocked kernel runs at 30–100
-/// GMAC/s per core on the served shapes (a 2-vCPU AVX-512 host), so 2^16
-/// MACs are about 0.7–2 µs of work: no more than the dispatch itself. The
-/// threshold was sized for roughly 1 GMAC/s per core, and stays until the
-/// GEMM's share of the process's threads is budgeted as a whole.
-const PARALLEL_MATMUL_MACS: usize = 1 << 16;
 
 /// Packs columns `j0..j0+w` (`w <= NR`) of row-major `b` (`[k, n]`) into a
 /// `[k][NR]` panel; lanes past `w` are zero so the micro-kernel can run a
@@ -243,7 +234,7 @@ type PackAFn<'a> = dyn Fn(usize, usize, &mut [f32]) + Sync + 'a;
 #[inline(always)]
 fn gemm_rows_tiles<const ACCUM: bool>(
     pack_a: &PackAFn<'_>,
-    rows: Range<usize>,
+    m: usize,
     kc: usize,
     n: usize,
     packed_b: &[f32],
@@ -251,32 +242,29 @@ fn gemm_rows_tiles<const ACCUM: bool>(
 ) {
     let mut apack = vec![0.0f32; kc * MR];
     let panels = n.div_ceil(NR);
-    let mut i = rows.start;
-    while i < rows.end {
-        let h = MR.min(rows.end - i);
+    for i in (0..m).step_by(MR) {
+        let h = MR.min(m - i);
         pack_a(i, h, &mut apack);
         for pj in 0..panels {
             let j0 = pj * NR;
             let w = NR.min(n - j0);
             let panel = &packed_b[pj * kc * NR..(pj + 1) * kc * NR];
             let acc = micro_tile(&apack, panel.chunks_exact(NR), kc);
-            store_tile::<ACCUM>(&acc, h, w, out, (i - rows.start) * n + j0, n);
+            store_tile::<ACCUM>(&acc, h, w, out, i * n + j0, n);
         }
-        i += h;
     }
 }
 
 simd_kernel! {
-    /// Computes output rows `rows` of a GEMM against pre-packed B panels.
+    /// Computes the `m` output rows of a GEMM against pre-packed B panels.
     ///
     /// `pack_a(i0, h, dst)` fills an interleaved `[kc][MR]` block for source
-    /// rows `i0..i0+h`. `out` holds `rows.len() * n` elements (row
-    /// `rows.start` first). With `accum` the tile is added into `out` (`+=`
-    /// of a register-complete chain, for windowed accumulation); otherwise it
-    /// overwrites.
+    /// rows `i0..i0+h`. `out` holds `m * n` elements. With `accum` the tile
+    /// is added into `out` (`+=` of a register-complete chain, for windowed
+    /// accumulation); otherwise it overwrites.
     fn gemm_rows(
         pack_a: &PackAFn<'_>,
-        rows: Range<usize>,
+        m: usize,
         kc: usize,
         n: usize,
         packed_b: &[f32],
@@ -284,18 +272,14 @@ simd_kernel! {
         accum: bool,
     ) {
         if accum {
-            gemm_rows_tiles::<true>(pack_a, rows, kc, n, packed_b, out);
+            gemm_rows_tiles::<true>(pack_a, m, kc, n, packed_b, out);
         } else {
-            gemm_rows_tiles::<false>(pack_a, rows, kc, n, packed_b, out);
+            gemm_rows_tiles::<false>(pack_a, m, kc, n, packed_b, out);
         }
     }
 }
 
-/// Shared dispatch: serial for small products, row-partitioned over the
-/// persistent pool otherwise. The span partitioning matches the pre-pool
-/// version exactly (rows_per_span · n elements per span), and every span runs
-/// the same `gemm_rows` kernel, so parallel and serial results are
-/// bit-identical.
+/// Counts, traces and runs one GEMM whose A blocks `pack_a` packs per call.
 fn gemm_dispatch(
     pack_a: &PackAFn<'_>,
     m: usize,
@@ -308,70 +292,39 @@ fn gemm_dispatch(
     remix_trace::add(remix_trace::Counter::GemmMacs, (m * kc * n) as u64);
     trace_pack_a_bytes(m, kc);
     let _span = remix_trace::span("gemm");
-    let threads = remix_parallel::num_threads();
-    if threads > 1 && m > 1 && m * kc * n >= PARALLEL_MATMUL_MACS {
-        let rows_per_span = m.div_ceil(threads.min(m));
-        remix_parallel::for_each_span_mut(out, rows_per_span * n, |span, orows| {
-            let row0 = span * rows_per_span;
-            gemm_rows(
-                pack_a,
-                row0..row0 + orows.len() / n,
-                kc,
-                n,
-                packed_b,
-                orows,
-                false,
-            );
-        });
-    } else {
-        gemm_rows(pack_a, 0..m, kc, n, packed_b, out, false);
-    }
+    gemm_rows(pack_a, m, kc, n, packed_b, out, false);
 }
 
 simd_kernel! {
-    /// Computes output rows `rows` of a GEMM whose A blocks were packed ahead
-    /// of time: `ablocks` holds `m.div_ceil(MR)` interleaved `[kc][MR]` blocks
-    /// (the exact buffers the per-call `pack_a` closure would produce, tail
-    /// rows zero-padded), so the micro-kernel consumes identical inputs and
-    /// the outputs are bit-identical to [`gemm_rows`] by construction.
-    ///
-    /// `rows.start` must sit on an `MR` boundary so the span reads whole
-    /// blocks.
+    /// Computes the `m` output rows of a GEMM whose A blocks were packed
+    /// ahead of time: `ablocks` holds `m.div_ceil(MR)` interleaved
+    /// `[kc][MR]` blocks (the exact buffers the per-call `pack_a` closure
+    /// would produce, tail rows zero-padded), so the micro-kernel consumes
+    /// identical inputs and the outputs are bit-identical to [`gemm_rows`]
+    /// by construction.
     fn gemm_rows_prepacked(
         ablocks: &[f32],
-        rows: Range<usize>,
+        m: usize,
         kc: usize,
         n: usize,
         packed_b: &[f32],
         out: &mut [f32],
     ) {
-        debug_assert!(
-            rows.start.is_multiple_of(MR),
-            "prepacked spans must start on an MR boundary"
-        );
         let panels = n.div_ceil(NR);
-        let block_len = kc * MR;
-        let mut i = rows.start;
-        while i < rows.end {
-            let h = MR.min(rows.end - i);
-            let apack = &ablocks[(i / MR) * block_len..(i / MR) * block_len + block_len];
+        for (i, apack) in (0..m).step_by(MR).zip(ablocks.chunks_exact(kc * MR)) {
+            let h = MR.min(m - i);
             for pj in 0..panels {
                 let j0 = pj * NR;
                 let w = NR.min(n - j0);
                 let panel = &packed_b[pj * kc * NR..(pj + 1) * kc * NR];
                 let acc = micro_tile(apack, panel.chunks_exact(NR), kc);
-                store_tile::<false>(&acc, h, w, out, (i - rows.start) * n + j0, n);
+                store_tile::<false>(&acc, h, w, out, i * n + j0, n);
             }
-            i += h;
         }
     }
 }
 
-/// [`gemm_dispatch`] over stored A blocks. Parallel spans are rounded up to
-/// `MR`-row multiples so every span starts on a block boundary — a different
-/// row partition than the fresh path, which is irrelevant to the result:
-/// partitioning only reorders *which* output elements compute when, never the
-/// additions within one element (module determinism contract).
+/// [`gemm_dispatch`] over stored A blocks.
 fn gemm_dispatch_prepacked(
     ablocks: &[f32],
     m: usize,
@@ -384,107 +337,68 @@ fn gemm_dispatch_prepacked(
     remix_trace::incr(remix_trace::Counter::PrepackHits);
     remix_trace::add(remix_trace::Counter::GemmMacs, (m * kc * n) as u64);
     let _span = remix_trace::span("gemm");
-    let threads = remix_parallel::num_threads();
-    if threads > 1 && m > 1 && m * kc * n >= PARALLEL_MATMUL_MACS {
-        let rows_per_span = m.div_ceil(threads.min(m)).next_multiple_of(MR);
-        remix_parallel::for_each_span_mut(out, rows_per_span * n, |span, orows| {
-            let row0 = span * rows_per_span;
-            gemm_rows_prepacked(
-                ablocks,
-                row0..row0 + orows.len() / n,
-                kc,
-                n,
-                packed_b,
-                orows,
-            );
-        });
-    } else {
-        gemm_rows_prepacked(ablocks, 0..m, kc, n, packed_b, out);
-    }
+    gemm_rows_prepacked(ablocks, m, kc, n, packed_b, out);
 }
 
-/// Every A block of rows `rows` (as in [`gemm_rows_prepacked`]) times one B
-/// panel, whose rows `brows` yields, into columns `cols` of `out`, rows `n`
-/// apart.
+/// Every A block of the `m` rows (as in [`gemm_rows_prepacked`]) times one
+/// B panel, whose rows `brows` yields, into columns `cols` of `out`, rows
+/// `n` apart.
 #[inline(always)]
 fn panel_tiles<'b>(
     ablocks: &[f32],
-    rows: &Range<usize>,
+    m: usize,
     kc: usize,
     brows: impl Iterator<Item = &'b [f32]> + Clone,
     cols: Range<usize>,
     n: usize,
     out: &mut [f32],
 ) {
-    let block_len = kc * MR;
-    let mut i = rows.start;
-    while i < rows.end {
-        let h = MR.min(rows.end - i);
-        let apack = &ablocks[(i / MR) * block_len..][..block_len];
+    for (i, apack) in (0..m).step_by(MR).zip(ablocks.chunks_exact(kc * MR)) {
         let acc = micro_tile(apack, brows.clone(), kc);
-        store_tile::<false>(
-            &acc,
-            h,
-            cols.len(),
-            out,
-            (i - rows.start) * n + cols.start,
-            n,
-        );
-        i += h;
+        store_tile::<false>(&acc, MR.min(m - i), cols.len(), out, i * n + cols.start, n);
     }
 }
 
 simd_kernel! {
-    /// Computes output rows `rows` of a conv GEMM against stored A blocks
+    /// Computes the `m` output rows of a conv GEMM against stored A blocks
     /// (as in [`gemm_rows_prepacked`]) whose B panels `panels` produces one
-    /// at a time, and every A block of the span multiplies each panel while
-    /// it is still in L1, so the B operand is never materialized as a
-    /// whole. A panel that is one contiguous run of the padded batch is
-    /// read in place; any other is packed into an `[kc][NR]` buffer. The
-    /// micro-kernel sees the same blocks and the same panel rows as over a
-    /// fully packed operand — only the order in which tiles are computed
-    /// changes — so the results are bit-identical.
-    ///
-    /// With `tally`, the bytes packed are counted on `gemm_pack_bytes`.
+    /// at a time, and every A block multiplies each panel while it is still
+    /// in L1, so the B operand is never materialized as a whole. A panel
+    /// that is one contiguous run of the padded batch is read in place; any
+    /// other is packed into an `[kc][NR]` buffer, and its bytes are counted
+    /// on `gemm_pack_bytes`. The micro-kernel sees the same blocks and the
+    /// same panel rows as over a fully packed operand — only the order in
+    /// which tiles are computed changes — so the results are bit-identical.
     fn gemm_rows_panelwise(
         ablocks: &[f32],
-        rows: Range<usize>,
+        m: usize,
         kc: usize,
         panels: &ConvPanels<'_>,
         out: &mut [f32],
-        tally: bool,
     ) {
-        debug_assert!(
-            rows.start.is_multiple_of(MR),
-            "prepacked spans must start on an MR boundary"
-        );
         let n = panels.cols();
         let mut panel = Vec::new();
         let mut packed = 0;
         for j0 in (0..n).step_by(NR) {
             let cols = j0..(j0 + NR).min(n);
             if let Some(brows) = panels.rows_in_place(j0, cols.len()) {
-                panel_tiles(ablocks, &rows, kc, brows, cols, n, out);
+                panel_tiles(ablocks, m, kc, brows, cols, n, out);
             } else {
                 reset_buf(&mut panel, kc * NR);
                 panels.pack(j0, cols.len(), &mut panel);
                 packed += panel.len();
-                panel_tiles(ablocks, &rows, kc, panel.chunks_exact(NR), cols, n, out);
+                panel_tiles(ablocks, m, kc, panel.chunks_exact(NR), cols, n, out);
             }
         }
-        if tally {
-            trace_pack_bytes(packed);
-        }
+        trace_pack_bytes(packed);
     }
 }
 
 /// The conv GEMM `W · patchesᵀ` of the A blocks `ablocks` (`m` rows, inner
 /// dimension `kc`) with the B panels `panels` produces, into `out`:
 /// `[m, panels.cols()]`. As [`gemm_dispatch_prepacked`], with B panels
-/// produced per span (see [`gemm_rows_panelwise`]): parallel spans each
-/// produce every panel for their own rows, and the first span's packs are
-/// counted, so the count is the serial run's at any thread count. Callers
-/// count their A-side traffic: a prepack hit, or the A blocks they packed.
+/// produced one at a time (see [`gemm_rows_panelwise`]). Callers count
+/// their A-side traffic: a prepack hit, or the A blocks they packed.
 fn conv_gemm_panels(
     ablocks: &[f32],
     m: usize,
@@ -497,17 +411,7 @@ fn conv_gemm_panels(
     remix_trace::incr(remix_trace::Counter::GemmCalls);
     remix_trace::add(remix_trace::Counter::GemmMacs, (m * kc * n) as u64);
     let _span = remix_trace::span("gemm");
-    let threads = remix_parallel::num_threads();
-    if threads > 1 && m > 1 && m * kc * n >= PARALLEL_MATMUL_MACS {
-        let rows_per_span = m.div_ceil(threads.min(m)).next_multiple_of(MR);
-        remix_parallel::for_each_span_mut(out, rows_per_span * n, |span, orows| {
-            let row0 = span * rows_per_span;
-            let rows = row0..row0 + orows.len() / n;
-            gemm_rows_panelwise(ablocks, rows, kc, panels, orows, span == 0);
-        });
-    } else {
-        gemm_rows_panelwise(ablocks, 0..m, kc, panels, out, true);
-    }
+    gemm_rows_panelwise(ablocks, m, kc, panels, out);
 }
 
 /// Convolution input gradients, fused: the `[C·k·k, n]` product `Wᵀ · G`
@@ -523,12 +427,11 @@ fn conv_gemm_panels(
 /// blocks, same panels, same kernel), and panels fold in ascending column
 /// order, so each lane's gradient is bit-identical to `row2im(gᵀ · W)`. A
 /// channel's padded plane only receives the tile rows of its own patch
-/// elements, so the work splits into independent blocks of channels:
-/// parallel spans take whole blocks, and the serial loop runs channel
-/// blocks small enough for their active rows to stay in L1. Every part
-/// starts on an A block and computes its rows for each of its panels,
-/// which moves no element's chain. Each panel is packed, and counted as
-/// packed, once.
+/// elements, so the loop runs blocks of channels small enough for their
+/// active rows to stay in L1. Every block starts on an A block and computes
+/// its rows for each panel, which moves no element's chain. Each panel is
+/// packed, and counted as packed, once: up front when there are several
+/// blocks, as it comes otherwise.
 fn conv_input_grads_dispatch(
     ablocks: &[f32],
     kc: usize,
@@ -556,40 +459,27 @@ fn conv_input_grads_dispatch(
     let block = (FOLD_WINDOW_BYTES / row_bytes)
         .max(1)
         .next_multiple_of(unit);
-    let threads = remix_parallel::num_threads();
-    let parallel = threads > 1 && m * kc * n >= PARALLEL_MATMUL_MACS;
-    let per_span = channels
-        .div_ceil(threads.min(channels))
-        .next_multiple_of(unit);
-    let split = parallel && per_span < channels;
-    // Every part — a parallel span or a serial block of channels — reads
-    // every panel: with more than one part, the panels are packed once, up
-    // front.
+    // Every block reads every panel: with more than one block, the panels
+    // are packed once, up front.
     let mut packed = Vec::new();
-    if split || channels > block {
+    if channels > block {
         packed = vec![0.0f32; n.div_ceil(NR) * kc * NR];
         trace_pack_bytes(packed.len());
         for (j0, panel) in (0..n).step_by(NR).zip(packed.chunks_exact_mut(kc * NR)) {
             grads.pack(j0, NR.min(n - j0), panel);
         }
     }
-    let span = ConvGradSpan {
+    let ops = ConvGradOperands {
         ablocks,
         kc,
         kk,
-        block,
         grads,
         packed: &packed,
         fold,
     };
-    if split {
-        let plane = fold.plane_len();
-        remix_parallel::for_each_span_mut(images, per_span * plane, |i, dst| {
-            let c0 = i * per_span;
-            span.run(c0..c0 + dst.len() / plane, dst)
-        });
-    } else {
-        span.run(0..channels, images);
+    let plane = fold.plane_len();
+    for (c0, dst) in (0..).step_by(block).zip(images.chunks_mut(block * plane)) {
+        conv_grad_block(&ops, c0..c0 + dst.len() / plane, dst);
     }
 }
 
@@ -604,61 +494,48 @@ fn gcd(a: usize, b: usize) -> usize {
     }
 }
 
-/// The fused input-gradient loop of [`conv_input_grads_dispatch`].
-struct ConvGradSpan<'a> {
+/// The operands of the fused input-gradient loop of
+/// [`conv_input_grads_dispatch`], which every channel block reads.
+struct ConvGradOperands<'a> {
     ablocks: &'a [f32],
     kc: usize,
     /// Patch elements per channel, `k·k`.
     kk: usize,
-    /// Channels per fold block.
-    block: usize,
     grads: &'a ConvPanels<'a>,
     /// Every panel of `grads`, packed, or empty to pack them as they come.
     packed: &'a [f32],
     fold: &'a ConvFold,
 }
 
-impl ConvGradSpan<'_> {
-    /// Folds the input gradient of channels `chans` onto `dst`, their
-    /// padded planes, block by block. `chans.start·k·k` sits on an A block
-    /// boundary.
-    fn run(&self, chans: Range<usize>, dst: &mut [f32]) {
-        let plane = self.fold.plane_len();
-        for (i, dst) in dst.chunks_mut(self.block * plane).enumerate() {
-            let c0 = chans.start + i * self.block;
-            conv_grad_block(self, c0..c0 + dst.len() / plane, dst);
-        }
-    }
-}
-
 simd_kernel! {
-    /// Every panel of `span`, its tile rows of the patch elements of
+    /// Every panel of `ops`, its tile rows of the patch elements of
     /// channels `chans` folded onto `dst`, their padded planes, in ascending
-    /// panel order. Blocks own disjoint planes, so their order is free.
+    /// panel order. `chans.start·k·k` sits on an A block boundary. Blocks
+    /// own disjoint planes, so their order is free.
     ///
     /// A panel of `NR` lanes of one output position folds from registers:
     /// each A block's tile rows are added onto their distinct slots right
     /// after its k-loop. Any other panel's rows go through a tile buffer
     /// and [`fold_tile`], which orders the adds of the slots it shares.
-    fn conv_grad_block(span: &ConvGradSpan<'_>, chans: Range<usize>, dst: &mut [f32]) {
-        let kc = span.kc;
-        let rows = chans.start * span.kk..chans.end * span.kk;
-        let blocks = &span.ablocks[rows.start / MR * kc * MR..rows.end.div_ceil(MR) * kc * MR];
-        let cols = span.grads.cols();
-        if span.packed.is_empty() {
+    fn conv_grad_block(ops: &ConvGradOperands<'_>, chans: Range<usize>, dst: &mut [f32]) {
+        let kc = ops.kc;
+        let rows = chans.start * ops.kk..chans.end * ops.kk;
+        let blocks = &ops.ablocks[rows.start / MR * kc * MR..rows.end.div_ceil(MR) * kc * MR];
+        let cols = ops.grads.cols();
+        if ops.packed.is_empty() {
             trace_pack_bytes(cols.div_ceil(NR) * kc * NR);
         }
         let (mut own, mut tile) = (Vec::new(), Vec::new());
         for j0 in (0..cols).step_by(NR) {
             let width = NR.min(cols - j0);
-            let panel = if span.packed.is_empty() {
+            let panel = if ops.packed.is_empty() {
                 reset_buf(&mut own, kc * NR);
-                span.grads.pack(j0, width, &mut own);
+                ops.grads.pack(j0, width, &mut own);
                 &own[..]
             } else {
-                &span.packed[j0 / NR * kc * NR..][..kc * NR]
+                &ops.packed[j0 / NR * kc * NR..][..kc * NR]
             };
-            if let Some(slot) = span.fold.position_slots(j0, width, chans.start) {
+            if let Some(slot) = ops.fold.position_slots(j0, width, chans.start) {
                 for (row0, ablock) in rows.clone().step_by(MR).zip(blocks.chunks_exact(kc * MR)) {
                     let acc = micro_tile(ablock, panel.chunks_exact(NR), kc);
                     for (p, accr) in (row0..rows.end).zip(&acc) {
@@ -682,7 +559,7 @@ simd_kernel! {
                     *row = *accr;
                 }
             }
-            fold_tile(span.fold, &tile, chans.clone(), j0, width, dst);
+            fold_tile(ops.fold, &tile, chans.clone(), j0, width, dst);
         }
     }
 }
@@ -797,7 +674,7 @@ pub fn gemm_accum_ab(
     let window = 0..kc;
     gemm_rows(
         &|i0, h, dst| pack_a_rows(a, kc, &window, i0, h, dst),
-        0..m,
+        m,
         kc,
         n,
         packed,
@@ -1097,9 +974,7 @@ impl Tensor {
     ///
     /// This is the hot path of every dense layer and of the im2col
     /// convolution in `remix-nn`; see the module docs for the kernel design
-    /// and determinism contract. Sufficiently large products (2¹⁶
-    /// multiply-adds and up) are partitioned by output row across the
-    /// persistent worker pool with bit-identical results.
+    /// and determinism contract.
     ///
     /// # Errors
     ///
@@ -1642,31 +1517,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matmul_is_bit_identical_to_sequential() {
-        let mut rng = StdRng::seed_from_u64(11);
-        // 96·96·96 ≈ 885k multiply-adds: above the parallel cutoff
-        let a = Tensor::rand_uniform(&[96, 96], -1.0, 1.0, &mut rng);
-        let b = Tensor::rand_uniform(&[96, 96], -1.0, 1.0, &mut rng);
-        let parallel = a.matmul(&b).unwrap();
-        // reference: sequential kernel over the same rows
-        let (m, k, n) = (96, 96, 96);
-        let mut reference = vec![0.0f32; m * n];
-        for i in 0..m {
-            matmul_row_reference(
-                &a.data()[i * k..(i + 1) * k],
-                b.data(),
-                &mut reference[i * n..(i + 1) * n],
-                n,
-            );
-        }
-        assert_eq!(parallel.data(), &reference[..]);
-    }
-
-    #[test]
     fn prepacked_matches_fresh_on_zoo_shapes() {
-        // The bench zoo shapes plus a product big enough to cross the
-        // parallel-dispatch threshold, whose prepacked spans are MR-aligned
-        // (unlike the fresh path's) — partitioning must not change bits.
+        // The bench zoo shapes, a square product and a ragged one.
         let mut rng = StdRng::seed_from_u64(42);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         for &(m, k, n) in &[
@@ -1772,14 +1624,14 @@ mod tests {
             for accum in [false, true] {
                 let run = |level| {
                     let mut out = edge_values(m * n, 3);
-                    gemm_rows::at(level, &pack_a, 0..m, kc, n, &packed, &mut out, accum);
+                    gemm_rows::at(level, &pack_a, m, kc, n, &packed, &mut out, accum);
                     out
                 };
                 assert_levels_agree(&format!("gemm_rows n{n} accum {accum}"), run);
             }
             let run = |level| {
                 let mut out = vec![0.0; m * n];
-                gemm_rows_prepacked::at(level, &ablocks, 0..m, kc, n, &packed, &mut out);
+                gemm_rows_prepacked::at(level, &ablocks, m, kc, n, &packed, &mut out);
                 out
             };
             assert_levels_agree(&format!("gemm_rows_prepacked n{n}"), run);
@@ -1812,15 +1664,7 @@ mod tests {
                 let panels = ConvPanels::new(&batch, lanes, &geo, &mut padded);
                 let run = |level| {
                     let mut out = vec![0.0; filters * panels.cols()];
-                    gemm_rows_panelwise::at(
-                        level,
-                        &fwd_blocks,
-                        0..filters,
-                        patch,
-                        &panels,
-                        &mut out,
-                        false,
-                    );
+                    gemm_rows_panelwise::at(level, &fwd_blocks, filters, patch, &panels, &mut out);
                     out
                 };
                 assert_levels_agree(&format!("gemm_rows_panelwise {what}"), run);
@@ -1832,18 +1676,17 @@ mod tests {
                 let gpanels =
                     ConvPanels::new(&grads, lanes, &grad_geometry(filters, &geo), &mut unpadded);
                 let fold = ConvFold::new(&geo, lanes);
-                let span = ConvGradSpan {
+                let ops = ConvGradOperands {
                     ablocks: &bwd_blocks,
                     kc: filters,
                     kk,
-                    block: 3,
                     grads: &gpanels,
                     packed: &[],
                     fold: &fold,
                 };
                 let run = |level| {
                     let mut dst = vec![0.0; fold.image_len()];
-                    conv_grad_block::at(level, &span, 0..3, &mut dst);
+                    conv_grad_block::at(level, &ops, 0..3, &mut dst);
                     dst
                 };
                 assert_levels_agree(&format!("conv_grad_block {what}"), run);

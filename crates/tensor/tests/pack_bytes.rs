@@ -1,8 +1,6 @@
 //! `gemm_pack_bytes` counts the bytes the conv GEMMs copy into packed
-//! panels: a forward panel read in place from the padded batch adds 0, and
-//! the count is the serial run's at any thread count. This file is its own
-//! test binary, so the trace counters are its alone and it can pin
-//! `REMIX_THREADS` before the thread count is first read.
+//! panels: a forward panel read in place from the padded batch adds 0. This
+//! file is its own test binary, so the trace counters are its alone.
 
 use rand::{rngs::StdRng, SeedableRng};
 use remix_tensor::{Conv2dGeometry, Tensor};
@@ -14,8 +12,6 @@ fn panel_bytes(rows: usize) -> u64 {
 
 #[test]
 fn conv_gemms_count_only_the_panels_they_pack() {
-    // More than one thread, so that large enough products split.
-    std::env::set_var("REMIX_THREADS", "4");
     let mut rng = StdRng::seed_from_u64(5);
     let geo = |size, kernel, stride, pad| Conv2dGeometry {
         in_channels: 2,
@@ -62,8 +58,7 @@ fn conv_gemms_count_only_the_panels_they_pack() {
     assert_eq!(fwd, 36 * panel_bytes(2));
 
     // One lane over 24-wide output rows: of each row pair's three panels,
-    // the one straddling two rows is packed. 8·18·576 MACs split the rows
-    // over parallel spans, which all pack it; it counts once.
+    // the one straddling two rows is packed.
     let (fwd, _) = count(geo(24, 3, 1, 1), 1, &mut rng);
     assert_eq!(fwd, 12 * panel_bytes(18));
 }

@@ -25,35 +25,38 @@ use remix_nn::{Layer, Model};
 use remix_tensor::Tensor;
 
 /// Applies multiplicative Gaussian noise `w ← w·(1+ε)` to every parameter,
-/// returning the noise factors so [`restore_params`] can undo it exactly.
+/// returning a copy of every parameter from before, for [`restore_params`].
+/// Dividing `(1+ε)` back out would not restore them: in f32,
+/// `w·(1+ε)/(1+ε)` is not always `w`.
 fn perturb_params(model: &mut Model, std: f32, rng: &mut impl Rng) -> Vec<Tensor> {
-    let mut noises = Vec::new();
+    let mut saved = Vec::new();
     model.net_mut().visit_params(&mut |param, _| {
+        saved.push(param.clone());
         let noise = Tensor::randn(param.shape(), std, rng);
         for (p, &n) in param.data_mut().iter_mut().zip(noise.data()) {
             *p *= 1.0 + n;
         }
-        noises.push(noise);
     });
-    noises
+    saved
 }
 
-/// Undoes [`perturb_params`] by dividing the stored factors back out.
-fn restore_params(model: &mut Model, noises: &[Tensor]) {
-    let mut idx = 0;
+/// Undoes [`perturb_params`] by copying the saved parameters back.
+fn restore_params(model: &mut Model, saved: &[Tensor]) {
+    let mut saved = saved.iter();
     model.net_mut().visit_params(&mut |param, _| {
-        let noise = &noises[idx];
-        for (p, &n) in param.data_mut().iter_mut().zip(noise.data()) {
-            *p /= 1.0 + n;
-        }
-        idx += 1;
+        let before = saved.next().expect("one saved tensor per parameter");
+        param.data_mut().copy_from_slice(before.data());
     });
 }
 
 /// NoiseGrad feature matrix: `n_samples` input gradients under weight noise.
 ///
-/// The model is restored bit-for-bit (multiplicative noise divided back out)
-/// after each sample.
+/// The parameters are restored bit for bit (copied back from before the
+/// noise) after each sample, so a call leaves the model as it found it, and
+/// two calls with the same rng return the same bits. The round trip goes
+/// through `visit_params`, which drops a frozen model's prepacked weights:
+/// later calls pack per call until the model is frozen again, with
+/// bit-identical results.
 pub fn noisegrad(
     model: &mut Model,
     image: &Tensor,
@@ -114,19 +117,42 @@ mod tests {
         )
     }
 
+    /// The bits of every parameter of `m`, in `visit_params` order.
+    fn param_bits(m: &mut Model) -> Vec<u32> {
+        let mut bits = Vec::new();
+        m.net_mut().visit_params(&mut |param, _| {
+            bits.extend(param.data().iter().map(|v| v.to_bits()));
+        });
+        bits
+    }
+
     #[test]
     fn perturb_restore_roundtrips_exactly() {
         let mut m = model();
         let img = Tensor::full(&[1, 4, 4], 0.3);
         let before = m.logits(&img);
+        let bits = param_bits(&mut m);
         let mut rng = StdRng::seed_from_u64(2);
-        let noises = perturb_params(&mut m, 0.1, &mut rng);
+        let saved = perturb_params(&mut m, 0.1, &mut rng);
         let during = m.logits(&img);
         assert_ne!(before, during, "perturbation had no effect");
-        restore_params(&mut m, &noises);
-        let after = m.logits(&img);
-        for (a, b) in before.data().iter().zip(after.data()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
+        restore_params(&mut m, &saved);
+        assert_eq!(param_bits(&mut m), bits, "parameters moved");
+        assert_eq!(m.logits(&img), before);
+    }
+
+    #[test]
+    fn noisegrad_and_fusiongrad_leave_the_model_and_repeat_exactly() {
+        let mut m = model();
+        let img = Tensor::rand_uniform(&[1, 4, 4], 0.0, 1.0, &mut StdRng::seed_from_u64(7));
+        let bits = param_bits(&mut m);
+        let cfg = ExplainerConfig::default();
+        for f in [noisegrad, fusiongrad] {
+            let first = f(&mut m, &img, 1, &cfg, &mut StdRng::seed_from_u64(8));
+            assert_eq!(param_bits(&mut m), bits, "parameters moved");
+            let second = f(&mut m, &img, 1, &cfg, &mut StdRng::seed_from_u64(8));
+            let matrix_bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(matrix_bits(&first), matrix_bits(&second));
         }
     }
 

@@ -143,10 +143,16 @@ impl fmt::Display for XaiLevel {
 /// perturbation/path/coalition counts plus the batched sweep width.
 ///
 /// The counts are what the budget ladder scales ([`XaiBudget::scale`]);
-/// `batch_size` is a pure execution-strategy knob — every technique first
-/// materializes its perturbed inputs (noise draws, path points, coalition
-/// masks), then evaluates them `batch_size` at a time through the model's
-/// batched forward/backward sweeps, bit-identically for every batch size.
+/// `batch_size` is a pure execution-strategy knob, and every technique's
+/// result is bit-identical for every batch size:
+/// - SmoothGrad, Integrated Gradients, SHAP and LIME materialize their
+///   perturbed inputs (noise draws, path points, coalition masks) and
+///   evaluate them `batch_size` at a time through the model's batched
+///   forward/backward sweeps;
+/// - CFE's steps are sequential, so only each step's gradient pair shares
+///   one two-lane pass, when `batch_size` is at least 2;
+/// - NoiseGrad and FusionGrad evaluate a differently-noised model per
+///   sample, one input gradient at a time, and ignore `batch_size`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct XaiBudget {
     /// Number of perturbed inputs evaluated per batched model sweep.
@@ -502,9 +508,11 @@ mod tests {
             .collect();
         let items: Vec<(&Tensor, usize)> =
             images.iter().enumerate().map(|(i, t)| (t, i % 3)).collect();
-        for technique in [XaiTechnique::SmoothGrad, XaiTechnique::IntegratedGradients] {
+        for technique in XaiTechnique::ALL.into_iter().chain(XaiTechnique::OPTIMIZED) {
             // Small batch size so the coalesced sweep chunks across item
-            // boundaries — the case the bit-identity claim is about.
+            // boundaries — the case the bit-identity claim is about. Every
+            // call must also leave the model as it found it, or the solo
+            // calls after the batched one would see other weights.
             let explainer = Explainer::with_config(
                 technique,
                 ExplainerConfig {
