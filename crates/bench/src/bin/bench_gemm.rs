@@ -405,6 +405,10 @@ struct ConvRow {
     /// The panel side's forward and input gradient, timed apart (ungated).
     panel_fwd_secs_per_iter: f64,
     panel_dx_secs_per_iter: f64,
+    /// The `gemm_pack_bytes` of one panel-side forward and one input
+    /// gradient, after the timed calls (ungated).
+    panel_fwd_pack_bytes: u64,
+    panel_dx_pack_bytes: u64,
     speedup: f64,
     lowering_identical: bool,
 }
@@ -852,6 +856,22 @@ fn bench_conv_shape(s: &ConvShape) -> ConvRow {
             std::hint::black_box(input_grads.run());
         },
     );
+    // What one call of each copies into packed panels and blocks: the
+    // counters are deterministic, so one traced call per side suffices.
+    let pack_bytes = |run: &mut dyn FnMut()| {
+        remix_trace::set_enabled(true);
+        remix_trace::reset();
+        run();
+        let bytes = remix_trace::counter(remix_trace::Counter::GemmPackBytes);
+        remix_trace::set_enabled(false);
+        bytes
+    };
+    let panel_fwd_pack_bytes = pack_bytes(&mut || {
+        forward.run();
+    });
+    let panel_dx_pack_bytes = pack_bytes(&mut || {
+        input_grads.run();
+    });
     ConvRow {
         shape: s.name,
         channels: s.channels,
@@ -865,6 +885,8 @@ fn bench_conv_shape(s: &ConvShape) -> ConvRow {
         panel_secs_per_iter: round(panel_secs, 9),
         panel_fwd_secs_per_iter: round(panel_fwd_secs, 9),
         panel_dx_secs_per_iter: round(panel_dx_secs, 9),
+        panel_fwd_pack_bytes,
+        panel_dx_pack_bytes,
         speedup: round(unfolded_secs / panel_secs, 3),
         lowering_identical,
     }

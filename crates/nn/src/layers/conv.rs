@@ -10,13 +10,16 @@ use remix_tensor::{
 ///
 /// Weights are stored as `[filters, C*k*k]`. The forward pass is one
 /// `W · patchesᵀ` GEMM whose B panels are packed straight from the batch
-/// (`conv_gemm_into`), and the input gradient is `Wᵀ · G` folded onto the
-/// images panel by panel (`conv_input_grads`). Both are bit-identical to
-/// the unfolded formulation (`im2row` rows through `matmul_a_bt`, `gᵀ · W`
-/// through `row2im`) because every output element keeps its own
-/// ascending-k chain and every input-gradient element its ascending
-/// output-position order. Only the weight gradient unfolds: one lane at a
-/// time, into `[out_h*out_w, C*k*k]` patch rows for that lane's dW GEMM.
+/// (`conv_gemm_into`), and the input gradient is `Wᵀ · G` without the
+/// product being built (`conv_input_grads`): gathered tap by tap into
+/// each input-gradient vector at lane counts that are multiples of 16,
+/// folded onto the padded images panel by panel at the others. Both are
+/// bit-identical to the unfolded formulation (`im2row` rows through
+/// `matmul_a_bt`, `gᵀ · W` through `row2im`) because every output element
+/// keeps its own ascending-k chain and every input-gradient element its
+/// ascending output-position order. Only the weight gradient unfolds: one
+/// lane at a time, into `[out_h*out_w, C*k*k]` patch rows for that lane's
+/// dW GEMM.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: Tensor, // [F, C*k*k]
@@ -49,7 +52,7 @@ struct ConvPacks {
 #[derive(Debug, Clone, Default)]
 struct ConvScratch {
     padded: Vec<f32>,    // zero-padded batch the forward panels read
-    dx: Vec<f32>,        // zero-padded input gradient
+    dx: Vec<f32>,        // zero-padded input gradient (lanes not a multiple of 16)
     rows: Vec<f32>,      // one lane's patch rows for its dW GEMM
     dw_packed: Vec<f32>, // packed patch-row panels for the dW GEMM
 }
@@ -184,12 +187,14 @@ impl Layer for Conv2d {
         Tensor::from_vec(out, &[f, oh, ow, n / (oh * ow)])
     }
 
-    /// Input gradients `Wᵀ · G` folded onto the images panel by panel. `Wᵀ`
-    /// is read straight out of the `[F, patch]` storage (or its frozen
-    /// `prepack_at` blocks), and each product element sums over filters in
-    /// ascending order, the chain of the unfolded formulation's `gᵀ · W`.
-    /// Every GEMM column belongs to one lane, so the lanes match one-lane
-    /// gradients bit for bit.
+    /// Input gradients `Wᵀ · G`: at a lane count that is a multiple of 16,
+    /// each input-gradient vector gathers its taps in registers and is
+    /// stored once; at any other, the product is folded onto the padded
+    /// images panel by panel. `Wᵀ` is read from the `[F, patch]` storage,
+    /// packed per call, or from its frozen `prepack_at` pack, and each
+    /// product element sums over filters in ascending order, the chain of
+    /// the unfolded formulation's `gᵀ · W`. Every element belongs to one
+    /// lane, so the lanes match one-lane gradients bit for bit.
     fn backward_lanes(&mut self, grad_out: Tensor, wants: Wants) -> Result<Tensor> {
         let (f, oh, ow) = self.out_shape();
         let lanes = lanes_of(&grad_out, &[f, oh, ow], "conv backward_lanes")?;

@@ -1,6 +1,10 @@
+//! Pooling layers. MaxPool2d's lane loops are the kernels
+//! [`maxpool_forward`] and [`maxpool_backward`], compiled at every SIMD
+//! level and run at the widest this CPU reports (`remix_tensor::simd_kernel!`).
+
 use super::lanes_of;
 use crate::{Layer, Mode, Wants};
-use remix_tensor::{Result, Tensor, TensorError};
+use remix_tensor::{simd_kernel, Result, Tensor, TensorError};
 
 /// The input position of every pooling window's first element, in output
 /// order `(c, oy, ox)`: channel `c`'s output row `oy` is input row
@@ -15,7 +19,8 @@ fn window_corners(in_shape: (usize, usize, usize), window: usize) -> impl Iterat
 pub struct MaxPool2d {
     window: usize,
     in_shape: (usize, usize, usize),
-    argmax: Vec<usize>,
+    /// The lane-major index into the input of each output's maximum.
+    argmax: Vec<u32>,
 }
 
 impl MaxPool2d {
@@ -43,28 +48,25 @@ impl MaxPool2d {
     }
 }
 
-impl Layer for MaxPool2d {
-    fn clone_boxed(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
-    fn forward_lanes(&mut self, input: Tensor, _mode: Mode) -> Result<Tensor> {
-        let (c, h, w) = self.in_shape;
-        let lanes = lanes_of(&input, &[c, h, w], "maxpool forward_lanes")?;
-        let (_, oh, ow) = self.out_shape();
-        let win = self.window;
-        let x = input.data();
-        let mut out = vec![0.0f32; c * oh * ow * lanes];
-        self.argmax.clear();
-        self.argmax.resize(out.len(), 0);
-        // Each lane runs the per-sample scan: start at the window's first
-        // element, replace only on a strictly greater value (as selects:
-        // lanes disagree).
+simd_kernel! {
+    /// MaxPool2d forward of the lane-major `[C, H, W, B]` batch `x`
+    /// (`in_shape` is `(C, H, W)`, `B = lanes`) into `out`, `[C, H/win,
+    /// W/win, B]`, with each maximum's index into `x` in `argmax`. Each lane
+    /// scans its window in row order from the first element and takes a
+    /// value only when it is strictly greater: the first maximum wins a tie,
+    /// and a NaN is never taken, nor replaced once it starts the scan.
+    fn maxpool_forward(
+        out: &mut [f32],
+        argmax: &mut [u32],
+        x: &[f32],
+        in_shape: (usize, usize, usize),
+        win: usize,
+        lanes: usize,
+    ) {
+        let w = in_shape.2;
         one_lane_const!(lanes, {
-            let windows = out
-                .chunks_exact_mut(lanes)
-                .zip(self.argmax.chunks_exact_mut(lanes));
-            for ((out, argmax), corner) in windows.zip(window_corners(self.in_shape, win)) {
+            let windows = out.chunks_exact_mut(lanes).zip(argmax.chunks_exact_mut(lanes));
+            for ((out, argmax), corner) in windows.zip(window_corners(in_shape, win)) {
                 for_lane_groups!(lanes, b0, G, {
                     if G == 1 {
                         // A lone lane branches: its scan is one chain of
@@ -84,11 +86,13 @@ impl Layer for MaxPool2d {
                             }
                         }
                         out[b0] = best;
-                        argmax[b0] = best_i;
+                        argmax[b0] = best_i as u32;
                     } else {
+                        // Selects over the group's lanes, with `u32`
+                        // indices so that they vectorise beside the values.
                         let mut best = *lane_group!(x[corner * lanes..], b0, G);
-                        let mut best_i: [usize; G] =
-                            std::array::from_fn(|l| corner * lanes + b0 + l);
+                        let mut best_i: [u32; G] =
+                            std::array::from_fn(|l| (corner * lanes + b0 + l) as u32);
                         for ky in 0..win {
                             for kx in 0..win {
                                 let base = (corner + ky * w + kx) * lanes;
@@ -96,7 +100,8 @@ impl Layer for MaxPool2d {
                                 for l in 0..G {
                                     let greater = v[l] > best[l];
                                     best[l] = if greater { v[l] } else { best[l] };
-                                    best_i[l] = if greater { base + b0 + l } else { best_i[l] };
+                                    let i = (base + b0 + l) as u32;
+                                    best_i[l] = if greater { i } else { best_i[l] };
                                 }
                             }
                         }
@@ -106,10 +111,70 @@ impl Layer for MaxPool2d {
                 });
             }
         });
+    }
+}
+
+simd_kernel! {
+    /// MaxPool2d backward: `dx`, the `[C, H, W, B]` input gradient, from
+    /// the output gradient `grad` and the forward's `argmax`. Windows tile
+    /// the input, so each slot of `dx` is written once: `0.0 + g` at its
+    /// window's maximum, `+0.0` elsewhere — the bits of adding every output
+    /// gradient onto a zeroed gradient at its maximum.
+    fn maxpool_backward(
+        dx: &mut [f32],
+        argmax: &[u32],
+        grad: &[f32],
+        in_shape: (usize, usize, usize),
+        win: usize,
+        lanes: usize,
+    ) {
+        let w = in_shape.2;
+        one_lane_const!(lanes, {
+            let windows = grad.chunks_exact(lanes).zip(argmax.chunks_exact(lanes));
+            for ((g, am), corner) in windows.zip(window_corners(in_shape, win)) {
+                for ky in 0..win {
+                    for kx in 0..win {
+                        let base = (corner + ky * w + kx) * lanes;
+                        let slots = dx[base..base + lanes].iter_mut().zip(am.iter().zip(g));
+                        for (i, (d, (&a, &g))) in (base as u32..).zip(slots) {
+                            *d = if a == i { 0.0 + g } else { 0.0 };
+                        }
+                    }
+                }
+            }
+        });
+    }
+}
+
+impl Layer for MaxPool2d {
+    fn clone_boxed(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+
+    fn forward_lanes(&mut self, input: Tensor, _mode: Mode) -> Result<Tensor> {
+        let (c, h, w) = self.in_shape;
+        let lanes = lanes_of(&input, &[c, h, w], "maxpool forward_lanes")?;
+        assert!(
+            u32::try_from(input.len()).is_ok(),
+            "maxpool input of {} floats indexed by u32",
+            input.len()
+        );
+        let (_, oh, ow) = self.out_shape();
+        let mut out = vec![0.0f32; c * oh * ow * lanes];
+        // Every slot is written by the kernel.
+        self.argmax.resize(out.len(), 0);
+        maxpool_forward(
+            &mut out,
+            &mut self.argmax,
+            input.data(),
+            self.in_shape,
+            self.window,
+            lanes,
+        );
         Tensor::from_vec(out, &[c, oh, ow, lanes])
     }
 
-    /// Adds every output gradient onto its window's maximum: windows do
+    /// Routes every output gradient to its window's maximum: windows do
     /// not overlap, so each input element receives at most one.
     fn backward_lanes(&mut self, grad_out: Tensor, wants: Wants) -> Result<Tensor> {
         if !wants.input() {
@@ -125,12 +190,16 @@ impl Layer for MaxPool2d {
             });
         }
         let (_, h, w) = self.in_shape;
-        let mut dx = Tensor::zeros(&[c, h, w, lanes]);
-        let buf = dx.data_mut();
-        for (&src, &g) in self.argmax.iter().zip(grad_out.data()) {
-            buf[src] += g;
-        }
-        Ok(dx)
+        let mut dx = vec![0.0f32; c * h * w * lanes];
+        maxpool_backward(
+            &mut dx,
+            &self.argmax,
+            grad_out.data(),
+            self.in_shape,
+            self.window,
+            lanes,
+        );
+        Tensor::from_vec(dx, &[c, h, w, lanes])
     }
 
     fn name(&self) -> &'static str {
@@ -308,7 +377,73 @@ impl Layer for GlobalAvgPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{backward_one, forward_one};
+    use crate::layers::{assert_levels_agree, backward_one, edge_values, forward_one, TEST_LANES};
+
+    #[test]
+    fn maxpool_kernels_agree_bitwise_at_every_simd_level() {
+        // Edge values with NaNs, ties (runs of 1.0) and ±0.0 among them.
+        let shape = (3, 4, 6);
+        for lanes in TEST_LANES {
+            let n = 3 * 4 * 6 * lanes;
+            let x: Vec<f32> = edge_values(n, lanes as u64)
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| match i % 11 {
+                    0 => f32::NAN,
+                    3..=5 => 1.0,
+                    7 => -0.0,
+                    _ => v,
+                })
+                .collect();
+            let outs = 3 * 2 * 3 * lanes;
+            let forward = |level| {
+                let (mut out, mut argmax) = (vec![0.0; outs], vec![0; outs]);
+                maxpool_forward::at(level, &mut out, &mut argmax, &x, shape, 2, lanes);
+                out.extend(argmax.into_iter().map(f32::from_bits));
+                out
+            };
+            assert_levels_agree(&format!("maxpool_forward x{lanes}"), forward);
+            let mut argmax = vec![0; outs];
+            maxpool_forward(&mut vec![0.0; outs], &mut argmax, &x, shape, 2, lanes);
+            let grad = edge_values(outs, 9);
+            let backward = |level| {
+                let mut dx = vec![f32::NAN; n];
+                maxpool_backward::at(level, &mut dx, &argmax, &grad, shape, 2, lanes);
+                dx
+            };
+            assert_levels_agree(&format!("maxpool_backward x{lanes}"), backward);
+        }
+    }
+
+    #[test]
+    fn maxpool_takes_the_first_strict_maximum_and_keeps_a_leading_nan() {
+        // One 2×2 window per channel, two lanes (a select group) and one
+        // lane (the branchy scan): a tie keeps the first, a later NaN is
+        // never taken, a leading NaN is never replaced, -0.0 does not beat
+        // +0.0.
+        let windows = [
+            ([1.0, 3.0, 3.0, 2.0], 3.0, 1),
+            ([1.0, f32::NAN, 2.0, 0.5], 2.0, 2),
+            ([f32::NAN, 5.0, 1.0, 2.0], f32::NAN, 0),
+            ([0.0, -0.0, -1.0, -0.0], 0.0, 0),
+        ];
+        for lanes in [1, 2] {
+            let shape = (windows.len(), 2, 2);
+            let x: Vec<f32> = windows
+                .iter()
+                .flat_map(|(w, _, _)| w.iter().flat_map(|&v| std::iter::repeat_n(v, lanes)))
+                .collect();
+            let (mut out, mut argmax) = (vec![0.0; 4 * lanes], vec![0; 4 * lanes]);
+            maxpool_forward(&mut out, &mut argmax, &x, shape, 2, lanes);
+            for (c, (_, max, at)) in windows.iter().enumerate() {
+                for b in 0..lanes {
+                    let got = out[c * lanes + b];
+                    assert_eq!(got.to_bits(), max.to_bits(), "window {c} lane {b}");
+                    assert_eq!(argmax[c * lanes + b] as usize, (c * 4 + at) * lanes + b);
+                }
+            }
+        }
+    }
 
     #[test]
     fn lane_pools_match_one_lane_including_ties_and_signed_zeros() {

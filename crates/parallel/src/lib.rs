@@ -7,8 +7,7 @@
 //! runs in the same per-item order, only on different threads.
 //!
 //! Workers are spawned **once**, on the first parallel call, and then reused
-//! for the life of the process ([`pool_threads_spawned`] exposes the lifetime
-//! spawn count). Dispatching a job costs one mutex lock plus a condvar
+//! for the life of the process. Dispatching a job costs one mutex lock plus a condvar
 //! broadcast (~2 µs), versus ~10 µs *per thread* for the `std::thread::scope`
 //! spawns this replaced. The callers fan out large, independent units — the
 //! members of an ensemble, the shards of a test set — while every tensor
@@ -151,7 +150,8 @@ struct PoolShared {
 struct Pool {
     shared: Arc<PoolShared>,
     workers: usize,
-    /// Worker threads this pool has spawned.
+    /// Worker threads this pool has spawned; the reuse test reads it.
+    #[cfg_attr(not(test), allow(dead_code))]
     spawned: AtomicUsize,
 }
 
@@ -297,15 +297,6 @@ pub fn pool_execute(ntasks: usize, f: &(dyn Fn(usize) + Sync)) {
     global_pool().execute(ntasks, f);
 }
 
-/// Worker threads the process-wide pool has spawned (0 before its first
-/// parallel call). Flat across repeated parallel calls, because the pool is
-/// reused rather than respawned.
-pub fn pool_threads_spawned() -> usize {
-    GLOBAL_POOL
-        .get()
-        .map_or(0, |pool| pool.spawned.load(Ordering::Relaxed))
-}
-
 // ---------------------------------------------------------------------------
 // Order-preserving combinators (pool-backed)
 // ---------------------------------------------------------------------------
@@ -360,20 +351,6 @@ where
     }
 }
 
-/// Order-preserving parallel map over shared items.
-///
-/// `f` receives `(index, &item)`; the output at position `i` is `f(i,
-/// &items[i])`. With `threads <= 1` this degenerates to a plain serial map on
-/// the calling thread.
-pub fn map_indexed<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    pool_collect(items.len(), threads, |i| f(i, &items[i]))
-}
-
 /// Order-preserving parallel map over mutable items (each item is visited by
 /// exactly one worker).
 ///
@@ -415,19 +392,6 @@ mod tests {
                 assert_eq!(covered, len);
                 assert!(ranges.len() <= shards.max(1));
             }
-        }
-    }
-
-    #[test]
-    fn map_indexed_preserves_order_for_any_thread_count() {
-        let items: Vec<usize> = (0..100).collect();
-        let expected: Vec<usize> = items.iter().map(|v| v * 3).collect();
-        for threads in [1, 2, 3, 7, 100, 200] {
-            let got = map_indexed(&items, threads, |i, &v| {
-                assert_eq!(i, v);
-                v * 3
-            });
-            assert_eq!(got, expected);
         }
     }
 

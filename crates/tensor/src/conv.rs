@@ -218,17 +218,12 @@ impl PaddedLayout {
 
     /// The corner of the `width` columns `j0..` when they are one
     /// contiguous run of `NR` lanes: a full panel that stays within one
-    /// output position, or, unless `one_position`, within one output row
-    /// at stride 1. Patch element `p` of the panel is then the run
-    /// `corner + taps[p]..` of `NR` floats.
-    fn run(&self, j0: usize, width: usize, one_position: bool) -> Option<usize> {
+    /// output position, or within one output row at stride 1. Patch element
+    /// `p` of the panel is then the run `corner + taps[p]..` of `NR` floats.
+    fn run(&self, j0: usize, width: usize) -> Option<usize> {
         let (pos, b) = (j0 / self.lanes, j0 % self.lanes);
         let (oy, ox) = (pos / self.ow, pos % self.ow);
-        let end = if self.stride == 1 && !one_position {
-            self.ow
-        } else {
-            ox + 1
-        };
+        let end = if self.stride == 1 { self.ow } else { ox + 1 };
         (width == NR && ox * self.lanes + b + NR <= end * self.lanes)
             .then(|| self.corner(oy, ox, b))
     }
@@ -243,7 +238,7 @@ impl PaddedLayout {
     /// folded, so any in-bounds slot will do.
     fn lanes(&self, j0: usize, width: usize) -> Lanes {
         let mut corners = [0; NR];
-        if let Some(corner) = self.run(j0, width, false) {
+        if let Some(corner) = self.run(j0, width) {
             corners[0] = corner;
             return Lanes::Runs {
                 corners,
@@ -413,7 +408,7 @@ impl<'a> ConvPanels<'a> {
         if !self.in_place {
             return None;
         }
-        let corner = self.layout.run(j0, width, false)?;
+        let corner = self.layout.run(j0, width)?;
         let padded = &self.padded[corner..];
         Some(self.layout.taps.iter().map(move |&t| &padded[t..][..NR]))
     }
@@ -463,12 +458,12 @@ impl<'a> ConvPanels<'a> {
 /// lanes) step is one slice-add whose elements land on distinct input
 /// slots.
 ///
-/// A panel whose columns are `NR` lanes of one output position needs no
-/// tile ([`ConvFold::position_slots`]): its patch elements land on
-/// distinct slots, so each register tile is added straight onto them after
-/// its k-loop, in any order of the A blocks, and every element still
-/// receives its contributions in ascending output-position order, panel by
-/// panel. [`fold_tile`] folds the panels that span several positions.
+/// The gather form of the input gradient, which lane counts that are
+/// multiples of `NR` take, keeps this order without a fold: each input
+/// element sums the same contributions, each one the same filter chain
+/// from +0.0, in the same descending `(ky, kx)` order onto +0.0 in
+/// registers, and is stored once (`gather_input_grads` in `linalg.rs`).
+/// The fold serves every other lane count.
 ///
 /// A fold covers a range of input channels, whose padded planes it owns
 /// outright, so disjoint ranges fold independently, in any order.
@@ -483,23 +478,6 @@ impl ConvFold {
             layout: PaddedLayout::new(geo, lanes),
             geo: *geo,
         }
-    }
-
-    /// When the `width` columns `j0..` are `NR` lanes of one output
-    /// position, where each patch element's gradient lands in the padded
-    /// planes of channels `c0..`: row `p` (a patch element of those
-    /// channels) adds onto the `NR` floats from `slot(p)`, and no two rows
-    /// share a slot. `None` for a panel that spans several positions.
-    #[inline(always)]
-    pub(crate) fn position_slots(
-        &self,
-        j0: usize,
-        width: usize,
-        c0: usize,
-    ) -> Option<impl Fn(usize) -> usize + '_> {
-        let corner = self.layout.run(j0, width, true)?;
-        let base = c0 * self.layout.plane;
-        Some(move |p: usize| self.layout.taps[p] - base + corner)
     }
 
     /// Floats per padded input-gradient channel plane, and in all.
@@ -526,13 +504,13 @@ simd_kernel! {
     /// `(c − chans.start)·k·k + (ky·k + kx)`, rows past them ignored — for
     /// the `width` columns `j0..` onto `dst`, the padded planes of `chans`,
     /// as [`ConvFold`] lays them out. The fused input gradient calls it
-    /// for the panels that span several output positions, and for ragged
-    /// ones; the others fold from registers.
+    /// for every panel of a lane count that is not a multiple of `NR`.
     ///
     /// It is its own kernel, not inlined into the GEMM kernel that calls
     /// it: inlined there, the fused input gradient of 16-lane batches
-    /// measured 1.4× slower. It is capped at AVX2: its AVX-512 variant
-    /// measured 1–7 % slower on the served conv shapes.
+    /// (which then took this path) measured 1.4× slower. It is capped at
+    /// AVX2: its AVX-512 variant measured 1–7 % slower on the served conv
+    /// shapes.
     pub(crate) fn fold_tile(
         fold: &ConvFold,
         tile: &[f32],

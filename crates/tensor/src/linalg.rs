@@ -19,6 +19,7 @@
 use crate::conv::{check_lanes, fold_tile, ConvFold, ConvPanels};
 use crate::{simd_kernel, Conv2dGeometry, Result, Tensor, TensorError};
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Register-block height: rows of A handled per micro-kernel call.
 const MR: usize = 4;
@@ -414,14 +415,15 @@ fn conv_gemm_panels(
     gemm_rows_panelwise(ablocks, m, kc, panels, out);
 }
 
-/// Convolution input gradients, fused: the `[C·k·k, n]` product `Wᵀ · G`
-/// of the `Wᵀ` A blocks `ablocks` (`m = C·k·k` rows, inner dimension
-/// `kc = F`) with the output gradients whose B panels `grads` packs is never
-/// materialized. For each `NR`-column panel of `G`, every row block's
-/// register tile is added onto `images`, the zeroed padded input gradient,
-/// before the next panel: straight from registers when the panel's columns
-/// are lanes of one output position, otherwise through an L1-sized
-/// `[C·k·k][NR]` tile that `fold` adds (see [`conv_grad_block`]).
+/// Convolution input gradients, fused, at a lane count that is not a
+/// multiple of `NR` (the others take [`gather_input_grads`]): the
+/// `[C·k·k, n]` product `Wᵀ · G` of the `Wᵀ` A blocks `ablocks`
+/// (`m = C·k·k` rows, inner dimension `kc = F`) with the output gradients
+/// whose B panels `grads` packs is never materialized. For each
+/// `NR`-column panel of `G`, every row block's register tile goes through
+/// an L1-sized `[C·k·k][NR]` tile that `fold` adds onto `images`, the
+/// zeroed padded input gradient, before the next panel (see
+/// [`conv_grad_block`]).
 ///
 /// Each tile element is the exact value `matmul_at_b` computes (same A
 /// blocks, same panels, same kernel), and panels fold in ascending column
@@ -511,12 +513,9 @@ simd_kernel! {
     /// Every panel of `ops`, its tile rows of the patch elements of
     /// channels `chans` folded onto `dst`, their padded planes, in ascending
     /// panel order. `chans.start·k·k` sits on an A block boundary. Blocks
-    /// own disjoint planes, so their order is free.
-    ///
-    /// A panel of `NR` lanes of one output position folds from registers:
-    /// each A block's tile rows are added onto their distinct slots right
-    /// after its k-loop. Any other panel's rows go through a tile buffer
-    /// and [`fold_tile`], which orders the adds of the slots it shares.
+    /// own disjoint planes, so their order is free. Each panel's rows go
+    /// through a tile buffer and [`fold_tile`], which orders the adds of
+    /// the slots they share.
     fn conv_grad_block(ops: &ConvGradOperands<'_>, chans: Range<usize>, dst: &mut [f32]) {
         let kc = ops.kc;
         let rows = chans.start * ops.kk..chans.end * ops.kk;
@@ -535,19 +534,6 @@ simd_kernel! {
             } else {
                 &ops.packed[j0 / NR * kc * NR..][..kc * NR]
             };
-            if let Some(slot) = ops.fold.position_slots(j0, width, chans.start) {
-                for (row0, ablock) in rows.clone().step_by(MR).zip(blocks.chunks_exact(kc * MR)) {
-                    let acc = micro_tile(ablock, panel.chunks_exact(NR), kc);
-                    for (p, accr) in (row0..rows.end).zip(&acc) {
-                        let run: &mut [f32; NR] =
-                            (&mut dst[slot(p)..][..NR]).try_into().expect("NR-wide slot run");
-                        for (d, &v) in run.iter_mut().zip(accr) {
-                            *d += v;
-                        }
-                    }
-                }
-                continue;
-            }
             reset_buf(&mut tile, blocks.len() / kc * NR);
             for (ablock, rows) in blocks
                 .chunks_exact(kc * MR)
@@ -562,6 +548,254 @@ simd_kernel! {
             fold_tile(ops.fold, &tile, chans.clone(), j0, width, dst);
         }
     }
+}
+
+/// Input channels per register block of [`gather_input_grads`]. Blocks of
+/// 8 or 16 ran about 10× slower.
+const GATHER_CH: usize = 4;
+
+/// Input positions per register block of [`gather_input_grads`], away from
+/// the ends of a row.
+const GATHER_POS: usize = 2;
+
+/// One register block of [`gather_input_grads`]: the `NR`-lane vectors of
+/// `CH` channels at `P` input positions, channel `i`, position `p` written
+/// to `out[i·xplane + p·xstep..]`. Each tap of `taps`, in order, is
+/// `(t, g0)`: the tap's patch element `t = ky·k + kx`, and the vector of
+/// `gvecs` at filter 0 and the output position the tap carries position 0
+/// to (less `gshift`); position `p` reads `p·gstep` vectors further on,
+/// filter `f` another `f·gplane`. `w` holds the block's filters tap-major,
+/// `[k·k][F][GATHER_CH]` (see [`tap_major`]). A tap's term is `Σ_f Wᵀ·dY`,
+/// one chain from +0.0 in ascending `f`, and is added onto a +0.0
+/// accumulator.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn gather_block<const CH: usize, const P: usize>(
+    w: &[[f32; GATHER_CH]],
+    kc: usize,
+    gvecs: &[[f32; NR]],
+    gplane: usize,
+    gstep: usize,
+    taps: &[(usize, usize)],
+    gshift: usize,
+    out: &mut [f32],
+    xplane: usize,
+    xstep: usize,
+) {
+    let mut acc = [[[0.0f32; NR]; P]; CH];
+    for &(t, g0) in taps {
+        let g0 = g0 + gshift;
+        let mut rows: [_; P] =
+            std::array::from_fn(|p| gvecs[g0 + p * gstep..].iter().step_by(gplane));
+        let mut term = [[[0.0f32; NR]; P]; CH];
+        for wf in &w[t * kc..][..kc] {
+            let g: [&[f32; NR]; P] =
+                std::array::from_fn(|p| rows[p].next().expect("a gradient vector per filter"));
+            for (termc, &wv) in term.iter_mut().zip(wf) {
+                for (termp, gp) in termc.iter_mut().zip(&g) {
+                    for (d, &gv) in termp.iter_mut().zip(gp.iter()) {
+                        *d += wv * gv;
+                    }
+                }
+            }
+        }
+        for (accc, termc) in acc.iter_mut().zip(&term) {
+            for (accp, termp) in accc.iter_mut().zip(termc) {
+                for (a, &v) in accp.iter_mut().zip(termp) {
+                    *a += v;
+                }
+            }
+        }
+    }
+    for (i, accc) in acc.iter().enumerate() {
+        for (p, accp) in accc.iter().enumerate() {
+            let dst: &mut [f32; NR] = (&mut out[i * xplane + p * xstep..][..NR])
+                .try_into()
+                .expect("NR-wide input-gradient run");
+            *dst = *accp;
+        }
+    }
+}
+
+/// Every channel block of [`gather_input_grads`] at `P` positions: blocks
+/// of [`GATHER_CH`] channels, the last one of fewer when `channels` is not
+/// a multiple. `out` starts at the positions' first vector in channel 0.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn gather_channels<const P: usize>(
+    wtaps: &[[f32; GATHER_CH]],
+    kk: usize,
+    kc: usize,
+    channels: usize,
+    gvecs: &[[f32; NR]],
+    gplane: usize,
+    gstep: usize,
+    taps: &[(usize, usize)],
+    gshift: usize,
+    out: &mut [f32],
+    xplane: usize,
+    xstep: usize,
+) {
+    for c0 in (0..channels).step_by(GATHER_CH) {
+        let w = &wtaps[c0 / GATHER_CH * kk * kc..][..kk * kc];
+        let out = &mut out[c0 * xplane..];
+        macro_rules! run {
+            ($ch:literal) => {
+                gather_block::<$ch, P>(
+                    w, kc, gvecs, gplane, gstep, taps, gshift, out, xplane, xstep,
+                )
+            };
+        }
+        match channels - c0 {
+            1 => run!(1),
+            2 => run!(2),
+            3 => run!(3),
+            _ => run!(4),
+        }
+    }
+}
+
+simd_kernel! {
+    /// The conv input gradient in gather form, for a lane count that is a
+    /// multiple of `NR`: `grads` is the lane-major `[F, out_h, out_w, B]`
+    /// output gradient (`kc = F`), read where it lies, `wtaps` the filters
+    /// tap-major (see [`tap_major`]), and `out` receives the unpadded
+    /// `[C, H, W, B]` input gradient, every `NR`-lane vector stored once.
+    ///
+    /// Each vector sums, in registers, the terms of the taps that reach its
+    /// position, in descending `(ky, kx)` order — for one input element,
+    /// ascending output-position order, the order in which [`ConvFold`]
+    /// and [`row2im`](crate::row2im) add them — each term one ascending-`f`
+    /// chain from +0.0, the element of the `Wᵀ · G` product, and the sum
+    /// starting from +0.0, as the zeroed fold does. A position no tap
+    /// reaches stores that +0.0.
+    ///
+    /// A register block is [`GATHER_CH`] channels × [`GATHER_POS`]
+    /// positions of one input row whose columns are `stride` apart — at
+    /// stride 2, positions of equal parity — so that one tap carries them
+    /// to adjacent output positions; at a row's ends, where some tap reaches
+    /// only part of such a block, positions run one at a time.
+    fn gather_input_grads(
+        wtaps: &[f32],
+        kc: usize,
+        grads: &[f32],
+        geo: &Conv2dGeometry,
+        lanes: usize,
+        out: &mut [f32],
+    ) {
+        let (k, s, pad, channels) = (geo.kernel, geo.stride, geo.pad, geo.in_channels);
+        let (h, w, oh, ow) = (geo.in_h, geo.in_w, geo.out_h(), geo.out_w());
+        let (kk, groups, xplane) = (k * k, lanes / NR, h * w * lanes);
+        let gplane = oh * ow * groups;
+        let (gvecs, _) = grads.as_chunks::<NR>();
+        let (wtaps, _) = wtaps.as_chunks::<GATHER_CH>();
+        let (mut inner, mut edge) = (Vec::with_capacity(kk), Vec::with_capacity(kk));
+        for iy in 0..h {
+            // Kernel rows reaching row `iy`, descending: ascending `oy`.
+            let kys = (0..k).rev().filter_map(|ky| {
+                let d = (iy + pad).checked_sub(ky)?;
+                (d % s == 0 && d / s < oh).then_some((ky, d / s))
+            });
+            for r in 0..s.min(w) {
+                // Columns `ix = r + q·s`: kernel column `kx` carries column
+                // `q` to output column `q + e`, for each `kx` with
+                // `r + pad − kx = e·s`, descending.
+                let kxs = (0..k).rev().filter_map(|kx| {
+                    let d = (r + pad) as isize - kx as isize;
+                    (d % s as isize == 0).then_some((kx, d / s as isize))
+                });
+                // `lo..hi`: the columns every such `kx` carries inside.
+                let cols = (w - r).div_ceil(s) as isize;
+                let (mut lo, mut hi) = (0isize, cols);
+                for (_, e) in kxs.clone() {
+                    lo = lo.max(-e);
+                    hi = hi.min(ow as isize - e);
+                }
+                let lo = lo.min(cols);
+                let hi = hi.max(lo);
+                // The taps of the blocks in between, at column `lo`.
+                inner.clear();
+                for (ky, oy) in kys.clone() {
+                    for (kx, e) in kxs.clone() {
+                        let ox = (lo + e) as usize;
+                        inner.push((ky * k + kx, (oy * ow + ox) * groups));
+                    }
+                }
+                let pos = |q: isize| (iy * w + r + q as usize * s) * lanes;
+                let blocks = (hi - lo) as usize / GATHER_POS;
+                for (b, q) in (lo..).step_by(GATHER_POS).take(blocks).enumerate() {
+                    for group in 0..groups {
+                        gather_channels::<GATHER_POS>(
+                            wtaps, kk, kc, channels, gvecs, gplane, groups, &inner,
+                            b * GATHER_POS * groups + group, &mut out[pos(q) + group * NR..],
+                            xplane, s * lanes,
+                        );
+                    }
+                }
+                let ends = (0..lo).chain(lo + (blocks * GATHER_POS) as isize..cols);
+                for q in ends {
+                    edge.clear();
+                    for (ky, oy) in kys.clone() {
+                        for (kx, e) in kxs.clone() {
+                            if (0..ow as isize).contains(&(q + e)) {
+                                edge.push((ky * k + kx, (oy * ow + (q + e) as usize) * groups));
+                            }
+                        }
+                    }
+                    for group in 0..groups {
+                        gather_channels::<1>(
+                            wtaps, kk, kc, channels, gvecs, gplane, groups, &edge, group,
+                            &mut out[pos(q) + group * NR..], xplane, s * lanes,
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The `[F, C·k·k]` filters, `w(f, r)` the weight of filter `f` and patch
+/// element `r = c·k·k + t`, tap-major within blocks of [`GATHER_CH`]
+/// channels, as [`gather_input_grads`] reads them: `[⌈C/4⌉][k·k][F][4]`,
+/// channels past `C` zero.
+fn tap_major(kc: usize, geo: &Conv2dGeometry, w: impl Fn(usize, usize) -> f32) -> Vec<f32> {
+    let (kk, channels) = (geo.kernel * geo.kernel, geo.in_channels);
+    let mut taps = vec![0.0f32; channels.div_ceil(GATHER_CH) * kk * kc * GATHER_CH];
+    for (i, v) in taps.iter_mut().enumerate() {
+        let (rest, lane) = (i / GATHER_CH, i % GATHER_CH);
+        let (rest, f) = (rest / kc, rest % kc);
+        let (block, t) = (rest / kk, rest % kk);
+        let c = block * GATHER_CH + lane;
+        if c < channels {
+            *v = w(f, c * kk + t);
+        }
+    }
+    taps
+}
+
+/// The conv input gradient of the lane-major output gradient `grads`, whose
+/// lane count `lanes` is a multiple of `NR`, through [`gather_input_grads`]
+/// over the tap-major filters `wtaps` (`kc` of them): the lane-major
+/// `[C, H, W, B]` gradient. It is counted and traced as one GEMM of the
+/// `[C·k·k, F]` `Wᵀ` by the `[F, out_h·out_w·B]` gradient.
+fn gather_input_grads_lanes(
+    wtaps: &[f32],
+    kc: usize,
+    grads: &Tensor,
+    lanes: usize,
+    geo: &Conv2dGeometry,
+) -> Tensor {
+    let n = geo.out_h() * geo.out_w() * lanes;
+    remix_trace::incr(remix_trace::Counter::GemmCalls);
+    remix_trace::add(
+        remix_trace::Counter::GemmMacs,
+        (geo.patch_len() * kc * n) as u64,
+    );
+    let _span = remix_trace::span("gemm");
+    let shape = [geo.in_channels, geo.in_h, geo.in_w, lanes];
+    let mut out = vec![0.0f32; shape.iter().product()];
+    gather_input_grads(wtaps, kc, grads.data(), geo, lanes, &mut out);
+    Tensor::from_vec(out, &shape).expect("input-gradient shape")
 }
 
 /// The geometry under which output gradients `[F, out_h, out_w]` are the
@@ -579,9 +813,9 @@ fn grad_geometry(filters: usize, geo: &Conv2dGeometry) -> Conv2dGeometry {
 }
 
 /// The fused conv input gradient of the lane-major output gradient `grads`
-/// of `lanes` lanes: a lane-major `[C, H, W, B]` gradient, or `[C, H, W]`
-/// for a single `[F, out_h, out_w]` sample. `scratch` holds the padded
-/// input gradient.
+/// of `lanes` lanes, a count that is not a multiple of `NR`: a lane-major
+/// `[C, H, W, B]` gradient, or `[C, H, W]` for a single `[F, out_h, out_w]`
+/// sample. `scratch` holds the padded input gradient.
 fn fused_input_grads_lanes(
     ablocks: &[f32],
     kc: usize,
@@ -731,6 +965,11 @@ pub struct PackedOperand {
     /// Source tensor shape, for error reporting.
     src: [usize; 2],
     data: Vec<f32>,
+    /// An `At` pack's filters as the gather form of
+    /// [`PackedOperand::conv_input_grads_prepacked`] reads them, with the
+    /// `k·k` they were laid out for: built on the first call at a lane
+    /// count that is a multiple of 16, and counted as packed then.
+    conv_taps: OnceLock<(usize, Vec<f32>)>,
 }
 
 impl PackedOperand {
@@ -885,9 +1124,11 @@ impl PackedOperand {
     /// `[F, out_h, out_w, B]` output gradient `grads`. Each sample's
     /// gradient is bit-identical to [`row2im`](crate::row2im) of its
     /// [`PackedOperand::matmul_at_b_prepacked_into`] patch gradient, but the
-    /// `[C·k·k, out_h·out_w·B]` product is folded onto the padded gradient
-    /// panel by panel instead of being built. `scratch` holds the padded
-    /// input gradient.
+    /// `[C·k·k, out_h·out_w·B]` product is never built. When `B` is a
+    /// multiple of 16, each input-gradient vector gathers its taps in
+    /// registers and is stored once, reading the filters from a tap-major
+    /// copy the pack builds on the first such call; otherwise the product
+    /// is folded onto a padded input gradient in `scratch`, panel by panel.
     ///
     /// # Errors
     ///
@@ -907,9 +1148,25 @@ impl PackedOperand {
         self.expect_role(PackedRole::At, "conv_input_grads_prepacked");
         let lanes = check_conv_grads([self.kc, self.dim], grads, geo)?;
         remix_trace::incr(remix_trace::Counter::PrepackHits);
-        Ok(fused_input_grads_lanes(
-            &self.data, self.kc, grads, lanes, geo, scratch,
-        ))
+        if lanes % NR != 0 {
+            return Ok(fused_input_grads_lanes(
+                &self.data, self.kc, grads, lanes, geo, scratch,
+            ));
+        }
+        let kk = geo.kernel * geo.kernel;
+        let kc = self.kc;
+        let taps = || {
+            let w = |f, r| self.data[r / MR * kc * MR + f * MR + r % MR];
+            let taps = tap_major(kc, geo, w);
+            trace_pack_bytes(taps.len());
+            taps
+        };
+        let (cached_kk, cached) = self.conv_taps.get_or_init(|| (kk, taps()));
+        Ok(if *cached_kk == kk {
+            gather_input_grads_lanes(cached, kc, grads, lanes, geo)
+        } else {
+            gather_input_grads_lanes(&taps(), kc, grads, lanes, geo)
+        })
     }
 
     /// `lhsᵀ · P` for a pack built by [`Tensor::prepack_b`] from `[k, n]`
@@ -1180,7 +1437,8 @@ impl Tensor {
     /// `[C, H, W, B]` gradient of the lane-major `[F, out_h, out_w, B]`
     /// output gradient, each sample's bit-identical to
     /// [`row2im`](crate::row2im) of its [`Tensor::matmul_at_b`] patch
-    /// gradient.
+    /// gradient. The filters are packed per call: tap-major when `B` is a
+    /// multiple of 16, as `Wᵀ` A blocks otherwise.
     ///
     /// # Errors
     ///
@@ -1196,7 +1454,13 @@ impl Tensor {
         check_rank2(self, "conv_input_grads")?;
         let (f, patch) = (self.shape()[0], self.shape()[1]);
         let lanes = check_conv_grads([f, patch], grads, geo)?;
-        let ablocks = pack_at_blocks(self.data(), f, patch);
+        let w = self.data();
+        if lanes % NR == 0 {
+            let taps = tap_major(f, geo, |fi, r| w[fi * patch + r]);
+            trace_pack_bytes(taps.len());
+            return Ok(gather_input_grads_lanes(&taps, f, grads, lanes, geo));
+        }
+        let ablocks = pack_at_blocks(w, f, patch);
         trace_pack_a_bytes(patch, f);
         Ok(fused_input_grads_lanes(
             &ablocks, f, grads, lanes, geo, scratch,
@@ -1223,6 +1487,7 @@ impl Tensor {
             kc: k,
             src: [m, k],
             data,
+            conv_taps: OnceLock::new(),
         })
     }
 
@@ -1246,6 +1511,7 @@ impl Tensor {
             kc: k,
             src: [k, m],
             data,
+            conv_taps: OnceLock::new(),
         })
     }
 
@@ -1268,6 +1534,7 @@ impl Tensor {
             kc: k,
             src: [k, n],
             data,
+            conv_taps: OnceLock::new(),
         })
     }
 
@@ -1700,6 +1967,62 @@ mod tests {
                     dst
                 };
                 assert_levels_agree(&format!("fold_tile {what}"), run);
+            }
+        }
+    }
+
+    #[test]
+    fn gather_input_grads_agree_bitwise_at_every_simd_level_and_with_the_fold() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (kernel, stride, pad) in [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0)] {
+            // 5 channels: a full register block and a one-channel tail.
+            let geo = Conv2dGeometry {
+                in_channels: 5,
+                in_h: 5,
+                in_w: 6,
+                kernel,
+                stride,
+                pad,
+            };
+            let patch = geo.patch_len();
+            for filters in 1..=9 {
+                let weight = edge_values(filters * patch, filters as u64);
+                let ablocks = pack_at_blocks(&weight, filters, patch);
+                let wtaps = tap_major(filters, &geo, |f, r| weight[f * patch + r]);
+                for lanes in [16, 32] {
+                    let what = format!("k{kernel} s{stride} p{pad} f{filters} x{lanes}");
+                    let gshape = [filters, geo.out_h(), geo.out_w(), lanes];
+                    let grads =
+                        Tensor::from_vec(edge_values(gshape.iter().product(), 7), &gshape).unwrap();
+                    // NaN-filled, so a vector left unstored shows.
+                    let run = |level| {
+                        let mut out = vec![f32::NAN; 5 * 5 * 6 * lanes];
+                        gather_input_grads::at(
+                            level,
+                            &wtaps,
+                            filters,
+                            grads.data(),
+                            &geo,
+                            lanes,
+                            &mut out,
+                        );
+                        out
+                    };
+                    assert_levels_agree(&format!("gather_input_grads {what}"), run);
+                    let fold = fused_input_grads_lanes(
+                        &ablocks,
+                        filters,
+                        &grads,
+                        lanes,
+                        &geo,
+                        &mut Vec::new(),
+                    );
+                    assert_eq!(
+                        bits(&run(crate::SimdLevel::Portable)),
+                        bits(fold.data()),
+                        "gather against the fold, {what}"
+                    );
+                }
             }
         }
     }

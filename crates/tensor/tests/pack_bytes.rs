@@ -1,6 +1,9 @@
 //! `gemm_pack_bytes` counts the bytes the conv GEMMs copy into packed
-//! panels: a forward panel read in place from the padded batch adds 0. This
-//! file is its own test binary, so the trace counters are its alone.
+//! panels: a forward panel read in place from the padded batch adds 0, and
+//! so does an input gradient at 16 lanes, which reads its gradient in place
+//! and its filters from the tap-major copy the pack keeps after the first
+//! such call. This file is its own test binary, so the trace counters are
+//! its alone.
 
 use rand::{rngs::StdRng, SeedableRng};
 use remix_tensor::{Conv2dGeometry, Tensor};
@@ -22,6 +25,8 @@ fn conv_gemms_count_only_the_panels_they_pack() {
         pad,
     };
     let filters = 8;
+    // Bytes packed by the forward, by a first input gradient and by a
+    // second one through the same packs.
     let count = |geo: Conv2dGeometry, lanes: usize, rng: &mut StdRng| {
         let weight = Tensor::rand_uniform(&[filters, geo.patch_len()], -1.0, 1.0, rng);
         let (forward, input_grads) = (weight.prepack_a().unwrap(), weight.prepack_at().unwrap());
@@ -35,19 +40,28 @@ fn conv_gemms_count_only_the_panels_they_pack() {
             .conv_gemm_prepacked_into(&batch, &geo, &mut out, &mut scratch)
             .unwrap();
         let fwd = remix_trace::counter(remix_trace::Counter::GemmPackBytes);
-        remix_trace::reset();
-        input_grads
-            .conv_input_grads_prepacked(&grads, &geo, &mut scratch)
-            .unwrap();
-        let dx = remix_trace::counter(remix_trace::Counter::GemmPackBytes);
+        let mut dx = [0; 2];
+        for dx in &mut dx {
+            remix_trace::reset();
+            input_grads
+                .conv_input_grads_prepacked(&grads, &geo, &mut scratch)
+                .unwrap();
+            *dx = remix_trace::counter(remix_trace::Counter::GemmPackBytes);
+        }
         remix_trace::set_enabled(false);
         (fwd, dx)
     };
 
     // 16 lanes, padded: every forward panel is one run of the padded copy.
-    // Each of the 36 gradient panels is packed once.
+    // The input gradient packs no gradient panel; its first call copies the
+    // filters tap-major once — 9 taps × 8 filters × 4 channel slots (2 of
+    // them zero) — and later calls pack nothing.
     let (fwd, dx) = count(geo(6, 3, 1, 1), 16, &mut rng);
-    assert_eq!((fwd, dx), (0, 36 * panel_bytes(filters)));
+    assert_eq!((fwd, dx), (0, [(9 * 8 * 4 * 4) as u64, 0]));
+
+    // 8 lanes: each of the 18 gradient panels is packed once, on every call.
+    let (_, dx) = count(geo(6, 3, 1, 1), 8, &mut rng);
+    assert_eq!(dx, [18 * panel_bytes(filters); 2]);
 
     // One lane at stride 2: 9 columns, one ragged panel, packed.
     let (fwd, _) = count(geo(6, 3, 2, 1), 1, &mut rng);

@@ -273,7 +273,9 @@ fn check_lane_conv_input_grads(geo: Conv2dGeometry, batch: usize, filters: usize
 // C 1–4, H/W 1–9, k 1–3, stride 1–2, pad 0–1, batch 1–33, at the default
 // thread count. Output rows shorter than a 16-lane panel and batches that
 // are not multiples of 16 make lane runs straddle output positions and
-// rows, and most column counts are not multiples of 16.
+// rows, and most column counts are not multiples of 16. The input gradient
+// at 16, 32 and 48 lanes, which takes its gather form, gets a case of its
+// own: batch 1–33 reaches it only at 16 and 32.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -301,6 +303,20 @@ proptest! {
             continue;
         }
         check_lane_conv_input_grads(geo, batch, filters, seed);
+    }
+
+    #[test]
+    fn lane_conv_input_grads_at_whole_vectors_are_bit_identical_to_row2im(
+        c in 1usize..5, h in 1usize..10, w in 1usize..10, k in 1usize..4,
+        stride in 1usize..3, pad in 0usize..2, vectors in 1usize..4,
+        filters in 1usize..10, seed in 0u64..1024
+    ) {
+        // 16, 32 or 48 lanes: the input gradient's gather form.
+        let geo = Conv2dGeometry { in_channels: c, in_h: h, in_w: w, kernel: k, stride, pad };
+        if !geo.is_valid() {
+            continue;
+        }
+        check_lane_conv_input_grads(geo, 16 * vectors, filters, seed);
     }
 }
 
