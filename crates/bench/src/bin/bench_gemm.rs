@@ -19,7 +19,9 @@ use remix_nn::{
     cross_entropy, zoo, Arch, InputSpec, Layer, Mode, Model, Optimizer, Sgd, Trainer,
     TrainerConfig, Wants,
 };
-use remix_tensor::{im2row_batch_into, row2im_batch, Conv2dGeometry, PackedOperand, Tensor};
+use remix_tensor::{
+    im2row_batch_into, row2im_batch, Conv2dGeometry, PackedConvGrads, PackedOperand, Tensor,
+};
 use serde::Serialize;
 use std::time::{Duration, Instant};
 
@@ -466,19 +468,18 @@ impl PanelForward<'_> {
     }
 }
 
-/// The frozen conv serve path's input gradient: `Wᵀ · G` folded onto the
-/// lane-major gradient panel by panel.
+/// The frozen conv serve path's input gradient `Wᵀ · G`: gathered into
+/// each input-gradient vector at the rows' 16 lanes.
 struct PanelInputGrads<'a> {
-    geo: Conv2dGeometry,
     grads: &'a Tensor,
-    weights: PackedOperand,
+    weights: PackedConvGrads,
     scratch: Vec<f32>,
 }
 
 impl PanelInputGrads<'_> {
     fn run(&mut self) -> Tensor {
         self.weights
-            .conv_input_grads_prepacked(self.grads, &self.geo, &mut self.scratch)
+            .conv_input_grads(self.grads, &mut self.scratch)
             .expect("gradients match")
     }
 }
@@ -814,9 +815,10 @@ fn bench_conv_shape(s: &ConvShape) -> ConvRow {
         out: Vec::new(),
     };
     let mut input_grads = PanelInputGrads {
-        geo,
         grads: &lane_grads,
-        weights: w.prepack_at().expect("weights are rank 2"),
+        weights: w
+            .prepack_conv_grads(&geo)
+            .expect("weights fit the geometry"),
         scratch: Vec::new(),
     };
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();

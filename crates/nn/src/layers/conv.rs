@@ -2,7 +2,8 @@ use super::{check_cached, lanes_of};
 use crate::{Layer, Mode, Wants};
 use rand::Rng;
 use remix_tensor::{
-    gemm_accum_ab, im2row_batch_into, simd_kernel, Conv2dGeometry, PackedOperand, Result, Tensor,
+    gemm_accum_ab, im2row_batch_into, simd_kernel, Conv2dGeometry, PackedConvGrads, PackedOperand,
+    Result, Tensor,
 };
 
 /// 2-D convolution over lane-major `[C, H, W, B]` batches, lowered to
@@ -38,12 +39,12 @@ pub struct Conv2d {
 }
 
 /// Both roles the frozen `[F, C·k·k]` weight plays: `fwd` is the A-side of
-/// the forward `W · patchesᵀ` product, `bwd` the transpose-read A-side of
-/// the input-gradient `Wᵀ · G` product.
+/// the forward `W · patchesᵀ` product, `bwd` the filters of the
+/// input-gradient `Wᵀ · G` product, as `Wᵀ` A blocks and tap-major.
 #[derive(Debug, Clone)]
 struct ConvPacks {
     fwd: PackedOperand,
-    bwd: PackedOperand,
+    bwd: PackedConvGrads,
 }
 
 /// Reusable buffers for the GEMMs. Each GEMM call site owns its buffers so
@@ -190,9 +191,10 @@ impl Layer for Conv2d {
     /// Input gradients `Wᵀ · G`: at a lane count that is a multiple of 16,
     /// each input-gradient vector gathers its taps in registers and is
     /// stored once; at any other, the product is folded onto the padded
-    /// images panel by panel. `Wᵀ` is read from the `[F, patch]` storage,
-    /// packed per call, or from its frozen `prepack_at` pack, and each
-    /// product element sums over filters in ascending order, the chain of
+    /// images panel by panel. The gather reads the filters tap-major, the
+    /// fold as `Wᵀ` A blocks: packed per call from the `[F, patch]`
+    /// storage, or both built once by `prepack_conv_grads` when frozen.
+    /// Each product element sums over filters in ascending order, the chain of
     /// the unfolded formulation's `gᵀ · W`. Every element belongs to one
     /// lane, so the lanes match one-lane gradients bit for bit.
     fn backward_lanes(&mut self, grad_out: Tensor, wants: Wants) -> Result<Tensor> {
@@ -205,9 +207,7 @@ impl Layer for Conv2d {
             return Ok(Tensor::default());
         }
         match &self.packs {
-            Some(p) => p
-                .bwd
-                .conv_input_grads_prepacked(&grad_out, &self.geo, &mut self.scratch.dx),
+            Some(p) => p.bwd.conv_input_grads(&grad_out, &mut self.scratch.dx),
             None => self
                 .weight
                 .conv_input_grads(&grad_out, &self.geo, &mut self.scratch.dx),
@@ -224,7 +224,10 @@ impl Layer for Conv2d {
     fn prepare_inference(&mut self) {
         self.packs = Some(ConvPacks {
             fwd: self.weight.prepack_a().expect("conv weight is rank 2"),
-            bwd: self.weight.prepack_at().expect("conv weight is rank 2"),
+            bwd: self
+                .weight
+                .prepack_conv_grads(&self.geo)
+                .expect("conv weight fits its geometry"),
         });
     }
 

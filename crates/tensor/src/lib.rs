@@ -35,7 +35,7 @@ mod tensor;
 
 pub use conv::{im2col, im2row, im2row_batch_into, row2im, row2im_batch, Conv2dGeometry};
 pub use error::TensorError;
-pub use linalg::{gemm_accum_ab, PackedOperand, PackedRole};
+pub use linalg::{gemm_accum_ab, PackedConvGrads, PackedOperand, PackedRole};
 pub use random::{fnv1a64, splitmix64};
 pub use simd::{simd_level, SimdLevel};
 pub use tensor::Tensor;

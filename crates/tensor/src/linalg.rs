@@ -19,7 +19,6 @@
 use crate::conv::{check_lanes, fold_tile, ConvFold, ConvPanels};
 use crate::{simd_kernel, Conv2dGeometry, Result, Tensor, TensorError};
 use std::ops::Range;
-use std::sync::OnceLock;
 
 /// Register-block height: rows of A handled per micro-kernel call.
 const MR: usize = 4;
@@ -713,16 +712,19 @@ simd_kernel! {
                 }
                 let lo = lo.min(cols);
                 let hi = hi.max(lo);
-                // The taps of the blocks in between, at column `lo`.
+                let blocks = (hi - lo) as usize / GATHER_POS;
+                // The taps of the blocks in between, at column `lo`; with
+                // no block, `lo + e` may fall outside the output row.
                 inner.clear();
-                for (ky, oy) in kys.clone() {
-                    for (kx, e) in kxs.clone() {
-                        let ox = (lo + e) as usize;
-                        inner.push((ky * k + kx, (oy * ow + ox) * groups));
+                if blocks > 0 {
+                    for (ky, oy) in kys.clone() {
+                        for (kx, e) in kxs.clone() {
+                            let ox = (lo + e) as usize;
+                            inner.push((ky * k + kx, (oy * ow + ox) * groups));
+                        }
                     }
                 }
                 let pos = |q: isize| (iy * w + r + q as usize * s) * lanes;
-                let blocks = (hi - lo) as usize / GATHER_POS;
                 for (b, q) in (lo..).step_by(GATHER_POS).take(blocks).enumerate() {
                     for group in 0..groups {
                         gather_channels::<GATHER_POS>(
@@ -751,6 +753,43 @@ simd_kernel! {
                 }
             }
         }
+    }
+}
+
+/// A convolution's `[F, C·k·k]` filters prepacked for its input gradient
+/// at one geometry, in both forms the kernels read: the `Wᵀ` A blocks of
+/// a [`PackedRole::At`] pack, which the fold reads, and their tap-major
+/// copy, `[⌈C/4⌉][k·k][F][4]`, which the gather form reads at lane counts
+/// that are multiples of 16. Built by [`Tensor::prepack_conv_grads`]; like
+/// a [`PackedOperand`], a snapshot of the weights.
+#[derive(Debug, Clone)]
+pub struct PackedConvGrads {
+    at: PackedOperand,
+    taps: Vec<f32>,
+    geo: Conv2dGeometry,
+}
+
+impl PackedConvGrads {
+    /// The lane-major `[C, H, W, B]` input gradient of the lane-major
+    /// `[F, out_h, out_w, B]` output gradient `grads` (`[C, H, W]` of one
+    /// `[F, out_h, out_w]` sample) at the pack's geometry, bit-identical to
+    /// [`PackedOperand::conv_input_grads_prepacked`] on its `At` pack; no
+    /// call packs the filters. `scratch` holds the padded input gradient
+    /// when `B` is not a multiple of 16.
+    ///
+    /// # Errors
+    ///
+    /// Returns a rank or shape error unless `grads` is
+    /// `[F, out_h, out_w, B]`.
+    pub fn conv_input_grads(&self, grads: &Tensor, scratch: &mut Vec<f32>) -> Result<Tensor> {
+        let (kc, geo) = (self.at.kc, &self.geo);
+        let lanes = check_conv_grads([kc, self.at.dim], grads, geo)?;
+        remix_trace::incr(remix_trace::Counter::PrepackHits);
+        Ok(if lanes % NR == 0 {
+            gather_input_grads_lanes(&self.taps, kc, grads, lanes, geo)
+        } else {
+            fused_input_grads_lanes(&self.at.data, kc, grads, lanes, geo, scratch)
+        })
     }
 }
 
@@ -965,11 +1004,6 @@ pub struct PackedOperand {
     /// Source tensor shape, for error reporting.
     src: [usize; 2],
     data: Vec<f32>,
-    /// An `At` pack's filters as the gather form of
-    /// [`PackedOperand::conv_input_grads_prepacked`] reads them, with the
-    /// `k·k` they were laid out for: built on the first call at a lane
-    /// count that is a multiple of 16, and counted as packed then.
-    conv_taps: OnceLock<(usize, Vec<f32>)>,
 }
 
 impl PackedOperand {
@@ -1127,8 +1161,10 @@ impl PackedOperand {
     /// `[C·k·k, out_h·out_w·B]` product is never built. When `B` is a
     /// multiple of 16, each input-gradient vector gathers its taps in
     /// registers and is stored once, reading the filters from a tap-major
-    /// copy the pack builds on the first such call; otherwise the product
-    /// is folded onto a padded input gradient in `scratch`, panel by panel.
+    /// copy that each such call builds from the pack and counts as packed
+    /// ([`Tensor::prepack_conv_grads`] builds it once); otherwise the
+    /// product is folded onto a padded input gradient in `scratch`, panel
+    /// by panel.
     ///
     /// # Errors
     ///
@@ -1148,25 +1184,17 @@ impl PackedOperand {
         self.expect_role(PackedRole::At, "conv_input_grads_prepacked");
         let lanes = check_conv_grads([self.kc, self.dim], grads, geo)?;
         remix_trace::incr(remix_trace::Counter::PrepackHits);
-        if lanes % NR != 0 {
-            return Ok(fused_input_grads_lanes(
-                &self.data, self.kc, grads, lanes, geo, scratch,
-            ));
-        }
-        let kk = geo.kernel * geo.kernel;
         let kc = self.kc;
-        let taps = || {
-            let w = |f, r| self.data[r / MR * kc * MR + f * MR + r % MR];
-            let taps = tap_major(kc, geo, w);
+        if lanes % NR == 0 {
+            let taps = tap_major(kc, geo, |f, r| {
+                self.data[r / MR * kc * MR + f * MR + r % MR]
+            });
             trace_pack_bytes(taps.len());
-            taps
-        };
-        let (cached_kk, cached) = self.conv_taps.get_or_init(|| (kk, taps()));
-        Ok(if *cached_kk == kk {
-            gather_input_grads_lanes(cached, kc, grads, lanes, geo)
-        } else {
-            gather_input_grads_lanes(&taps(), kc, grads, lanes, geo)
-        })
+            return Ok(gather_input_grads_lanes(&taps, kc, grads, lanes, geo));
+        }
+        Ok(fused_input_grads_lanes(
+            &self.data, kc, grads, lanes, geo, scratch,
+        ))
     }
 
     /// `lhsᵀ · P` for a pack built by [`Tensor::prepack_b`] from `[k, n]`
@@ -1487,7 +1515,6 @@ impl Tensor {
             kc: k,
             src: [m, k],
             data,
-            conv_taps: OnceLock::new(),
         })
     }
 
@@ -1511,7 +1538,6 @@ impl Tensor {
             kc: k,
             src: [k, m],
             data,
-            conv_taps: OnceLock::new(),
         })
     }
 
@@ -1534,7 +1560,31 @@ impl Tensor {
             kc: k,
             src: [k, n],
             data,
-            conv_taps: OnceLock::new(),
+        })
+    }
+
+    /// Packs the `[F, C·k·k]` filter matrix `self` once for the input
+    /// gradients of convolutions of geometry `geo`: a [`Tensor::prepack_at`]
+    /// pack for the fold, and the tap-major copy the gather form reads at
+    /// lane counts that are multiples of 16. Consume via
+    /// [`PackedConvGrads::conv_input_grads`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] unless `self` is rank 2, or
+    /// [`TensorError::MatmulDimMismatch`] unless it has `geo.patch_len()`
+    /// columns.
+    pub fn prepack_conv_grads(&self, geo: &Conv2dGeometry) -> Result<PackedConvGrads> {
+        check_rank2(self, "prepack_conv_grads")?;
+        let (f, patch) = (self.shape()[0], self.shape()[1]);
+        check_filters([f, patch], geo)?;
+        let w = self.data();
+        let taps = tap_major(f, geo, |fi, r| w[fi * patch + r]);
+        trace_pack_bytes(taps.len());
+        Ok(PackedConvGrads {
+            at: self.prepack_at()?,
+            taps,
+            geo: *geo,
         })
     }
 

@@ -227,8 +227,8 @@ fn check_lane_conv_gemm(geo: Conv2dGeometry, batch: usize, filters: usize, seed:
     prop_assert_eq!(bits(&out), expect, "prepacked {:?} x{}", geo, batch);
 }
 
-/// The fresh and prepacked fused conv input gradients of `batch` lanes of
-/// output gradients through `geo` with `filters` filters, drawn from
+/// The fresh, prepacked and frozen-conv-pack conv input gradients of
+/// `batch` lanes of output gradients through `geo` with `filters` filters, drawn from
 /// `seed`, against the gᵀ·W patch rows of the concatenated per-sample
 /// gradients through the row fold.
 fn check_lane_conv_input_grads(geo: Conv2dGeometry, batch: usize, filters: usize, seed: u64) {
@@ -266,7 +266,16 @@ fn check_lane_conv_input_grads(geo: Conv2dGeometry, batch: usize, filters: usize
     let fused = frozen
         .conv_input_grads_prepacked(&lanes, &geo, &mut scratch)
         .unwrap();
-    prop_assert_eq!(bits(fused.data()), expect, "prepacked {:?} x{}", geo, batch);
+    prop_assert_eq!(
+        bits(fused.data()),
+        expect.clone(),
+        "prepacked {:?} x{}",
+        geo,
+        batch
+    );
+    let frozen = weight.prepack_conv_grads(&geo).unwrap();
+    let fused = frozen.conv_input_grads(&lanes, &mut scratch).unwrap();
+    prop_assert_eq!(bits(fused.data()), expect, "conv pack {:?} x{}", geo, batch);
 }
 
 // Conv lowering contracts over lane-major batches of small geometries:
@@ -275,7 +284,9 @@ fn check_lane_conv_input_grads(geo: Conv2dGeometry, batch: usize, filters: usize
 // are not multiples of 16 make lane runs straddle output positions and
 // rows, and most column counts are not multiples of 16. The input gradient
 // at 16, 32 and 48 lanes, which takes its gather form, gets a case of its
-// own: batch 1–33 reaches it only at 16 and 32.
+// own: batch 1–33 reaches it only at 16 and 32. That case also draws k up
+// to 5 and pad up to 3, so that some taps reach past a narrow row at both
+// ends and no column block is left between them.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -307,8 +318,8 @@ proptest! {
 
     #[test]
     fn lane_conv_input_grads_at_whole_vectors_are_bit_identical_to_row2im(
-        c in 1usize..5, h in 1usize..10, w in 1usize..10, k in 1usize..4,
-        stride in 1usize..3, pad in 0usize..2, vectors in 1usize..4,
+        c in 1usize..5, h in 1usize..10, w in 1usize..10, k in 1usize..6,
+        stride in 1usize..3, pad in 0usize..4, vectors in 1usize..4,
         filters in 1usize..10, seed in 0u64..1024
     ) {
         // 16, 32 or 48 lanes: the input gradient's gather form.
@@ -337,6 +348,27 @@ const SERVED_CONVS: [(usize, usize, usize, usize, usize, usize); 12] = [
     (16, 8, 32, 1, 1, 0),
     (32, 4, 32, 1, 1, 0),
 ];
+
+#[test]
+fn conv_input_grads_over_rows_narrower_than_the_kernel_are_bit_identical() {
+    // Padding wider than the stride on a row of one or two columns: every
+    // tap of a kernel row reaches only some of its columns, so the gather
+    // form runs them all one position at a time.
+    for (w, k, stride, pad) in [(1, 5, 1, 2), (2, 5, 1, 2), (1, 3, 2, 1), (2, 7, 2, 3)] {
+        let geo = Conv2dGeometry {
+            in_channels: 3,
+            in_h: 3,
+            in_w: w,
+            kernel: k,
+            stride,
+            pad,
+        };
+        assert!(geo.is_valid(), "{geo:?}");
+        for batch in [1, 16, 32] {
+            check_lane_conv_input_grads(geo, batch, 5, (w * 64 + k * 8 + batch) as u64);
+        }
+    }
+}
 
 #[test]
 fn served_conv_shapes_are_bit_identical_to_the_unfolded_references() {
@@ -387,6 +419,17 @@ fn lane_conv_entries_take_one_sample_as_one_lane_and_reject_other_shapes() {
         .unwrap();
     assert_eq!(dx_lane.shape(), &[2, 4, 4, 1]);
     assert_eq!(bits(dx.data()), bits(dx_lane.data()));
+    let frozen = weight.prepack_conv_grads(&geo).unwrap();
+    let dx_frozen = frozen.conv_input_grads(&grad, &mut scratch).unwrap();
+    assert_eq!(dx_frozen.shape(), &[2, 4, 4]);
+    assert_eq!(bits(dx.data()), bits(dx_frozen.data()));
+    // The filter matrix must fit the geometry it is packed for.
+    let one_by_one = Conv2dGeometry {
+        kernel: 1,
+        pad: 0,
+        ..geo
+    };
+    assert!(weight.prepack_conv_grads(&one_by_one).is_err());
 
     for wrong in [vec![2, 4, 5, 3], vec![2, 16], vec![3, 4, 4, 2]] {
         let t = Tensor::zeros(&wrong);
@@ -397,5 +440,6 @@ fn lane_conv_entries_take_one_sample_as_one_lane_and_reject_other_shapes() {
     for wrong in [vec![2, 4, 4, 3], vec![3, 16], vec![3, 4, 4, 1, 1]] {
         let t = Tensor::zeros(&wrong);
         assert!(weight.conv_input_grads(&t, &geo, &mut scratch).is_err());
+        assert!(frozen.conv_input_grads(&t, &mut scratch).is_err());
     }
 }
